@@ -34,14 +34,7 @@ from .matrix import (
     submatrix,
     transpose,
 )
-from .normalize import (
-    TOP_SENTINEL,
-    NormalizationResult,
-    QEntry,
-    column_mean,
-    column_minima,
-    normalize,
-)
+from .normalize import NormalizationResult, column_mean, normalize
 from .oracle import exhaustive_solvable, principal_solution
 from .rank import Dependence, RankReport, colrank, dependence_oracle, rowrank
 from .reduce import ReducedSystem, dof_via_reduction, expand_solution, reduce_system
@@ -57,13 +50,11 @@ from .scalar import (
     trop_mul,
 )
 from .solver import (
-    Preprocessed,
     Solvable,
     SolveOutcome,
     Unsolvable,
     check_equivalence,
     map_equivalent_solution,
-    preprocess,
     solve,
     verify,
 )

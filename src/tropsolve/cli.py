@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import TropicalError
 from .freedom import degrees_of_freedom, minimal_leading_oracle
 from .matrix import TropMatrix, TropVector, parse_matrix, parse_vector
-from .normalize import column_minima, normalize
+from .normalize import normalize
 from .oracle import exhaustive_solvable, principal_solution
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
@@ -82,15 +82,14 @@ def _cmd_normalize(args) -> Report:
     dig_a, a = _load_matrix("A", args.matrix)
     dig_b, b = _load_vector("b", args.vector)
     res = normalize(a, b)
-    y_star, argmins = column_minima(res.q)
     payload = {
         "a_tilde": [[_fmt(e) for e in r] for r in res.a_tilde.row_tuples()],
         "col_means": [_fmt_frac(f) for f in res.col_means],
         "b_tilde": [_fmt(e) for e in res.b_tilde],
         "b_mean": _fmt_frac(res.b_mean),
-        "q": [[str(e) for e in r] for r in res.q],
-        "column_minima": [_fmt(e) for e in y_star],
-        "argmin_rows": [_ones(s) for s in argmins],
+        "q": [["+inf-" if e is None else _fmt_frac(e) for e in r] for r in res.q],
+        "column_minima": [_fmt(e) for e in res.column_minima],
+        "argmin_rows": [_ones(s) for s in res.argmin_rows],
     }
     return Report("normalize", (dig_a, dig_b), payload, 0)
 

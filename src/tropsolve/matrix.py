@@ -38,7 +38,8 @@ class TropVector:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable):
-        self._entries = tuple(as_scalar(e) for e in entries)
+        # list first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
+        self._entries = tuple([as_scalar(e) for e in entries])
         if not self._entries:
             raise DimensionError("vector must have at least one entry")
 
@@ -69,7 +70,8 @@ class TropMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        self._rows = tuple(tuple(as_scalar(e) for e in r) for r in rows)
+        # lists first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
+        self._rows = tuple([tuple([as_scalar(e) for e in r]) for r in rows])
         if not self._rows or not self._rows[0]:
             raise DimensionError("matrix must have at least one row and one column")
         width = len(self._rows[0])

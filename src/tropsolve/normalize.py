@@ -1,15 +1,17 @@
-"""Column-mean normalization of a max-plus system.
+"""Column-mean normalization of a max-plus system: the paper's route.
 
 Given A (m x n) and a regular b, every column of A is shifted classically
 by the negative of its column mean, and b by the negative of its mean.
-The associated grid Q with q_ij = b~_i - a~_ij then drives everything
-else: the j-th column minimum of Q is the largest admissible value of the
-j-th transformed unknown, and the rows attaining those minima decide
-solvability, degrees of freedom, and rank.
+The associated grid Q with q_ij = b~_i - a~_ij holds, in its column
+minima, the largest admissible values of the transformed unknowns, and
+the rows attaining them decide solvability.
+
+`solve` gets the same minima and rows by one residuation pass without
+building Q; this module materialises the grid for the `normalize` report
+and serves as the solver's independent cross-check in the tests.
 
 Means are taken over the finite entries of a column only; positions where
-the matrix entry is -inf get a top sentinel in Q so they can never be a
-column minimum.
+the matrix entry is -inf hold None in Q and are never a column minimum.
 """
 
 from __future__ import annotations
@@ -21,87 +23,23 @@ from .errors import DegenerateColumnError, DimensionError, RegularityError
 from .matrix import TropMatrix, TropVector, is_regular
 from .scalar import BOTTOM, TropicalScalar
 
-__all__ = [
-    "QEntry",
-    "TOP_SENTINEL",
-    "NormalizationResult",
-    "column_mean",
-    "normalize",
-    "column_minima",
-]
+__all__ = ["NormalizationResult", "column_mean", "normalize"]
 
-
-class QEntry:
-    """An entry of the associated normalized grid Q.
-
-    Either a finite exact rational, or a top sentinel that compares
-    strictly greater than every rational. The sentinel marks positions
-    where the matrix entry was -inf.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Fraction | int | str | None = None):
-        self._value = None if value is None else Fraction(value)
-
-    @property
-    def is_top(self) -> bool:
-        return self._value is None
-
-    @property
-    def value(self) -> Fraction:
-        if self._value is None:
-            raise ValueError("no finite value: entry is the top sentinel")
-        return self._value
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QEntry):
-            return NotImplemented
-        return self._value == other._value
-
-    def __hash__(self) -> int:
-        return hash((QEntry, self._value))
-
-    def __lt__(self, other: "QEntry") -> bool:
-        if self._value is None:
-            return False
-        if other._value is None:
-            return True
-        return self._value < other._value
-
-    def __le__(self, other: "QEntry") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "QEntry") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "QEntry") -> bool:
-        return not self < other
-
-    def __str__(self) -> str:
-        if self._value is None:
-            return "+inf-"
-        n, d = self._value.numerator, self._value.denominator
-        return str(n) if d == 1 else f"{n}/{d}"
-
-    def __repr__(self) -> str:
-        return f"QEntry({self})"
-
-
-TOP_SENTINEL = QEntry()
-
-QGrid = tuple[tuple[QEntry, ...], ...]
+# None marks a -inf matrix entry (rendered as +inf-).
+QGrid = tuple[tuple[Fraction | None, ...], ...]
 
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    """Normalized system data: A~, column means, b~, mean of b, and Q."""
+    """Normalized system data: A~, column means, b~, mean of b, Q and its column minima."""
 
     a_tilde: TropMatrix
     col_means: tuple[Fraction, ...]
     b_tilde: TropVector
     b_mean: Fraction
     q: QGrid
+    column_minima: TropVector
+    argmin_rows: tuple[frozenset[int], ...]
 
 
 def column_mean(col: TropVector) -> Fraction:
@@ -117,10 +55,10 @@ def column_mean(col: TropVector) -> Fraction:
 
 
 def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
-    """Build the normalized system and its associated grid Q.
+    """Build the normalized system, its associated grid Q and Q's column minima.
 
     Requires a regular b and at least one finite entry per column of `a`
-    (systems violating either are handled by solver preprocessing).
+    (`solve` handles systems violating either).
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
@@ -146,13 +84,21 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
             e = a.entry(i, j)
             if e.is_bottom:
                 at_row.append(BOTTOM)
-                q_row.append(TOP_SENTINEL)
+                q_row.append(None)
             else:
                 shifted = e.value - means[j]
                 at_row.append(TropicalScalar(shifted))
-                q_row.append(QEntry(bt - shifted))
+                q_row.append(bt - shifted)
         a_tilde_rows.append(at_row)
         q_rows.append(tuple(q_row))
+
+    minima = []
+    argmins = []
+    for j in range(a.cols):
+        finite = [(r[j], i) for i, r in enumerate(q_rows) if r[j] is not None]
+        least = min(v for v, _ in finite)
+        minima.append(TropicalScalar(least))
+        argmins.append(frozenset(i for v, i in finite if v == least))
 
     return NormalizationResult(
         a_tilde=TropMatrix(a_tilde_rows),
@@ -160,24 +106,6 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         b_tilde=TropVector(b_tilde),
         b_mean=b_mean,
         q=tuple(q_rows),
+        column_minima=TropVector(minima),
+        argmin_rows=tuple(argmins),
     )
-
-
-def column_minima(q: QGrid) -> tuple[TropVector, tuple[frozenset[int], ...]]:
-    """Per column of Q: the least finite entry and the set of rows attaining it.
-
-    Top-sentinel entries never attain a minimum.
-    """
-    if not q or not q[0]:
-        raise DimensionError("empty grid")
-    m, n = len(q), len(q[0])
-    minima = []
-    argmins = []
-    for j in range(n):
-        finite = [(q[i][j].value, i) for i in range(m) if not q[i][j].is_top]
-        if not finite:
-            raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is the top sentinel")
-        least = min(v for v, _ in finite)
-        minima.append(TropicalScalar(least))
-        argmins.append(frozenset(i for v, i in finite if v == least))
-    return TropVector(minima), tuple(argmins)

@@ -8,6 +8,7 @@ so results of the normalization pipeline are bit-reproducible.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -120,14 +121,30 @@ def classical_sub(a: TropicalScalar, b: TropicalScalar) -> TropicalScalar:
     return TropicalScalar(a._value - b._value)
 
 
+# Longest digit run a token may hold. Far below Python's 4300-digit limit on
+# int/str conversion, and checked before any digits are converted.
+MAX_DIGITS = 100
+
+# The README grammar: an optionally negative integer, decimal or fraction.
+_RUN = rf"(\d{{1,{MAX_DIGITS}}})"
+_TOKEN = re.compile(rf"(-?){_RUN}(?:\.{_RUN}|/{_RUN})?", re.ASCII)
+
+
 def parse_scalar(token: str) -> TropicalScalar:
     """Parse one scalar token: `-243`, `2.5` (exactly 5/2), `-13/4`, `-inf`."""
     if token == "-inf":
         return BOTTOM
-    try:
-        return TropicalScalar(Fraction(token))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed scalar token {token!r}") from None
+    match = _TOKEN.fullmatch(token)
+    if match is None:
+        raise ParseError(f"malformed scalar token {token!r}")
+    sign, whole, decimals, den = match.groups()
+    if decimals is not None:
+        num, d = int(whole + decimals), 10 ** len(decimals)
+    else:
+        num, d = int(whole), 1 if den is None else int(den)
+    if d == 0:
+        raise ParseError(f"malformed scalar token {token!r}")
+    return TropicalScalar(Fraction(-num if sign else num, d))
 
 
 def format_scalar(s: TropicalScalar) -> str:

@@ -1,54 +1,37 @@
 """Solvability test and maximal solution for A x = b over max-plus.
 
-The pipeline: preprocess away -inf right-hand sides and degenerate
-columns, normalize the surviving subsystem, take the column minima of Q,
-and check that every row holds at least one of them. When it does, the
-back-transformed minima give the maximal solution; when it does not, the
-uncovered rows witness unsolvability.
+One residuation pass over the columns gives x*_j = min_i (b_i - a_ij) and
+the rows attaining it. These are the paper's column minima of the
+normalized grid Q, shifted by b_mean - mean_j, attained in the same rows,
+so Q itself is never built here (it is materialised only for the
+`normalize` report). The system is solvable iff every row with a finite
+b_i attains some column's minimum; x* is then the maximal solution, and
+the unattained rows otherwise witness unsolvability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DimensionError
-from .matrix import TropMatrix, TropVector, mat_vec, submatrix
-from .normalize import column_minima, normalize
+from .matrix import TropMatrix, TropVector, mat_vec
 from .scalar import BOTTOM, TropicalScalar, as_scalar
 
 __all__ = [
     "RowCoverage",
-    "Preprocessed",
     "Solvable",
     "Unsolvable",
     "SolveOutcome",
-    "preprocess",
     "solve",
     "verify",
     "check_equivalence",
     "map_equivalent_solution",
 ]
 
-# Per row (original index), the sorted column indices whose column minimum
-# lies in that row. Rows dropped by preprocessing have empty coverage.
+# Per row, the sorted column indices whose minimum lies in that row. Rows
+# with b_i = -inf, and rows no column reaches, have empty coverage.
 RowCoverage = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Preprocessed:
-    """Subsystem left after eliminating -inf equations.
-
-    Every row with b_i = -inf is dropped together with every column that
-    has a finite entry in such a row (those unknowns are forced to -inf).
-    Columns left with no finite entry at all are dropped as unconstrained.
-    """
-
-    kept_rows: tuple[int, ...]
-    kept_cols: tuple[int, ...]
-    forced_bottom: frozenset[int]
-    unconstrained: frozenset[int]
-    sub_a: TropMatrix | None
-    sub_b: TropVector | None
 
 
 @dataclass(frozen=True)
@@ -78,86 +61,51 @@ class Unsolvable:
 SolveOutcome = Solvable | Unsolvable
 
 
-def preprocess(a: TropMatrix, b: TropVector) -> Preprocessed:
-    """Eliminate -inf equations and the unknowns they force to -inf.
-
-    Runs to a fixed point: dropping rows can leave columns with no finite
-    entry, which are then dropped as unconstrained.
-    """
-    if a.rows != len(b):
-        raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    m, n = a.rows, a.cols
-    dropped_rows: set[int] = set()
-    forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m):
-            if i not in dropped_rows and b[i].is_bottom:
-                dropped_rows.add(i)
-                changed = True
-        for j in range(n):
-            if j in forced:
-                continue
-            if any(not a.entry(i, j).is_bottom for i in dropped_rows):
-                forced.add(j)
-                changed = True
-    kept_rows = tuple(i for i in range(m) if i not in dropped_rows)
-    unconstrained = frozenset(
-        j
-        for j in range(n)
-        if j not in forced and all(a.entry(i, j).is_bottom for i in kept_rows)
-    )
-    kept_cols = tuple(j for j in range(n) if j not in forced and j not in unconstrained)
-    sub_a = submatrix(a, kept_rows, kept_cols) if kept_rows and kept_cols else None
-    sub_b = TropVector(b[i] for i in kept_rows) if kept_rows else None
-    return Preprocessed(kept_rows, kept_cols, frozenset(forced), unconstrained, sub_a, sub_b)
-
-
 def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     """Decide solvability of A x = b and return the maximal solution if any.
 
-    The system is solvable iff every (surviving) row of Q holds at least
-    one column minimum; the maximal solution is x*_j = y*_j - mean_j + b_mean
-    where y*_j is the j-th column minimum.
+    Per column j: x*_j is the least b_i - a_ij over the finite a_ij, and
+    the rows attaining it are the ones j covers. A finite a_ij against
+    b_i = -inf forces x*_j to -inf; an all -inf column is unbounded.
+    y*_j = x*_j + mean_j - b_mean, both means over finite entries, is the
+    j-th column minimum of Q.
     """
-    pre = preprocess(a, b)
+    if a.rows != len(b):
+        raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
     n = a.cols
-    empty_cov = [()] * a.rows
+    b_vals = [None if e.is_bottom else e.value for e in b]
+    finite_b = [v for v in b_vals if v is not None]
+    b_mean = sum(finite_b, Fraction(0)) / len(finite_b) if finite_b else None
 
-    if not pre.kept_rows:
-        # every equation was -inf = -inf: vacuously solvable
-        x = TropVector([BOTTOM] * n)
-        return Solvable(x, TropVector([BOTTOM] * n), tuple(empty_cov), pre.forced_bottom, pre.unconstrained)
-
-    if not pre.kept_cols:
-        # finite right-hand sides left with no columns to produce them
-        return Unsolvable(pre.kept_rows, tuple(empty_cov))
-
-    res = normalize(pre.sub_a, pre.sub_b)
-    y_sub, argmins = column_minima(res.q)
-
-    coverage_sets: list[set[int]] = [set() for _ in range(a.rows)]
-    for sub_j, rows_attaining in enumerate(argmins):
-        orig_j = pre.kept_cols[sub_j]
-        for sub_i in rows_attaining:
-            coverage_sets[pre.kept_rows[sub_i]].add(orig_j)
-    coverage: RowCoverage = tuple(tuple(sorted(s)) for s in coverage_sets)
-
-    uncovered = tuple(i for i in pre.kept_rows if not coverage_sets[i])
-    if uncovered:
-        return Unsolvable(uncovered, coverage)
-
+    coverage: list[list[int]] = [[] for _ in range(a.rows)]
     x_entries: list[TropicalScalar] = [BOTTOM] * n
     y_entries: list[TropicalScalar] = [BOTTOM] * n
-    for sub_j, orig_j in enumerate(pre.kept_cols):
-        y = y_sub[sub_j]
-        y_entries[orig_j] = y
-        x_entries[orig_j] = TropicalScalar(y.value - res.col_means[sub_j] + res.b_mean)
+    forced: set[int] = set()
+    unbounded: set[int] = set()
+    for j, col in enumerate(zip(*a.row_tuples())):
+        finite = [(i, e.value) for i, e in enumerate(col) if not e.is_bottom]
+        if not finite:
+            unbounded.add(j)
+        elif any(b_vals[i] is None for i, _ in finite):
+            forced.add(j)
+        else:
+            slacks = [b_vals[i] - v for i, v in finite]
+            least = min(slacks)
+            mean = sum((v for _, v in finite), Fraction(0)) / len(finite)
+            x_entries[j] = TropicalScalar(least)
+            y_entries[j] = TropicalScalar(least + mean - b_mean)
+            for (i, _), slack in zip(finite, slacks):
+                if slack == least:
+                    coverage[i].append(j)
+
+    cov: RowCoverage = tuple(tuple(c) for c in coverage)
+    uncovered = tuple(i for i, v in enumerate(b_vals) if v is not None and not coverage[i])
+    if uncovered:
+        return Unsolvable(uncovered, cov)
     x_star = TropVector(x_entries)
     if mat_vec(a, x_star) != b:
         raise AssertionError("internal error: covered system does not reproduce b")
-    return Solvable(x_star, TropVector(y_entries), coverage, pre.forced_bottom, pre.unconstrained)
+    return Solvable(x_star, TropVector(y_entries), cov, frozenset(forced), frozenset(unbounded))
 
 
 def verify(a: TropMatrix, x: TropVector, b: TropVector) -> bool:

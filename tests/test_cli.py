@@ -247,6 +247,19 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert "line 2" in out and "column 3" in out
 
 
+def test_exponent_token_exit_2(tmp_path, capsys):
+    # 1e5000 is outside the scalar grammar, and its value has more digits
+    # than Python will convert to a string
+    bad = tmp_path / "bad.mat"
+    bad.write_text("1 1e5000\n3 4\n")
+    vec = tmp_path / "b.vec"
+    vec.write_text("1\n2\n")
+    code = main(["solve", str(bad), str(vec)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith("error: ") and "1e5000" in out
+
+
 def test_shape_mismatch_exit_2(data_dir):
     report = run(["solve", path(data_dir, "rank_3x3.mat"), path(data_dir, "solvable_4x5_b.vec")])
     assert report.exit_code == 2

@@ -6,14 +6,11 @@ import pytest
 from tropsolve import (
     BOTTOM,
     DegenerateColumnError,
-    QEntry,
     RegularityError,
-    TOP_SENTINEL,
     TropicalScalar,
     TropMatrix,
     TropVector,
     column_mean,
-    column_minima,
     normalize,
 )
 
@@ -40,10 +37,9 @@ def test_normalize_solvable_4x5(solvable_4x5):
     assert res.b_mean == F(104)
     assert res.b_tilde == TropVector([-2, -26, -28, 56])
     assert res.a_tilde.column(0) == TropVector([115, 91, 87, -293])
-    assert res.q[3] == (QEntry(349), QEntry(38), QEntry(252), QEntry(-62), QEntry(60))
-    y_star, argmins = column_minima(res.q)
-    assert y_star == TropVector([-117, -49, -84, -62, -31])
-    assert argmins == (
+    assert res.q[3] == (F(349), F(38), F(252), F(-62), F(60))
+    assert res.column_minima == TropVector([-117, -49, -84, -62, -31])
+    assert res.argmin_rows == (
         frozenset({0, 1}),
         frozenset({2}),
         frozenset({0, 1, 2}),
@@ -57,13 +53,7 @@ def test_normalize_dof_4x5(dof_4x5):
     res = normalize(a, b)
     assert res.col_means == (F(-2), F(9, 2), F(21, 4), F(1, 4), F(-1, 2))
     assert res.b_mean == F(7)
-    assert res.q[0] == (
-        QEntry(0),
-        QEntry(F(-9, 2)),
-        QEntry(F(-35, 4)),
-        QEntry(F(5, 4)),
-        QEntry(F(-5, 2)),
-    )
+    assert res.q[0] == (F(0), F(-9, 2), F(-35, 4), F(5, 4), F(-5, 2))
 
 
 def test_normalize_unsolvable_5x4_fifths(unsolvable_5x4):
@@ -71,8 +61,7 @@ def test_normalize_unsolvable_5x4_fifths(unsolvable_5x4):
     res = normalize(a, b)
     assert res.col_means == (F(0), F(14, 5), F(9, 5), F(3, 5))
     assert res.b_mean == F(2, 5)
-    y_star, _ = column_minima(res.q)
-    assert y_star == TropVector([F(-52, 5), F(-18, 5), F(-28, 5), F(-39, 5)])
+    assert res.column_minima == TropVector([F(-52, 5), F(-18, 5), F(-28, 5), F(-39, 5)])
 
 
 def test_normalize_fixed_point():
@@ -89,8 +78,8 @@ def test_normalize_preserves_bottom_and_marks_sentinel():
     b = TropVector([0, 2])
     res = normalize(a, b)
     assert res.a_tilde.entry(0, 1) == BOTTOM
-    assert res.q[0][1] is TOP_SENTINEL
-    assert not res.q[1][1].is_top
+    assert res.q[0][1] is None
+    assert res.q[1][1] is not None
 
 
 def test_normalize_rejects_irregular_b():
@@ -103,23 +92,14 @@ def test_normalize_rejects_degenerate_column():
         normalize(TropMatrix([[1, None], [2, None]]), TropVector([1, 2]))
 
 
-def test_sentinel_ordering():
-    assert QEntry(10**9) < TOP_SENTINEL
-    assert TOP_SENTINEL > QEntry(F(-1, 3))
-    assert not TOP_SENTINEL < TOP_SENTINEL
-    assert TOP_SENTINEL >= TOP_SENTINEL
-    assert str(TOP_SENTINEL) == "+inf-"
-
-
 def test_column_minima_skips_sentinel():
-    grid = (
-        (QEntry(5), QEntry(1)),
-        (TOP_SENTINEL, QEntry(2)),
-        (QEntry(5), QEntry(0)),
-    )
-    y, argmins = column_minima(grid)
-    assert y == TropVector([5, 0])
-    assert argmins == (frozenset({0, 2}), frozenset({2}))
+    # row 2 has the least b, but its -inf entry in column 1 leaves None in Q,
+    # which never attains a column minimum
+    a = TropMatrix([[-5, -1], [None, -2], [-5, 0]])
+    res = normalize(a, TropVector([3, -6, 3]))
+    assert res.q == ((F(3), F(3)), (None, F(-5)), (F(3), F(2)))
+    assert res.column_minima == TropVector([3, -5])
+    assert res.argmin_rows == (frozenset({0, 2}), frozenset({1}))
 
 
 def test_zero_sum_property_random():
@@ -143,7 +123,7 @@ def test_back_transformed_minima_equal_direct_residuation():
         a = rand_matrix(rng, m, n, bottom_p=0.25, regular_cols=True)
         b = rand_finite_vector(rng, m)
         res = normalize(a, b)
-        y_star, _ = column_minima(res.q)
+        y_star = res.column_minima
         for j in range(n):
             direct = min(
                 b[i].value - a.entry(i, j).value

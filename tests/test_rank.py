@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -14,7 +15,7 @@ from tropsolve import (
     transpose,
 )
 
-from helpers import max_combination, rand_matrix
+from helpers import max_combination, planted_instance, rand_matrix
 
 
 def reproduces(a: TropMatrix, dep) -> bool:
@@ -45,19 +46,18 @@ def test_dependence_subsystem_grid_4x5(rank_4x5):
     # second scan step: columns 1-3 against column 4 as right-hand side
     from fractions import Fraction as F
 
-    from tropsolve import QEntry, column_minima, normalize
+    from tropsolve import normalize
 
     sub = TropMatrix.from_columns([rank_4x5.column(j) for j in range(3)])
     res = normalize(sub, rank_4x5.column(3))
     assert res.q == (
-        (QEntry(F(3, 4)), QEntry(6), QEntry(F(11, 4))),
-        (QEntry(F(-5, 4)), QEntry(-6), QEntry(F(-13, 4))),
-        (QEntry(F(-1, 4)), QEntry(-5), QEntry(F(-9, 4))),
-        (QEntry(F(3, 4)), QEntry(5), QEntry(F(11, 4))),
+        (F(3, 4), F(6), F(11, 4)),
+        (F(-5, 4), F(-6), F(-13, 4)),
+        (F(-1, 4), F(-5), F(-9, 4)),
+        (F(3, 4), F(5), F(11, 4)),
     )
-    _, argmins = column_minima(res.q)
     # every minimum sits in row 2, so rows 1, 3, 4 are uncovered
-    assert argmins == (frozenset({1}), frozenset({1}), frozenset({1}))
+    assert res.argmin_rows == (frozenset({1}), frozenset({1}), frozenset({1}))
 
 
 def test_colrank_3x3_with_combination(rank_3x3):
@@ -82,6 +82,20 @@ def test_rowrank_3x3_scan_finds_row_dependence(rank_3x3):
     ) == t.column(0)
     for order in ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
         assert rowrank(rank_3x3, scan_order=order).rank == 2
+
+
+def test_rank_independent_of_scan_order():
+    # the scan keeps one column per extremal ray of the column cone, and a
+    # finitely generated max cone has a basis unique up to scaling
+    # (Cuninghame-Green & Butkovic, LAA 2004; Butkovic, Schneider & Sergeev,
+    # LAA 2007), so every scan order gives the same rank
+    rng = random.Random(31)
+    matrices = [rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), bottom_p=0.25) for _ in range(16)]
+    matrices += [planted_instance(rng)[0] for _ in range(32)]
+    for a in matrices:
+        for rank_fn, size in ((colrank, a.cols), (rowrank, a.rows)):
+            ranks = {rank_fn(a, list(order)).rank for order in permutations(range(size))}
+            assert len(ranks) == 1, (rank_fn.__name__, a)
 
 
 def test_identity_matrix_full_rank():

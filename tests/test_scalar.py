@@ -14,6 +14,7 @@ from tropsolve import (
     trop_add,
     trop_mul,
 )
+from tropsolve.scalar import MAX_DIGITS
 
 finite = st.fractions(min_value=-100, max_value=100, max_denominator=12).map(TropicalScalar)
 scalars = st.one_of(st.just(BOTTOM), finite)
@@ -96,6 +97,7 @@ def test_format_parse_round_trip(a):
         ("2.5", Fraction(5, 2)),
         ("-13/4", Fraction(-13, 4)),
         ("0.1", Fraction(1, 10)),
+        ("9" * MAX_DIGITS, Fraction(10**MAX_DIGITS - 1)),
     ],
 )
 def test_parse_finite_tokens_exactly(token, expected):
@@ -106,7 +108,10 @@ def test_parse_bottom_token():
     assert parse_scalar("-inf") == BOTTOM
 
 
-@pytest.mark.parametrize("token", ["inf", "+inf-", "abc", "1/0", "--3", ""])
+@pytest.mark.parametrize(
+    "token",
+    ["inf", "+inf-", "abc", "1/0", "--3", "", "1e5000", "1e3", "1_000", "+5", "9" * (MAX_DIGITS + 1)],
+)
 def test_parse_rejects_garbage(token):
     with pytest.raises(ParseError):
         parse_scalar(token)

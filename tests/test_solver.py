@@ -13,7 +13,7 @@ from tropsolve import (
     check_equivalence,
     map_equivalent_solution,
     mat_vec,
-    preprocess,
+    normalize,
     principal_solution,
     solve,
     verify,
@@ -63,52 +63,54 @@ def test_solve_shape_mismatch():
         solve(TropMatrix([[1, 2]]), TropVector([1, 2]))
 
 
-# --- preprocessing ----------------------------------------------------------
+# --- -inf right-hand sides and all -inf columns (the paper's preprocessing) --
 
 
 def test_preprocess_identity_on_regular_b():
+    # a regular b drops no row and forces no column: row 1 stays as a
+    # witness and both columns keep their minima in row 2
     a = TropMatrix([[1, 2], [3, 4]])
-    b = TropVector([5, 6])
-    pre = preprocess(a, b)
-    assert pre.kept_rows == (0, 1) and pre.kept_cols == (0, 1)
-    assert pre.forced_bottom == frozenset() and pre.unconstrained == frozenset()
-    assert pre.sub_a == a and pre.sub_b == b
+    out = solve(a, TropVector([5, 6]))
+    assert isinstance(out, Unsolvable)
+    assert out.witness_rows == (0,)
+    assert out.coverage == ((), (0, 1))
+    out = solve(a, TropVector([5, 7]))
+    assert isinstance(out, Solvable)
+    assert out.forced_bottom == frozenset() and out.unbounded == frozenset()
+    assert out.coverage == ((0, 1), (0, 1))
 
 
 def test_preprocess_drops_row_and_forced_column():
     a = TropMatrix([[1, None], [2, 3]])
     b = TropVector([None, 5])
-    pre = preprocess(a, b)
-    assert pre.kept_rows == (1,) and pre.kept_cols == (1,)
-    assert pre.forced_bottom == frozenset({0})
-    assert pre.sub_a == TropMatrix([[3]]) and pre.sub_b == TropVector([5])
     out = solve(a, b)
     assert isinstance(out, Solvable)
     assert out.x_star == TropVector([None, 2])
-    assert out.forced_bottom == frozenset({0})
+    # column 2 alone, normalized against row 2 alone: its minimum is 0
+    assert out.y_star == TropVector([None, 0])
+    assert out.forced_bottom == frozenset({0}) and out.unbounded == frozenset()
+    assert out.coverage == ((), (1,))
     assert verify(a, out.x_star, b)
 
 
 def test_preprocess_all_bottom_b_vacuous():
     a = TropMatrix([[1, None], [2, 3]])
     b = TropVector([None, None])
-    pre = preprocess(a, b)
-    assert pre.kept_rows == () and pre.sub_a is None
-    assert pre.forced_bottom == frozenset({0, 1})
     out = solve(a, b)
     assert isinstance(out, Solvable)
     assert out.x_star == TropVector([None, None])
+    assert out.forced_bottom == frozenset({0, 1}) and out.unbounded == frozenset()
+    assert out.coverage == ((), ())
     assert verify(a, out.x_star, b)
 
 
 def test_preprocess_unconstrained_column():
     a = TropMatrix([[1, None], [2, None]])
     b = TropVector([3, 4])
-    pre = preprocess(a, b)
-    assert pre.unconstrained == frozenset({1})
     out = solve(a, b)
     assert isinstance(out, Solvable)
-    assert out.unbounded == frozenset({1})
+    assert out.unbounded == frozenset({1}) and out.forced_bottom == frozenset()
+    assert out.coverage == ((0,), (0,))
     assert verify(a, out.x_star, b)
 
 
@@ -148,6 +150,27 @@ def test_solver_matches_residuation_oracle():
             assert x == out.x_star
         else:
             assert not verify(a, x, b)
+
+
+def test_solve_matches_normalize_column_minima():
+    # the residuation pass against the paper's route through the grid Q
+    rng = random.Random(25)
+    solvable = 0
+    for k in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = rand_matrix(rng, m, n, bottom_p=0.25, regular_rows=True, regular_cols=True)
+        b = mat_vec(a, rand_finite_vector(rng, n)) if k % 2 else rand_finite_vector(rng, m)
+        res = normalize(a, b)
+        out = solve(a, b)
+        assert out.coverage == tuple(
+            tuple(j for j in range(n) if i in res.argmin_rows[j]) for i in range(m)
+        )
+        if isinstance(out, Solvable):
+            solvable += 1
+            assert out.y_star == res.column_minima
+        else:
+            assert out.witness_rows == tuple(i for i in range(m) if not out.coverage[i])
+    assert 150 <= solvable < 300
 
 
 # --- equivalence ------------------------------------------------------------
