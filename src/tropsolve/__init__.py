@@ -1,8 +1,9 @@
 """Exact linear algebra over the max-plus (tropical) semiring.
 
-Solves A x = b with exact rational arithmetic via column-mean
-normalization, and builds on the same machinery to compute degrees of
-freedom, column/row rank, and reduced systems.
+Solves A x = b with exact rational arithmetic by residuation (the
+paper's column-mean normalization, unshifted), and builds on the same
+machinery to compute degrees of freedom, column/row rank, and reduced
+systems.
 """
 
 from .errors import (
@@ -18,7 +19,6 @@ from .freedom import DofReport, DofStep, degrees_of_freedom, minimal_leading_ora
 from .matrix import (
     TropMatrix,
     TropVector,
-    column,
     format_matrix,
     format_vector,
     identity,
@@ -29,18 +29,16 @@ from .matrix import (
     mat_vec,
     parse_matrix,
     parse_vector,
-    row,
     scalar_mul,
     submatrix,
     transpose,
 )
-from .normalize import NormalizationResult, column_mean, normalize
+from .normalize import NormalizationResult, column_mean, normalize, normalized_solution
 from .oracle import exhaustive_solvable, principal_solution
 from .rank import Dependence, RankReport, colrank, dependence_oracle, rowrank
 from .reduce import ReducedSystem, dof_via_reduction, expand_solution, reduce_system
 from .scalar import (
     BOTTOM,
-    ZERO,
     TropicalScalar,
     as_scalar,
     classical_sub,

@@ -13,13 +13,14 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import TropicalError
-from .freedom import degrees_of_freedom, minimal_leading_oracle
+from .freedom import DofReport, degrees_of_freedom, minimal_leading_oracle
 from .matrix import TropMatrix, TropVector, parse_matrix, parse_vector
-from .normalize import normalize
+from .normalize import normalize, normalized_solution
 from .oracle import exhaustive_solvable, principal_solution
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
@@ -123,7 +124,7 @@ def _cmd_solve(args) -> Report:
     payload = {
         "status": "solvable" if solvable else "unsolvable",
         "x_star": _solution_strings(outcome) if solvable else None,
-        "y_star": [_fmt(e) for e in outcome.y_star] if solvable else None,
+        "y_star": [_fmt(e) for e in normalized_solution(a, b, outcome.x_star)] if solvable else None,
         "witness_rows": [] if solvable else _ones(outcome.witness_rows),
         "coverage": [_ones(cols) for cols in outcome.coverage],
         "forced_bottom": _ones(outcome.forced_bottom) if solvable else [],
@@ -168,6 +169,12 @@ def _render_solve(p: dict) -> list[str]:
     return lines
 
 
+def _covered_dof(outcome: Solvable, n: int) -> DofReport:
+    """Degrees of freedom over the covered rows, reported under their own indices."""
+    covered = [(i, cols) for i, cols in enumerate(outcome.coverage) if cols]
+    return degrees_of_freedom([cols for _, cols in covered], n, row_ids=[i for i, _ in covered])
+
+
 def _cmd_dof(args) -> Report:
     dig_a, a = _load_matrix("A", args.matrix)
     dig_b, b = _load_vector("b", args.vector)
@@ -175,10 +182,7 @@ def _cmd_dof(args) -> Report:
     if not isinstance(outcome, Solvable):
         payload = {"status": "unsolvable", "witness_rows": _ones(outcome.witness_rows)}
         return Report("dof", (dig_a, dig_b), payload, 1)
-    covered = [(i, cols) for i, cols in enumerate(outcome.coverage) if cols]
-    report = degrees_of_freedom(
-        [cols for _, cols in covered], a.cols, row_ids=[i for i, _ in covered]
-    )
+    report = _covered_dof(outcome, a.cols)
     payload = {
         "status": "solvable",
         "degrees_of_freedom": report.d_f,
@@ -190,7 +194,7 @@ def _cmd_dof(args) -> Report:
         ],
     }
     if args.exact:
-        size, witness = minimal_leading_oracle([cols for _, cols in covered], a.cols)
+        size, witness = minimal_leading_oracle([cols for cols in outcome.coverage if cols], a.cols)
         payload["exact"] = {"min_size": size, "witness": [j + 1 for j in witness]}
     return Report("dof", (dig_a, dig_b), payload, 0)
 
@@ -258,8 +262,8 @@ def _cmd_rank(args, *, axis: str) -> Report:
     return Report(name, (dig_a,), _rank_payload(report), 0)
 
 
-def _render_rank(command: str, p: dict) -> list[str]:
-    unit = "column" if p["axis"] == "columns" else "row"
+def _render_rank(p: dict) -> list[str]:
+    unit, command = ("column", "colrank") if p["axis"] == "columns" else ("row", "rowrank")
     lines = [
         f"{command}: {p['rank']}",
         f"independent {unit}s: " + ", ".join(map(str, p["independent"])),
@@ -284,10 +288,7 @@ def _cmd_reduce(args) -> Report:
     dof_reduced = dof_direct = None
     if solvable:
         dof_reduced = dof_via_reduction(a, b)
-        covered = [(i, cols) for i, cols in enumerate(outcome.coverage) if cols]
-        dof_direct = degrees_of_freedom(
-            [cols for _, cols in covered], a.cols, row_ids=[i for i, _ in covered]
-        ).d_f
+        dof_direct = _covered_dof(outcome, a.cols).d_f
     payload = {
         "status": "solvable" if solvable else "unsolvable",
         "independent_rows": [i + 1 for i in sys_red.indep_rows],
@@ -352,10 +353,22 @@ def _render_check_equiv(p: dict) -> list[str]:
 
 # --- driver ----------------------------------------------------------------
 
+_HANDLERS = {
+    "normalize": _cmd_normalize,
+    "solve": _cmd_solve,
+    "dof": _cmd_dof,
+    "colrank": partial(_cmd_rank, axis="columns"),
+    "rowrank": partial(_cmd_rank, axis="rows"),
+    "reduce": _cmd_reduce,
+    "check-equiv": _cmd_check_equiv,
+}
+
 _RENDERERS = {
     "normalize": _render_normalize,
     "solve": _render_solve,
     "dof": _render_dof,
+    "colrank": _render_rank,
+    "rowrank": _render_rank,
     "reduce": _render_reduce,
     "check-equiv": _render_check_equiv,
 }
@@ -364,8 +377,6 @@ _RENDERERS = {
 def render_text(report: Report) -> str:
     if "error" in report.payload:
         return f"error: {report.payload['error']}"
-    if report.command in ("colrank", "rowrank"):
-        return "\n".join(_render_rank(report.command, report.payload))
     return "\n".join(_RENDERERS[report.command](report.payload))
 
 
@@ -411,20 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> Report:
-    handlers = {
-        "normalize": _cmd_normalize,
-        "solve": _cmd_solve,
-        "dof": _cmd_dof,
-        "reduce": _cmd_reduce,
-        "check-equiv": _cmd_check_equiv,
-    }
     try:
-        if args.command == "colrank":
-            return _cmd_rank(args, axis="columns")
-        if args.command == "rowrank":
-            return _cmd_rank(args, axis="rows")
-        return handlers[args.command](args)
-    except (TropicalError, OSError, UnicodeDecodeError) as exc:
+        return _HANDLERS[args.command](args)
+    # ValueError covers UnicodeDecodeError and a derived value, such as a mean
+    # over many long denominators, that passes Python's int/str digit limit
+    except (TropicalError, OSError, ValueError) as exc:
         return Report(args.command, (), {"error": str(exc)}, 2)
 
 

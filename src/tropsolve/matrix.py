@@ -20,8 +20,6 @@ __all__ = [
     "scalar_mul",
     "transpose",
     "leq",
-    "column",
-    "row",
     "submatrix",
     "identity",
     "is_regular",
@@ -98,6 +96,8 @@ class TropMatrix:
         return self._rows[i][j]
 
     def row(self, i: int) -> TropVector:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row index {i} out of range for {self.rows} rows")
         return TropVector(self._rows[i])
 
     def column(self, j: int) -> TropVector:
@@ -188,16 +188,6 @@ def leq(a, b) -> bool:
     if isinstance(a, TropVector):
         return all(x <= y for x, y in zip(a, b))
     return all(a.entry(i, j) <= b.entry(i, j) for i in range(a.rows) for j in range(a.cols))
-
-
-def column(a: TropMatrix, j: int) -> TropVector:
-    return a.column(j)
-
-
-def row(a: TropMatrix, i: int) -> TropVector:
-    if not 0 <= i < a.rows:
-        raise IndexError(f"row index {i} out of range for {a.rows} rows")
-    return a.row(i)
 
 
 def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMatrix:

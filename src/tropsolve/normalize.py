@@ -6,9 +6,11 @@ The associated grid Q with q_ij = b~_i - a~_ij holds, in its column
 minima, the largest admissible values of the transformed unknowns, and
 the rows attaining them decide solvability.
 
-`solve` gets the same minima and rows by one residuation pass without
-building Q; this module materialises the grid for the `normalize` report
-and serves as the solver's independent cross-check in the tests.
+`solve` gets the same minima and rows by one residuation pass, unshifted
+and without building Q. This is the only module that knows the means: it
+materialises the grid for the `normalize` report, shifts `solve`'s x*
+into the normalized y* for the `solve` report, and serves as the
+solver's independent cross-check in the tests.
 
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in Q and are never a column minimum.
@@ -23,7 +25,7 @@ from .errors import DegenerateColumnError, DimensionError, RegularityError
 from .matrix import TropMatrix, TropVector, is_regular
 from .scalar import BOTTOM, TropicalScalar
 
-__all__ = ["NormalizationResult", "column_mean", "normalize"]
+__all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
 
 # None marks a -inf matrix entry (rendered as +inf-).
 QGrid = tuple[tuple[Fraction | None, ...], ...]
@@ -108,4 +110,18 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         q=tuple(q_rows),
         column_minima=TropVector(minima),
         argmin_rows=tuple(argmins),
+    )
+
+
+def normalized_solution(a: TropMatrix, b: TropVector, x_star: TropVector) -> TropVector:
+    """Shift a solution of A x = b to normalized coordinates: y*_j = x*_j + mean_j - b_mean.
+
+    Both means are over finite entries, and y*_j is -inf where x*_j is.
+    For `solve`'s x* of a system `normalize` accepts, y* is Q's column
+    minima. A finite x*_j implies a finite entry in column j and in b.
+    """
+    b_mean = None if all(e.is_bottom for e in b) else column_mean(b)
+    return TropVector(
+        BOTTOM if xj.is_bottom else TropicalScalar(xj.value + column_mean(a.column(j)) - b_mean)
+        for j, xj in enumerate(x_star)
     )

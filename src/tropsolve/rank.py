@@ -1,10 +1,13 @@
 """Column and row rank of a max-plus matrix by iterative dependence scans.
 
 Each column, scanned from the last to the first, is tested for linear
-dependence on the other working columns by solving a max-plus system with
-that column as the right-hand side. Dependent columns are removed from
-the working set; independent ones are rotated to its front and stay.
-Row rank is the column rank of the transpose.
+dependence on the other surviving columns, in index order, by solving a
+max-plus system with that column as the right-hand side. Dependent
+columns leave the working set; independent ones stay. Every finally
+independent column is in the working set at every test, and residuation
+fixes each coefficient from its own column alone, so a dependent
+column's maximal combination over the final independent set is read
+off its verdict solve. Row rank is the column rank of the transpose.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import DimensionError
-from .matrix import TropMatrix, TropVector, transpose
+from .matrix import TropMatrix, TropVector, mat_vec, transpose
 from .scalar import BOTTOM, TropicalScalar, trop_add, trop_mul
 from .solver import Solvable, solve
 
@@ -37,17 +40,6 @@ class RankReport:
     scan_trace: tuple[tuple[int, str], ...]  # (index, "dependent" | "independent")
 
 
-def _combination_against(
-    pool: Sequence[TropVector], pool_ids: Sequence[int], target: TropVector
-) -> tuple[tuple[int, TropicalScalar], ...]:
-    outcome = solve(TropMatrix.from_columns(list(pool)), target)
-    if not isinstance(outcome, Solvable):
-        raise AssertionError("internal error: dependent column not spanned by the independent set")
-    return tuple(
-        (pool_ids[k], coeff) for k, coeff in enumerate(outcome.x_star) if not coeff.is_bottom
-    )
-
-
 def colrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankReport:
     """Scan for independent columns and the dependences of the rest.
 
@@ -69,43 +61,42 @@ def colrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
 
     cols = [a.column(j) for j in range(n)]
     bottom_cols = [j for j in range(n) if all(e.is_bottom for e in cols[j])]
-    trace: list[tuple[int, str]] = [(j, "dependent") for j in sorted(bottom_cols)]
+    trace: list[tuple[int, str]] = [(j, "dependent") for j in bottom_cols]
 
-    front: list[int] = []  # independents, most recent first
+    surviving = [j for j in range(n) if j not in bottom_cols]  # index order
+    untested = set(surviving)
     discovery: list[int] = []
-    dependent_ids: list[int] = list(bottom_cols)
-    unprocessed = set(j for j in range(n) if j not in bottom_cols)
+    verdicts: dict[int, dict[int, TropicalScalar]] = {}  # dependent -> its solve's x*, by column
     for target in order:
-        if target not in unprocessed:
+        if target not in untested:
             continue
-        unprocessed.discard(target)
-        working = front + sorted(unprocessed)
+        untested.discard(target)
+        working = [j for j in surviving if j != target]
+        outcome = None
         if working:
             outcome = solve(TropMatrix.from_columns([cols[j] for j in working]), cols[target])
-            is_dep = isinstance(outcome, Solvable)
-        else:
-            is_dep = False
-        if is_dep:
+        if isinstance(outcome, Solvable):
             trace.append((target, "dependent"))
-            dependent_ids.append(target)
+            surviving.remove(target)
+            verdicts[target] = dict(zip(working, outcome.x_star))
         else:
             trace.append((target, "independent"))
-            front.insert(0, target)
             discovery.append(target)
 
-    indep_sorted = sorted(discovery)
-    dependences = []
-    for j in sorted(dependent_ids):
-        if j in bottom_cols:
-            dependences.append(Dependence(j, ()))
-        else:
-            comb = _combination_against([cols[c] for c in indep_sorted], indep_sorted, cols[j])
-            dependences.append(Dependence(j, comb))
+    basis = surviving  # after the scan: the independent columns, in index order
+    combinations = {j: () for j in bottom_cols}
+    if verdicts:
+        span = TropMatrix.from_columns([cols[k] for k in basis])
+        for j, x_star in verdicts.items():
+            coeffs = TropVector(x_star[k] for k in basis)
+            if mat_vec(span, coeffs) != cols[j]:
+                raise AssertionError("internal error: dependent column not spanned by the independent set")
+            combinations[j] = tuple((k, c) for k, c in zip(basis, coeffs) if not c.is_bottom)
 
     return RankReport(
         axis="columns",
         independent=tuple(discovery),
-        dependent=tuple(dependences),
+        dependent=tuple(Dependence(j, combinations[j]) for j in sorted(combinations)),
         rank=len(discovery),
         scan_trace=tuple(trace),
     )

@@ -16,7 +16,6 @@ from .errors import ParseError
 __all__ = [
     "TropicalScalar",
     "BOTTOM",
-    "ZERO",
     "as_scalar",
     "trop_add",
     "trop_mul",
@@ -90,7 +89,6 @@ class TropicalScalar:
 
 
 BOTTOM = TropicalScalar()
-ZERO = TropicalScalar(0)
 
 
 def as_scalar(x) -> TropicalScalar:

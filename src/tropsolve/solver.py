@@ -2,17 +2,16 @@
 
 One residuation pass over the columns gives x*_j = min_i (b_i - a_ij) and
 the rows attaining it. These are the paper's column minima of the
-normalized grid Q, shifted by b_mean - mean_j, attained in the same rows,
-so Q itself is never built here (it is materialised only for the
-`normalize` report). The system is solvable iff every row with a finite
-b_i attains some column's minimum; x* is then the maximal solution, and
-the unattained rows otherwise witness unsolvability.
+normalized grid Q, shifted by b_mean - mean_j and attained in the same
+rows; the shift and the grid belong to `normalize` alone. The system is
+solvable iff every row with a finite b_i attains some column's minimum;
+x* is then the maximal solution, and the unattained rows otherwise
+witness unsolvability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
@@ -44,7 +43,6 @@ class Solvable:
     """
 
     x_star: TropVector
-    y_star: TropVector
     coverage: RowCoverage
     forced_bottom: frozenset[int]
     unbounded: frozenset[int]
@@ -67,19 +65,14 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     Per column j: x*_j is the least b_i - a_ij over the finite a_ij, and
     the rows attaining it are the ones j covers. A finite a_ij against
     b_i = -inf forces x*_j to -inf; an all -inf column is unbounded.
-    y*_j = x*_j + mean_j - b_mean, both means over finite entries, is the
-    j-th column minimum of Q.
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
     n = a.cols
     b_vals = [None if e.is_bottom else e.value for e in b]
-    finite_b = [v for v in b_vals if v is not None]
-    b_mean = sum(finite_b, Fraction(0)) / len(finite_b) if finite_b else None
 
     coverage: list[list[int]] = [[] for _ in range(a.rows)]
     x_entries: list[TropicalScalar] = [BOTTOM] * n
-    y_entries: list[TropicalScalar] = [BOTTOM] * n
     forced: set[int] = set()
     unbounded: set[int] = set()
     for j, col in enumerate(zip(*a.row_tuples())):
@@ -91,9 +84,7 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
         else:
             slacks = [b_vals[i] - v for i, v in finite]
             least = min(slacks)
-            mean = sum((v for _, v in finite), Fraction(0)) / len(finite)
             x_entries[j] = TropicalScalar(least)
-            y_entries[j] = TropicalScalar(least + mean - b_mean)
             for (i, _), slack in zip(finite, slacks):
                 if slack == least:
                     coverage[i].append(j)
@@ -105,7 +96,7 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     x_star = TropVector(x_entries)
     if mat_vec(a, x_star) != b:
         raise AssertionError("internal error: covered system does not reproduce b")
-    return Solvable(x_star, TropVector(y_entries), cov, frozenset(forced), frozenset(unbounded))
+    return Solvable(x_star, cov, frozenset(forced), frozenset(unbounded))
 
 
 def verify(a: TropMatrix, x: TropVector, b: TropVector) -> bool:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropsolve import parse_matrix, parse_vector
 from tropsolve.cli import main, render_json, render_text, run
@@ -258,6 +264,51 @@ def test_exponent_token_exit_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert out.startswith("error: ") and "1e5000" in out
+
+
+def test_derived_value_past_digit_limit_exit_2(tmp_path, capsys):
+    # every token is within the digit cap, but the column mean of 60 distinct
+    # 90-digit denominators has more digits than Python converts to a string
+    mat = tmp_path / "a.mat"
+    mat.write_text("".join(f"1/{10**89 + 7 * i + 1}\n" for i in range(60)))
+    vec = tmp_path / "b.vec"
+    vec.write_text("0\n" * 60)
+    report = run(["normalize", str(mat), str(vec)])
+    assert report.exit_code == 2 and "limit" in report.payload["error"]
+    code = main(["normalize", str(mat), str(vec)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith("error: ")
+
+
+# besides raw bytes: grammar tokens, near misses and rectangular grids, so that
+# many inputs parse and reach the solver, rank scan and reduction
+_TOKENS = st.sampled_from(["0", "1", "-2", "3/4", "-5/2", "2.5", "-inf"] * 3 + ["1/0", "1e3", "x", "#"])
+_LINES = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=4).map("\n".join)
+_GRID = st.integers(1, 3).flatmap(
+    lambda w: st.lists(st.lists(_TOKENS, min_size=w, max_size=w).map(" ".join), min_size=1, max_size=4)
+).map("\n".join)
+_FILE = st.one_of(st.binary(max_size=40), _LINES.map(str.encode), _GRID.map(str.encode))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=_FILE, vector=_FILE)
+def test_exit_code_contract_on_arbitrary_bytes(matrix, vector):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp, "a"), Path(tmp, "b")
+        a.write_bytes(matrix)
+        b.write_bytes(vector)
+        for argv in (
+            ["normalize", a, b],
+            ["solve", a, b],
+            ["dof", a, b],
+            ["colrank", a],
+            ["rowrank", a],
+            ["reduce", a, b],
+            ["check-equiv", a, b],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([str(x) for x in argv]) in (0, 1, 2)
 
 
 def test_shape_mismatch_exit_2(data_dir):

@@ -109,9 +109,9 @@ def test_index_errors():
     with pytest.raises(IndexError):
         a.column(2)
     with pytest.raises(IndexError):
-        from tropsolve import row
-
-        row(a, 5)
+        a.row(5)
+    with pytest.raises(IndexError):
+        a.row(-1)
 
 
 def test_shapes_validated():

@@ -12,10 +12,11 @@ from tropsolve import (
     dependence_oracle,
     identity,
     rowrank,
+    scalar_mul,
     transpose,
 )
 
-from helpers import max_combination, planted_instance, rand_matrix
+from helpers import max_combination, planted_instance, rand_matrix, rand_scalar
 
 
 def reproduces(a: TropMatrix, dep) -> bool:
@@ -172,6 +173,37 @@ def test_dependence_reconstruction_random():
         for dep in report.dependent:
             assert reproduces(a, dep)
         assert {d.col for d in report.dependent} | set(report.independent) == set(range(n))
+
+
+def _with_scaled_copies(rng: random.Random, a: TropMatrix) -> TropMatrix:
+    """`a` with shifted copies of some of its columns inserted at random places."""
+    cols = [a.column(j) for j in range(a.cols)]
+    for _ in range(rng.randint(1, 3)):
+        cols.insert(rng.randrange(len(cols) + 1), scalar_mul(rand_scalar(rng, 0), rng.choice(cols)))
+    return TropMatrix.from_columns(cols)
+
+
+def test_scan_coefficients_match_oracle_on_final_basis():
+    # each coefficient is read off the target's own verdict solve against the
+    # surviving columns; it must equal the residuated coefficient against the
+    # final independent set alone, under any scan order
+    rng = random.Random(43)
+    nonempty = 0
+    for _ in range(150):
+        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 4), bottom_p=0.25)
+        a = transpose(_with_scaled_copies(rng, transpose(_with_scaled_copies(rng, a))))
+        for rank_fn, vecs in (
+            (colrank, [a.column(j) for j in range(a.cols)]),
+            (rowrank, [a.row(i) for i in range(a.rows)]),
+        ):
+            report = rank_fn(a, rng.sample(range(len(vecs)), len(vecs)))
+            basis = sorted(report.independent)
+            for dep in report.dependent:
+                lam = dependence_oracle([vecs[k] for k in basis], vecs[dep.col])
+                assert lam is not None
+                assert dep.combination == tuple((k, c) for k, c in zip(basis, lam) if not c.is_bottom)
+                nonempty += bool(dep.combination)
+    assert nonempty >= 500
 
 
 def test_scan_verdicts_match_oracle_random():
