@@ -39,9 +39,8 @@ from .rank import Dependence, RankReport, colrank, dependence_oracle, rowrank
 from .reduce import ReducedSystem, dof_via_reduction, expand_solution, reduce_system
 from .scalar import (
     BOTTOM,
-    TropicalScalar,
+    Scalar,
     as_scalar,
-    classical_sub,
     format_scalar,
     parse_scalar,
     trop_add,

@@ -14,7 +14,6 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import partial
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import TropicalError
@@ -24,7 +23,7 @@ from .normalize import normalize, normalized_solution
 from .oracle import exhaustive_solvable, principal_solution
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
-from .scalar import TropicalScalar, format_scalar
+from .scalar import format_scalar
 from .solver import Solvable, solve, verify, check_equivalence
 
 __all__ = ["Report", "run", "main"]
@@ -36,14 +35,6 @@ class Report:
     inputs: tuple[dict, ...]
     payload: dict
     exit_code: int
-
-
-def _fmt(s: TropicalScalar) -> str:
-    return format_scalar(s)
-
-
-def _fmt_frac(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _read_input(name: str, path: str) -> tuple[dict, str]:
@@ -84,12 +75,12 @@ def _cmd_normalize(args) -> Report:
     dig_b, b = _load_vector("b", args.vector)
     res = normalize(a, b)
     payload = {
-        "a_tilde": [[_fmt(e) for e in r] for r in res.a_tilde.row_tuples()],
-        "col_means": [_fmt_frac(f) for f in res.col_means],
-        "b_tilde": [_fmt(e) for e in res.b_tilde],
-        "b_mean": _fmt_frac(res.b_mean),
-        "q": [["+inf-" if e is None else _fmt_frac(e) for e in r] for r in res.q],
-        "column_minima": [_fmt(e) for e in res.column_minima],
+        "a_tilde": [[format_scalar(e) for e in r] for r in res.a_tilde.row_tuples()],
+        "col_means": [format_scalar(f) for f in res.col_means],
+        "b_tilde": [format_scalar(e) for e in res.b_tilde],
+        "b_mean": format_scalar(res.b_mean),
+        "q": [["+inf-" if e is None else format_scalar(e) for e in r] for r in res.q],
+        "column_minima": [format_scalar(e) for e in res.column_minima],
         "argmin_rows": [_ones(s) for s in res.argmin_rows],
     }
     return Report("normalize", (dig_a, dig_b), payload, 0)
@@ -111,9 +102,21 @@ def _render_normalize(p: dict) -> list[str]:
 
 def _solution_strings(outcome: Solvable) -> list[str]:
     return [
-        "unbounded" if j in outcome.unbounded else _fmt(e)
+        "unbounded" if j in outcome.unbounded else format_scalar(e)
         for j, e in enumerate(outcome.x_star)
     ]
+
+
+def _y_star_strings(a: TropMatrix, b: TropVector, outcome: Solvable) -> list[str] | None:
+    """Y* tokens, or None when one passes Python's int/str digit limit.
+
+    Y* is display only: X* and coverage carry the verdict, so a Y* too
+    long to print must not turn a solvable system into an error.
+    """
+    try:
+        return [format_scalar(e) for e in normalized_solution(a, b, outcome.x_star)]
+    except ValueError:
+        return None
 
 
 def _cmd_solve(args) -> Report:
@@ -124,7 +127,7 @@ def _cmd_solve(args) -> Report:
     payload = {
         "status": "solvable" if solvable else "unsolvable",
         "x_star": _solution_strings(outcome) if solvable else None,
-        "y_star": [_fmt(e) for e in normalized_solution(a, b, outcome.x_star)] if solvable else None,
+        "y_star": _y_star_strings(a, b, outcome) if solvable else None,
         "witness_rows": [] if solvable else _ones(outcome.witness_rows),
         "coverage": [_ones(cols) for cols in outcome.coverage],
         "forced_bottom": _ones(outcome.forced_bottom) if solvable else [],
@@ -139,7 +142,7 @@ def _cmd_solve(args) -> Report:
             exh = exhaustive_solvable(a, b)
             agree = agree and exh == solvable
         payload["check"] = {
-            "principal_solution": [_fmt(e) for e in x0],
+            "principal_solution": [format_scalar(e) for e in x0],
             "verify": ok,
             "exhaustive": exh,
             "agrees": agree,
@@ -151,7 +154,10 @@ def _render_solve(p: dict) -> list[str]:
     lines = [f"status: {p['status']}"]
     if p["status"] == "solvable":
         lines.append("X* = (" + ", ".join(p["x_star"]) + ")")
-        lines.append("Y* = (" + ", ".join(p["y_star"]) + ")")
+        if p["y_star"] is None:
+            lines.append("Y* = unavailable (exceeds Python's int/str digit limit)")
+        else:
+            lines.append("Y* = (" + ", ".join(p["y_star"]) + ")")
         if p["forced_bottom"]:
             lines.append("forced to -inf: columns " + ", ".join(map(str, p["forced_bottom"])))
         if p["unbounded"]:
@@ -244,7 +250,7 @@ def _rank_payload(report: RankReport) -> dict:
             {
                 "index": d.col + 1,
                 "combination": [
-                    {"index": c + 1, "coefficient": _fmt(coeff)} for c, coeff in d.combination
+                    {"index": c + 1, "coefficient": format_scalar(coeff)} for c, coeff in d.combination
                 ],
             }
             for d in report.dependent
@@ -293,14 +299,14 @@ def _cmd_reduce(args) -> Report:
         "status": "solvable" if solvable else "unsolvable",
         "independent_rows": [i + 1 for i in sys_red.indep_rows],
         "independent_cols": [j + 1 for j in sys_red.indep_cols],
-        "a_bar": [[_fmt(e) for e in r] for r in sys_red.a_bar.row_tuples()] if sys_red.a_bar else None,
-        "b_bar": [_fmt(e) for e in sys_red.b_bar] if sys_red.b_bar else None,
+        "a_bar": [[format_scalar(e) for e in r] for r in sys_red.a_bar.row_tuples()] if sys_red.a_bar else None,
+        "b_bar": [format_scalar(e) for e in sys_red.b_bar] if sys_red.b_bar else None,
         "eta": [
-            {"column": j + 1, "coefficients": [_fmt(c) for c in coeffs]}
+            {"column": j + 1, "coefficients": [format_scalar(c) for c in coeffs]}
             for j, coeffs in sys_red.eta
         ],
         "xi": [
-            {"row": i + 1, "coefficients": [_fmt(c) for c in coeffs]}
+            {"row": i + 1, "coefficients": [format_scalar(c) for c in coeffs]}
             for i, coeffs in sys_red.xi
         ],
         "row_consistency": [
@@ -340,7 +346,7 @@ def _cmd_check_equiv(args) -> Report:
     alphas = check_equivalence(a, a2)
     payload = {
         "equivalent": alphas is not None,
-        "alpha": [_fmt(al) for al in alphas] if alphas is not None else None,
+        "alpha": [format_scalar(al) for al in alphas] if alphas is not None else None,
     }
     return Report("check-equiv", (dig_a, dig_a2), payload, 0 if alphas is not None else 1)
 

@@ -1,7 +1,9 @@
 """Dense matrices and vectors over the max-plus scalars.
 
-Shapes are fixed at construction and entries are immutable. Indexing is
-0-based throughout the library; only rendered reports use 1-based indices.
+Shapes are fixed at construction and entries are immutable. Every entry
+is a `Fraction` or None (-inf), coerced by `as_scalar` at construction.
+Indexing is 0-based throughout the library; only rendered reports use
+1-based indices.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError
-from .scalar import BOTTOM, TropicalScalar, as_scalar, format_scalar, parse_scalar, trop_add, trop_mul
+from .scalar import BOTTOM, Scalar, as_scalar, format_scalar, parse_scalar, trop_add, trop_mul
 
 __all__ = [
     "TropMatrix",
@@ -44,7 +46,7 @@ class TropVector:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __getitem__(self, i: int) -> TropicalScalar:
+    def __getitem__(self, i: int) -> Scalar:
         return self._entries[i]
 
     def __iter__(self):
@@ -92,7 +94,7 @@ class TropMatrix:
     def cols(self) -> int:
         return len(self._rows[0])
 
-    def entry(self, i: int, j: int) -> TropicalScalar:
+    def entry(self, i: int, j: int) -> Scalar:
         return self._rows[i][j]
 
     def row(self, i: int) -> TropVector:
@@ -105,7 +107,7 @@ class TropMatrix:
             raise IndexError(f"column index {j} out of range for {self.cols} columns")
         return TropVector(r[j] for r in self._rows)
 
-    def row_tuples(self) -> tuple[tuple[TropicalScalar, ...], ...]:
+    def row_tuples(self) -> tuple[tuple[Scalar, ...], ...]:
         return self._rows
 
     def __eq__(self, other: object) -> bool:
@@ -158,10 +160,10 @@ def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     if a.cols != len(x):
         raise DimensionError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
     out = []
-    for i in range(a.rows):
+    for r in a.row_tuples():
         acc = BOTTOM
-        for k in range(a.cols):
-            acc = trop_add(acc, trop_mul(a.entry(i, k), x[k]))
+        for e, xk in zip(r, x):
+            acc = trop_add(acc, trop_mul(e, xk))
         out.append(acc)
     return TropVector(out)
 
@@ -186,8 +188,10 @@ def leq(a, b) -> bool:
     """Entrywise order: a <= b in every position (matrices or vectors)."""
     _check_same_shape(a, b)
     if isinstance(a, TropVector):
-        return all(x <= y for x, y in zip(a, b))
-    return all(a.entry(i, j) <= b.entry(i, j) for i in range(a.rows) for j in range(a.cols))
+        return all(trop_add(x, y) == y for x, y in zip(a, b))
+    return all(
+        trop_add(x, y) == y for ra, rb in zip(a.row_tuples(), b.row_tuples()) for x, y in zip(ra, rb)
+    )
 
 
 def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMatrix:
@@ -196,12 +200,12 @@ def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMa
 
 def identity(n: int) -> TropMatrix:
     """Tropical identity: 0 on the diagonal, -inf elsewhere."""
-    return TropMatrix([TropicalScalar(0) if i == j else BOTTOM for j in range(n)] for i in range(n))
+    return TropMatrix([0 if i == j else BOTTOM for j in range(n)] for i in range(n))
 
 
 def is_regular(v: TropVector) -> bool:
     """True iff the vector has no -inf entry."""
-    return all(not e.is_bottom for e in v)
+    return all(e is not None for e in v)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,7 @@ def _data_lines(text: str):
         yield lineno, raw
 
 
-def _parse_tokens(lineno: int, raw: str) -> list[TropicalScalar]:
+def _parse_tokens(lineno: int, raw: str) -> list[Scalar]:
     entries = []
     pos = 0
     for token in raw.split():

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import DegenerateColumnError, DimensionError, RegularityError
 from .matrix import TropMatrix, TropVector, is_regular
-from .scalar import BOTTOM, TropicalScalar
+from .scalar import BOTTOM
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
 
@@ -50,7 +50,7 @@ def column_mean(col: TropVector) -> Fraction:
     The denominator is the number of finite entries, so -inf positions do
     not participate at all.
     """
-    finite = [e.value for e in col if not e.is_bottom]
+    finite = [e for e in col if e is not None]
     if not finite:
         raise DegenerateColumnError("degenerate column: every entry is -inf")
     return sum(finite, Fraction(0)) / len(finite)
@@ -72,24 +72,24 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
             means.append(column_mean(a.column(j)))
         except DegenerateColumnError:
             raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf") from None
-    b_mean = sum((e.value for e in b), Fraction(0)) / len(b)
+    b_mean = sum(b, Fraction(0)) / len(b)
 
     a_tilde_rows = []
     b_tilde = []
     q_rows = []
     for i in range(a.rows):
-        bt = b[i].value - b_mean
-        b_tilde.append(TropicalScalar(bt))
+        bt = b[i] - b_mean
+        b_tilde.append(bt)
         at_row = []
         q_row = []
         for j in range(a.cols):
             e = a.entry(i, j)
-            if e.is_bottom:
+            if e is None:
                 at_row.append(BOTTOM)
                 q_row.append(None)
             else:
-                shifted = e.value - means[j]
-                at_row.append(TropicalScalar(shifted))
+                shifted = e - means[j]
+                at_row.append(shifted)
                 q_row.append(bt - shifted)
         a_tilde_rows.append(at_row)
         q_rows.append(tuple(q_row))
@@ -99,7 +99,7 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     for j in range(a.cols):
         finite = [(r[j], i) for i, r in enumerate(q_rows) if r[j] is not None]
         least = min(v for v, _ in finite)
-        minima.append(TropicalScalar(least))
+        minima.append(least)
         argmins.append(frozenset(i for v, i in finite if v == least))
 
     return NormalizationResult(
@@ -120,8 +120,7 @@ def normalized_solution(a: TropMatrix, b: TropVector, x_star: TropVector) -> Tro
     For `solve`'s x* of a system `normalize` accepts, y* is Q's column
     minima. A finite x*_j implies a finite entry in column j and in b.
     """
-    b_mean = None if all(e.is_bottom for e in b) else column_mean(b)
+    b_mean = None if all(e is None for e in b) else column_mean(b)
     return TropVector(
-        BOTTOM if xj.is_bottom else TropicalScalar(xj.value + column_mean(a.column(j)) - b_mean)
-        for j, xj in enumerate(x_star)
+        BOTTOM if xj is None else xj + column_mean(a.column(j)) - b_mean for j, xj in enumerate(x_star)
     )

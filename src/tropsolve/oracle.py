@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .errors import DimensionError, SizeBoundError
 from .matrix import TropMatrix, TropVector
-from .scalar import BOTTOM, TropicalScalar, trop_add, trop_mul
+from .scalar import BOTTOM, Scalar, as_scalar, trop_add, trop_mul
 
 __all__ = ["principal_solution", "exhaustive_solvable"]
 
@@ -26,26 +26,26 @@ def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    out: list[TropicalScalar] = []
+    out: list[Scalar] = []
     for j in range(a.cols):
         bounds = []
         forced = False
         for i in range(a.rows):
             e = a.entry(i, j)
-            if e.is_bottom:
+            if e is None:
                 continue
-            if b[i].is_bottom:
+            if b[i] is None:
                 forced = True
                 break
-            bounds.append(b[i].value - e.value)
+            bounds.append(b[i] - e)
         if forced or not bounds:
             out.append(BOTTOM)
         else:
-            out.append(TropicalScalar(min(bounds)))
+            out.append(min(bounds))
     return TropVector(out)
 
 
-def _satisfies(a: TropMatrix, x: tuple[TropicalScalar, ...], b: TropVector) -> bool:
+def _satisfies(a: TropMatrix, x: tuple[Scalar, ...], b: TropVector) -> bool:
     for i in range(a.rows):
         acc = BOTTOM
         for j in range(a.cols):
@@ -56,7 +56,7 @@ def _satisfies(a: TropMatrix, x: tuple[TropicalScalar, ...], b: TropVector) -> b
 
 
 def exhaustive_solvable(
-    a: TropMatrix, b: TropVector, grid: Iterable[TropicalScalar] | None = None
+    a: TropMatrix, b: TropVector, grid: Iterable[Scalar] | None = None
 ) -> bool:
     """Ground-truth solvability for tiny systems by enumerating candidates.
 
@@ -69,15 +69,15 @@ def exhaustive_solvable(
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
     if grid is not None:
-        shared = list(grid) + [BOTTOM]
+        shared = [as_scalar(v) for v in grid] + [BOTTOM]
         per_col = [shared] * a.cols
     else:
         per_col = []
         for j in range(a.cols):
             vals = {
-                TropicalScalar(b[i].value - a.entry(i, j).value)
+                b[i] - a.entry(i, j)
                 for i in range(a.rows)
-                if not a.entry(i, j).is_bottom and not b[i].is_bottom
+                if a.entry(i, j) is not None and b[i] is not None
             }
             per_col.append(sorted(vals) + [BOTTOM])
     return any(_satisfies(a, x, b) for x in product(*per_col))

@@ -13,11 +13,12 @@ off its verdict solve. Row rank is the column rank of the transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec, transpose
-from .scalar import BOTTOM, TropicalScalar, trop_add, trop_mul
+from .scalar import BOTTOM, Scalar, trop_add, trop_mul
 from .solver import Solvable, solve
 
 __all__ = ["Dependence", "RankReport", "colrank", "rowrank", "dependence_oracle"]
@@ -28,7 +29,7 @@ class Dependence:
     """A column reproduced exactly as max over (independent column + coefficient)."""
 
     col: int
-    combination: tuple[tuple[int, TropicalScalar], ...]  # (index, finite coefficient)
+    combination: tuple[tuple[int, Fraction], ...]  # (index, finite coefficient)
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,13 @@ def colrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
             raise ValueError(f"scan order must be a permutation of 0..{n - 1}")
 
     cols = [a.column(j) for j in range(n)]
-    bottom_cols = [j for j in range(n) if all(e.is_bottom for e in cols[j])]
+    bottom_cols = [j for j in range(n) if all(e is None for e in cols[j])]
     trace: list[tuple[int, str]] = [(j, "dependent") for j in bottom_cols]
 
     surviving = [j for j in range(n) if j not in bottom_cols]  # index order
     untested = set(surviving)
     discovery: list[int] = []
-    verdicts: dict[int, dict[int, TropicalScalar]] = {}  # dependent -> its solve's x*, by column
+    verdicts: dict[int, dict[int, Scalar]] = {}  # dependent -> its solve's x*, by column
     for target in order:
         if target not in untested:
             continue
@@ -91,7 +92,7 @@ def colrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
             coeffs = TropVector(x_star[k] for k in basis)
             if mat_vec(span, coeffs) != cols[j]:
                 raise AssertionError("internal error: dependent column not spanned by the independent set")
-            combinations[j] = tuple((k, c) for k, c in zip(basis, coeffs) if not c.is_bottom)
+            combinations[j] = tuple((k, c) for k, c in zip(basis, coeffs) if c is not None)
 
     return RankReport(
         axis="columns",
@@ -109,7 +110,7 @@ def rowrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
 
 def dependence_oracle(
     cols: Sequence[TropVector], target: TropVector
-) -> list[TropicalScalar] | None:
+) -> list[Scalar] | None:
     """Residuation-based dependence test, independent of the solver path.
 
     For each column, the candidate coefficient is the least slack
@@ -120,13 +121,13 @@ def dependence_oracle(
     m = len(target)
     if any(len(c) != m for c in cols):
         raise DimensionError("columns and target must have the same length")
-    lambdas: list[TropicalScalar] = []
+    lambdas: list[Scalar] = []
     for col in cols:
-        finite_rows = [i for i in range(m) if not col[i].is_bottom]
-        if not finite_rows or any(target[i].is_bottom for i in finite_rows):
+        finite_rows = [i for i in range(m) if col[i] is not None]
+        if not finite_rows or any(target[i] is None for i in finite_rows):
             lambdas.append(BOTTOM)
             continue
-        lambdas.append(TropicalScalar(min(target[i].value - col[i].value for i in finite_rows)))
+        lambdas.append(min(target[i] - col[i] for i in finite_rows))
     for i in range(m):
         acc = BOTTOM
         for col, lam in zip(cols, lambdas):

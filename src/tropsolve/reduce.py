@@ -16,12 +16,12 @@ from .errors import DimensionError, RegularityError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, is_regular, mat_vec, submatrix
 from .rank import RankReport, colrank, rowrank
-from .scalar import BOTTOM, TropicalScalar, trop_add, trop_mul
+from .scalar import BOTTOM, Scalar, trop_add, trop_mul
 from .solver import Solvable, solve
 
 __all__ = ["ReducedSystem", "reduce_system", "expand_solution", "dof_via_reduction"]
 
-CoeffRow = tuple[TropicalScalar, ...]
+CoeffRow = tuple[Scalar, ...]
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def _aligned_coeffs(report: RankReport, indep_sorted: tuple[int, ...]) -> tuple[
     position = {idx: k for k, idx in enumerate(indep_sorted)}
     out = []
     for dep in report.dependent:
-        coeffs: list[TropicalScalar] = [BOTTOM] * len(indep_sorted)
+        coeffs: list[Scalar] = [BOTTOM] * len(indep_sorted)
         for idx, coeff in dep.combination:
             coeffs[position[idx]] = coeff
         out.append((dep.col, tuple(coeffs)))
@@ -122,24 +122,24 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
     if mat_vec(sys.a_bar, reduced_y) != sys.b_bar:
         raise ValueError("not a reduced solution")
 
-    x: list[TropicalScalar] = [BOTTOM] * sys.n_cols
+    x: list[Scalar] = [BOTTOM] * sys.n_cols
     for pos, c in enumerate(sys.indep_cols):
         x[c] = reduced_y[pos]
     for dep_col, coeffs in sys.eta:
         bounds = []
         forced = False
         for pos, coeff in enumerate(coeffs):
-            if coeff.is_bottom:
+            if coeff is None:
                 continue
             y = reduced_y[pos]
-            if y.is_bottom:
+            if y is None:
                 forced = True
                 break
-            bounds.append(y.value - coeff.value)
+            bounds.append(y - coeff)
         if forced or not bounds:
             x[dep_col] = BOTTOM
         else:
-            x[dep_col] = TropicalScalar(min(bounds))
+            x[dep_col] = min(bounds)
     return TropVector(x)
 
 

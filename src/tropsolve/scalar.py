@@ -2,8 +2,10 @@
 
 The scalar domain is the tropical (max-plus) semiring: addition is max,
 multiplication is classical addition, the additive identity is -inf and
-the multiplicative identity is 0. All finite values are exact rationals,
-so results of the normalization pipeline are bit-reproducible.
+the multiplicative identity is 0. A scalar is a plain `Fraction`, or
+None for -inf (`BOTTOM`), so results are exact and bit-reproducible.
+`as_scalar` is the one place where ints and strings become `Fraction`s
+and floats are refused; matrices and vectors call it on every entry.
 """
 
 from __future__ import annotations
@@ -14,109 +16,44 @@ from fractions import Fraction
 from .errors import ParseError
 
 __all__ = [
-    "TropicalScalar",
+    "Scalar",
     "BOTTOM",
     "as_scalar",
     "trop_add",
     "trop_mul",
-    "classical_sub",
     "parse_scalar",
     "format_scalar",
 ]
 
+# A max-plus scalar: a finite exact rational, or None for -inf.
+Scalar = Fraction | None
 
-class TropicalScalar:
-    """A finite exact rational, or bottom (-inf).
-
-    Instances are immutable and totally ordered, with bottom strictly below
-    every finite value. Finite values are held as `Fraction`s, which keeps
-    them in canonical reduced form.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: int | str | Fraction | None = None):
-        if value is None:
-            self._value = None
-        elif isinstance(value, Fraction):
-            self._value = value
-        elif isinstance(value, (int, str)):
-            self._value = Fraction(value)
-        else:
-            # floats are rejected: binary expansions are not what the
-            # text syntax means by "2.5"
-            raise TypeError(f"cannot build a tropical scalar from {type(value).__name__}")
-
-    @property
-    def is_bottom(self) -> bool:
-        return self._value is None
-
-    @property
-    def value(self) -> Fraction:
-        if self._value is None:
-            raise ValueError("no finite value: scalar is -inf")
-        return self._value
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TropicalScalar):
-            return NotImplemented
-        return self._value == other._value
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __lt__(self, other: "TropicalScalar") -> bool:
-        if self._value is None:
-            return other._value is not None
-        if other._value is None:
-            return False
-        return self._value < other._value
-
-    def __le__(self, other: "TropicalScalar") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "TropicalScalar") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "TropicalScalar") -> bool:
-        return not self < other
-
-    def __repr__(self) -> str:
-        return f"TropicalScalar({format_scalar(self)!r})"
-
-    def __str__(self) -> str:
-        return format_scalar(self)
+BOTTOM: Scalar = None
 
 
-BOTTOM = TropicalScalar()
-
-
-def as_scalar(x) -> TropicalScalar:
+def as_scalar(x) -> Scalar:
     """Coerce ints, strings, Fractions, or None (= -inf) to a scalar."""
-    if isinstance(x, TropicalScalar):
+    if x is None or isinstance(x, Fraction):
         return x
-    if x is None:
-        return BOTTOM
-    return TropicalScalar(x)
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    # floats are rejected: binary expansions are not what the text syntax
+    # means by "2.5"
+    raise TypeError(f"cannot build a tropical scalar from {type(x).__name__}")
 
 
-def trop_add(a: TropicalScalar, b: TropicalScalar) -> TropicalScalar:
+def trop_add(a: Scalar, b: Scalar) -> Scalar:
     """Tropical sum: max of the two scalars (-inf is the identity)."""
-    return a if b <= a else b
+    if a is None:
+        return b
+    return a if b is None or b <= a else b
 
 
-def trop_mul(a: TropicalScalar, b: TropicalScalar) -> TropicalScalar:
+def trop_mul(a: Scalar, b: Scalar) -> Scalar:
     """Tropical product: classical sum (-inf is absorbing)."""
-    if a._value is None or b._value is None:
-        return BOTTOM
-    return TropicalScalar(a._value + b._value)
-
-
-def classical_sub(a: TropicalScalar, b: TropicalScalar) -> TropicalScalar:
-    """Ordinary rational subtraction a - b; both operands must be finite."""
-    if a._value is None or b._value is None:
-        raise ValueError("subtraction undefined at -inf")
-    return TropicalScalar(a._value - b._value)
+    if a is None or b is None:
+        return None
+    return a + b
 
 
 # Longest digit run a token may hold. Far below Python's 4300-digit limit on
@@ -128,7 +65,7 @@ _RUN = rf"(\d{{1,{MAX_DIGITS}}})"
 _TOKEN = re.compile(rf"(-?){_RUN}(?:\.{_RUN}|/{_RUN})?", re.ASCII)
 
 
-def parse_scalar(token: str) -> TropicalScalar:
+def parse_scalar(token: str) -> Scalar:
     """Parse one scalar token: `-243`, `2.5` (exactly 5/2), `-13/4`, `-inf`."""
     if token == "-inf":
         return BOTTOM
@@ -142,13 +79,13 @@ def parse_scalar(token: str) -> TropicalScalar:
         num, d = int(whole), 1 if den is None else int(den)
     if d == 0:
         raise ParseError(f"malformed scalar token {token!r}")
-    return TropicalScalar(Fraction(-num if sign else num, d))
+    return Fraction(-num if sign else num, d)
 
 
-def format_scalar(s: TropicalScalar) -> str:
+def format_scalar(s: Scalar) -> str:
     """Canonical token for a scalar; inverse of parse_scalar."""
-    if s._value is None:
+    if s is None:
         return "-inf"
-    if s._value.denominator == 1:
-        return str(s._value.numerator)
-    return f"{s._value.numerator}/{s._value.denominator}"
+    if s.denominator == 1:
+        return str(s.numerator)
+    return f"{s.numerator}/{s.denominator}"

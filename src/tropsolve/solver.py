@@ -12,10 +12,11 @@ witness unsolvability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
-from .scalar import BOTTOM, TropicalScalar, as_scalar
+from .scalar import BOTTOM, Scalar, as_scalar
 
 __all__ = [
     "RowCoverage",
@@ -69,14 +70,14 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
     n = a.cols
-    b_vals = [None if e.is_bottom else e.value for e in b]
+    b_vals = list(b)
 
     coverage: list[list[int]] = [[] for _ in range(a.rows)]
-    x_entries: list[TropicalScalar] = [BOTTOM] * n
+    x_entries: list[Scalar] = [BOTTOM] * n
     forced: set[int] = set()
     unbounded: set[int] = set()
     for j, col in enumerate(zip(*a.row_tuples())):
-        finite = [(i, e.value) for i, e in enumerate(col) if not e.is_bottom]
+        finite = [(i, e) for i, e in enumerate(col) if e is not None]
         if not finite:
             unbounded.add(j)
         elif any(b_vals[i] is None for i, _ in finite):
@@ -84,7 +85,7 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
         else:
             slacks = [b_vals[i] - v for i, v in finite]
             least = min(slacks)
-            x_entries[j] = TropicalScalar(least)
+            x_entries[j] = least
             for (i, _), slack in zip(finite, slacks):
                 if slack == least:
                     coverage[i].append(j)
@@ -108,7 +109,7 @@ def verify(a: TropMatrix, x: TropVector, b: TropVector) -> bool:
     return mat_vec(a, x) == b
 
 
-def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[TropicalScalar] | None:
+def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
     """Recover per-column finite shifts alpha_j with a2_j = a_j + alpha_j.
 
     Returns None when no such shifts exist: the -inf patterns differ, or
@@ -117,21 +118,21 @@ def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[TropicalScalar] | N
     """
     if a.rows != a2.rows or a.cols != a2.cols:
         raise DimensionError(f"shapes differ: {a.rows}x{a.cols} vs {a2.rows}x{a2.cols}")
-    alphas: list[TropicalScalar] = []
+    alphas: list[Fraction] = []
     for j in range(a.cols):
-        shift: TropicalScalar | None = None
+        shift = None
         for i in range(a.rows):
             e, e2 = a.entry(i, j), a2.entry(i, j)
-            if e.is_bottom != e2.is_bottom:
+            if (e is None) != (e2 is None):
                 return None
-            if e.is_bottom:
+            if e is None:
                 continue
-            d = TropicalScalar(e2.value - e.value)
+            d = e2 - e
             if shift is None:
                 shift = d
             elif shift != d:
                 return None
-        alphas.append(shift if shift is not None else TropicalScalar(0))
+        alphas.append(shift if shift is not None else Fraction(0))
     return alphas
 
 
@@ -141,12 +142,6 @@ def map_equivalent_solution(x: TropVector, alphas, beta) -> TropVector:
     beta = as_scalar(beta)
     if len(alphas) != len(x):
         raise DimensionError(f"{len(alphas)} shifts for a vector of length {len(x)}")
-    if beta.is_bottom or any(al.is_bottom for al in alphas):
+    if beta is None or any(al is None for al in alphas):
         raise ValueError("equivalence shifts must be finite")
-    out = []
-    for xj, al in zip(x, alphas):
-        if xj.is_bottom:
-            out.append(BOTTOM)
-        else:
-            out.append(TropicalScalar(xj.value + beta.value - al.value))
-    return TropVector(out)
+    return TropVector(BOTTOM if xj is None else xj + beta - al for xj, al in zip(x, alphas))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from tropsolve import BOTTOM, TropicalScalar, TropMatrix, TropVector, mat_vec, trop_add, trop_mul
+from tropsolve import BOTTOM, Scalar, TropMatrix, TropVector, mat_vec, trop_add, trop_mul
 
 
 def rand_fraction(rng: random.Random, lo: int = -30, hi: int = 30, max_den: int = 5) -> Fraction:
@@ -13,10 +13,10 @@ def rand_fraction(rng: random.Random, lo: int = -30, hi: int = 30, max_den: int 
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def rand_scalar(rng: random.Random, bottom_p: float = 0.2) -> TropicalScalar:
+def rand_scalar(rng: random.Random, bottom_p: float = 0.2) -> Scalar:
     if rng.random() < bottom_p:
         return BOTTOM
-    return TropicalScalar(rand_fraction(rng))
+    return rand_fraction(rng)
 
 
 def rand_matrix(
@@ -30,17 +30,17 @@ def rand_matrix(
     grid = [[rand_scalar(rng, bottom_p) for _ in range(n)] for _ in range(m)]
     if regular_rows:
         for i in range(m):
-            if all(e.is_bottom for e in grid[i]):
-                grid[i][rng.randrange(n)] = TropicalScalar(rand_fraction(rng))
+            if all(e is None for e in grid[i]):
+                grid[i][rng.randrange(n)] = rand_fraction(rng)
     if regular_cols:
         for j in range(n):
-            if all(grid[i][j].is_bottom for i in range(m)):
-                grid[rng.randrange(m)][j] = TropicalScalar(rand_fraction(rng))
+            if all(grid[i][j] is None for i in range(m)):
+                grid[rng.randrange(m)][j] = rand_fraction(rng)
     return TropMatrix(grid)
 
 
 def rand_finite_vector(rng: random.Random, n: int) -> TropVector:
-    return TropVector(TropicalScalar(rand_fraction(rng)) for _ in range(n))
+    return TropVector(rand_fraction(rng) for _ in range(n))
 
 
 def solvable_instance(rng: random.Random, max_dim: int = 6, bottom_p: float = 0.2):
@@ -57,7 +57,7 @@ def arbitrary_instance(rng: random.Random, max_dim: int = 6, bottom_p: float = 0
     return rand_matrix(rng, m, n, bottom_p), rand_finite_vector(rng, m)
 
 
-def max_combination(vectors: list[TropVector], coeffs: list[TropicalScalar]) -> TropVector:
+def max_combination(vectors: list[TropVector], coeffs: list[Scalar]) -> TropVector:
     out = [BOTTOM] * len(vectors[0])
     for vec, lam in zip(vectors, coeffs):
         for i in range(len(out)):
@@ -77,8 +77,8 @@ def planted_instance(rng: random.Random):
     cols = [core.column(j) for j in range(k)]
     for _ in range(rng.randint(1, 2)):
         coeffs = [rand_scalar(rng, bottom_p=0.3) for _ in range(k)]
-        if all(c.is_bottom for c in coeffs):
-            coeffs[rng.randrange(k)] = TropicalScalar(rand_fraction(rng))
+        if all(c is None for c in coeffs):
+            coeffs[rng.randrange(k)] = rand_fraction(rng)
         cols.append(max_combination(cols[:k], coeffs))
     rng.shuffle(cols)
     a = TropMatrix.from_columns(cols)
@@ -86,8 +86,8 @@ def planted_instance(rng: random.Random):
     rows = [a.row(i) for i in range(a.rows)]
     for _ in range(rng.randint(1, 2)):
         coeffs = [rand_scalar(rng, bottom_p=0.3) for _ in range(len(rows))]
-        if all(c.is_bottom for c in coeffs):
-            coeffs[rng.randrange(len(rows))] = TropicalScalar(rand_fraction(rng))
+        if all(c is None for c in coeffs):
+            coeffs[rng.randrange(len(rows))] = rand_fraction(rng)
         rows.append(max_combination(rows, coeffs))
     rng.shuffle(rows)
     a = TropMatrix([list(r) for r in rows])
@@ -95,7 +95,7 @@ def planted_instance(rng: random.Random):
     if rng.random() < 0.5:
         x0 = rand_finite_vector(rng, a.cols)
         b = mat_vec(a, x0)
-        if any(e.is_bottom for e in b):
+        if any(e is None for e in b):
             b = rand_finite_vector(rng, a.rows)
     else:
         b = rand_finite_vector(rng, a.rows)

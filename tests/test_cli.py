@@ -227,7 +227,7 @@ def test_check_equiv(data_dir, tmp_path):
     for i in range(a.rows):
         rows.append(
             " ".join(
-                str(a.entry(i, j).value + [1, -2, 0][j]) for j in range(a.cols)
+                str(a.entry(i, j) + [1, -2, 0][j]) for j in range(a.cols)
             )
         )
     shifted.write_text("\n".join(rows) + "\n")
@@ -279,6 +279,27 @@ def test_derived_value_past_digit_limit_exit_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert out.startswith("error: ")
+
+
+def test_solve_y_star_past_digit_limit_keeps_verdict(tmp_path, capsys):
+    # X* = (0, 0) prints, but Y* shifts by column means over 120 distinct
+    # 90-digit denominators, past Python's int/str digit limit; Y* is
+    # display only, so the verdict stands
+    ds = [10**89 + 7 * i + 1 for i in range(120)]
+    mat = tmp_path / "a.mat"
+    mat.write_text("".join(f"1/{d} {i % 2}\n" for i, d in enumerate(ds)))
+    vec = tmp_path / "b.vec"
+    vec.write_text("".join(f"1/{d}\n" if i % 2 == 0 else "1\n" for i, d in enumerate(ds)))
+    report = run(["solve", str(mat), str(vec), "--json"])
+    assert report.exit_code == 0
+    assert report.payload["x_star"] == ["0", "0"]
+    assert report.payload["y_star"] is None
+    assert report.payload["coverage"] == [[1] if i % 2 == 0 else [2] for i in range(120)]
+    assert json.loads(render_json(report))["payload"]["y_star"] is None
+    code = main(["solve", str(mat), str(vec)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "X* = (0, 0)\nY* = unavailable (exceeds Python's int/str digit limit)\n" in out
 
 
 # besides raw bytes: grammar tokens, near misses and rectangular grids, so that

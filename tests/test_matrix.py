@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,6 @@ from tropsolve import (
     BOTTOM,
     DimensionError,
     ParseError,
-    TropicalScalar,
     TropMatrix,
     TropVector,
     format_matrix,
@@ -151,7 +151,7 @@ def test_parse_matrix_comments_and_whitespace():
     text = "# header\n\n  1 2.5 -13/4\n-inf 0 7\n# trailing\n"
     a = parse_matrix(text)
     assert a.rows == 2 and a.cols == 3
-    assert a.entry(0, 1) == TropicalScalar("5/2")
+    assert a.entry(0, 1) == Fraction("5/2")
     assert a.entry(1, 0) == BOTTOM
 
 

@@ -1,10 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from tropsolve import (
     Solvable,
-    TropicalScalar,
     TropMatrix,
     TropVector,
     UnsolvableSystemError,
@@ -43,8 +43,8 @@ def test_reduce_3x3_with_dependent_column_and_row(rank_3x3):
     sys = reduce_system(rank_3x3, b)
     assert sys.indep_cols == (0, 1)
     assert sys.indep_rows == (1, 2)
-    assert sys.eta == ((2, (TropicalScalar(2), TropicalScalar(-2))),)
-    assert sys.xi == ((0, (TropicalScalar(6), TropicalScalar(-1))),)
+    assert sys.eta == ((2, (Fraction(2), Fraction(-2))),)
+    assert sys.xi == ((0, (Fraction(6), Fraction(-1))),)
     assert sys.row_consistency == ((0, True),)
     assert sys.a_bar == TropMatrix([[-5, 0], [4, 1]])
     assert sys.b_bar == TropVector([b[1], b[2]])
@@ -56,7 +56,7 @@ def test_reduce_planted_dependent_row_consistency():
     a = TropMatrix([[0, 3, 1], [2, 0, 4], [7, None, 0], [2, 4, 4]])
     x0 = TropVector([0, 0, 0])
     b = mat_vec(a, x0)
-    assert a.row(3) == max_combination([a.row(0), a.row(1)], [TropicalScalar(1), TropicalScalar(0)])
+    assert a.row(3) == max_combination([a.row(0), a.row(1)], [Fraction(1), Fraction(0)])
     sys = reduce_system(a, b)
     assert 3 in {r for r, _ in sys.xi}
     assert sys.consistent()
@@ -91,9 +91,9 @@ def test_expand_min_over_shifts(rank_3x3):
     # dependent column bound: min over (y_i - eta_i)
     y = reduced.x_star
     expected = min(
-        y[0].value - TropicalScalar(2).value, y[1].value - TropicalScalar(-2).value
+        y[0] - Fraction(2), y[1] - Fraction(-2)
     )
-    assert x[2] == TropicalScalar(expected)
+    assert x[2] == Fraction(expected)
 
 
 def test_expand_rejects_non_solution():

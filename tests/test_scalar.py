@@ -7,54 +7,94 @@ from hypothesis import strategies as st
 from tropsolve import (
     BOTTOM,
     ParseError,
-    TropicalScalar,
-    classical_sub,
+    TropMatrix,
+    TropVector,
+    colrank,
+    exhaustive_solvable,
     format_scalar,
+    identity,
+    leq,
+    map_equivalent_solution,
+    mat_vec,
+    normalize,
+    parse_matrix,
     parse_scalar,
+    parse_vector,
+    scalar_mul,
+    solve,
     trop_add,
     trop_mul,
 )
 from tropsolve.scalar import MAX_DIGITS
 
-finite = st.fractions(min_value=-100, max_value=100, max_denominator=12).map(TropicalScalar)
+finite = st.fractions(min_value=-100, max_value=100, max_denominator=12)
 scalars = st.one_of(st.just(BOTTOM), finite)
 
 
 def test_trop_add_identity_and_max():
-    assert trop_add(BOTTOM, TropicalScalar(3)) == TropicalScalar(3)
-    assert trop_add(TropicalScalar(2), TropicalScalar(5)) == TropicalScalar(5)
-    assert trop_add(TropicalScalar(-117), TropicalScalar(-115)) == TropicalScalar(-115)
+    assert trop_add(BOTTOM, Fraction(3)) == Fraction(3)
+    assert trop_add(Fraction(2), Fraction(5)) == Fraction(5)
+    assert trop_add(Fraction(-117), Fraction(-115)) == Fraction(-115)
 
 
 def test_trop_mul_absorbing_and_sum():
-    assert trop_mul(BOTTOM, TropicalScalar(7)) == BOTTOM
-    assert trop_mul(TropicalScalar(0), TropicalScalar(9)) == TropicalScalar(9)
-    assert trop_mul(TropicalScalar(-49), TropicalScalar(-80)) == TropicalScalar(-129)
+    assert trop_mul(BOTTOM, Fraction(7)) == BOTTOM
+    assert trop_mul(Fraction(0), Fraction(9)) == Fraction(9)
+    assert trop_mul(Fraction(-49), Fraction(-80)) == Fraction(-129)
 
 
-def test_classical_sub():
-    assert classical_sub(TropicalScalar(102), TropicalScalar(104)) == TropicalScalar(-2)
-    assert classical_sub(TropicalScalar("7/3"), TropicalScalar("7/3")) == TropicalScalar(0)
-    assert classical_sub(TropicalScalar(3), TropicalScalar(-4)) == TropicalScalar(7)
+@given(finite)
+def test_bottom_is_least_element(x):
+    assert trop_add(BOTTOM, x) == x
+    assert trop_add(x, BOTTOM) == x
+    assert leq(TropVector([None]), TropVector([x]))
+    assert not leq(TropVector([x]), TropVector([None]))
 
 
-def test_classical_sub_rejects_bottom():
-    with pytest.raises(ValueError, match="-inf"):
-        classical_sub(BOTTOM, TropicalScalar(1))
-    with pytest.raises(ValueError, match="-inf"):
-        classical_sub(TropicalScalar(1), BOTTOM)
-
-
-def test_bottom_below_everything():
-    assert BOTTOM < TropicalScalar(-10**9)
-    assert BOTTOM < TropicalScalar("-999999/7")
-    assert not BOTTOM < BOTTOM
-    assert BOTTOM <= BOTTOM
-
-
-def test_rejects_floats():
+def test_floats_refused_at_every_entry_point():
     with pytest.raises(TypeError):
-        TropicalScalar(2.5)
+        TropVector([2.5])
+    with pytest.raises(TypeError):
+        TropMatrix([[2.5]])
+    with pytest.raises(TypeError):
+        scalar_mul(2.5, TropVector([1]))
+    with pytest.raises(TypeError):
+        map_equivalent_solution(TropVector([1]), [2.5], 0)
+    with pytest.raises(TypeError):
+        exhaustive_solvable(TropMatrix([[0]]), TropVector([1]), grid=[2.5])
+
+
+def _exact(entries) -> bool:
+    return all(e is None or type(e) is Fraction for e in entries)
+
+
+_FINITE_TOKEN = st.sampled_from(["0", "3", "-7", "2.5", "-13/4", "1/3"])
+_TOKEN = st.one_of(st.just("-inf"), _FINITE_TOKEN)
+
+
+def _vector_text(tokens, n: int):
+    return st.lists(tokens, min_size=n, max_size=n).map(" ".join)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(_vector_text(_TOKEN, n), min_size=1, max_size=4).map("\n".join)
+    ),
+    st.data(),
+)
+def test_results_are_exact_fractions(text, data):
+    a = parse_matrix(text)
+    assert all(_exact(r) for r in a.row_tuples())
+    x0 = parse_vector(data.draw(_vector_text(_TOKEN, a.cols)))
+    out = solve(a, mat_vec(a, x0))  # solvable: x0 is a solution
+    assert _exact(out.x_star)
+    if all(any(e is not None for e in a.column(j)) for j in range(a.cols)):
+        res = normalize(a, parse_vector(data.draw(_vector_text(_FINITE_TOKEN, a.rows))))
+        assert all(_exact(r) for r in res.q)
+        assert _exact(res.column_minima)
+    for dep in colrank(a).dependent:
+        assert _exact(c for _, c in dep.combination)
+    assert all(_exact(r) for r in identity(a.cols).row_tuples())
 
 
 @given(scalars, scalars)
@@ -82,7 +122,7 @@ def test_mul_distributes_over_add(a, b, c):
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
 def test_finite_order_matches_rational_order(p, q):
-    assert (TropicalScalar(p) < TropicalScalar(q)) == (p < q)
+    assert (trop_add(p, q) == q) == (p <= q)
 
 
 @given(scalars)
@@ -101,7 +141,7 @@ def test_format_parse_round_trip(a):
     ],
 )
 def test_parse_finite_tokens_exactly(token, expected):
-    assert parse_scalar(token).value == expected
+    assert parse_scalar(token) == expected
 
 
 def test_parse_bottom_token():
