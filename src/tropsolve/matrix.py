@@ -3,15 +3,27 @@
 Shapes are fixed at construction and entries are immutable. Every entry
 is a `Fraction` or None (-inf), coerced by `as_scalar` at construction.
 Indexing is 0-based throughout the library; only rendered reports use
-1-based indices.
+1-based indices. `mat_vec`, which every solve's self-check runs, works on
+exact integer (numerator, denominator) pairs and builds one reduced
+`Fraction` per output entry.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError
-from .scalar import BOTTOM, Scalar, as_scalar, format_scalar, parse_scalar, trop_add, trop_mul
+from .scalar import (
+    BOTTOM,
+    Scalar,
+    as_pairs,
+    as_scalar,
+    format_scalar,
+    parse_scalar,
+    trop_add,
+    trop_mul,
+)
 
 __all__ = [
     "TropMatrix",
@@ -159,12 +171,20 @@ def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     """Apply a matrix to a column vector under max-plus."""
     if a.cols != len(x):
         raise DimensionError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
+    x_pairs = as_pairs(x)
     out = []
     for r in a.row_tuples():
-        acc = BOTTOM
-        for e, xk in zip(r, x):
-            acc = trop_add(acc, trop_mul(e, xk))
-        out.append(acc)
+        # greatest a_ik + x_k as an unreduced pair (num, den > 0)
+        best_n = best_d = None
+        for e, xp in zip(r, x_pairs):
+            if e is None or xp is None:
+                continue
+            na, da = e.as_integer_ratio()
+            nx, dx = xp
+            pn, pd = na * dx + nx * da, da * dx
+            if best_d is None or pn * best_d > best_n * pd:
+                best_n, best_d = pn, pd
+        out.append(BOTTOM if best_d is None else Fraction(best_n, best_d))
     return TropVector(out)
 
 
@@ -195,6 +215,11 @@ def leq(a, b) -> bool:
 
 
 def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMatrix:
+    """The entries at the given row and column indices, in the given order."""
+    for kind, indices, size in (("row", rows, a.rows), ("column", cols, a.cols)):
+        bad = next((k for k in indices if not 0 <= k < size), None)
+        if bad is not None:
+            raise IndexError(f"{kind} index {bad} out of range for {size} {kind}s")
     return TropMatrix([a.entry(i, j) for j in cols] for i in rows)
 
 

@@ -14,16 +14,20 @@ solver's independent cross-check in the tests.
 
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in Q and are never a column minimum.
+`column_mean` sums integer numerators per distinct denominator; A~, b~
+and Q are built with plain `Fraction` arithmetic, so the cross-check
+shares no arithmetic with `solve`'s integer-pair pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import DegenerateColumnError, DimensionError, RegularityError
 from .matrix import TropMatrix, TropVector, is_regular
-from .scalar import BOTTOM
+from .scalar import BOTTOM, Scalar, as_pairs
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
 
@@ -44,16 +48,21 @@ class NormalizationResult:
     argmin_rows: tuple[frozenset[int], ...]
 
 
-def column_mean(col: TropVector) -> Fraction:
+def column_mean(col: Iterable[Scalar]) -> Fraction:
     """Classical mean of the finite entries of a column.
 
     The denominator is the number of finite entries, so -inf positions do
-    not participate at all.
+    not participate at all. Numerators are summed per distinct
+    denominator, so only one `Fraction` is added per denominator.
     """
-    finite = [e for e in col if e is not None]
-    if not finite:
+    sums: dict[int, int] = {}
+    count = 0
+    for n, d in as_pairs(e for e in col if e is not None):
+        sums[d] = sums.get(d, 0) + n
+        count += 1
+    if not count:
         raise DegenerateColumnError("degenerate column: every entry is -inf")
-    return sum(finite, Fraction(0)) / len(finite)
+    return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0)) / count
 
 
 def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
@@ -67,12 +76,12 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     if not is_regular(b):
         raise RegularityError("b is not regular; preprocess the system to remove -inf equations")
     means = []
-    for j in range(a.cols):
+    for j, col in enumerate(zip(*a.row_tuples())):
         try:
-            means.append(column_mean(a.column(j)))
+            means.append(column_mean(col))
         except DegenerateColumnError:
             raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf") from None
-    b_mean = sum(b, Fraction(0)) / len(b)
+    b_mean = column_mean(b)
 
     a_tilde_rows = []
     b_tilde = []
@@ -122,5 +131,6 @@ def normalized_solution(a: TropMatrix, b: TropVector, x_star: TropVector) -> Tro
     """
     b_mean = None if all(e is None for e in b) else column_mean(b)
     return TropVector(
-        BOTTOM if xj is None else xj + column_mean(a.column(j)) - b_mean for j, xj in enumerate(x_star)
+        BOTTOM if xj is None else xj + column_mean(col) - b_mean
+        for xj, col in zip(x_star, zip(*a.row_tuples()))
     )

@@ -6,12 +6,20 @@ the multiplicative identity is 0. A scalar is a plain `Fraction`, or
 None for -inf (`BOTTOM`), so results are exact and bit-reproducible.
 `as_scalar` is the one place where ints and strings become `Fraction`s
 and floats are refused; matrices and vectors call it on every entry.
+
+The hot loops (`solve`, `mat_vec`, `column_mean`) do their arithmetic on
+exact `(numerator, denominator)` integer pairs from `as_pairs` instead:
+sums and differences are left unreduced, denominators stay positive, so
+p/q < r/s is decided by p*s < r*q, and each result is reduced once into a
+`Fraction`. `solve` and `mat_vec` never form a common denominator, so
+their intermediates stay within a few times the digits of their inputs.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -21,6 +29,7 @@ __all__ = [
     "as_scalar",
     "trop_add",
     "trop_mul",
+    "as_pairs",
     "parse_scalar",
     "format_scalar",
 ]
@@ -54,6 +63,11 @@ def trop_mul(a: Scalar, b: Scalar) -> Scalar:
     if a is None or b is None:
         return None
     return a + b
+
+
+def as_pairs(entries: Iterable[Scalar]) -> list[tuple[int, int] | None]:
+    """Each scalar as its (numerator, denominator) pair, positive denominator; None stays None."""
+    return [None if e is None else e.as_integer_ratio() for e in entries]
 
 
 # Longest digit run a token may hold. Far below Python's 4300-digit limit on

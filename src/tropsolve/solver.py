@@ -7,6 +7,10 @@ rows; the shift and the grid belong to `normalize` alone. The system is
 solvable iff every row with a finite b_i attains some column's minimum;
 x* is then the maximal solution, and the unattained rows otherwise
 witness unsolvability.
+
+The pass runs on exact integer pairs: each slack b_i - a_ij is the
+unreduced (n_b*d_a - n_a*d_b, d_b*d_a), slacks are compared by
+cross-multiplication, and each x*_j is reduced into a `Fraction` once.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
-from .scalar import BOTTOM, Scalar, as_scalar
+from .scalar import BOTTOM, Scalar, as_pairs, as_scalar
 
 __all__ = [
     "RowCoverage",
@@ -69,29 +73,40 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    n = a.cols
-    b_vals = list(b)
+    b_pairs = as_pairs(b)
 
     coverage: list[list[int]] = [[] for _ in range(a.rows)]
-    x_entries: list[Scalar] = [BOTTOM] * n
+    x_entries: list[Scalar] = [BOTTOM] * a.cols
     forced: set[int] = set()
     unbounded: set[int] = set()
     for j, col in enumerate(zip(*a.row_tuples())):
-        finite = [(i, e) for i, e in enumerate(col) if e is not None]
-        if not finite:
-            unbounded.add(j)
-        elif any(b_vals[i] is None for i, _ in finite):
-            forced.add(j)
+        # least slack b_i - a_ij as an unreduced pair (num, den > 0), and its rows
+        least_n = least_d = None
+        rows_at: list[int] = []
+        for i, e in enumerate(col):
+            if e is None:
+                continue
+            bp = b_pairs[i]
+            if bp is None:
+                forced.add(j)
+                break
+            nb, db = bp
+            na, da = e.as_integer_ratio()
+            sn, sd = nb * da - na * db, db * da
+            if least_d is None or sn * least_d < least_n * sd:
+                least_n, least_d, rows_at = sn, sd, [i]
+            elif sn * least_d == least_n * sd:
+                rows_at.append(i)
         else:
-            slacks = [b_vals[i] - v for i, v in finite]
-            least = min(slacks)
-            x_entries[j] = least
-            for (i, _), slack in zip(finite, slacks):
-                if slack == least:
+            if least_d is None:
+                unbounded.add(j)
+            else:
+                x_entries[j] = Fraction(least_n, least_d)
+                for i in rows_at:
                     coverage[i].append(j)
 
     cov: RowCoverage = tuple(tuple(c) for c in coverage)
-    uncovered = tuple(i for i, v in enumerate(b_vals) if v is not None and not coverage[i])
+    uncovered = tuple(i for i, v in enumerate(b) if v is not None and not coverage[i])
     if uncovered:
         return Unsolvable(uncovered, cov)
     x_star = TropVector(x_entries)

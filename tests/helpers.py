@@ -65,6 +65,18 @@ def max_combination(vectors: list[TropVector], coeffs: list[Scalar]) -> TropVect
     return TropVector(out)
 
 
+def perturbed(product):
+    """A mat_vec that adds 1 to the first finite entry of the true product."""
+
+    def wrong(a, x):
+        out = list(product(a, x))
+        k = next(i for i, e in enumerate(out) if e is not None)
+        out[k] += 1
+        return TropVector(out)
+
+    return wrong
+
+
 def planted_instance(rng: random.Random):
     """A system whose matrix has planted dependent columns and rows.
 

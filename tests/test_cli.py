@@ -350,9 +350,15 @@ def test_usage_error_exit_2():
 
 
 def test_entry_point_subprocess(data_dir):
+    import os
     import subprocess
     import sys
 
+    import tropsolve
+
+    # the child imports the same tropsolve as this process, installed or not
+    src = str(Path(tropsolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [
             sys.executable,
@@ -364,6 +370,7 @@ def test_entry_point_subprocess(data_dir):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "X* = (-63, -25, 30, 4, 74)" in proc.stdout

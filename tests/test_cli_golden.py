@@ -1,0 +1,179 @@
+"""Golden digests of every CLI report: text and JSON output stay byte-identical.
+
+`data/cli_golden.json` maps each command line to the sha256 of its exit
+code and stdout. The inputs are the five fixtures plus seeded systems that
+this module writes as text with its own plain-`Fraction` arithmetic, so no
+input depends on the code under test. Every command runs in one directory
+with relative file names, because JSON reports carry the input paths.
+
+Regenerate the digests, only when a report is meant to change, with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import random
+import shutil
+import sys
+from fractions import Fraction
+
+from tropsolve import cli
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = DATA / "cli_golden.json"
+FIXTURES = ("solvable_4x5", "unsolvable_5x4", "dof_4x5", "rank_3x3", "rank_4x5")
+SEEDED = 40
+
+
+def _token(rng: random.Random, v: Fraction | None) -> str:
+    if v is None:
+        return "-inf"
+    if v.denominator == 1:
+        return str(v.numerator)
+    k = next((k for k in (1, 2, 3) if 10**k % v.denominator == 0), None)
+    if k is None or rng.random() < 0.5:
+        return f"{v.numerator}/{v.denominator}"
+    digits = str(abs(v.numerator) * (10**k // v.denominator)).rjust(k + 1, "0")
+    return ("-" if v < 0 else "") + digits[:-k] + "." + digits[-k:]
+
+
+def _value(rng: random.Random, big: bool) -> Fraction:
+    # big: up to 98-digit denominators, so a value plus an integer of at most 30 still fits in 100 digits
+    den = 10 ** rng.randint(1, 97) + rng.randrange(10 ** rng.randint(1, 97)) if big else rng.randint(1, 8)
+    return Fraction(rng.randint(-30 * den, 30 * den), den)
+
+
+def _shift(rng: random.Random, big: bool) -> Fraction:
+    """A finite x0 entry or column shift; an integer for big values, so sums keep their denominators."""
+    return Fraction(rng.randint(-30, 30)) if big else _value(rng, False)
+
+
+def _apply(rows: list[list[Fraction | None]], x: list[Fraction | None]) -> list[Fraction | None]:
+    out = []
+    for r in rows:
+        terms = [e + xk for e, xk in zip(r, x) if e is not None and xk is not None]
+        out.append(max(terms) if terms else None)
+    return out
+
+
+def _system(k: int) -> tuple[list[list], list, list[list]]:
+    """Seeded system k: matrix, right-hand side and a second matrix for check-equiv.
+
+    k % 5 picks the family: 0 large denominators (up to 98 digits),
+    1 -inf entries in b, 2 an all -inf column, 3 planted dependent columns,
+    4 small random values. Even k // 5 plants b = A x0, odd draws b at random.
+    """
+    rng = random.Random(7000 + k)
+    family, big = k % 5, k % 5 == 0
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    bottom_p = 0.0 if family == 3 else 0.2
+    rows = [[None if rng.random() < bottom_p else _value(rng, big) for _ in range(n)] for _ in range(m)]
+    if family == 2:
+        j = rng.randrange(n)
+        for r in rows:
+            r[j] = None
+    if family == 3 and n > 1:
+        for j in range(n // 2, n):
+            coeffs = [None if rng.random() < 0.3 else _value(rng, False) for _ in range(n // 2)]
+            for r, e in zip(rows, _apply([r[: n // 2] for r in rows], coeffs)):
+                r[j] = e
+    if (k // 5) % 2 == 0:
+        b = _apply(rows, [_shift(rng, big) for _ in range(n)])
+    else:
+        b = [_value(rng, big) for _ in range(m)]
+    if family == 1:
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            b[i] = None
+    if rng.random() < 0.5:
+        shifts = [_shift(rng, big) for _ in range(n)]
+        rows2 = [[None if e is None else e + s for e, s in zip(r, shifts)] for r in rows]
+    else:
+        rows2 = [[None if rng.random() < 0.2 else _value(rng, big) for _ in range(n)] for _ in range(m)]
+    return rows, b, rows2
+
+
+def _write_inputs(workdir: pathlib.Path) -> list[tuple[str, str, str, int, int]]:
+    """Write every input file; returns (matrix, vector, matrix2, rows, cols) per system."""
+    systems = []
+    for name in FIXTURES:
+        shutil.copy(DATA / f"{name}.mat", workdir / f"{name}.mat")
+        rows = [ln for ln in (DATA / f"{name}.mat").read_text().splitlines() if ln and not ln.startswith("#")]
+        m, n = len(rows), len(rows[0].split())
+        b_file = DATA / f"{name}_b.vec"
+        if b_file.exists():
+            shutil.copy(b_file, workdir / f"{name}_b.vec")
+        else:
+            rng = random.Random(name)
+            (workdir / f"{name}_b.vec").write_text("".join(f"{rng.randint(-9, 9)}\n" for _ in range(m)))
+        systems.append((f"{name}.mat", f"{name}_b.vec", f"{name}.mat", m, n))
+    for k in range(SEEDED):
+        rows, b, rows2 = _system(k)
+        rng = random.Random(k)
+        for fname, grid in ((f"s{k}.mat", rows), (f"s{k}_2.mat", rows2)):
+            text = f"# seeded system {k}\n" + "".join(" ".join(_token(rng, e) for e in r) + "\n" for r in grid)
+            (workdir / fname).write_text(text)
+        (workdir / f"s{k}_b.vec").write_text("".join(_token(rng, e) + "\n" for e in b))
+        systems.append((f"s{k}.mat", f"s{k}_b.vec", f"s{k}_2.mat", len(rows), len(rows[0])))
+    return systems
+
+
+def _command_lines(systems) -> list[list[str]]:
+    argvs = []
+    for a, b, a2, m, n in systems:
+        col_order = ",".join(str(j) for j in random.Random(a).sample(range(1, n + 1), n))
+        row_order = ",".join(str(i) for i in random.Random(b).sample(range(1, m + 1), m))
+        for argv in (
+            ["normalize", a, b],
+            ["solve", a, b],
+            ["solve", a, b, "--check"],
+            ["dof", a, b],
+            ["dof", a, b, "--exact"],
+            ["colrank", a],
+            ["colrank", a, "--scan-order", col_order],
+            ["rowrank", a],
+            ["rowrank", a, "--scan-order", row_order],
+            ["reduce", a, b],
+            ["check-equiv", a, a2],
+        ):
+            argvs += [argv, argv + ["--json"]]
+    return argvs
+
+
+def digests(workdir: pathlib.Path) -> dict[str, str]:
+    """sha256 of each command's exit code and stdout, run from `workdir` with relative paths."""
+    out = {}
+    argvs = _command_lines(_write_inputs(workdir))
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in argvs:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(argv)
+            out[" ".join(argv)] = hashlib.sha256(f"{code}\n{buf.getvalue()}".encode()).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return out
+
+
+def test_cli_reports_match_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    got = digests(tmp_path)
+    assert sorted(got) == sorted(golden)
+    assert [cmd for cmd in golden if got[cmd] != golden[cmd]] == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = digests(pathlib.Path(tmp))
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)

@@ -22,6 +22,7 @@ from tropsolve import (
     parse_matrix,
     parse_vector,
     scalar_mul,
+    submatrix,
     transpose,
 )
 
@@ -112,6 +113,14 @@ def test_index_errors():
         a.row(5)
     with pytest.raises(IndexError):
         a.row(-1)
+
+
+@pytest.mark.parametrize("rows, cols", [([-1], [0]), ([0], [-1]), ([2], [0]), ([0], [2]), ([0, 1], [1, 5])])
+def test_submatrix_index_errors(rows, cols):
+    a = TropMatrix([[1, 2], [3, 4]])
+    with pytest.raises(IndexError):
+        submatrix(a, rows, cols)
+    assert submatrix(a, [1, 0], [1]) == TropMatrix([[4], [2]])
 
 
 def test_shapes_validated():

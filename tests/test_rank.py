@@ -11,12 +11,14 @@ from tropsolve import (
     colrank,
     dependence_oracle,
     identity,
+    mat_vec,
+    rank,
     rowrank,
     scalar_mul,
     transpose,
 )
 
-from helpers import max_combination, planted_instance, rand_matrix, rand_scalar
+from helpers import max_combination, perturbed, planted_instance, rand_matrix, rand_scalar
 
 
 def reproduces(a: TropMatrix, dep) -> bool:
@@ -83,6 +85,12 @@ def test_rowrank_3x3_scan_finds_row_dependence(rank_3x3):
     ) == t.column(0)
     for order in ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
         assert rowrank(rank_3x3, scan_order=order).rank == 2
+
+
+def test_spanned_column_check_fires(monkeypatch, rank_3x3):
+    monkeypatch.setattr(rank, "mat_vec", perturbed(mat_vec))
+    with pytest.raises(AssertionError, match="dependent column not spanned by the independent set"):
+        colrank(rank_3x3)
 
 
 def test_rank_independent_of_scan_order():

@@ -17,10 +17,13 @@ from tropsolve import (
     normalized_solution,
     principal_solution,
     solve,
+    solver,
+    trop_add,
+    trop_mul,
     verify,
 )
 
-from helpers import arbitrary_instance, rand_finite_vector, rand_matrix, solvable_instance
+from helpers import arbitrary_instance, perturbed, rand_finite_vector, rand_matrix, solvable_instance
 
 
 def test_solve_golden_solvable(solvable_4x5):
@@ -266,3 +269,87 @@ def test_solvable_implies_exact_product_random():
             assert mat_vec(a, out.x_star) == b
         else:
             assert all(out.coverage[i] == () for i in out.witness_rows)
+
+
+# --- internal self-check ----------------------------------------------------
+
+
+def test_solve_self_check_fires(monkeypatch, solvable_4x5):
+    a, b = solvable_4x5
+    monkeypatch.setattr(solver, "mat_vec", perturbed(mat_vec))
+    with pytest.raises(AssertionError, match="covered system does not reproduce b"):
+        solve(a, b)
+
+
+# --- exact integer pairs at large denominators -------------------------------
+
+
+def big_fraction(rng: random.Random) -> Fraction:
+    """Either sign, denominator up to 10**100."""
+    den = rng.randint(1, 10 ** rng.randint(1, 100))
+    return Fraction(rng.randint(-30 * den, 30 * den), den)
+
+
+def big_scalar(rng: random.Random, bottom_p: float):
+    return BOTTOM if rng.random() < bottom_p else big_fraction(rng)
+
+
+def fold_product(a: TropMatrix, x: TropVector) -> TropVector:
+    out = []
+    for i in range(a.rows):
+        acc = BOTTOM
+        for j in range(a.cols):
+            acc = trop_add(acc, trop_mul(a.entry(i, j), x[j]))
+        out.append(acc)
+    return TropVector(out)
+
+
+def attaining_rows(a: TropMatrix, b: TropVector) -> tuple[tuple[int, ...], ...]:
+    """Per row, the columns whose least slack b_i - a_ij (plain Fraction) lies in that row."""
+    coverage = [[] for _ in range(a.rows)]
+    for j in range(a.cols):
+        finite = [i for i in range(a.rows) if a.entry(i, j) is not None]
+        if not finite or any(b[i] is None for i in finite):
+            continue
+        slacks = {i: b[i] - a.entry(i, j) for i in finite}
+        least = min(slacks.values())
+        for i in finite:
+            if slacks[i] == least:
+                coverage[i].append(j)
+    return tuple(tuple(c) for c in coverage)
+
+
+def test_large_denominators_match_plain_fraction_references():
+    rng = random.Random(26)
+    solvable = tied = 0
+    for k in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[big_scalar(rng, 0.2) for _ in range(n)] for _ in range(m)]
+        a = TropMatrix(rows)
+        if k % 2:
+            b = fold_product(a, TropVector(big_fraction(rng) for _ in range(n)))
+        else:
+            b = TropVector(big_scalar(rng, 0.1) for _ in range(m))
+        # plant a slack at a column minimum, or 10**-20..10**-100 off it:
+        # a_kj = b_k - (least slack of column j) + eps
+        for j in range(n):
+            finite = [i for i in range(m) if rows[i][j] is not None and b[i] is not None]
+            spare = [i for i in range(m) if i not in finite and b[i] is not None]
+            if finite and spare and rng.random() < 0.6:
+                least = min(b[i] - rows[i][j] for i in finite)
+                eps = rng.choice([0, 0, 1, -1]) * Fraction(1, 10 ** rng.randint(20, 100))
+                k_row = rng.choice(spare)
+                rows[k_row][j] = b[k_row] - least + eps
+        a = TropMatrix(rows)
+
+        out = solve(a, b)
+        x0 = principal_solution(a, b)
+        assert isinstance(out, Solvable) == verify(a, x0, b)
+        if isinstance(out, Solvable):
+            solvable += 1
+            assert out.x_star == x0
+        assert out.coverage == attaining_rows(a, b)
+        tied += sum(len(c) for c in out.coverage) > len({j for c in out.coverage for j in c})
+        for x in (x0, TropVector(big_scalar(rng, 0.2) for _ in range(n))):
+            assert mat_vec(a, x) == fold_product(a, x)
+    assert 60 <= solvable <= 240 and tied >= 60
