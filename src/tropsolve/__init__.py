@@ -21,17 +21,11 @@ from .matrix import (
     TropVector,
     format_matrix,
     format_vector,
-    identity,
     is_regular,
-    leq,
-    mat_add,
-    mat_mul,
     mat_vec,
     parse_matrix,
     parse_vector,
-    scalar_mul,
     submatrix,
-    transpose,
 )
 from .normalize import NormalizationResult, column_mean, normalize, normalized_solution
 from .oracle import exhaustive_solvable, principal_solution
@@ -51,9 +45,8 @@ from .solver import (
     SolveOutcome,
     Unsolvable,
     check_equivalence,
-    map_equivalent_solution,
     solve,
     verify,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -14,28 +14,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError
-from .scalar import (
-    BOTTOM,
-    Scalar,
-    as_pairs,
-    as_scalar,
-    format_scalar,
-    parse_scalar,
-    trop_add,
-    trop_mul,
-)
+from .scalar import BOTTOM, Scalar, as_pairs, as_scalar, format_scalar, parse_scalar
 
 __all__ = [
     "TropMatrix",
     "TropVector",
-    "mat_add",
-    "mat_mul",
     "mat_vec",
-    "scalar_mul",
-    "transpose",
-    "leq",
     "submatrix",
-    "identity",
     "is_regular",
     "parse_matrix",
     "parse_vector",
@@ -90,14 +75,6 @@ class TropMatrix:
         if any(len(r) != width for r in self._rows):
             raise DimensionError("matrix rows must all have the same length")
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[TropVector]) -> "TropMatrix":
-        if not cols:
-            raise DimensionError("matrix must have at least one column")
-        if any(len(c) != len(cols[0]) for c in cols):
-            raise DimensionError("columns must all have the same length")
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
-
     @property
     def rows(self) -> int:
         return len(self._rows)
@@ -134,39 +111,6 @@ class TropMatrix:
         return f"TropMatrix({self.rows}x{self.cols})"
 
 
-def _check_same_shape(a, b) -> None:
-    if isinstance(a, TropVector) and isinstance(b, TropVector):
-        if len(a) != len(b):
-            raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-        return
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionError(f"shapes differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-
-
-def mat_add(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """Entrywise tropical sum (entrywise max)."""
-    _check_same_shape(a, b)
-    return TropMatrix(
-        [trop_add(a.entry(i, j), b.entry(i, j)) for j in range(a.cols)] for i in range(a.rows)
-    )
-
-
-def mat_mul(a: TropMatrix, c: TropMatrix) -> TropMatrix:
-    """Tropical matrix product: (i,j) entry is max_k (a_ik + c_kj)."""
-    if a.cols != c.rows:
-        raise DimensionError(f"inner dimensions differ: {a.rows}x{a.cols} times {c.rows}x{c.cols}")
-    out = []
-    for i in range(a.rows):
-        out_row = []
-        for j in range(c.cols):
-            acc = BOTTOM
-            for k in range(a.cols):
-                acc = trop_add(acc, trop_mul(a.entry(i, k), c.entry(k, j)))
-            out_row.append(acc)
-        out.append(out_row)
-    return TropMatrix(out)
-
-
 def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     """Apply a matrix to a column vector under max-plus."""
     if a.cols != len(x):
@@ -188,32 +132,6 @@ def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     return TropVector(out)
 
 
-def scalar_mul(lam, a):
-    """Tropical scalar multiple: add lam classically to every finite entry.
-
-    Accepts a matrix or a vector; -inf entries stay -inf, and a -inf
-    scalar turns everything into -inf.
-    """
-    lam = as_scalar(lam)
-    if isinstance(a, TropVector):
-        return TropVector(trop_mul(lam, e) for e in a)
-    return TropMatrix([trop_mul(lam, a.entry(i, j)) for j in range(a.cols)] for i in range(a.rows))
-
-
-def transpose(a: TropMatrix) -> TropMatrix:
-    return TropMatrix([a.entry(i, j) for i in range(a.rows)] for j in range(a.cols))
-
-
-def leq(a, b) -> bool:
-    """Entrywise order: a <= b in every position (matrices or vectors)."""
-    _check_same_shape(a, b)
-    if isinstance(a, TropVector):
-        return all(trop_add(x, y) == y for x, y in zip(a, b))
-    return all(
-        trop_add(x, y) == y for ra, rb in zip(a.row_tuples(), b.row_tuples()) for x, y in zip(ra, rb)
-    )
-
-
 def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMatrix:
     """The entries at the given row and column indices, in the given order."""
     for kind, indices, size in (("row", rows, a.rows), ("column", cols, a.cols)):
@@ -221,11 +139,6 @@ def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMa
         if bad is not None:
             raise IndexError(f"{kind} index {bad} out of range for {size} {kind}s")
     return TropMatrix([a.entry(i, j) for j in cols] for i in rows)
-
-
-def identity(n: int) -> TropMatrix:
-    """Tropical identity: 0 on the diagonal, -inf elsewhere."""
-    return TropMatrix([0 if i == j else BOTTOM for j in range(n)] for i in range(n))
 
 
 def is_regular(v: TropVector) -> bool:

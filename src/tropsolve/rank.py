@@ -1,25 +1,34 @@
 """Column and row rank of a max-plus matrix by iterative dependence scans.
 
-Each column, scanned from the last to the first, is tested for linear
-dependence on the other surviving columns, in index order, by solving a
-max-plus system with that column as the right-hand side. Dependent
-columns leave the working set; independent ones stay. Every finally
-independent column is in the working set at every test, and residuation
-fixes each coefficient from its own column alone, so a dependent
-column's maximal combination over the final independent set is read
-off its verdict solve. Row rank is the column rank of the transpose.
+The scan runs over a list of vectors: the columns for `colrank`, the rows
+for `rowrank`. Each vector, from the last to the first, is tested for
+dependence on the other surviving vectors; dependent ones leave the
+working set, independent ones stay.
+
+A test is a residuation. Against a working vector k, the target t gets
+the coefficient min_i (t_i - k_i) over the finite k_i, attained in a set
+of rows; a finite k_i against t_i = -inf makes the coefficient -inf and
+the set empty. Coefficient and rows depend on k and t alone, so each
+pair is residuated at most once, on exact integer pairs with slacks
+compared by cross-multiplication, and memoised with its rows as an int
+bitmask. The target is dependent iff the OR of its working vectors'
+masks equals the mask of its finite entries.
+
+Every finally independent vector is in the working set at every test,
+so a dependent vector's maximal combination over the final independent
+set is read from the same table. Its coefficients become `Fraction`s
+only then, and one `mat_vec` per dependent checks that they reproduce it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError
-from .matrix import TropMatrix, TropVector, mat_vec, transpose
-from .scalar import BOTTOM, Scalar, trop_add, trop_mul
-from .solver import Solvable, solve
+from .matrix import TropMatrix, TropVector, mat_vec
+from .scalar import BOTTOM, Scalar, as_pairs, trop_add, trop_mul
 
 __all__ = ["Dependence", "RankReport", "colrank", "rowrank", "dependence_oracle"]
 
@@ -52,7 +61,39 @@ def colrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
     Each recorded dependence combines the final independent columns with
     the maximal coefficients, so it reproduces the column exactly.
     """
-    n = a.cols
+    return _scan(zip(*a.row_tuples()), scan_order, "columns")
+
+
+def rowrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankReport:
+    """The same scan over the rows; indices are row indices."""
+    return _scan(a.row_tuples(), scan_order, "rows")
+
+
+def _residuate(k_entries: list[tuple[int, int, int]], t_pairs: list) -> tuple[int, tuple[int, int] | None]:
+    """Rows attaining the least slack t_i - k_i (a bitmask) and that slack as an unreduced pair.
+
+    `k_entries` lists (row, numerator, denominator) of k's finite entries;
+    a finite k_i against t_i = -inf gives (0, None).
+    """
+    least_n = least_d = None
+    mask = 0
+    for i, nk, dk in k_entries:
+        tp = t_pairs[i]
+        if tp is None:
+            return 0, None
+        nt, dt = tp
+        sn, sd = nt * dk - nk * dt, dt * dk
+        if least_d is None or sn * least_d < least_n * sd:
+            least_n, least_d, mask = sn, sd, 1 << i
+        elif sn * least_d == least_n * sd:
+            mask |= 1 << i
+    return mask, (least_n, least_d)
+
+
+def _scan(vectors: Iterable[Sequence[Scalar]], scan_order: Sequence[int] | None, axis: str) -> RankReport:
+    """The dependence scan over `vectors` (the columns or the rows), reported under `axis`."""
+    vectors = list(vectors)
+    n = len(vectors)
     if scan_order is None:
         order = list(range(n - 1, -1, -1))
     else:
@@ -60,52 +101,59 @@ def colrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
         if sorted(order) != list(range(n)):
             raise ValueError(f"scan order must be a permutation of 0..{n - 1}")
 
-    cols = [a.column(j) for j in range(n)]
-    bottom_cols = [j for j in range(n) if all(e is None for e in cols[j])]
-    trace: list[tuple[int, str]] = [(j, "dependent") for j in bottom_cols]
+    pairs = [as_pairs(v) for v in vectors]
+    finite = [[(i, *p) for i, p in enumerate(pv) if p is not None] for pv in pairs]
+    support = [sum(1 << i for i, _, _ in entries) for entries in finite]
+    bottom = [j for j in range(n) if not finite[j]]
+    trace: list[tuple[int, str]] = [(j, "dependent") for j in bottom]
 
-    surviving = [j for j in range(n) if j not in bottom_cols]  # index order
-    untested = set(surviving)
+    table: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}  # (k, t) -> _residuate
+
+    def residual(k: int, t: int) -> tuple[int, tuple[int, int] | None]:
+        hit = table.get((k, t))
+        if hit is None:
+            hit = table[(k, t)] = _residuate(finite[k], pairs[t])
+        return hit
+
+    surviving = [j for j in range(n) if finite[j]]  # index order
     discovery: list[int] = []
-    verdicts: dict[int, dict[int, Scalar]] = {}  # dependent -> its solve's x*, by column
+    dependents: list[int] = []
     for target in order:
-        if target not in untested:
+        if not finite[target]:
             continue
-        untested.discard(target)
-        working = [j for j in surviving if j != target]
-        outcome = None
-        if working:
-            outcome = solve(TropMatrix.from_columns([cols[j] for j in working]), cols[target])
-        if isinstance(outcome, Solvable):
+        goal, covered = support[target], 0
+        for k in surviving:
+            if k != target:
+                covered |= residual(k, target)[0]
+                if covered == goal:
+                    break
+        if covered == goal:
             trace.append((target, "dependent"))
             surviving.remove(target)
-            verdicts[target] = dict(zip(working, outcome.x_star))
+            dependents.append(target)
         else:
             trace.append((target, "independent"))
             discovery.append(target)
 
-    basis = surviving  # after the scan: the independent columns, in index order
-    combinations = {j: () for j in bottom_cols}
-    if verdicts:
-        span = TropMatrix.from_columns([cols[k] for k in basis])
-        for j, x_star in verdicts.items():
-            coeffs = TropVector(x_star[k] for k in basis)
-            if mat_vec(span, coeffs) != cols[j]:
+    basis = surviving  # after the scan: the independent vectors, in index order
+    combinations = {j: () for j in bottom}
+    if dependents:
+        span = TropMatrix(list(zip(*(vectors[k] for k in basis))))
+        for j in dependents:
+            coeffs = TropVector(
+                BOTTOM if c is None else Fraction(*c) for c in (residual(k, j)[1] for k in basis)
+            )
+            if tuple(mat_vec(span, coeffs)) != tuple(vectors[j]):
                 raise AssertionError("internal error: dependent column not spanned by the independent set")
             combinations[j] = tuple((k, c) for k, c in zip(basis, coeffs) if c is not None)
 
     return RankReport(
-        axis="columns",
+        axis=axis,
         independent=tuple(discovery),
         dependent=tuple(Dependence(j, combinations[j]) for j in sorted(combinations)),
         rank=len(discovery),
         scan_trace=tuple(trace),
     )
-
-
-def rowrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankReport:
-    """Row rank as the column rank of the transpose; indices are row indices."""
-    return replace(colrank(transpose(a), scan_order), axis="rows")
 
 
 def dependence_oracle(

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
-from .scalar import BOTTOM, Scalar, as_pairs, as_scalar
+from .scalar import BOTTOM, Scalar, as_pairs
 
 __all__ = [
     "RowCoverage",
@@ -30,7 +30,6 @@ __all__ = [
     "solve",
     "verify",
     "check_equivalence",
-    "map_equivalent_solution",
 ]
 
 # Per row, the sorted column indices whose minimum lies in that row. Rows
@@ -150,13 +149,3 @@ def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
         alphas.append(shift if shift is not None else Fraction(0))
     return alphas
 
-
-def map_equivalent_solution(x: TropVector, alphas, beta) -> TropVector:
-    """Carry a solution to the shifted system: x'_j = x_j + beta - alpha_j."""
-    alphas = [as_scalar(al) for al in alphas]
-    beta = as_scalar(beta)
-    if len(alphas) != len(x):
-        raise DimensionError(f"{len(alphas)} shifts for a vector of length {len(x)}")
-    if beta is None or any(al is None for al in alphas):
-        raise ValueError("equivalence shifts must be finite")
-    return TropVector(BOTTOM if xj is None else xj + beta - al for xj, al in zip(x, alphas))

@@ -57,6 +57,32 @@ def arbitrary_instance(rng: random.Random, max_dim: int = 6, bottom_p: float = 0
     return rand_matrix(rng, m, n, bottom_p), rand_finite_vector(rng, m)
 
 
+def from_columns(cols) -> TropMatrix:
+    """The matrix whose columns are the given vectors."""
+    return TropMatrix(list(zip(*cols)))
+
+
+def transpose(a: TropMatrix) -> TropMatrix:
+    return TropMatrix(list(zip(*a.row_tuples())))
+
+
+def identity(n: int) -> TropMatrix:
+    """Tropical identity: 0 on the diagonal, -inf elsewhere."""
+    return TropMatrix([0 if i == j else BOTTOM for j in range(n)] for i in range(n))
+
+
+def scalar_mul(lam: Scalar, a):
+    """Tropical scalar multiple of a vector or matrix: lam added to every finite entry."""
+    if isinstance(a, TropVector):
+        return TropVector(trop_mul(lam, e) for e in a)
+    return TropMatrix([trop_mul(lam, e) for e in r] for r in a.row_tuples())
+
+
+def map_equivalent_solution(x: TropVector, alphas, beta) -> TropVector:
+    """Carry a solution to the column-shifted system: x'_j = x_j + beta - alpha_j."""
+    return TropVector(BOTTOM if xj is None else xj + beta - al for xj, al in zip(x, alphas))
+
+
 def max_combination(vectors: list[TropVector], coeffs: list[Scalar]) -> TropVector:
     out = [BOTTOM] * len(vectors[0])
     for vec, lam in zip(vectors, coeffs):
@@ -93,7 +119,7 @@ def planted_instance(rng: random.Random):
             coeffs[rng.randrange(k)] = rand_fraction(rng)
         cols.append(max_combination(cols[:k], coeffs))
     rng.shuffle(cols)
-    a = TropMatrix.from_columns(cols)
+    a = from_columns(cols)
 
     rows = [a.row(i) for i in range(a.rows)]
     for _ in range(rng.randint(1, 2)):

@@ -13,7 +13,6 @@ import pytest
 
 from tropsolve import (
     Solvable,
-    TropMatrix,
     TropVector,
     Unsolvable,
     check_equivalence,
@@ -23,7 +22,6 @@ from tropsolve import (
     expand_solution,
     format_matrix,
     format_vector,
-    map_equivalent_solution,
     mat_vec,
     normalize,
     normalized_solution,
@@ -39,6 +37,8 @@ from tropsolve.cli import render_json, render_text, run
 
 from helpers import (
     arbitrary_instance,
+    from_columns,
+    map_equivalent_solution,
     planted_instance,
     rand_finite_vector,
     rand_matrix,
@@ -180,7 +180,7 @@ def test_criterion_7_equivalence_invariance():
         b = rand_finite_vector(rng, m)
         alphas = [rand_finite_vector(rng, 1)[0] for _ in range(n)]
         beta = rand_finite_vector(rng, 1)[0]
-        a2 = TropMatrix.from_columns(
+        a2 = from_columns(
             [
                 TropVector(
                     e if e is None else e + alphas[j]

@@ -10,15 +10,22 @@ from tropsolve import (
     TropVector,
     colrank,
     dependence_oracle,
-    identity,
     mat_vec,
     rank,
     rowrank,
+)
+
+from helpers import (
+    from_columns,
+    identity,
+    max_combination,
+    perturbed,
+    planted_instance,
+    rand_matrix,
+    rand_scalar,
     scalar_mul,
     transpose,
 )
-
-from helpers import max_combination, perturbed, planted_instance, rand_matrix, rand_scalar
 
 
 def reproduces(a: TropMatrix, dep) -> bool:
@@ -51,7 +58,7 @@ def test_dependence_subsystem_grid_4x5(rank_4x5):
 
     from tropsolve import normalize
 
-    sub = TropMatrix.from_columns([rank_4x5.column(j) for j in range(3)])
+    sub = from_columns([rank_4x5.column(j) for j in range(3)])
     res = normalize(sub, rank_4x5.column(3))
     assert res.q == (
         (F(3, 4), F(6), F(11, 4)),
@@ -188,7 +195,7 @@ def _with_scaled_copies(rng: random.Random, a: TropMatrix) -> TropMatrix:
     cols = [a.column(j) for j in range(a.cols)]
     for _ in range(rng.randint(1, 3)):
         cols.insert(rng.randrange(len(cols) + 1), scalar_mul(rand_scalar(rng, 0), rng.choice(cols)))
-    return TropMatrix.from_columns(cols)
+    return from_columns(cols)
 
 
 def test_scan_coefficients_match_oracle_on_final_basis():
@@ -223,6 +230,85 @@ def test_scan_verdicts_match_oracle_random():
         others = [a.column(j) for j in range(n - 1)]
         from tropsolve import Solvable, solve
 
-        solver_dep = isinstance(solve(TropMatrix.from_columns(others), target), Solvable)
+        solver_dep = isinstance(solve(from_columns(others), target), Solvable)
         oracle_dep = dependence_oracle(others, target) is not None
         assert solver_dep == oracle_dep
+
+
+def _attaining(k: TropVector, t: TropVector) -> set[int]:
+    """Rows attaining min_i (t_i - k_i) over the finite k_i; empty when some such t_i is -inf."""
+    finite = [i for i, e in enumerate(k) if e is not None]
+    if any(t[i] is None for i in finite):
+        return set()
+    least = min(t[i] - k[i] for i in finite)
+    return {i for i in finite if t[i] - k[i] == least}
+
+
+def _wide_low_rank(rng: random.Random, m: int) -> TropMatrix:
+    """An m x m matrix (m > 64) of shifted copies and max-combinations of a few generators.
+
+    One generator is -inf in rows 0-9, and the last column is a shifted
+    copy of it; another column is finite only in rows 0-9, so against that
+    last column its residuation mask is 0.
+    """
+    gens = [
+        TropVector(None if rng.random() < 0.15 else Fraction(rng.randint(-200, 200), rng.randint(1, 3)) for _ in range(m))
+        for _ in range(5)
+    ]
+    gens.append(TropVector(None if i < 10 else Fraction(rng.randint(-50, 50)) for i in range(m)))
+    blind = TropVector(Fraction(rng.randint(-50, 50)) if i < 10 else None for i in range(m))
+    cols = gens + [blind]
+    while len(cols) < m - 1:
+        if rng.random() < 0.3:
+            cols.append(scalar_mul(Fraction(rng.randint(-9, 9)), rng.choice(gens)))  # ties in every finite row
+        else:
+            picked = rng.sample(gens, rng.randint(2, 4))
+            cols.append(max_combination(picked, [Fraction(rng.randint(-20, 20)) for _ in picked]))
+    rng.shuffle(cols)
+    return from_columns(cols + [scalar_mul(Fraction(3), gens[-1])])
+
+
+def test_scan_stress_wide_masks_match_oracle_replay():
+    # masks span more than one machine word; every verdict is replayed with
+    # the plain-Fraction oracle on the working set of its step, and every
+    # combination is checked against the oracle on the final basis
+    rng = random.Random(47)
+    a = _wide_low_rank(rng, 70)
+    cols, rows = [a.column(j) for j in range(a.cols)], [a.row(i) for i in range(a.rows)]
+    for rank_fn, vecs, order in (
+        (colrank, cols, None),
+        (colrank, cols, rng.sample(range(a.cols), a.cols)),
+        (rowrank, rows, rng.sample(range(a.rows), a.rows)),
+    ):
+        report = rank_fn(a, order)
+        surviving = [j for j, v in enumerate(vecs) if any(e is not None for e in v)]
+        for target, verdict in report.scan_trace:
+            if target not in surviving:
+                assert verdict == "dependent" and all(e is None for e in vecs[target])
+                continue
+            working = [vecs[j] for j in surviving if j != target]
+            dependent = dependence_oracle(working, vecs[target]) is not None
+            assert verdict == ("dependent" if dependent else "independent"), (rank_fn.__name__, target)
+            if dependent:
+                surviving.remove(target)
+        basis = sorted(report.independent)
+        assert basis == surviving
+        for dep in report.dependent:
+            lam = dependence_oracle([vecs[k] for k in basis], vecs[dep.col])
+            assert lam is not None
+            assert dep.combination == tuple((k, c) for k, c in zip(basis, lam) if c is not None)
+
+    # the cases the masks must get right do occur: the first test (the last
+    # column) has a working column with mask 0, and some dependences need
+    # the union of several masks, with ties in rows past bit 63
+    report = colrank(a)
+    target, blind = cols[-1], next(c for c in cols if all(e is None for e in c[10:]))
+    assert report.scan_trace[0] == (a.cols - 1, "dependent") and _attaining(blind, target) == set()
+    basis = sorted(report.independent)
+    union_only = high_ties = 0
+    for dep in report.dependent:
+        support = {i for i, e in enumerate(cols[dep.col]) if e is not None}
+        attained = [_attaining(cols[k], cols[dep.col]) for k in basis]
+        union_only += all(r != support for r in attained)
+        high_ties += any(len(r) > 1 and max(r) >= 64 for r in attained)
+    assert union_only > 0 and high_ties > 0

@@ -16,7 +16,7 @@ from tropsolve import (
     verify,
 )
 
-from helpers import max_combination, planted_instance, rand_finite_vector
+from helpers import identity, max_combination, planted_instance, rand_finite_vector
 
 
 def check_reconstruction(a: TropMatrix, sys) -> None:
@@ -126,8 +126,6 @@ def test_dof_via_reduction_single_generator():
 def test_dof_via_reduction_diagonal_coverage():
     # each reduced row is covered only by its own column, so every
     # reduced variable is leading and no freedom remains
-    from tropsolve import identity
-
     a = identity(3)
     b = TropVector([1, 2, 3])
     assert dof_via_reduction(a, b) == 0

@@ -11,7 +11,6 @@ from tropsolve import (
     TropVector,
     Unsolvable,
     check_equivalence,
-    map_equivalent_solution,
     mat_vec,
     normalize,
     normalized_solution,
@@ -23,7 +22,15 @@ from tropsolve import (
     verify,
 )
 
-from helpers import arbitrary_instance, perturbed, rand_finite_vector, rand_matrix, solvable_instance
+from helpers import (
+    arbitrary_instance,
+    from_columns,
+    map_equivalent_solution,
+    perturbed,
+    rand_finite_vector,
+    rand_matrix,
+    solvable_instance,
+)
 
 
 def test_solve_golden_solvable(solvable_4x5):
@@ -244,7 +251,7 @@ def test_equivalence_invariance_random():
                     for e in col
                 )
             )
-        a2 = TropMatrix.from_columns(a2_cols)
+        a2 = from_columns(a2_cols)
         b2 = TropVector(e + beta for e in b)
         recovered = check_equivalence(a, a2)
         for j in range(n):
