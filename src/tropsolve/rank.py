@@ -5,13 +5,12 @@ for `rowrank`. Each vector, from the last to the first, is tested for
 dependence on the other surviving vectors; dependent ones leave the
 working set, independent ones stay.
 
-A test is a residuation. Against a working vector k, the target t gets
-the coefficient min_i (t_i - k_i) over the finite k_i, attained in a set
-of rows; a finite k_i against t_i = -inf makes the coefficient -inf and
-the set empty. Coefficient and rows depend on k and t alone, so each
-pair is residuated at most once, on exact integer pairs with slacks
-compared by cross-multiplication, and memoised with its rows as an int
-bitmask. The target is dependent iff the OR of its working vectors'
+A test is a residuation, `solver.residuate`: against a working vector k,
+the target t gets the coefficient min_i (t_i - k_i) over the finite k_i,
+attained in a set of rows; a finite k_i against t_i = -inf makes the
+coefficient -inf and the set empty. Coefficient and rows depend on k and
+t alone, so the scan memoises `residuate` per pair, with the rows as an
+int bitmask. The target is dependent iff the OR of its working vectors'
 masks equals the mask of its finite entries.
 
 Every finally independent vector is in the working set at every test,
@@ -29,6 +28,7 @@ from typing import Iterable, Sequence
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
 from .scalar import BOTTOM, Scalar, as_pairs, trop_add, trop_mul
+from .solver import Pair, residuate
 
 __all__ = ["Dependence", "RankReport", "colrank", "rowrank", "dependence_oracle"]
 
@@ -69,27 +69,6 @@ def rowrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
     return _scan(a.row_tuples(), scan_order, "rows")
 
 
-def _residuate(k_entries: list[tuple[int, int, int]], t_pairs: list) -> tuple[int, tuple[int, int] | None]:
-    """Rows attaining the least slack t_i - k_i (a bitmask) and that slack as an unreduced pair.
-
-    `k_entries` lists (row, numerator, denominator) of k's finite entries;
-    a finite k_i against t_i = -inf gives (0, None).
-    """
-    least_n = least_d = None
-    mask = 0
-    for i, nk, dk in k_entries:
-        tp = t_pairs[i]
-        if tp is None:
-            return 0, None
-        nt, dt = tp
-        sn, sd = nt * dk - nk * dt, dt * dk
-        if least_d is None or sn * least_d < least_n * sd:
-            least_n, least_d, mask = sn, sd, 1 << i
-        elif sn * least_d == least_n * sd:
-            mask |= 1 << i
-    return mask, (least_n, least_d)
-
-
 def _scan(vectors: Iterable[Sequence[Scalar]], scan_order: Sequence[int] | None, axis: str) -> RankReport:
     """The dependence scan over `vectors` (the columns or the rows), reported under `axis`."""
     vectors = list(vectors)
@@ -102,24 +81,23 @@ def _scan(vectors: Iterable[Sequence[Scalar]], scan_order: Sequence[int] | None,
             raise ValueError(f"scan order must be a permutation of 0..{n - 1}")
 
     pairs = [as_pairs(v) for v in vectors]
-    finite = [[(i, *p) for i, p in enumerate(pv) if p is not None] for pv in pairs]
-    support = [sum(1 << i for i, _, _ in entries) for entries in finite]
-    bottom = [j for j in range(n) if not finite[j]]
+    support = [sum(1 << i for i, p in enumerate(pv) if p is not None) for pv in pairs]
+    bottom = [j for j in range(n) if not support[j]]
     trace: list[tuple[int, str]] = [(j, "dependent") for j in bottom]
 
-    table: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}  # (k, t) -> _residuate
+    table: dict[tuple[int, int], tuple[int, Pair | None]] = {}  # (k, t) -> residuate; k is never all -inf
 
-    def residual(k: int, t: int) -> tuple[int, tuple[int, int] | None]:
+    def residual(k: int, t: int) -> tuple[int, Pair | None]:
         hit = table.get((k, t))
         if hit is None:
-            hit = table[(k, t)] = _residuate(finite[k], pairs[t])
+            hit = table[(k, t)] = residuate(pairs[k], pairs[t])
         return hit
 
-    surviving = [j for j in range(n) if finite[j]]  # index order
+    surviving = [j for j in range(n) if support[j]]  # index order
     discovery: list[int] = []
     dependents: list[int] = []
     for target in order:
-        if not finite[target]:
+        if not support[target]:
             continue
         goal, covered = support[target], 0
         for k in surviving:

@@ -11,13 +11,14 @@ coincide, and a reduced solution expands back to a full one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DimensionError, RegularityError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, is_regular, mat_vec, submatrix
 from .rank import RankReport, colrank, rowrank
-from .scalar import BOTTOM, Scalar, trop_add, trop_mul
-from .solver import Solvable, solve
+from .scalar import BOTTOM, Scalar, as_pairs, trop_add, trop_mul
+from .solver import Solvable, residuate, solve
 
 __all__ = ["ReducedSystem", "reduce_system", "expand_solution", "dof_via_reduction"]
 
@@ -41,16 +42,10 @@ class ReducedSystem:
     eta: tuple[tuple[int, CoeffRow], ...]
     xi: tuple[tuple[int, CoeffRow], ...]
     row_consistency: tuple[tuple[int, bool], ...]
-    col_scan: RankReport
-    row_scan: RankReport
 
     @property
     def n_cols(self) -> int:
         return len(self.indep_cols) + len(self.eta)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.indep_rows) + len(self.xi)
 
     def consistent(self) -> bool:
         return all(ok for _, ok in self.row_consistency)
@@ -100,8 +95,6 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
         eta=eta,
         xi=xi,
         row_consistency=tuple(consistency),
-        col_scan=col_scan,
-        row_scan=row_scan,
     )
 
 
@@ -109,9 +102,10 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
     """Expand a solution of the reduced system to the full unknown vector.
 
     Independent columns take their reduced value; each dependent column j
-    takes min_i (y_i - eta_ij) over finite coefficients. Dependent columns
-    with no finite coefficient (all -inf columns) are unconstrained and
-    are stored as -inf, matching the solver's convention.
+    takes min_i (y_i - eta_ij) over finite coefficients, by the solver's
+    kernel `residuate`. Dependent columns with no finite coefficient (all
+    -inf columns) are unconstrained and are stored as -inf, matching the
+    solver's convention.
     """
     if sys.a_bar is None or sys.b_bar is None:
         raise ValueError("reduced system is empty; nothing to expand")
@@ -125,21 +119,11 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
     x: list[Scalar] = [BOTTOM] * sys.n_cols
     for pos, c in enumerate(sys.indep_cols):
         x[c] = reduced_y[pos]
+    y_pairs = as_pairs(reduced_y)
     for dep_col, coeffs in sys.eta:
-        bounds = []
-        forced = False
-        for pos, coeff in enumerate(coeffs):
-            if coeff is None:
-                continue
-            y = reduced_y[pos]
-            if y is None:
-                forced = True
-                break
-            bounds.append(y - coeff)
-        if forced or not bounds:
-            x[dep_col] = BOTTOM
-        else:
-            x[dep_col] = min(bounds)
+        res = residuate(as_pairs(coeffs), y_pairs)
+        if res is not None and res[1] is not None:
+            x[dep_col] = Fraction(*res[1])
     return TropVector(x)
 
 

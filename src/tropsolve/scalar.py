@@ -7,13 +7,14 @@ None for -inf (`BOTTOM`), so results are exact and bit-reproducible.
 `as_scalar` is the one place where ints and strings become `Fraction`s
 and floats are refused; matrices and vectors call it on every entry.
 
-The hot loops (`solve`, `mat_vec`, `column_mean` and the rank scan) do
+The hot loops (`mat_vec`, `column_mean`, and the residuation kernel
+`solver.residuate` behind `solve`, the rank scan and `expand_solution`) do
 their arithmetic on exact `(numerator, denominator)` integer pairs from
 `as_pairs` instead: sums and differences are left unreduced, denominators
 stay positive, so p/q < r/s is decided by p*s < r*q, and each result is
-reduced once into a `Fraction`. `solve`, `mat_vec` and the rank scan never
-form a common denominator, so their intermediates stay within a few times
-the digits of their inputs.
+reduced once into a `Fraction`. `mat_vec` and `residuate` never form a
+common denominator, so their intermediates stay within a few times the
+digits of their inputs.
 """
 
 from __future__ import annotations

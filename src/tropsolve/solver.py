@@ -8,9 +8,14 @@ solvable iff every row with a finite b_i attains some column's minimum;
 x* is then the maximal solution, and the unattained rows otherwise
 witness unsolvability.
 
-The pass runs on exact integer pairs: each slack b_i - a_ij is the
-unreduced (n_b*d_a - n_a*d_b, d_b*d_a), slacks are compared by
-cross-multiplication, and each x*_j is reduced into a `Fraction` once.
+`residuate` is the one exact kernel for that step, shared by `solve`, the
+rank scan and `reduce.expand_solution`. It runs on integer pairs from
+`as_pairs`: each slack t_i - k_i is the unreduced
+(n_t*d_k - n_k*d_t, d_t*d_k), slacks are compared by cross-multiplication,
+and no common denominator is formed. It has three outcomes: k has no
+finite entry (None; `solve` calls such a column unbounded), a finite k_i
+meets t_i = -inf (no slack; the coefficient is forced to -inf), or the
+least slack with its attaining rows as an int bitmask.
 """
 
 from __future__ import annotations
@@ -62,6 +67,33 @@ class Unsolvable:
 
 SolveOutcome = Solvable | Unsolvable
 
+Pair = tuple[int, int]
+
+
+def residuate(k_pairs: list[Pair | None], t_pairs: list[Pair | None]) -> tuple[int, Pair | None] | None:
+    """Least slack t_i - k_i over the finite k_i, and the rows attaining it.
+
+    Returns None when k has no finite entry, (0, None) when a finite k_i
+    meets t_i = -inf, and otherwise (mask, (num, den)): the attaining rows
+    as an int bitmask and the slack as an unreduced pair with den > 0.
+    """
+    least_n = least_d = None
+    mask = 0
+    for i, kp in enumerate(k_pairs):
+        if kp is None:
+            continue
+        tp = t_pairs[i]
+        if tp is None:
+            return 0, None
+        nk, dk = kp
+        nt, dt = tp
+        sn, sd = nt * dk - nk * dt, dt * dk
+        if least_d is None or sn * least_d < least_n * sd:
+            least_n, least_d, mask = sn, sd, 1 << i
+        elif sn * least_d == least_n * sd:
+            mask |= 1 << i
+    return None if least_d is None else (mask, (least_n, least_d))
+
 
 def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     """Decide solvability of A x = b and return the maximal solution if any.
@@ -79,30 +111,19 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     forced: set[int] = set()
     unbounded: set[int] = set()
     for j, col in enumerate(zip(*a.row_tuples())):
-        # least slack b_i - a_ij as an unreduced pair (num, den > 0), and its rows
-        least_n = least_d = None
-        rows_at: list[int] = []
-        for i, e in enumerate(col):
-            if e is None:
-                continue
-            bp = b_pairs[i]
-            if bp is None:
-                forced.add(j)
-                break
-            nb, db = bp
-            na, da = e.as_integer_ratio()
-            sn, sd = nb * da - na * db, db * da
-            if least_d is None or sn * least_d < least_n * sd:
-                least_n, least_d, rows_at = sn, sd, [i]
-            elif sn * least_d == least_n * sd:
-                rows_at.append(i)
-        else:
-            if least_d is None:
-                unbounded.add(j)
-            else:
-                x_entries[j] = Fraction(least_n, least_d)
-                for i in rows_at:
-                    coverage[i].append(j)
+        res = residuate(as_pairs(col), b_pairs)
+        if res is None:
+            unbounded.add(j)
+            continue
+        mask, least = res
+        if least is None:
+            forced.add(j)
+            continue
+        x_entries[j] = Fraction(*least)
+        while mask:
+            low = mask & -mask
+            coverage[low.bit_length() - 1].append(j)
+            mask ^= low
 
     cov: RowCoverage = tuple(tuple(c) for c in coverage)
     uncovered = tuple(i for i, v in enumerate(b) if v is not None and not coverage[i])

@@ -13,10 +13,10 @@ def rand_fraction(rng: random.Random, lo: int = -30, hi: int = 30, max_den: int 
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def rand_scalar(rng: random.Random, bottom_p: float = 0.2) -> Scalar:
+def rand_scalar(rng: random.Random, bottom_p: float = 0.2, max_den: int = 5) -> Scalar:
     if rng.random() < bottom_p:
         return BOTTOM
-    return rand_fraction(rng)
+    return rand_fraction(rng, max_den=max_den)
 
 
 def rand_matrix(
@@ -26,21 +26,22 @@ def rand_matrix(
     bottom_p: float = 0.2,
     regular_rows: bool = False,
     regular_cols: bool = False,
+    max_den: int = 5,
 ) -> TropMatrix:
-    grid = [[rand_scalar(rng, bottom_p) for _ in range(n)] for _ in range(m)]
+    grid = [[rand_scalar(rng, bottom_p, max_den) for _ in range(n)] for _ in range(m)]
     if regular_rows:
         for i in range(m):
             if all(e is None for e in grid[i]):
-                grid[i][rng.randrange(n)] = rand_fraction(rng)
+                grid[i][rng.randrange(n)] = rand_fraction(rng, max_den=max_den)
     if regular_cols:
         for j in range(n):
             if all(grid[i][j] is None for i in range(m)):
-                grid[rng.randrange(m)][j] = rand_fraction(rng)
+                grid[rng.randrange(m)][j] = rand_fraction(rng, max_den=max_den)
     return TropMatrix(grid)
 
 
-def rand_finite_vector(rng: random.Random, n: int) -> TropVector:
-    return TropVector(rand_fraction(rng) for _ in range(n))
+def rand_finite_vector(rng: random.Random, n: int, max_den: int = 5) -> TropVector:
+    return TropVector(rand_fraction(rng, max_den=max_den) for _ in range(n))
 
 
 def solvable_instance(rng: random.Random, max_dim: int = 6, bottom_p: float = 0.2):
@@ -103,38 +104,39 @@ def perturbed(product):
     return wrong
 
 
-def planted_instance(rng: random.Random):
+def planted_instance(rng: random.Random, max_den: int = 5):
     """A system whose matrix has planted dependent columns and rows.
 
     Starts from a small core, appends columns that are max-combinations of
     the core columns and rows that are max-combinations of the existing
-    rows, then shuffles the column and row order.
+    rows, then shuffles the column and row order. Every random scalar has
+    a denominator of at most `max_den`.
     """
     h, k = rng.randint(1, 3), rng.randint(1, 3)
-    core = rand_matrix(rng, h, k, bottom_p=0.15, regular_rows=True, regular_cols=True)
+    core = rand_matrix(rng, h, k, bottom_p=0.15, regular_rows=True, regular_cols=True, max_den=max_den)
     cols = [core.column(j) for j in range(k)]
     for _ in range(rng.randint(1, 2)):
-        coeffs = [rand_scalar(rng, bottom_p=0.3) for _ in range(k)]
+        coeffs = [rand_scalar(rng, 0.3, max_den) for _ in range(k)]
         if all(c is None for c in coeffs):
-            coeffs[rng.randrange(k)] = rand_fraction(rng)
+            coeffs[rng.randrange(k)] = rand_fraction(rng, max_den=max_den)
         cols.append(max_combination(cols[:k], coeffs))
     rng.shuffle(cols)
     a = from_columns(cols)
 
     rows = [a.row(i) for i in range(a.rows)]
     for _ in range(rng.randint(1, 2)):
-        coeffs = [rand_scalar(rng, bottom_p=0.3) for _ in range(len(rows))]
+        coeffs = [rand_scalar(rng, 0.3, max_den) for _ in range(len(rows))]
         if all(c is None for c in coeffs):
-            coeffs[rng.randrange(len(rows))] = rand_fraction(rng)
+            coeffs[rng.randrange(len(rows))] = rand_fraction(rng, max_den=max_den)
         rows.append(max_combination(rows, coeffs))
     rng.shuffle(rows)
     a = TropMatrix([list(r) for r in rows])
 
     if rng.random() < 0.5:
-        x0 = rand_finite_vector(rng, a.cols)
+        x0 = rand_finite_vector(rng, a.cols, max_den)
         b = mat_vec(a, x0)
         if any(e is None for e in b):
-            b = rand_finite_vector(rng, a.rows)
+            b = rand_finite_vector(rng, a.rows, max_den)
     else:
-        b = rand_finite_vector(rng, a.rows)
+        b = rand_finite_vector(rng, a.rows, max_den)
     return a, b

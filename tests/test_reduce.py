@@ -11,6 +11,7 @@ from tropsolve import (
     dof_via_reduction,
     expand_solution,
     mat_vec,
+    principal_solution,
     reduce_system,
     solve,
     verify,
@@ -140,8 +141,11 @@ def test_dof_via_reduction_requires_solvable():
 
 def test_full_and_reduced_solvability_coincide_random():
     rng = random.Random(51)
-    for _ in range(200):
-        a, b = planted_instance(rng)
+    instances = [planted_instance(rng) for _ in range(200)]
+    # then systems whose random scalars have 20-30-digit denominators
+    instances += [planted_instance(rng, max_den=10 ** rng.randint(20, 30)) for _ in range(120)]
+    assert sum(any(e is None for r in a.row_tuples() for e in r) for a, _ in instances[200:]) >= 20
+    for a, b in instances:
         sys = reduce_system(a, b)
         check_reconstruction(a, sys)
         full = solve(a, b)
@@ -155,6 +159,8 @@ def test_full_and_reduced_solvability_coincide_random():
             x = expand_solution(reduced.x_star, sys)
             assert verify(a, x, b)
             assert x == full.x_star
+            # plain-Fraction residuation, sharing no code with the kernel
+            assert x == principal_solution(a, b)
 
 
 def test_reduce_regularity_and_shape_checks(rank_3x3):

@@ -328,9 +328,10 @@ def attaining_rows(a: TropMatrix, b: TropVector) -> tuple[tuple[int, ...], ...]:
 
 def test_large_denominators_match_plain_fraction_references():
     rng = random.Random(26)
-    solvable = tied = 0
-    for k in range(300):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
+    solvable = tied = deep = 0
+    # 300 systems of at most 6 rows, then 10 of 65-80 rows whose coverage masks pass bit 63
+    for k in range(310):
+        m, n = rng.randint(1, 6) if k < 300 else rng.randint(65, 80), rng.randint(1, 6)
         rows = [[big_scalar(rng, 0.2) for _ in range(n)] for _ in range(m)]
         a = TropMatrix(rows)
         if k % 2:
@@ -345,7 +346,8 @@ def test_large_denominators_match_plain_fraction_references():
             if finite and spare and rng.random() < 0.6:
                 least = min(b[i] - rows[i][j] for i in finite)
                 eps = rng.choice([0, 0, 1, -1]) * Fraction(1, 10 ** rng.randint(20, 100))
-                k_row = rng.choice(spare)
+                # in the tall systems, past bit 63 of the coverage masks
+                k_row = rng.choice([i for i in spare if i >= 64] or spare)
                 rows[k_row][j] = b[k_row] - least + eps
         a = TropMatrix(rows)
 
@@ -357,6 +359,8 @@ def test_large_denominators_match_plain_fraction_references():
             assert out.x_star == x0
         assert out.coverage == attaining_rows(a, b)
         tied += sum(len(c) for c in out.coverage) > len({j for c in out.coverage for j in c})
+        col_rows = [[i for i, c in enumerate(out.coverage) if j in c] for j in range(n)]
+        deep += sum(len(r) > 1 and r[-1] >= 64 for r in col_rows)
         for x in (x0, TropVector(big_scalar(rng, 0.2) for _ in range(n))):
             assert mat_vec(a, x) == fold_product(a, x)
-    assert 60 <= solvable <= 240 and tied >= 60
+    assert 60 <= solvable <= 240 and tied >= 60 and deep >= 8
