@@ -5,7 +5,9 @@ is a `Fraction` or None (-inf), coerced by `as_scalar` at construction.
 Indexing is 0-based throughout the library; only rendered reports use
 1-based indices. `mat_vec`, which every solve's self-check runs, works on
 exact integer (numerator, denominator) pairs and builds one reduced
-`Fraction` per output entry.
+`Fraction` per output entry. `parse_matrix` and `parse_vector` parse each
+distinct token text once per call and share its scalar between the cells
+that spell it; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -150,6 +152,9 @@ def is_regular(v: TropVector) -> bool:
 # Text formats. Matrix files: `#` comment lines, one row per line,
 # whitespace-separated scalar tokens. Vector files: one scalar per line, or
 # all entries on a single line. parse -> format -> parse is the identity.
+# Each parse call keeps a memo from token text (not value: `2.5` and `5/2`
+# are separate keys) to its scalar, and drops it when the call returns; a
+# bad token is reported at the line and column of its first occurrence.
 
 
 def _data_lines(text: str):
@@ -160,25 +165,35 @@ def _data_lines(text: str):
         yield lineno, raw
 
 
-def _parse_tokens(lineno: int, raw: str) -> list[Scalar]:
+def _parse_tokens(lineno: int, raw: str, memo: dict[str, Scalar]) -> list[Scalar]:
     entries = []
-    pos = 0
     for token in raw.split():
-        col = raw.index(token, pos) + 1
-        pos = col - 1 + len(token)
-        try:
-            entries.append(parse_scalar(token))
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno, column=col) from None
+        if token not in memo:
+            try:
+                memo[token] = parse_scalar(token)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno, column=_column(raw, token)) from None
+        entries.append(memo[token])
     return entries
+
+
+def _column(raw: str, token: str) -> int:
+    """1-based column of `token`'s first occurrence in `raw.split()`, which must hold it."""
+    pos = 0
+    for t in raw.split():
+        start = raw.index(t, pos)
+        if t == token:
+            return start + 1
+        pos = start + len(t)
 
 
 def parse_matrix(text: str) -> TropMatrix:
     rows = []
     width = None
     first_lineno = None
+    memo: dict[str, Scalar] = {}
     for lineno, raw in _data_lines(text):
-        entries = _parse_tokens(lineno, raw)
+        entries = _parse_tokens(lineno, raw, memo)
         if width is None:
             width, first_lineno = len(entries), lineno
         elif len(entries) != width:
@@ -193,7 +208,8 @@ def parse_matrix(text: str) -> TropMatrix:
 
 
 def parse_vector(text: str) -> TropVector:
-    lines = [(lineno, _parse_tokens(lineno, raw)) for lineno, raw in _data_lines(text)]
+    memo: dict[str, Scalar] = {}
+    lines = [(lineno, _parse_tokens(lineno, raw, memo)) for lineno, raw in _data_lines(text)]
     if not lines:
         raise ParseError("no vector entries found")
     if all(len(entries) == 1 for _, entries in lines):

@@ -6,6 +6,7 @@ the multiplicative identity is 0. A scalar is a plain `Fraction`, or
 None for -inf (`BOTTOM`), so results are exact and bit-reproducible.
 `as_scalar` is the one place where ints and strings become `Fraction`s
 and floats are refused; matrices and vectors call it on every entry.
+Strings follow the file-token grammar of `parse_scalar`.
 
 The hot loops (`mat_vec`, `column_mean`, and the residuation kernel
 `solver.residuate` behind `solve`, the rank scan and `expand_solution`) do
@@ -43,11 +44,13 @@ BOTTOM: Scalar = None
 
 
 def as_scalar(x) -> Scalar:
-    """Coerce ints, strings, Fractions, or None (= -inf) to a scalar."""
+    """Coerce ints, Fractions, None (= -inf) or file tokens such as "-13/4" to a scalar."""
     if x is None or isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return parse_scalar(x)
     # floats are rejected: binary expansions are not what the text syntax
     # means by "2.5"
     raise TypeError(f"cannot build a tropical scalar from {type(x).__name__}")

@@ -16,6 +16,7 @@ from tropsolve import (
     is_regular,
     mat_vec,
     parse_matrix,
+    parse_scalar,
     parse_vector,
     submatrix,
 )
@@ -114,11 +115,32 @@ def test_parse_matrix_ragged_row_diagnostics():
     assert exc.value.line == 2
 
 
-def test_parse_matrix_bad_token_diagnostics():
-    with pytest.raises(ParseError) as exc:
-        parse_matrix("1 2\n3 oops\n")
-    assert exc.value.line == 2
-    assert exc.value.column == 3
+@pytest.mark.parametrize(
+    "parse,text,bad,line,column",
+    [
+        pytest.param(parse_matrix, "1 2\n3 oops\n", "oops", 2, 3, id="second-row"),
+        pytest.param(parse_matrix, "-inf " * 40 + "inf\n", "inf", 1, 201, id="after-repeats"),
+        pytest.param(parse_matrix, "1 oops 2 oops\n", "oops", 1, 3, id="bad-twice"),
+        pytest.param(parse_matrix, "1\t2\n3\t\toops\n", "oops", 2, 4, id="tabs"),
+        pytest.param(
+            parse_matrix, "5/2 -inf 7\n" * 3 + "# c\n5/2 -inf 7/0\n", "7/0", 5, 10, id="later-row"
+        ),
+        pytest.param(parse_vector, "1\n2\n  oops\n", "oops", 3, 3, id="vector-column"),
+        pytest.param(parse_vector, "1 2 1 2 1.x 1.x\n", "1.x", 1, 9, id="vector-row"),
+    ],
+)
+def test_parse_matrix_bad_token_diagnostics(parse, text, bad, line, column):
+    with pytest.raises(ParseError) as first:
+        parse(text)
+    assert (first.value.line, first.value.column) == (line, column)
+    assert repr(bad) in str(first.value)
+    with pytest.raises(ParseError) as again:  # nothing carries over between calls
+        parse(text)
+    assert (again.value.line, again.value.column, str(again.value)) == (
+        line,
+        column,
+        str(first.value),
+    )
 
 
 def test_parse_matrix_empty():
@@ -135,6 +157,13 @@ def test_parse_vector_one_per_line_and_single_line():
 
 
 def test_round_trip_bit_exact():
+    # equal values spelled differently must each parse as their own token
+    text = "5/2 2.5 10/4 0 -0 0/7 -inf\n" * 30
+    a = parse_matrix(text)
+    assert [list(r) for r in a.row_tuples()] == [
+        [parse_scalar(t) for t in line.split()] for line in text.splitlines()
+    ]
+    assert parse_matrix(format_matrix(a)) == a
     rng = random.Random(7)
     for _ in range(25):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), bottom_p=0.3)

@@ -131,16 +131,23 @@ def test_format_parse_round_trip(a):
 )
 def test_parse_finite_tokens_exactly(token, expected):
     assert parse_scalar(token) == expected
+    assert TropVector([token]) == TropVector([expected])
 
 
 def test_parse_bottom_token():
     assert parse_scalar("-inf") == BOTTOM
+    assert TropVector(["-inf"]) == TropVector([BOTTOM])
 
 
 @pytest.mark.parametrize(
     "token",
-    ["inf", "+inf-", "abc", "1/0", "--3", "", "1e5000", "1e3", "1_000", "+5", "9" * (MAX_DIGITS + 1)],
+    [
+        "inf", "+inf-", "abc", "1/0", "--3", "", "1e5000", "1e3", "1_000", "+5",
+        "9" * (MAX_DIGITS + 1), " 7 ", ".5",
+    ],
 )
 def test_parse_rejects_garbage(token):
     with pytest.raises(ParseError):
         parse_scalar(token)
+    with pytest.raises(ParseError):  # library strings follow the same grammar
+        TropVector([token])
