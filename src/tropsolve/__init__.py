@@ -29,7 +29,7 @@ from .matrix import (
 )
 from .normalize import NormalizationResult, column_mean, normalize, normalized_solution
 from .oracle import exhaustive_solvable, principal_solution
-from .rank import Dependence, RankReport, colrank, dependence_oracle, rowrank
+from .rank import Dependence, RankReport, colrank, rowrank
 from .reduce import ReducedSystem, dof_via_reduction, expand_solution, reduce_system
 from .scalar import (
     BOTTOM,
@@ -49,4 +49,4 @@ from .solver import (
     verify,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -6,17 +6,18 @@ The associated grid Q with q_ij = b~_i - a~_ij holds, in its column
 minima, the largest admissible values of the transformed unknowns, and
 the rows attaining them decide solvability.
 
-`solve` gets the same minima and rows by one residuation pass, unshifted
-and without building Q. This is the only module that knows the means: it
-materialises the grid for the `normalize` report, shifts `solve`'s x*
-into the normalized y* for the `solve` report, and serves as the
-solver's independent cross-check in the tests.
+q_ij = (b_i - a_ij) + mean_j - b_mean, so Q's column minima are plain
+residuation shifted by mean_j - b_mean, attained in the same rows.
+`normalize` reads them from the solver's kernel `solver.residuate`, as
+`solve` does unshifted, and builds Q only for the report. This is the
+only module that knows the means: it materialises the grid for the
+`normalize` report and shifts `solve`'s x* into the normalized y* for the
+`solve` report.
 
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in Q and are never a column minimum.
 `column_mean` sums integer numerators per distinct denominator; A~, b~
-and Q are built with plain `Fraction` arithmetic, so the cross-check
-shares no arithmetic with `solve`'s integer-pair pass.
+and Q are plain `Fraction` grids, as the report prints them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Iterable
 from .errors import DegenerateColumnError, DimensionError, RegularityError
 from .matrix import TropMatrix, TropVector, is_regular
 from .scalar import BOTTOM, Scalar, as_pairs
+from .solver import mask_rows, residuate
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
 
@@ -75,13 +77,21 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
     if not is_regular(b):
         raise RegularityError("b is not regular; preprocess the system to remove -inf equations")
+    b_mean = column_mean(b)
+    b_pairs = as_pairs(b)
     means = []
+    minima = []
+    argmins = []
     for j, col in enumerate(zip(*a.row_tuples())):
         try:
-            means.append(column_mean(col))
+            mean = column_mean(col)
         except DegenerateColumnError:
             raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf") from None
-    b_mean = column_mean(b)
+        # b is regular and the column has a finite entry, so the least slack exists
+        mask, least = residuate(as_pairs(col), b_pairs)
+        means.append(mean)
+        minima.append(Fraction(*least) + mean - b_mean)
+        argmins.append(frozenset(mask_rows(mask)))
 
     a_tilde_rows = []
     b_tilde = []
@@ -102,14 +112,6 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
                 q_row.append(bt - shifted)
         a_tilde_rows.append(at_row)
         q_rows.append(tuple(q_row))
-
-    minima = []
-    argmins = []
-    for j in range(a.cols):
-        finite = [(r[j], i) for i, r in enumerate(q_rows) if r[j] is not None]
-        least = min(v for v, _ in finite)
-        minima.append(least)
-        argmins.append(frozenset(i for v, i in finite if v == least))
 
     return NormalizationResult(
         a_tilde=TropMatrix(a_tilde_rows),

@@ -1,8 +1,11 @@
-"""Independent brute-force baselines used to cross-check the solver.
+"""The library's one reference implementation, used to cross-check the solver.
 
-Nothing here goes through normalization: the principal solution is the
-direct residuation formula, and tiny systems can be decided by exhaustive
-enumeration over the finite grid of relevant candidate values.
+Every production path (`solve`, `normalize`'s column minima, the rank
+scan, `reduce`) runs on the integer-pair kernels `solver.residuate` and
+`matrix.mat_vec`. Nothing here shares their code: the principal solution
+is the direct residuation formula on plain `Fraction`s, and tiny systems
+can be decided by exhaustive enumeration over the finite grid of relevant
+candidate values, checked with `trop_add`/`trop_mul`.
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ Every finally independent vector is in the working set at every test,
 so a dependent vector's maximal combination over the final independent
 set is read from the same table. Its coefficients become `Fraction`s
 only then, and one `mat_vec` per dependent checks that they reproduce it.
+The library holds no second dependence test: the tests replay the scan
+against `oracle.principal_solution` and a plain `Fraction`
+max-combination, which share no code with `residuate` or `mat_vec`.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
-from .scalar import BOTTOM, Scalar, as_pairs, trop_add, trop_mul
+from .scalar import BOTTOM, Scalar, as_pairs
 from .solver import Pair, residuate
 
-__all__ = ["Dependence", "RankReport", "colrank", "rowrank", "dependence_oracle"]
+__all__ = ["Dependence", "RankReport", "colrank", "rowrank"]
 
 
 @dataclass(frozen=True)
@@ -133,31 +135,3 @@ def _scan(vectors: Iterable[Sequence[Scalar]], scan_order: Sequence[int] | None,
         scan_trace=tuple(trace),
     )
 
-
-def dependence_oracle(
-    cols: Sequence[TropVector], target: TropVector
-) -> list[Scalar] | None:
-    """Residuation-based dependence test, independent of the solver path.
-
-    For each column, the candidate coefficient is the least slack
-    min_i (target_i - col_i) over rows where the column is finite (and
-    -inf when the column must not contribute). Returns the coefficients
-    iff their max-combination reproduces the target exactly.
-    """
-    m = len(target)
-    if any(len(c) != m for c in cols):
-        raise DimensionError("columns and target must have the same length")
-    lambdas: list[Scalar] = []
-    for col in cols:
-        finite_rows = [i for i in range(m) if col[i] is not None]
-        if not finite_rows or any(target[i] is None for i in finite_rows):
-            lambdas.append(BOTTOM)
-            continue
-        lambdas.append(min(target[i] - col[i] for i in finite_rows))
-    for i in range(m):
-        acc = BOTTOM
-        for col, lam in zip(cols, lambdas):
-            acc = trop_add(acc, trop_mul(col[i], lam))
-        if acc != target[i]:
-            return None
-    return lambdas

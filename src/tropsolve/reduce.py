@@ -17,7 +17,7 @@ from .errors import DimensionError, RegularityError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, is_regular, mat_vec, submatrix
 from .rank import RankReport, colrank, rowrank
-from .scalar import BOTTOM, Scalar, as_pairs, trop_add, trop_mul
+from .scalar import BOTTOM, Scalar, as_pairs
 from .solver import Solvable, residuate, solve
 
 __all__ = ["ReducedSystem", "reduce_system", "expand_solution", "dof_via_reduction"]
@@ -80,12 +80,10 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     a_bar = submatrix(a, indep_rows, indep_cols) if indep_rows and indep_cols else None
     b_bar = TropVector(b[i] for i in indep_rows) if indep_rows else None
 
-    consistency = []
-    for dep_row, coeffs in xi:
-        rhs = BOTTOM
-        for pos, r in enumerate(indep_rows):
-            rhs = trop_add(rhs, trop_mul(b[r], coeffs[pos]))
-        consistency.append((dep_row, rhs == b[dep_row]))
+    # a dependent row's b entry against the same max-combination of b_bar;
+    # with no independent row (all -inf matrix) every dependent row fails
+    rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar) if xi and b_bar is not None else [BOTTOM] * len(xi)
+    consistency = tuple((dep_row, v == b[dep_row]) for (dep_row, _), v in zip(xi, rhs))
 
     return ReducedSystem(
         indep_rows=indep_rows,
@@ -94,7 +92,7 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
         b_bar=b_bar,
         eta=eta,
         xi=xi,
-        row_consistency=tuple(consistency),
+        row_consistency=consistency,
     )
 
 

@@ -9,11 +9,11 @@ and floats are refused; matrices and vectors call it on every entry.
 Strings follow the file-token grammar of `parse_scalar`.
 
 The hot loops (`mat_vec`, `column_mean`, and the residuation kernel
-`solver.residuate` behind `solve`, the rank scan and `expand_solution`) do
-their arithmetic on exact `(numerator, denominator)` integer pairs from
-`as_pairs` instead: sums and differences are left unreduced, denominators
-stay positive, so p/q < r/s is decided by p*s < r*q, and each result is
-reduced once into a `Fraction`. `mat_vec` and `residuate` never form a
+`solver.residuate` behind `solve`, `normalize`, the rank scan and
+`expand_solution`) do their arithmetic on exact `(numerator, denominator)`
+integer pairs from `as_pairs` instead: sums and differences are left
+unreduced, denominators stay positive, so p/q < r/s is decided by
+p*s < r*q, and each result is reduced once into a `Fraction`. `mat_vec` and `residuate` never form a
 common denominator, so their intermediates stay within a few times the
 digits of their inputs.
 """

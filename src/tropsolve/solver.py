@@ -8,14 +8,15 @@ solvable iff every row with a finite b_i attains some column's minimum;
 x* is then the maximal solution, and the unattained rows otherwise
 witness unsolvability.
 
-`residuate` is the one exact kernel for that step, shared by `solve`, the
-rank scan and `reduce.expand_solution`. It runs on integer pairs from
-`as_pairs`: each slack t_i - k_i is the unreduced
-(n_t*d_k - n_k*d_t, d_t*d_k), slacks are compared by cross-multiplication,
-and no common denominator is formed. It has three outcomes: k has no
-finite entry (None; `solve` calls such a column unbounded), a finite k_i
-meets t_i = -inf (no slack; the coefficient is forced to -inf), or the
-least slack with its attaining rows as an int bitmask.
+`residuate` is the one exact kernel for that step, shared by `solve`,
+`normalize`'s column minima, the rank scan and `reduce.expand_solution`.
+It runs on integer pairs from `as_pairs`: each slack t_i - k_i is the
+unreduced (n_t*d_k - n_k*d_t, d_t*d_k), slacks are compared by
+cross-multiplication, and no common denominator is formed. It has three
+outcomes: k has no finite entry (None; `solve` calls such a column
+unbounded), a finite k_i meets t_i = -inf (no slack; the coefficient is
+forced to -inf), or the least slack with its attaining rows as an int
+bitmask, which `mask_rows` lists.
 """
 
 from __future__ import annotations
@@ -95,6 +96,16 @@ def residuate(k_pairs: list[Pair | None], t_pairs: list[Pair | None]) -> tuple[i
     return None if least_d is None else (mask, (least_n, least_d))
 
 
+def mask_rows(mask: int) -> list[int]:
+    """The rows a `residuate` mask names: its set bits, ascending."""
+    rows = []
+    while mask:
+        low = mask & -mask
+        rows.append(low.bit_length() - 1)
+        mask ^= low
+    return rows
+
+
 def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     """Decide solvability of A x = b and return the maximal solution if any.
 
@@ -120,10 +131,8 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
             forced.add(j)
             continue
         x_entries[j] = Fraction(*least)
-        while mask:
-            low = mask & -mask
-            coverage[low.bit_length() - 1].append(j)
-            mask ^= low
+        for i in mask_rows(mask):
+            coverage[i].append(j)
 
     cov: RowCoverage = tuple(tuple(c) for c in coverage)
     uncovered = tuple(i for i, v in enumerate(b) if v is not None and not coverage[i])

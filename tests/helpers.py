@@ -5,7 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from tropsolve import BOTTOM, Scalar, TropMatrix, TropVector, mat_vec, trop_add, trop_mul
+from tropsolve import (
+    BOTTOM,
+    Scalar,
+    TropMatrix,
+    TropVector,
+    mat_vec,
+    principal_solution,
+    trop_add,
+    trop_mul,
+)
 
 
 def rand_fraction(rng: random.Random, lo: int = -30, hi: int = 30, max_den: int = 5) -> Fraction:
@@ -90,6 +99,29 @@ def max_combination(vectors: list[TropVector], coeffs: list[Scalar]) -> TropVect
         for i in range(len(out)):
             out[i] = trop_add(out[i], trop_mul(vec[i], lam))
     return TropVector(out)
+
+
+def dependence_oracle(cols: list[TropVector], target: TropVector) -> list[Scalar] | None:
+    """The principal solution of [cols] x = target, if its max-combination is the target.
+
+    Plain-`Fraction` reference for the rank scan: `principal_solution`
+    and `max_combination` share no code with `residuate` or `mat_vec`.
+    With no columns, only an all -inf target is the (empty) combination.
+    """
+    if not cols:
+        return [] if all(e is None for e in target) else None
+    lambdas = list(principal_solution(from_columns(cols), target))
+    return lambdas if max_combination(cols, lambdas) == target else None
+
+
+def q_column_minima(q) -> tuple[list[Fraction], list[frozenset[int]]]:
+    """Per column of a normalized grid Q: the least finite entry and the rows attaining it."""
+    minima, argmins = [], []
+    for column in zip(*q):
+        least = min(v for v in column if v is not None)
+        minima.append(least)
+        argmins.append(frozenset(i for i, v in enumerate(column) if v == least))
+    return minima, argmins
 
 
 def perturbed(product):

@@ -13,7 +13,7 @@ from tropsolve import (
     normalize,
 )
 
-from helpers import rand_finite_vector, rand_matrix
+from helpers import q_column_minima, rand_finite_vector, rand_matrix
 
 F = Fraction
 
@@ -114,22 +114,55 @@ def test_zero_sum_property_random():
         assert sum(res.b_tilde, F(0)) == 0
 
 
+def _slacks(a: TropMatrix, b: TropVector, j: int) -> dict[int, F]:
+    """b_i - a_ij per row with a finite a_ij."""
+    return {i: b[i] - a.entry(i, j) for i in range(a.rows) if a.entry(i, j) is not None}
+
+
+def _wide_tied_system(rng: random.Random, m: int) -> tuple[TropMatrix, TropVector]:
+    """An m x 5 system (m > 64) whose column minima are tied past row 63.
+
+    Rows 64 onward are shifted copies, b entry included, of rows that
+    attain some column's minimum among the first 64; a copy keeps every
+    slack b_i - a_ij of its source, so it attains the same minima.
+    """
+    a = rand_matrix(rng, 64, 5, bottom_p=0.25, regular_cols=True)
+    b = rand_finite_vector(rng, 64)
+    attaining = []
+    for j in range(a.cols):
+        slacks = _slacks(a, b, j)
+        least = min(slacks.values())
+        attaining += [i for i, s in slacks.items() if s == least]
+    rows, b_entries = [list(r) for r in a.row_tuples()], list(b)
+    for k in range(m - 64):
+        src, c = attaining[k % len(attaining)], F(rng.randint(-40, 40), rng.randint(1, 5))
+        rows.append([None if e is None else e + c for e in rows[src]])
+        b_entries.append(b_entries[src] + c)
+    return TropMatrix(rows), TropVector(b_entries)
+
+
 def test_back_transformed_minima_equal_direct_residuation():
-    # normalization followed by the back-shift is plain residuation
+    # Q's minima and rows, read off the Fraction grid by the test, are
+    # normalize's, and back-shifted they are plain residuation
     rng = random.Random(12)
+    cases = []
     for _ in range(100):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = rand_matrix(rng, m, n, bottom_p=0.25, regular_cols=True)
-        b = rand_finite_vector(rng, m)
+        cases.append((rand_matrix(rng, m, n, bottom_p=0.25, regular_cols=True), rand_finite_vector(rng, m)))
+    cases.append(_wide_tied_system(rng, 75))
+    high_ties = 0
+    for a, b in cases:
         res = normalize(a, b)
-        y_star = res.column_minima
-        for j in range(n):
-            direct = min(
-                b[i] - a.entry(i, j)
-                for i in range(m)
-                if a.entry(i, j) is not None
-            )
-            assert y_star[j] - res.col_means[j] + res.b_mean == direct
+        minima, argmins = q_column_minima(res.q)
+        assert list(res.column_minima) == minima
+        assert list(res.argmin_rows) == argmins
+        for j in range(a.cols):
+            slacks = _slacks(a, b, j)
+            direct = min(slacks.values())
+            assert minima[j] - res.col_means[j] + res.b_mean == direct
+            assert argmins[j] == {i for i, s in slacks.items() if s == direct}
+            high_ties += len(argmins[j]) > 1 and max(argmins[j]) > 63
+    assert high_ties >= 3
 
 
 def test_q_invariant_under_equivalence_shifts():

@@ -9,13 +9,13 @@ from tropsolve import (
     TropMatrix,
     TropVector,
     colrank,
-    dependence_oracle,
     mat_vec,
     rank,
     rowrank,
 )
 
 from helpers import (
+    dependence_oracle,
     from_columns,
     identity,
     max_combination,
