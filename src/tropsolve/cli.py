@@ -1,9 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: one driver, and a handler per subcommand that only computes.
 
-Subcommands map 1:1 to library operations and render one report each,
-as text or JSON (`--json`) carrying identical data. All indices in
-reports are 1-based. Exit codes: 0 = success/solvable, 1 = unsolvable or
-negative verdict, 2 = input or usage error.
+`_COMMANDS` declares each subcommand once. `_dispatch` reads and hashes A,
+then b or A2, passes the parsed objects to the handler for its payload and
+exit code, and builds the one `Report`; `main` renders it as text or JSON
+(`--json`) with identical data. Indices in reports are 1-based. Exit codes:
+0 = success/solvable, 1 = unsolvable or negative verdict, 2 = input or usage error.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import TropicalError
 from .freedom import DofReport, degrees_of_freedom, minimal_leading_oracle
@@ -37,21 +38,12 @@ class Report:
     exit_code: int
 
 
-def _read_input(name: str, path: str) -> tuple[dict, str]:
+def _load(name: str, path: str, parse: Callable[[str], object]) -> tuple[dict, object]:
+    """Read one input file: its entry in the report's inputs, and the parsed object."""
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = {"name": name, "path": path, "sha256": hashlib.sha256(raw).hexdigest()}
-    return digest, raw.decode("utf-8")
-
-
-def _load_matrix(name: str, path: str) -> tuple[dict, TropMatrix]:
-    digest, text = _read_input(name, path)
-    return digest, parse_matrix(text)
-
-
-def _load_vector(name: str, path: str) -> tuple[dict, TropVector]:
-    digest, text = _read_input(name, path)
-    return digest, parse_vector(text)
+    return digest, parse(raw.decode("utf-8"))
 
 
 def _ones(indices) -> list[int]:
@@ -67,12 +59,10 @@ def _grid_lines(rows: list[list[str]], boxed: set[tuple[int, int]] | None = None
     return ["  " + "  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells]
 
 
-# --- subcommand handlers ---------------------------------------------------
+# --- subcommand handlers: (args, A[, b or A2]) -> (payload, exit code) -------
 
 
-def _cmd_normalize(args) -> Report:
-    dig_a, a = _load_matrix("A", args.matrix)
-    dig_b, b = _load_vector("b", args.vector)
+def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     res = normalize(a, b)
     payload = {
         "a_tilde": [[format_scalar(e) for e in r] for r in res.a_tilde.row_tuples()],
@@ -83,7 +73,7 @@ def _cmd_normalize(args) -> Report:
         "column_minima": [format_scalar(e) for e in res.column_minima],
         "argmin_rows": [_ones(s) for s in res.argmin_rows],
     }
-    return Report("normalize", (dig_a, dig_b), payload, 0)
+    return payload, 0
 
 
 def _render_normalize(p: dict) -> list[str]:
@@ -119,9 +109,7 @@ def _y_star_strings(a: TropMatrix, b: TropVector, outcome: Solvable) -> list[str
         return None
 
 
-def _cmd_solve(args) -> Report:
-    dig_a, a = _load_matrix("A", args.matrix)
-    dig_b, b = _load_vector("b", args.vector)
+def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     outcome = solve(a, b)
     solvable = isinstance(outcome, Solvable)
     payload = {
@@ -147,7 +135,7 @@ def _cmd_solve(args) -> Report:
             "exhaustive": exh,
             "agrees": agree,
         }
-    return Report("solve", (dig_a, dig_b), payload, 0 if solvable else 1)
+    return payload, 0 if solvable else 1
 
 
 def _render_solve(p: dict) -> list[str]:
@@ -181,13 +169,10 @@ def _covered_dof(outcome: Solvable, n: int) -> DofReport:
     return degrees_of_freedom([cols for _, cols in covered], n, row_ids=[i for i, _ in covered])
 
 
-def _cmd_dof(args) -> Report:
-    dig_a, a = _load_matrix("A", args.matrix)
-    dig_b, b = _load_vector("b", args.vector)
+def _cmd_dof(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     outcome = solve(a, b)
     if not isinstance(outcome, Solvable):
-        payload = {"status": "unsolvable", "witness_rows": _ones(outcome.witness_rows)}
-        return Report("dof", (dig_a, dig_b), payload, 1)
+        return {"status": "unsolvable", "witness_rows": _ones(outcome.witness_rows)}, 1
     report = _covered_dof(outcome, a.cols)
     payload = {
         "status": "solvable",
@@ -202,7 +187,7 @@ def _cmd_dof(args) -> Report:
     if args.exact:
         size, witness = minimal_leading_oracle([cols for cols in outcome.coverage if cols], a.cols)
         payload["exact"] = {"min_size": size, "witness": [j + 1 for j in witness]}
-    return Report("dof", (dig_a, dig_b), payload, 0)
+    return payload, 0
 
 
 def _render_dof(p: dict) -> list[str]:
@@ -231,7 +216,10 @@ def _render_dof(p: dict) -> list[str]:
     return lines
 
 
-def _parse_scan_order(text: str, size: int) -> list[int]:
+def _parse_scan_order(text: str | None, size: int) -> list[int] | None:
+    """`--scan-order` as 0-based indices; None when the flag is absent (an empty value is an error)."""
+    if text is None:
+        return None
     try:
         order = [int(tok) - 1 for tok in text.split(",")]
     except ValueError:
@@ -259,19 +247,18 @@ def _rank_payload(report: RankReport) -> dict:
     }
 
 
-def _cmd_rank(args, *, axis: str) -> Report:
-    dig_a, a = _load_matrix("A", args.matrix)
-    size = a.cols if axis == "columns" else a.rows
-    order = _parse_scan_order(args.scan_order, size) if args.scan_order else None
-    report = colrank(a, order) if axis == "columns" else rowrank(a, order)
-    name = "colrank" if axis == "columns" else "rowrank"
-    return Report(name, (dig_a,), _rank_payload(report), 0)
+def _cmd_colrank(args, a: TropMatrix) -> tuple[dict, int]:
+    return _rank_payload(colrank(a, _parse_scan_order(args.scan_order, a.cols))), 0
+
+
+def _cmd_rowrank(args, a: TropMatrix) -> tuple[dict, int]:
+    return _rank_payload(rowrank(a, _parse_scan_order(args.scan_order, a.rows))), 0
 
 
 def _render_rank(p: dict) -> list[str]:
-    unit, command = ("column", "colrank") if p["axis"] == "columns" else ("row", "rowrank")
+    unit = "column" if p["axis"] == "columns" else "row"
     lines = [
-        f"{command}: {p['rank']}",
+        f"{unit[:3]}rank: {p['rank']}",
         f"independent {unit}s: " + ", ".join(map(str, p["independent"])),
         "scan trace: "
         + ", ".join(f"{unit} {t['index']} {t['verdict']}" for t in p["scan_trace"]),
@@ -285,9 +272,7 @@ def _render_rank(p: dict) -> list[str]:
     return lines
 
 
-def _cmd_reduce(args) -> Report:
-    dig_a, a = _load_matrix("A", args.matrix)
-    dig_b, b = _load_vector("b", args.vector)
+def _cmd_reduce(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     sys_red = reduce_system(a, b)
     outcome = solve(a, b)
     solvable = isinstance(outcome, Solvable)
@@ -315,7 +300,7 @@ def _cmd_reduce(args) -> Report:
         "dof_via_reduction": dof_reduced,
         "dof_direct": dof_direct,
     }
-    return Report("reduce", (dig_a, dig_b), payload, 0 if solvable else 1)
+    return payload, 0 if solvable else 1
 
 
 def _render_reduce(p: dict) -> list[str]:
@@ -340,15 +325,13 @@ def _render_reduce(p: dict) -> list[str]:
     return lines
 
 
-def _cmd_check_equiv(args) -> Report:
-    dig_a, a = _load_matrix("A", args.matrix)
-    dig_a2, a2 = _load_matrix("A2", args.matrix2)
+def _cmd_check_equiv(args, a: TropMatrix, a2: TropMatrix) -> tuple[dict, int]:
     alphas = check_equivalence(a, a2)
     payload = {
         "equivalent": alphas is not None,
         "alpha": [format_scalar(al) for al in alphas] if alphas is not None else None,
     }
-    return Report("check-equiv", (dig_a, dig_a2), payload, 0 if alphas is not None else 1)
+    return payload, 0 if alphas is not None else 1
 
 
 def _render_check_equiv(p: dict) -> list[str]:
@@ -359,41 +342,51 @@ def _render_check_equiv(p: dict) -> list[str]:
 
 # --- driver ----------------------------------------------------------------
 
-_HANDLERS = {
-    "normalize": _cmd_normalize,
-    "solve": _cmd_solve,
-    "dof": _cmd_dof,
-    "colrank": partial(_cmd_rank, axis="columns"),
-    "rowrank": partial(_cmd_rank, axis="rows"),
-    "reduce": _cmd_reduce,
-    "check-equiv": _cmd_check_equiv,
-}
 
-_RENDERERS = {
-    "normalize": _render_normalize,
-    "solve": _render_solve,
-    "dof": _render_dof,
-    "colrank": _render_rank,
-    "rowrank": _render_rank,
-    "reduce": _render_reduce,
-    "check-equiv": _render_check_equiv,
+# an input file: argparse name, name in the report's inputs, help, parser.
+# parse_* is looked up per call, not kept in the table, so a traced run sees it
+_A = ("matrix", "A", "matrix file (# comments, one row per line)", lambda text: parse_matrix(text))
+_B = ("vector", "b", "vector file (one scalar per line)", lambda text: parse_vector(text))
+_A2 = ("matrix2", "A2", "second matrix file", lambda text: parse_matrix(text))
+
+
+class _Command(NamedTuple):
+    help: str
+    inputs: tuple[tuple, ...]  # read in this order, so a bad A is the error reported
+    flag: tuple[str, dict] | None  # the command's own option: its name and add_argument keywords
+    handler: Callable[..., tuple[dict, int]]
+    render: Callable[[dict], list[str]]
+
+
+_SCAN_ORDER = ("--scan-order", {"help": "comma-separated 1-based target order"})
+
+_COMMANDS = {
+    "normalize": _Command("normalize a system and print the associated grid Q",
+                          (_A, _B), None, _cmd_normalize, _render_normalize),
+    "solve": _Command("solve A x = b; exit 0 if solvable, 1 if not", (_A, _B),
+                      ("--check", {"action": "store_true", "help": "cross-check with brute-force oracles"}),
+                      _cmd_solve, _render_solve),
+    "dof": _Command("degrees of freedom of a solvable system", (_A, _B),
+                    ("--exact", {"action": "store_true", "help": "also compute the exact minimum cover"}),
+                    _cmd_dof, _render_dof),
+    "colrank": _Command("column rank by the dependence scan", (_A,), _SCAN_ORDER, _cmd_colrank, _render_rank),
+    "rowrank": _Command("row rank (column rank of the transpose)", (_A,), _SCAN_ORDER, _cmd_rowrank, _render_rank),
+    "reduce": _Command("row-column reduction and both degrees-of-freedom figures",
+                       (_A, _B), None, _cmd_reduce, _render_reduce),
+    "check-equiv": _Command("recover per-column shifts between two matrices",
+                            (_A, _A2), None, _cmd_check_equiv, _render_check_equiv),
 }
 
 
 def render_text(report: Report) -> str:
     if "error" in report.payload:
         return f"error: {report.payload['error']}"
-    return "\n".join(_RENDERERS[report.command](report.payload))
+    return "\n".join(_COMMANDS[report.command].render(report.payload))
 
 
 def render_json(report: Report) -> str:
-    doc = {
-        "command": report.command,
-        "inputs": list(report.inputs),
-        "payload": report.payload,
-        "exit_code": report.exit_code,
-    }
-    return json.dumps(doc, indent=2)
+    # the report's fields, in declaration order, are the document's keys
+    return json.dumps(vars(report), indent=2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -402,38 +395,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact max-plus linear systems: solve, degrees of freedom, rank, reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, vector=False, matrix2=False):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("matrix", help="matrix file (# comments, one row per line)")
-        if vector:
-            p.add_argument("vector", help="vector file (one scalar per line)")
-        if matrix2:
-            p.add_argument("matrix2", help="second matrix file")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest, _, help_text, _ in command.inputs:
+            p.add_argument(dest, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        return p
-
-    add("normalize", "normalize a system and print the associated grid Q", vector=True)
-    p_solve = add("solve", "solve A x = b; exit 0 if solvable, 1 if not", vector=True)
-    p_solve.add_argument("--check", action="store_true", help="cross-check with brute-force oracles")
-    p_dof = add("dof", "degrees of freedom of a solvable system", vector=True)
-    p_dof.add_argument("--exact", action="store_true", help="also compute the exact minimum cover")
-    p_col = add("colrank", "column rank by the dependence scan")
-    p_col.add_argument("--scan-order", help="comma-separated 1-based target order")
-    p_row = add("rowrank", "row rank (column rank of the transpose)")
-    p_row.add_argument("--scan-order", help="comma-separated 1-based target order")
-    add("reduce", "row-column reduction and both degrees-of-freedom figures", vector=True)
-    add("check-equiv", "recover per-column shifts between two matrices", matrix2=True)
+        if command.flag is not None:
+            p.add_argument(command.flag[0], **command.flag[1])
     return parser
 
 
 def _dispatch(args) -> Report:
+    command = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
+        loaded = [_load(name, getattr(args, dest), parse) for dest, name, _, parse in command.inputs]
+        payload, exit_code = command.handler(args, *(obj for _, obj in loaded))
     # ValueError covers UnicodeDecodeError and a derived value, such as a mean
     # over many long denominators, that passes Python's int/str digit limit
     except (TropicalError, OSError, ValueError) as exc:
         return Report(args.command, (), {"error": str(exc)}, 2)
+    return Report(args.command, tuple(digest for digest, _ in loaded), payload, exit_code)
 
 
 def run(argv: Sequence[str]) -> Report:
@@ -444,7 +425,12 @@ def run(argv: Sequence[str]) -> Report:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     report = _dispatch(args)
-    print(render_json(report) if args.json else render_text(report))
+    try:
+        print(render_json(report) if args.json else render_text(report), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): keep the verdict, and point
+        # stdout at devnull so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

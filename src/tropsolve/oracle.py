@@ -11,11 +11,10 @@ candidate values, checked with `trop_add`/`trop_mul`.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
 
 from .errors import DimensionError, SizeBoundError
 from .matrix import TropMatrix, TropVector
-from .scalar import BOTTOM, Scalar, as_scalar, trop_add, trop_mul
+from .scalar import BOTTOM, Scalar, trop_add, trop_mul
 
 __all__ = ["principal_solution", "exhaustive_solvable"]
 
@@ -58,29 +57,23 @@ def _satisfies(a: TropMatrix, x: tuple[Scalar, ...], b: TropVector) -> bool:
     return True
 
 
-def exhaustive_solvable(
-    a: TropMatrix, b: TropVector, grid: Iterable[Scalar] | None = None
-) -> bool:
+def exhaustive_solvable(a: TropMatrix, b: TropVector) -> bool:
     """Ground-truth solvability for tiny systems by enumerating candidates.
 
-    Candidate values per unknown default to {b_i - a_ij : both finite}
-    plus -inf; any solution is dominated by the principal one, whose
-    entries all lie on that grid. Refuses systems larger than 4x4.
+    Candidate values per unknown are {b_i - a_ij : both finite} plus
+    -inf; any solution is dominated by the principal one, whose entries
+    all lie on that grid. Refuses systems larger than 4x4.
     """
     if a.rows > 4 or a.cols > 4:
         raise SizeBoundError(f"exhaustive search limited to 4x4 systems, got {a.rows}x{a.cols}")
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    if grid is not None:
-        shared = [as_scalar(v) for v in grid] + [BOTTOM]
-        per_col = [shared] * a.cols
-    else:
-        per_col = []
-        for j in range(a.cols):
-            vals = {
-                b[i] - a.entry(i, j)
-                for i in range(a.rows)
-                if a.entry(i, j) is not None and b[i] is not None
-            }
-            per_col.append(sorted(vals) + [BOTTOM])
+    per_col = []
+    for j in range(a.cols):
+        vals = {
+            b[i] - a.entry(i, j)
+            for i in range(a.rows)
+            if a.entry(i, j) is not None and b[i] is not None
+        }
+        per_col.append(sorted(vals) + [BOTTOM])
     return any(_satisfies(a, x, b) for x in product(*per_col))

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropsolve
 from tropsolve import parse_matrix, parse_vector
 from tropsolve.cli import main, render_json, render_text, run
 
@@ -195,6 +200,9 @@ def test_scan_order_flag(data_dir):
     assert ascending.payload["scan_trace"][0]["index"] == 1
     bad = run(["colrank", path(data_dir, "rank_4x5.mat"), "--scan-order", "1,2"])
     assert bad.exit_code == 2
+    for command in ("colrank", "rowrank"):
+        empty = run([command, path(data_dir, "rank_4x5.mat"), "--scan-order", ""])
+        assert empty.exit_code == 2, command
 
 
 def test_reduce_report(data_dir, tmp_path):
@@ -349,16 +357,13 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def test_entry_point_subprocess(data_dir):
-    import os
-    import subprocess
-    import sys
-
-    import tropsolve
-
-    # the child imports the same tropsolve as this process, installed or not
+def _child_env() -> dict:
+    """Environment in which a child `python -m tropsolve.cli` imports the same tropsolve as this process."""
     src = str(Path(tropsolve.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_entry_point_subprocess(data_dir):
     proc = subprocess.run(
         [
             sys.executable,
@@ -370,7 +375,29 @@ def test_entry_point_subprocess(data_dir):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "X* = (-63, -25, 30, 4, 74)" in proc.stdout
+
+
+def test_closed_stdout_keeps_the_verdict(tmp_path):
+    # a 60x60 normalize report in JSON is about 140 kB, more than a pipe
+    # buffer holds, so the child is still writing when the reader goes away
+    rng = random.Random(7)
+    (tmp_path / "a.mat").write_text(
+        "".join(" ".join(str(rng.randint(-999, 999)) for _ in range(60)) + "\n" for _ in range(60))
+    )
+    (tmp_path / "b.vec").write_text("".join(f"{rng.randint(-999, 999)}\n" for _ in range(60)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropsolve.cli", "normalize", "a.mat", "b.vec", "--json"],
+        cwd=tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in err.decode()

@@ -10,7 +10,6 @@ from tropsolve import (
     TropMatrix,
     TropVector,
     colrank,
-    exhaustive_solvable,
     format_scalar,
     mat_vec,
     normalize,
@@ -50,8 +49,6 @@ def test_floats_refused_at_every_entry_point():
         TropVector([2.5])
     with pytest.raises(TypeError):
         TropMatrix([[2.5]])
-    with pytest.raises(TypeError):
-        exhaustive_solvable(TropMatrix([[0]]), TropVector([1]), grid=[2.5])
 
 
 def _exact(entries) -> bool:
