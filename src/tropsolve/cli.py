@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -124,7 +125,7 @@ def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     if args.check:
         x0 = principal_solution(a, b)
         ok = verify(a, x0, b)
-        agree = ok == solvable and (not solvable or x0 == outcome.x_star)
+        agree = ok == solvable and x0 == outcome.x_star
         exh = None
         if a.rows <= 4 and a.cols <= 4:
             exh = exhaustive_solvable(a, b)
@@ -220,10 +221,9 @@ def _parse_scan_order(text: str | None, size: int) -> list[int] | None:
     """`--scan-order` as 0-based indices; None when the flag is absent (an empty value is an error)."""
     if text is None:
         return None
-    try:
-        order = [int(tok) - 1 for tok in text.split(",")]
-    except ValueError:
-        raise TropicalError(f"scan order must be comma-separated integers, got {text!r}") from None
+    if not re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
+        raise TropicalError(f"scan order must be comma-separated integers, got {text!r}")
+    order = [int(tok) - 1 for tok in text.split(",")]
     if sorted(order) != list(range(size)):
         raise TropicalError(f"scan order must be a permutation of 1..{size}")
     return order

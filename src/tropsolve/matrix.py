@@ -151,14 +151,16 @@ def is_regular(v: TropVector) -> bool:
 # ---------------------------------------------------------------------------
 # Text formats. Matrix files: `#` comment lines, one row per line,
 # whitespace-separated scalar tokens. Vector files: one scalar per line, or
-# all entries on a single line. parse -> format -> parse is the identity.
+# all entries on a single line. Lines end at \n, \r\n or \r only.
+# parse -> format -> parse is the identity.
 # Each parse call keeps a memo from token text (not value: `2.5` and `5/2`
 # are separate keys) to its scalar, and drops it when the call returns; a
 # bad token is reported at the line and column of its first occurrence.
 
 
 def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # not str.splitlines: it also breaks at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

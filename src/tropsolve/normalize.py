@@ -8,11 +8,10 @@ the rows attaining them decide solvability.
 
 q_ij = (b_i - a_ij) + mean_j - b_mean, so Q's column minima are plain
 residuation shifted by mean_j - b_mean, attained in the same rows.
-`normalize` reads them from the solver's kernel `solver.residuate`, as
-`solve` does unshifted, and builds Q only for the report. This is the
-only module that knows the means: it materialises the grid for the
-`normalize` report and shifts `solve`'s x* into the normalized y* for the
-`solve` report.
+`normalize` reads them from `solve`: its x* shifted, and its coverage
+transposed; Q is built only for the report. This is the only module that
+knows the means: it materialises the grid for the `normalize` report and
+shifts `solve`'s x* into the normalized y* for the `solve` report.
 
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in Q and are never a column minimum.
@@ -26,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DegenerateColumnError, DimensionError, RegularityError
+from .errors import DegenerateColumnError, RegularityError
 from .matrix import TropMatrix, TropVector, is_regular
 from .scalar import BOTTOM, Scalar, as_pairs
-from .solver import mask_rows, residuate
+from .solver import solve
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
 
@@ -71,56 +70,34 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     """Build the normalized system, its associated grid Q and Q's column minima.
 
     Requires a regular b and at least one finite entry per column of `a`
-    (`solve` handles systems violating either).
+    (`solve` handles systems violating either). The minima are `solve`'s
+    x*_j + mean_j - b_mean, attained in the rows its coverage lists.
     """
-    if a.rows != len(b):
-        raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
+    outcome = solve(a, b)  # raises the shape error, which is reported before the others
     if not is_regular(b):
         raise RegularityError("b is not regular; preprocess the system to remove -inf equations")
     b_mean = column_mean(b)
-    b_pairs = as_pairs(b)
     means = []
-    minima = []
-    argmins = []
     for j, col in enumerate(zip(*a.row_tuples())):
         try:
-            mean = column_mean(col)
+            means.append(column_mean(col))
         except DegenerateColumnError:
             raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf") from None
-        # b is regular and the column has a finite entry, so the least slack exists
-        mask, least = residuate(as_pairs(col), b_pairs)
-        means.append(mean)
-        minima.append(Fraction(*least) + mean - b_mean)
-        argmins.append(frozenset(mask_rows(mask)))
-
-    a_tilde_rows = []
-    b_tilde = []
-    q_rows = []
-    for i in range(a.rows):
-        bt = b[i] - b_mean
-        b_tilde.append(bt)
-        at_row = []
-        q_row = []
-        for j in range(a.cols):
-            e = a.entry(i, j)
-            if e is None:
-                at_row.append(BOTTOM)
-                q_row.append(None)
-            else:
-                shifted = e - means[j]
-                at_row.append(shifted)
-                q_row.append(bt - shifted)
-        a_tilde_rows.append(at_row)
-        q_rows.append(tuple(q_row))
-
+    a_tilde = [[BOTTOM if e is None else e - m for e, m in zip(r, means)] for r in a.row_tuples()]
+    b_tilde = [e - b_mean for e in b]
+    # lists first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
+    q = tuple([tuple([None if e is None else bt - e for e in r]) for bt, r in zip(b_tilde, a_tilde)])
     return NormalizationResult(
-        a_tilde=TropMatrix(a_tilde_rows),
+        a_tilde=TropMatrix(a_tilde),
         col_means=tuple(means),
         b_tilde=TropVector(b_tilde),
         b_mean=b_mean,
-        q=tuple(q_rows),
-        column_minima=TropVector(minima),
-        argmin_rows=tuple(argmins),
+        q=q,
+        # b is regular and no column is all -inf, so every x*_j is finite
+        column_minima=TropVector(x + m - b_mean for x, m in zip(outcome.x_star, means)),
+        argmin_rows=tuple(
+            frozenset(i for i, cols in enumerate(outcome.coverage) if j in cols) for j in range(a.cols)
+        ),
     )
 
 

@@ -1,11 +1,12 @@
 """The library's one reference implementation, used to cross-check the solver.
 
-Every production path (`solve`, `normalize`'s column minima, the rank
-scan, `reduce`) runs on the integer-pair kernels `solver.residuate` and
-`matrix.mat_vec`. Nothing here shares their code: the principal solution
-is the direct residuation formula on plain `Fraction`s, and tiny systems
-can be decided by exhaustive enumeration over the finite grid of relevant
-candidate values, checked with `trop_add`/`trop_mul`.
+Every production path (`solve`, and through it `normalize`'s column
+minima; the rank scan; `reduce`) runs on the integer-pair kernels
+`solver.residuate` and `matrix.mat_vec`. Nothing here shares their code:
+the principal solution is the direct residuation formula on plain
+`Fraction`s, and tiny systems can be decided by exhaustive enumeration
+over the finite grid of relevant candidate values, checked with
+`trop_add`/`trop_mul`.
 """
 
 from __future__ import annotations

@@ -3,13 +3,13 @@
 One residuation pass over the columns gives x*_j = min_i (b_i - a_ij) and
 the rows attaining it. These are the paper's column minima of the
 normalized grid Q, shifted by b_mean - mean_j and attained in the same
-rows; the shift and the grid belong to `normalize` alone. The system is
-solvable iff every row with a finite b_i attains some column's minimum;
-x* is then the maximal solution, and the unattained rows otherwise
-witness unsolvability.
+rows; the shift and the grid belong to `normalize`, which reads x* and
+the coverage from `solve`. The system is solvable iff every row with a
+finite b_i attains some column's minimum; x* is then the maximal
+solution, and the unattained rows otherwise witness unsolvability.
 
 `residuate` is the one exact kernel for that step, shared by `solve`,
-`normalize`'s column minima, the rank scan and `reduce.expand_solution`.
+the rank scan and `reduce.expand_solution`.
 It runs on integer pairs from `as_pairs`: each slack t_i - k_i is the
 unreduced (n_t*d_k - n_k*d_t, d_t*d_k), slacks are compared by
 cross-multiplication, and no common denominator is formed. It has three
@@ -60,10 +60,16 @@ class Solvable:
 
 @dataclass(frozen=True)
 class Unsolvable:
-    """Witness rows: every row listed holds no column minimum of Q."""
+    """Witness rows: every row listed holds no column minimum of Q.
+
+    `x_star` is still the principal vector, the greatest x with A x <= b
+    (-inf at forced and all -inf columns); A x* misses b exactly at the
+    witness rows.
+    """
 
     witness_rows: tuple[int, ...]
     coverage: RowCoverage
+    x_star: TropVector
 
 
 SolveOutcome = Solvable | Unsolvable
@@ -135,10 +141,10 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
             coverage[i].append(j)
 
     cov: RowCoverage = tuple(tuple(c) for c in coverage)
+    x_star = TropVector(x_entries)
     uncovered = tuple(i for i, v in enumerate(b) if v is not None and not coverage[i])
     if uncovered:
-        return Unsolvable(uncovered, cov)
-    x_star = TropVector(x_entries)
+        return Unsolvable(uncovered, cov, x_star)
     if mat_vec(a, x_star) != b:
         raise AssertionError("internal error: covered system does not reproduce b")
     return Solvable(x_star, cov, frozenset(forced), frozenset(unbounded))

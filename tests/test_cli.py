@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropsolve
-from tropsolve import parse_matrix, parse_vector
+from tropsolve import TropVector, cli, parse_matrix, parse_vector, principal_solution
 from tropsolve.cli import main, render_json, render_text, run
 
 
@@ -69,6 +69,22 @@ def test_solve_check_flag_agrees(data_dir):
     assert report.payload["check"]["verify"] is False
     assert report.payload["check"]["principal_solution"] == ["-10", "-6", "-7", "-8"]
     assert "agrees" in render_text(report)
+
+
+def test_solve_check_compares_x_star_when_unsolvable(data_dir, monkeypatch):
+    # an oracle whose principal vector differs, yet still fails to verify as
+    # the solver's does, must be reported as a disagreement
+    def lowered(a, b):
+        return TropVector([None if e is None else e - 1 for e in principal_solution(a, b)])
+
+    monkeypatch.setattr(cli, "principal_solution", lowered)
+    report = run(
+        ["solve", path(data_dir, "unsolvable_5x4.mat"), path(data_dir, "unsolvable_5x4_b.vec"), "--check"]
+    )
+    assert report.exit_code == 1
+    assert report.payload["check"]["verify"] is False
+    assert report.payload["check"]["agrees"] is False
+    assert "oracle check: DISAGREES" in render_text(report)
 
 
 def test_text_and_json_carry_identical_data(data_dir):
@@ -203,6 +219,11 @@ def test_scan_order_flag(data_dir):
     for command in ("colrank", "rowrank"):
         empty = run([command, path(data_dir, "rank_4x5.mat"), "--scan-order", ""])
         assert empty.exit_code == 2, command
+    # only ASCII digits between commas: int() alone would take each of these
+    for order in ("+1,2,3,4,5", "1,2,3,4,0_5", " 1,2,3,4,5", "1,2,3,4,5 ", "1,2,3,4,\uff15", "1,,2,3,4,5"):
+        spelled = run(["colrank", path(data_dir, "rank_4x5.mat"), "--scan-order", order])
+        assert spelled.exit_code == 2, order
+        assert "comma-separated integers" in spelled.payload["error"], order
 
 
 def test_reduce_report(data_dir, tmp_path):

@@ -143,6 +143,16 @@ def test_parse_matrix_bad_token_diagnostics(parse, text, bad, line, column):
     )
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_rows_end_only_at_line_breaks(sep):
+    # str.splitlines breaks at these too; in a file they are whitespace inside a row
+    a = parse_matrix(f"0 1{sep}2 3\r\n4 5 6 7\r8 9 10 11\n")
+    assert (a.rows, a.cols) == (3, 4)
+    with pytest.raises(ParseError) as exc:
+        parse_matrix(f"1 2{sep}\n1 x\n")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+
+
 def test_parse_matrix_empty():
     with pytest.raises(ParseError):
         parse_matrix("# nothing here\n")
