@@ -1,15 +1,19 @@
 """Command-line front end: one driver, and a handler per subcommand that only computes.
 
-`_COMMANDS` declares each subcommand once. `_dispatch` reads and hashes A,
-then b or A2, passes the parsed objects to the handler for its payload and
-exit code, and builds the one `Report`; `main` renders it as text or JSON
-(`--json`) with identical data. Indices in reports are 1-based. Exit codes:
-0 = success/solvable, 1 = unsolvable or negative verdict, 2 = input or usage error.
+`_COMMANDS` declares each subcommand once. `_build_parser` builds the
+argparse parser from it once per process; `run` and `main` share it, since
+parsing keeps no state between calls. `_dispatch` reads and hashes A, then
+b or A2 (decoded as UTF-8, a leading byte-order mark dropped), passes the
+parsed objects to the handler for its payload and exit code, and builds the
+one `Report`; `main` renders it as text or JSON (`--json`) with identical
+data. Indices in reports are 1-based. Exit codes: 0 = success/solvable,
+1 = unsolvable or negative verdict, 2 = input or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -44,7 +48,7 @@ def _load(name: str, path: str, parse: Callable[[str], object]) -> tuple[dict, o
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = {"name": name, "path": path, "sha256": hashlib.sha256(raw).hexdigest()}
-    return digest, parse(raw.decode("utf-8"))
+    return digest, parse(raw.decode("utf-8-sig"))  # a leading byte-order mark is dropped
 
 
 def _ones(indices) -> list[int]:
@@ -223,8 +227,12 @@ def _parse_scan_order(text: str | None, size: int) -> list[int] | None:
         return None
     if not re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
         raise TropicalError(f"scan order must be comma-separated integers, got {text!r}")
-    order = [int(tok) - 1 for tok in text.split(",")]
-    if sorted(order) != list(range(size)):
+    tokens = [tok.lstrip("0") or "0" for tok in text.split(",")]
+    # leading zeros aside, a token with more digits than `size` is out of range;
+    # tested before int(), which refuses one past Python's 4300-digit limit
+    in_range = all(len(tok) <= len(str(size)) for tok in tokens)
+    order = [int(tok) - 1 for tok in tokens] if in_range else None
+    if order is None or sorted(order) != list(range(size)):
         raise TropicalError(f"scan order must be a permutation of 1..{size}")
     return order
 
@@ -389,6 +397,7 @@ def render_json(report: Report) -> str:
     return json.dumps(vars(report), indent=2)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropsolve",

@@ -3,11 +3,13 @@
 Shapes are fixed at construction and entries are immutable. Every entry
 is a `Fraction` or None (-inf), coerced by `as_scalar` at construction.
 Indexing is 0-based throughout the library; only rendered reports use
-1-based indices. `mat_vec`, which every solve's self-check runs, works on
-exact integer (numerator, denominator) pairs and builds one reduced
-`Fraction` per output entry. `parse_matrix` and `parse_vector` parse each
-distinct token text once per call and share its scalar between the cells
-that spell it; nothing is cached across calls.
+1-based indices. `row_maxima` is the one max-plus product loop: it works
+on exact integer (numerator, denominator) pairs and returns each row's
+maximum unreduced. `mat_vec`, which every solve's self-check runs, wraps
+it and builds one reduced `Fraction` per output entry; the rank scan's
+self-check calls it on pairs directly. `parse_matrix` and `parse_vector`
+parse each distinct token text once per call and share its scalar
+between the cells that spell it; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError
-from .scalar import BOTTOM, Scalar, as_pairs, as_scalar, format_scalar, parse_scalar
+from .scalar import BOTTOM, Pair, Scalar, as_pairs, as_scalar, format_scalar, parse_scalar
 
 __all__ = [
     "TropMatrix",
@@ -117,10 +119,18 @@ def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     """Apply a matrix to a column vector under max-plus."""
     if a.cols != len(x):
         raise DimensionError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
-    x_pairs = as_pairs(x)
+    best = row_maxima(a.row_tuples(), as_pairs(x))
+    return TropVector([BOTTOM if p is None else Fraction(*p) for p in best])
+
+
+def row_maxima(rows: Iterable[Sequence[Scalar]], x_pairs: Sequence[Pair | None]) -> list[Pair | None]:
+    """Per row, the greatest a_ik + x_k as an unreduced pair (num, den > 0); None if every term is -inf.
+
+    The one max-plus product loop: `mat_vec` and the rank scan's self-check
+    both run it. Entries are read through `as_integer_ratio` in place.
+    """
     out = []
-    for r in a.row_tuples():
-        # greatest a_ik + x_k as an unreduced pair (num, den > 0)
+    for r in rows:
         best_n = best_d = None
         for e, xp in zip(r, x_pairs):
             if e is None or xp is None:
@@ -130,8 +140,8 @@ def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
             pn, pd = na * dx + nx * da, da * dx
             if best_d is None or pn * best_d > best_n * pd:
                 best_n, best_d = pn, pd
-        out.append(BOTTOM if best_d is None else Fraction(best_n, best_d))
-    return TropVector(out)
+        out.append(None if best_d is None else (best_n, best_d))
+    return out
 
 
 def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMatrix:

@@ -15,11 +15,14 @@ masks equals the mask of its finite entries.
 
 Every finally independent vector is in the working set at every test,
 so a dependent vector's maximal combination over the final independent
-set is read from the same table. Its coefficients become `Fraction`s
-only then, and one `mat_vec` per dependent checks that they reproduce it.
+set is read from the same table. The self-check runs the one max-plus
+product loop, `matrix.row_maxima`, on the basis vectors and the table's
+unreduced coefficient pairs, and compares each entry with the target's
+pair by cross-multiplication, -inf pattern included. Only the reported
+coefficients become `Fraction`s.
 The library holds no second dependence test: the tests replay the scan
 against `oracle.principal_solution` and a plain `Fraction`
-max-combination, which share no code with `residuate` or `mat_vec`.
+max-combination, which share no code with `residuate` or `row_maxima`.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .matrix import TropMatrix, TropVector, mat_vec
-from .scalar import BOTTOM, Scalar, as_pairs
-from .solver import Pair, residuate
+from .matrix import TropMatrix, row_maxima
+from .scalar import Pair, Scalar, as_pairs
+from .solver import residuate
 
 __all__ = ["Dependence", "RankReport", "colrank", "rowrank"]
 
@@ -118,14 +121,16 @@ def _scan(vectors: Iterable[Sequence[Scalar]], scan_order: Sequence[int] | None,
     basis = surviving  # after the scan: the independent vectors, in index order
     combinations = {j: () for j in bottom}
     if dependents:
-        span = TropMatrix(list(zip(*(vectors[k] for k in basis))))
+        span = list(zip(*(vectors[k] for k in basis)))  # one row per entry, one column per basis vector
         for j in dependents:
-            coeffs = TropVector(
-                BOTTOM if c is None else Fraction(*c) for c in (residual(k, j)[1] for k in basis)
-            )
-            if tuple(mat_vec(span, coeffs)) != tuple(vectors[j]):
+            coeffs = [residual(k, j)[1] for k in basis]
+            # the combination must give the target's -inf pattern and, by cross-multiplication, its values
+            if not all(
+                got is want if got is None or want is None else got[0] * want[1] == want[0] * got[1]
+                for got, want in zip(row_maxima(span, coeffs), pairs[j])
+            ):
                 raise AssertionError("internal error: dependent column not spanned by the independent set")
-            combinations[j] = tuple((k, c) for k, c in zip(basis, coeffs) if c is not None)
+            combinations[j] = tuple((k, Fraction(*c)) for k, c in zip(basis, coeffs) if c is not None)
 
     return RankReport(
         axis=axis,

@@ -8,14 +8,16 @@ None for -inf (`BOTTOM`), so results are exact and bit-reproducible.
 and floats are refused; matrices and vectors call it on every entry.
 Strings follow the file-token grammar of `parse_scalar`.
 
-The hot loops (`mat_vec`, `column_mean`, and the residuation kernel
+The hot loops (the max-plus product `matrix.row_maxima` behind `mat_vec`
+and the rank scan's self-check, `column_mean`, and the residuation kernel
 `solver.residuate` behind `solve`, the rank scan and `expand_solution`)
 do their arithmetic on exact `(numerator, denominator)` integer pairs
-from `as_pairs` instead: sums and differences are left unreduced,
-denominators stay positive, so p/q < r/s is decided by p*s < r*q, and
-each result is reduced once into a `Fraction`. `mat_vec` and `residuate`
-never form a common denominator, so their intermediates stay within a
-few times the digits of their inputs.
+(`Pair`, from `as_pairs`) instead: sums and differences are left
+unreduced, denominators stay positive, so p/q < r/s is decided by
+p*s < r*q, and each result is reduced once into a `Fraction`, or not at
+all where only a comparison needs it. `row_maxima` and `residuate` never
+form a common denominator, so their intermediates stay within a few
+times the digits of their inputs.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ __all__ = [
 Scalar = Fraction | None
 
 BOTTOM: Scalar = None
+
+# A finite scalar as (numerator, denominator), denominator > 0, not always reduced.
+Pair = tuple[int, int]
 
 
 def as_scalar(x) -> Scalar:
@@ -70,7 +75,7 @@ def trop_mul(a: Scalar, b: Scalar) -> Scalar:
     return a + b
 
 
-def as_pairs(entries: Iterable[Scalar]) -> list[tuple[int, int] | None]:
+def as_pairs(entries: Iterable[Scalar]) -> list[Pair | None]:
     """Each scalar as its (numerator, denominator) pair, positive denominator; None stays None."""
     return [None if e is None else e.as_integer_ratio() for e in entries]
 

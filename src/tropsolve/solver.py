@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
-from .scalar import BOTTOM, Scalar, as_pairs
+from .scalar import BOTTOM, Pair, Scalar, as_pairs
 
 __all__ = [
     "RowCoverage",
@@ -73,8 +73,6 @@ class Unsolvable:
 
 
 SolveOutcome = Solvable | Unsolvable
-
-Pair = tuple[int, int]
 
 
 def residuate(k_pairs: list[Pair | None], t_pairs: list[Pair | None]) -> tuple[int, Pair | None] | None:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,33 @@ def test_scan_order_flag(data_dir):
         assert "comma-separated integers" in spelled.payload["error"], order
 
 
+def test_scan_order_past_digit_limit(data_dir):
+    # more digits than Python converts (4300): the permutation message, not int()'s
+    for order in ("9" * 5000, "5,4,3,2," + "1" * 5000, "6" * 2):
+        report = run(["colrank", path(data_dir, "rank_4x5.mat"), "--scan-order", order])
+        assert report.exit_code == 2
+        assert report.payload["error"] == "scan order must be a permutation of 1..5"
+    # leading zeros do not count
+    padded = run(["colrank", path(data_dir, "rank_4x5.mat"), "--scan-order", "0" * 5000 + "5,04,3,2,1"])
+    assert padded.payload == run(["colrank", path(data_dir, "rank_4x5.mat")]).payload
+
+
+def test_byte_order_mark_is_dropped(data_dir, tmp_path):
+    for args in (
+        ["colrank", "rank_4x5.mat"],
+        ["solve", "solvable_4x5.mat", "solvable_4x5_b.vec"],
+        ["solve", "unsolvable_5x4.mat", "unsolvable_5x4_b.vec"],
+    ):
+        marked = []
+        for name in args[1:]:
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (data_dir / name).read_bytes())
+            marked.append(str(tmp_path / name))
+        plain = run([args[0]] + [path(data_dir, name) for name in args[1:]])
+        with_bom = run([args[0]] + marked)
+        assert with_bom.payload == plain.payload and with_bom.exit_code == plain.exit_code, args
+        assert with_bom.inputs[0]["sha256"] != plain.inputs[0]["sha256"]  # the hash is over the raw bytes
+
+
 def test_reduce_report(data_dir, tmp_path):
     a = parse_matrix((data_dir / "rank_3x3.mat").read_text())
     from tropsolve import TropVector, mat_vec
@@ -376,6 +404,53 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _fresh_run(argv) -> cli.Report:
+    """`run` through a newly built parser instead of the process's shared one."""
+    return cli._dispatch(cli._build_parser.__wrapped__().parse_args(argv))
+
+
+def test_parser_reuse_keeps_reports(data_dir):
+    # one process, one parser: no option of a call may reach the next one
+    calls = [
+        ["colrank", path(data_dir, "rank_4x5.mat"), "--scan-order", "1,2,3,4,5"],
+        ["solve", path(data_dir, "unsolvable_5x4.mat"), path(data_dir, "unsolvable_5x4_b.vec"), "--check"],
+        ["rowrank", path(data_dir, "rank_4x5.mat")],
+        ["solve", path(data_dir, "solvable_4x5.mat"), path(data_dir, "solvable_4x5_b.vec")],
+    ]
+    reports = []
+    for argv in calls:
+        reports.append(run(argv))
+        for bad in (argv + ["--bogus"], argv[:1]):  # an unknown option, a missing input
+            with pytest.raises(SystemExit) as exc:
+                run(bad)
+            assert exc.value.code == 2
+    assert cli._build_parser() is cli._build_parser()
+    assert reports == [_fresh_run(argv) for argv in calls]
+
+
+def test_concurrent_runs_match_serial(data_dir):
+    # two subcommands through the one shared parser on more threads than cores,
+    # switching threads as often as the interpreter allows
+    calls = [
+        ["rowrank", path(data_dir, "rank_4x5.mat"), "--scan-order", "4,3,2,1"],
+        ["solve", path(data_dir, "solvable_4x5.mat"), path(data_dir, "solvable_4x5_b.vec"), "--check"],
+    ] * 2
+    serial = [run(argv) for argv in calls]
+
+    def repeat(argv):
+        return [run(argv) for _ in range(25)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            futures = [pool.submit(repeat, argv) for argv in calls]
+            for future, expected in zip(futures, serial):
+                assert future.result(timeout=120) == [expected] * 25
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _child_env() -> dict:

@@ -9,17 +9,17 @@ from tropsolve import (
     TropMatrix,
     TropVector,
     colrank,
-    mat_vec,
     rank,
     rowrank,
 )
+
+from tropsolve.solver import residuate
 
 from helpers import (
     dependence_oracle,
     from_columns,
     identity,
     max_combination,
-    perturbed,
     planted_instance,
     rand_matrix,
     rand_scalar,
@@ -95,7 +95,28 @@ def test_rowrank_3x3_scan_finds_row_dependence(rank_3x3):
 
 
 def test_spanned_column_check_fires(monkeypatch, rank_3x3):
-    monkeypatch.setattr(rank, "mat_vec", perturbed(mat_vec))
+    # each finite coefficient comes back 1 too large; the masks, and so the
+    # verdicts, are unchanged, but every combination overshoots its target
+    def overshooting(k_pairs, t_pairs):
+        res = residuate(k_pairs, t_pairs)
+        if res is None or res[1] is None:
+            return res
+        mask, (n, d) = res
+        return mask, (n + d, d)
+
+    monkeypatch.setattr(rank, "residuate", overshooting)
+    with pytest.raises(AssertionError, match="dependent column not spanned by the independent set"):
+        colrank(rank_3x3)
+
+
+def test_spanned_column_check_compares_bottom_pattern(monkeypatch, rank_3x3):
+    # every coefficient comes back -inf with its mask kept: the verdicts are
+    # unchanged, but each combination is all -inf where its target is finite
+    def bottomed(k_pairs, t_pairs):
+        res = residuate(k_pairs, t_pairs)
+        return res if res is None else (res[0], None)
+
+    monkeypatch.setattr(rank, "residuate", bottomed)
     with pytest.raises(AssertionError, match="dependent column not spanned by the independent set"):
         colrank(rank_3x3)
 
