@@ -49,4 +49,4 @@ from .solver import (
     verify,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import TropicalError
-from .freedom import DofReport, degrees_of_freedom, minimal_leading_oracle
+from .freedom import degrees_of_freedom, minimal_leading_oracle
 from .matrix import TropMatrix, TropVector, parse_matrix, parse_vector
 from .normalize import normalize, normalized_solution
 from .oracle import exhaustive_solvable, principal_solution
@@ -168,17 +168,11 @@ def _render_solve(p: dict) -> list[str]:
     return lines
 
 
-def _covered_dof(outcome: Solvable, n: int) -> DofReport:
-    """Degrees of freedom over the covered rows, reported under their own indices."""
-    covered = [(i, cols) for i, cols in enumerate(outcome.coverage) if cols]
-    return degrees_of_freedom([cols for _, cols in covered], n, row_ids=[i for i, _ in covered])
-
-
 def _cmd_dof(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     outcome = solve(a, b)
     if not isinstance(outcome, Solvable):
         return {"status": "unsolvable", "witness_rows": _ones(outcome.witness_rows)}, 1
-    report = _covered_dof(outcome, a.cols)
+    report = degrees_of_freedom(outcome)
     payload = {
         "status": "solvable",
         "degrees_of_freedom": report.d_f,
@@ -190,7 +184,7 @@ def _cmd_dof(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
         ],
     }
     if args.exact:
-        size, witness = minimal_leading_oracle([cols for cols in outcome.coverage if cols], a.cols)
+        size, witness = minimal_leading_oracle(outcome)
         payload["exact"] = {"min_size": size, "witness": [j + 1 for j in witness]}
     return payload, 0
 
@@ -287,7 +281,7 @@ def _cmd_reduce(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     dof_reduced = dof_direct = None
     if solvable:
         dof_reduced = dof_via_reduction(a, b)
-        dof_direct = _covered_dof(outcome, a.cols).d_f
+        dof_direct = degrees_of_freedom(outcome).d_f
     payload = {
         "status": "solvable" if solvable else "unsolvable",
         "independent_rows": [i + 1 for i in sys_red.indep_rows],

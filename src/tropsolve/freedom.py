@@ -1,21 +1,23 @@
 """Degrees of freedom of a solvable system.
 
-Works on the row-coverage relation extracted from Q: column j covers row i
-when the j-th column minimum lies in row i. Leading variables are chosen
-by the descriptive procedure: first every column that is the unique cover
-of some row, then greedily the column covering the most remaining rows.
-The number of degrees of freedom is n minus the number of leading
-variables. An exhaustive minimum-cover oracle is provided for testing the
-greedy step on small instances.
+Works on the row coverage of the outcome `solve` returns: column j covers
+row i when the j-th column minimum lies in row i. Rows with b_i = -inf
+hold no column minimum and take no part; the trace names the other rows
+by their index in A. Leading variables are chosen by the descriptive
+procedure: first every column that is the unique cover of some row, then
+greedily the column covering the most remaining rows. The number of
+degrees of freedom is n minus the number of leading variables. An
+exhaustive minimum-cover oracle is provided for testing the greedy step
+on small instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import SizeBoundError, UnsolvableSystemError
+from .solver import SolveOutcome, Unsolvable
 
 __all__ = ["DofStep", "DofReport", "degrees_of_freedom", "minimal_leading_oracle"]
 
@@ -35,49 +37,45 @@ class DofReport:
     trace: tuple[DofStep, ...]
 
 
-def _as_cover_sets(coverage: Sequence[Iterable[int]], n: int) -> list[frozenset[int]]:
-    sets = [frozenset(rowcov) for rowcov in coverage]
-    for rowcov in sets:
-        if not rowcov:
-            raise UnsolvableSystemError("system unsolvable: a row holds no column minimum")
+def _cover_sets(outcome: SolveOutcome, n: int) -> dict[int, frozenset[int]]:
+    """The covered rows of a solvable outcome, keyed by their index in A."""
+    if isinstance(outcome, Unsolvable):
+        raise UnsolvableSystemError("system unsolvable: a row holds no column minimum")
+    # in a Solvable the uncovered rows are exactly those with b_i = -inf
+    sets = {i: frozenset(cols) for i, cols in enumerate(outcome.coverage) if cols}
+    for rowcov in sets.values():
         if any(j < 0 or j >= n for j in rowcov):
             raise ValueError(f"column index out of range for n={n}")
     return sets
 
 
-def degrees_of_freedom(
-    coverage: Sequence[Iterable[int]],
-    n: int,
-    row_ids: Sequence[int] | None = None,
-) -> DofReport:
-    """Run the descriptive leading-variable procedure on a coverage relation.
+def degrees_of_freedom(outcome: SolveOutcome) -> DofReport:
+    """Run the descriptive leading-variable procedure on `solve`'s outcome.
 
-    `coverage` holds, per row, the columns whose minimum lies in that row;
-    every row must be covered (the system must be solvable). `row_ids`
-    optionally names the rows for the trace (defaults to positions).
+    Only the covered rows take part: in a solvable system those are the
+    rows with a finite b_i. The trace names rows by their index in A; an
+    `Unsolvable` raises `UnsolvableSystemError`.
 
     Singleton rows are processed first in ascending row order; then the
     greedy step repeatedly picks the column covering the most remaining
     rows, breaking ties toward the lowest column index.
     """
-    sets = _as_cover_sets(coverage, n)
-    ids = list(row_ids) if row_ids is not None else list(range(len(sets)))
-    if len(ids) != len(sets):
-        raise ValueError("row_ids must match coverage length")
+    n = len(outcome.x_star)
+    sets = _cover_sets(outcome, n)
 
-    remaining = set(range(len(sets)))
+    remaining = set(sets)
     leading: list[int] = []
     trace: list[DofStep] = []
 
     def choose(rule: str, col: int) -> None:
-        removed = sorted(r for r in remaining if col in sets[r])
+        removed = tuple(sorted(r for r in remaining if col in sets[r]))
         remaining.difference_update(removed)
         leading.append(col)
-        trace.append(DofStep(rule, col, tuple(ids[r] for r in removed)))
+        trace.append(DofStep(rule, col, removed))
 
-    for r in range(len(sets)):
-        if r in remaining and len(sets[r]) == 1:
-            (col,) = sets[r]
+    for r, rowcov in sets.items():
+        if r in remaining and len(rowcov) == 1:
+            (col,) = rowcov
             if col not in leading:
                 choose("singleton", col)
 
@@ -93,17 +91,17 @@ def degrees_of_freedom(
     return DofReport(tuple(leading), free, n - len(leading), tuple(trace))
 
 
-def minimal_leading_oracle(
-    coverage: Sequence[Iterable[int]], n: int
-) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum number of columns covering every row, by enumeration.
+def minimal_leading_oracle(outcome: SolveOutcome) -> tuple[int, tuple[int, ...]]:
+    """Exact minimum number of columns covering every covered row, by enumeration.
 
     Subsets are tried in increasing size, so the first cover found is
-    minimum; returns (size, one witness subset). Refuses n > 20.
+    minimum; returns (size, one witness subset). Refuses more than 20
+    columns, before it looks at solvability.
     """
+    n = len(outcome.x_star)
     if n > 20:
         raise SizeBoundError(f"exhaustive cover search limited to 20 columns, got {n}")
-    sets = _as_cover_sets(coverage, n)
+    sets = list(_cover_sets(outcome, n).values())
     candidates = sorted(set().union(*sets)) if sets else []
     for size in range(0, len(candidates) + 1):
         for subset in combinations(candidates, size):

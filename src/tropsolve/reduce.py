@@ -126,7 +126,12 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
 
 
 def dof_via_reduction(a: TropMatrix, b: TropVector) -> int:
-    """Degrees of freedom as (column rank) - (leading variables of the reduced system)."""
+    """Degrees of freedom as (column rank) - (leading variables of the reduced system).
+
+    The reduced system has the independent columns as its unknowns, so this
+    is `degrees_of_freedom` of its `solve` outcome. Raises
+    `UnsolvableSystemError` when A x = b is unsolvable.
+    """
     full = solve(a, b)
     if not isinstance(full, Solvable):
         raise UnsolvableSystemError("system unsolvable: degrees of freedom undefined")
@@ -136,6 +141,4 @@ def dof_via_reduction(a: TropMatrix, b: TropVector) -> int:
     reduced = solve(sys.a_bar, sys.b_bar)
     if not isinstance(reduced, Solvable):
         raise AssertionError("internal error: reduced system unsolvable while full system solvable")
-    k = len(sys.indep_cols)
-    p = len(degrees_of_freedom(reduced.coverage, k).leading_cols)
-    return k - p
+    return degrees_of_freedom(reduced).d_f

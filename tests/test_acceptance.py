@@ -85,10 +85,10 @@ def test_criterion_2_golden_unsolvable(unsolvable_5x4):
 def test_criterion_3_golden_dof(dof_4x5, solvable_4x5):
     a1, b1 = dof_4x5
     out1 = solve(a1, b1)
-    rep1 = degrees_of_freedom(out1.coverage, a1.cols)
+    rep1 = degrees_of_freedom(out1)
     a2, b2 = solvable_4x5
     out2 = solve(a2, b2)
-    rep2 = degrees_of_freedom(out2.coverage, a2.cols)
+    rep2 = degrees_of_freedom(out2)
     ok = (
         rep1.d_f == 2
         and len(rep1.leading_cols) == 3

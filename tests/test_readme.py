@@ -1,9 +1,11 @@
-"""The `$ tropsolve ...` examples in README.md, run through the CLI.
+"""The examples in README.md: `$ tropsolve ...` lines and ```python blocks.
 
-The shown lines must appear in the printed output in order, each on the
-line after the previous one. A shown line ending in `...` matches as a
-prefix, and a bare `...` skips any number of printed lines. Printed
-lines after the last shown one are not checked.
+A `$ tropsolve` line runs through the CLI. The shown lines must appear in
+the printed output in order, each on the line after the previous one. A
+shown line ending in `...` matches as a prefix, and a bare `...` skips
+any number of printed lines. Printed lines after the last shown one are
+not checked. A ```python block runs as it stands, and its asserts must
+hold.
 """
 
 import contextlib
@@ -60,3 +62,10 @@ def test_readme_examples(monkeypatch):
             main(argv)
         printed = out.getvalue().rstrip("\n").split("\n")
         assert shown_output_matches(shown, printed), (argv, printed)
+
+
+def test_readme_python_blocks():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
