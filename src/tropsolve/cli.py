@@ -55,12 +55,15 @@ def _ones(indices) -> list[int]:
     return [i + 1 for i in sorted(indices)]
 
 
-def _grid_lines(rows: list[list[str]], boxed: set[tuple[int, int]] | None = None) -> list[str]:
-    cells = [
-        [f"[{v}]" if boxed and (i, j) in boxed else v for j, v in enumerate(r)]
-        for i, r in enumerate(rows)
-    ]
-    widths = [max(len(cells[i][j]) for i in range(len(cells))) for j in range(len(cells[0]))]
+def _grid_lines(rows: list[list[str]], boxed: list[list[int]] | None = None) -> list[str]:
+    """Right-aligned columns; `boxed` lists, per column, the 1-based rows whose cell is bracketed."""
+    cells = rows
+    if boxed:
+        cells = [list(r) for r in rows]
+        for j, rows_1 in enumerate(boxed):
+            for i in rows_1:
+                cells[i - 1][j] = f"[{cells[i - 1][j]}]"
+    widths = [max(map(len, col)) for col in zip(*cells)]
     return ["  " + "  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells]
 
 
@@ -82,15 +85,12 @@ def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
 
 
 def _render_normalize(p: dict) -> list[str]:
-    boxed = {
-        (i - 1, j) for j, rows_1 in enumerate(p["argmin_rows"]) for i in rows_1
-    }
     lines = ["column means: " + " ".join(p["col_means"]), "b mean: " + p["b_mean"]]
     lines.append("A~ (normalized matrix):")
     lines += _grid_lines(p["a_tilde"])
     lines.append("b~: " + " ".join(p["b_tilde"]))
     lines.append("Q (column minima boxed):")
-    lines += _grid_lines(p["q"], boxed)
+    lines += _grid_lines(p["q"], p["argmin_rows"])
     lines.append("column minima: " + " ".join(p["column_minima"]))
     return lines
 

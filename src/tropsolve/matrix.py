@@ -1,7 +1,11 @@
 """Dense matrices and vectors over the max-plus scalars.
 
 Shapes are fixed at construction and entries are immutable. Every entry
-is a `Fraction` or None (-inf), coerced by `as_scalar` at construction.
+is a `Fraction` or None (-inf). The public constructors coerce every
+entry with `as_scalar` and check the shape; values the library builds
+itself (`parse_matrix`, `parse_vector`, `mat_vec`, `solve`'s x* and the
+`normalize` report) are already coerced tuples of the right shape and are
+passed in as they are through the private `_of` constructors.
 Indexing is 0-based throughout the library; only rendered reports use
 1-based indices. `row_maxima` is the one max-plus product loop: it works
 on exact integer (numerator, denominator) pairs and returns each row's
@@ -44,6 +48,13 @@ class TropVector:
         if not self._entries:
             raise DimensionError("vector must have at least one entry")
 
+    @classmethod
+    def _of(cls, entries: tuple[Scalar, ...]) -> TropVector:
+        """A vector on a non-empty tuple of `Fraction`s and None that the library built, taken as is."""
+        v = cls.__new__(cls)
+        v._entries = entries
+        return v
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -78,6 +89,13 @@ class TropMatrix:
         width = len(self._rows[0])
         if any(len(r) != width for r in self._rows):
             raise DimensionError("matrix rows must all have the same length")
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[Scalar, ...], ...]) -> TropMatrix:
+        """A matrix on rows the library built: non-empty tuples of one width, taken as they are."""
+        m = cls.__new__(cls)
+        m._rows = rows
+        return m
 
     @property
     def rows(self) -> int:
@@ -120,7 +138,7 @@ def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     if a.cols != len(x):
         raise DimensionError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
     best = row_maxima(a.row_tuples(), as_pairs(x))
-    return TropVector([BOTTOM if p is None else Fraction(*p) for p in best])
+    return TropVector._of(tuple([BOTTOM if p is None else Fraction(*p) for p in best]))
 
 
 def row_maxima(rows: Iterable[Sequence[Scalar]], x_pairs: Sequence[Pair | None]) -> list[Pair | None]:
@@ -213,10 +231,10 @@ def parse_matrix(text: str) -> TropMatrix:
                 f"row has {len(entries)} entries but row at line {first_lineno} has {width}",
                 line=lineno,
             )
-        rows.append(entries)
+        rows.append(tuple(entries))
     if not rows:
         raise ParseError("no matrix rows found")
-    return TropMatrix(rows)
+    return TropMatrix._of(tuple(rows))
 
 
 def parse_vector(text: str) -> TropVector:
@@ -225,9 +243,9 @@ def parse_vector(text: str) -> TropVector:
     if not lines:
         raise ParseError("no vector entries found")
     if all(len(entries) == 1 for _, entries in lines):
-        return TropVector(entries[0] for _, entries in lines)
+        return TropVector._of(tuple([entries[0] for _, entries in lines]))
     if len(lines) == 1:
-        return TropVector(lines[0][1])
+        return TropVector._of(tuple(lines[0][1]))
     bad = next(lineno for lineno, entries in lines if len(entries) != 1)
     raise ParseError("vector must be one scalar per line or a single line", line=bad)
 

@@ -15,12 +15,18 @@ shifts `solve`'s x* into the normalized y* for the `solve` report.
 
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in Q and are never a column minimum.
-`column_mean` sums integer numerators per distinct denominator; A~, b~
-and Q are plain `Fraction` grids, as the report prints them.
+Every exact value of the report is built on integer pairs and reduced
+once: `column_mean` sums integer numerators per distinct denominator and
+forms one `Fraction` over their lcm; a~_ij = a_ij - mean_j and
+q_ij = (b_i - a_ij) + (mean_j - b_mean) are each one `Fraction(n, d)`,
+whose per-cell operands are input entries and whose large-denominator
+shift mean_j - b_mean is reduced once per column. The report holds
+`Fraction`s and None, as it prints them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -54,16 +60,20 @@ def column_mean(col: Iterable[Scalar]) -> Fraction:
 
     The denominator is the number of finite entries, so -inf positions do
     not participate at all. Numerators are summed per distinct
-    denominator, so only one `Fraction` is added per denominator.
+    denominator, and those sums once over their lcm, so the mean is
+    reduced once.
     """
     sums: dict[int, int] = {}
     count = 0
-    for n, d in as_pairs(e for e in col if e is not None):
-        sums[d] = sums.get(d, 0) + n
-        count += 1
+    for e in col:
+        if e is not None:
+            n, d = e.as_integer_ratio()
+            sums[d] = sums.get(d, 0) + n
+            count += 1
     if not count:
         raise DegenerateColumnError("degenerate column: every entry is -inf")
-    return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0)) / count
+    lcd = math.lcm(*sums)
+    return Fraction(sum(n * (lcd // d) for d, n in sums.items()), lcd * count)
 
 
 def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
@@ -83,21 +93,35 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
             means.append(column_mean(col))
         except DegenerateColumnError:
             raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf") from None
-    a_tilde = [[BOTTOM if e is None else e - m for e, m in zip(r, means)] for r in a.row_tuples()]
-    b_tilde = [e - b_mean for e in b]
-    # lists first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
-    q = tuple([tuple([None if e is None else bt - e for e in r]) for bt, r in zip(b_tilde, a_tilde)])
+    shifts = [m - b_mean for m in means]
+    mean_pairs, shift_pairs = as_pairs(means), as_pairs(shifts)
+    a_tilde, q = [], []
+    for (nb, db), r in zip(as_pairs(b), a.row_tuples()):
+        a_row, q_row = [], []
+        for e, (nm, dm), (ns, ds) in zip(r, mean_pairs, shift_pairs):
+            if e is None:
+                a_row.append(BOTTOM)
+                q_row.append(None)
+                continue
+            na, da = e.as_integer_ratio()
+            a_row.append(Fraction(na * dm - nm * da, da * dm))
+            sn, sd = nb * da - na * db, db * da  # b_i - a_ij
+            q_row.append(Fraction(sn * ds + ns * sd, sd * ds))
+        a_tilde.append(tuple(a_row))
+        q.append(tuple(q_row))
+    argmins: list[list[int]] = [[] for _ in range(a.cols)]
+    for i, cols in enumerate(outcome.coverage):
+        for j in cols:
+            argmins[j].append(i)
     return NormalizationResult(
-        a_tilde=TropMatrix(a_tilde),
+        a_tilde=TropMatrix._of(tuple(a_tilde)),
         col_means=tuple(means),
-        b_tilde=TropVector(b_tilde),
+        b_tilde=TropVector._of(tuple([e - b_mean for e in b])),
         b_mean=b_mean,
-        q=q,
+        q=tuple(q),
         # b is regular and no column is all -inf, so every x*_j is finite
-        column_minima=TropVector(x + m - b_mean for x, m in zip(outcome.x_star, means)),
-        argmin_rows=tuple(
-            frozenset(i for i, cols in enumerate(outcome.coverage) if j in cols) for j in range(a.cols)
-        ),
+        column_minima=TropVector._of(tuple([x + s for x, s in zip(outcome.x_star, shifts)])),
+        argmin_rows=tuple([frozenset(rows) for rows in argmins]),
     )
 
 

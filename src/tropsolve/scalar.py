@@ -5,19 +5,22 @@ multiplication is classical addition, the additive identity is -inf and
 the multiplicative identity is 0. A scalar is a plain `Fraction`, or
 None for -inf (`BOTTOM`), so results are exact and bit-reproducible.
 `as_scalar` is the one place where ints and strings become `Fraction`s
-and floats are refused; matrices and vectors call it on every entry.
+and floats are refused; the public matrix and vector constructors call it
+on every entry.
 Strings follow the file-token grammar of `parse_scalar`.
 
 The hot loops (the max-plus product `matrix.row_maxima` behind `mat_vec`
-and the rank scan's self-check, `column_mean`, and the residuation kernel
-`solver.residuate` behind `solve`, the rank scan and `expand_solution`)
-do their arithmetic on exact `(numerator, denominator)` integer pairs
-(`Pair`, from `as_pairs`) instead: sums and differences are left
-unreduced, denominators stay positive, so p/q < r/s is decided by
-p*s < r*q, and each result is reduced once into a `Fraction`, or not at
-all where only a comparison needs it. `row_maxima` and `residuate` never
-form a common denominator, so their intermediates stay within a few
-times the digits of their inputs.
+and the rank scan's self-check, the residuation kernel `solver.residuate`
+behind `solve`, the rank scan and `expand_solution`, and the `normalize`
+report: `column_mean` and the A~ and Q grids, and through `column_mean`
+the normalized solution Y*) do their arithmetic on exact
+`(numerator, denominator)` integer pairs (`Pair`, from `as_pairs`)
+instead: sums and differences are left unreduced, denominators stay
+positive, so p/q < r/s is decided by p*s < r*q, and each result is
+reduced once into a `Fraction` (one per mean and per grid cell), or not
+at all where only a comparison needs it. `row_maxima` and `residuate`
+never form a common denominator, so their intermediates stay within a
+few times the digits of their inputs.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from tropsolve import (
     BOTTOM,
+    NormalizationResult,
     Scalar,
     TropMatrix,
     TropVector,
@@ -122,6 +123,36 @@ def q_column_minima(q) -> tuple[list[Fraction], list[frozenset[int]]]:
         minima.append(least)
         argmins.append(frozenset(i for i, v in enumerate(column) if v == least))
     return minima, argmins
+
+
+def normalize_reference(a: TropMatrix, b: TropVector) -> NormalizationResult:
+    """Plain-`Fraction` reference for `normalize`, cell by cell as the paper defines it.
+
+    Each mean is the sum of the finite entries over their count; then
+    a~_ij = a_ij - mean_j, b~_i = b_i - b_mean and q_ij = b~_i - a~_ij.
+    Shares no arithmetic with `normalize`, which works on integer pairs.
+    Expects a regular b and a finite entry in every column.
+    """
+
+    def mean(entries) -> Fraction:
+        finite = [e for e in entries if e is not None]
+        return sum(finite, Fraction(0)) / len(finite)
+
+    means = [mean(col) for col in zip(*a.row_tuples())]
+    b_mean = mean(b)
+    a_tilde = [[None if e is None else e - m for e, m in zip(r, means)] for r in a.row_tuples()]
+    b_tilde = [e - b_mean for e in b]
+    q = tuple(tuple(None if e is None else bt - e for e in r) for bt, r in zip(b_tilde, a_tilde))
+    minima, argmins = q_column_minima(q)
+    return NormalizationResult(
+        a_tilde=TropMatrix(a_tilde),
+        col_means=tuple(means),
+        b_tilde=TropVector(b_tilde),
+        b_mean=b_mean,
+        q=q,
+        column_minima=TropVector(minima),
+        argmin_rows=tuple(argmins),
+    )
 
 
 def perturbed(product):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -7,13 +9,17 @@ from tropsolve import (
     BOTTOM,
     DegenerateColumnError,
     RegularityError,
+    Solvable,
     TropMatrix,
     TropVector,
     column_mean,
+    mat_vec,
     normalize,
+    normalized_solution,
+    solve,
 )
 
-from helpers import q_column_minima, rand_finite_vector, rand_matrix
+from helpers import normalize_reference, q_column_minima, rand_finite_vector, rand_matrix
 
 F = Fraction
 
@@ -186,3 +192,58 @@ def test_q_invariant_under_equivalence_shifts():
         )
         b2 = TropVector([e + beta for e in b])
         assert normalize(a, b).q == normalize(a2, b2).q
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def _prime_value(rng: random.Random, p: int | None = None) -> F:
+    p = rng.choice(PRIMES) if p is None else p
+    return F(rng.randint(-30 * p, 30 * p), p)
+
+
+def _prime_system(rng: random.Random, m: int, n: int) -> tuple[TropMatrix, TropVector]:
+    """An m x n system with prime denominators <= 97, a -inf share of 0.25 and no all -inf column.
+
+    Half the time b = A x0 for a random x0 (solvable when b is regular),
+    otherwise b is random.
+    """
+    grid = [[None if rng.random() < 0.25 else _prime_value(rng) for _ in range(n)] for _ in range(m)]
+    for j in range(n):
+        if all(r[j] is None for r in grid):
+            grid[rng.randrange(m)][j] = _prime_value(rng)
+    a = TropMatrix(grid)
+    if rng.random() < 0.5:
+        b = mat_vec(a, TropVector(_prime_value(rng) for _ in range(n)))
+        if all(e is not None for e in b):
+            return a, b
+    return a, TropVector(_prime_value(rng) for _ in range(m))
+
+
+def _long_lcd_system(rng: random.Random) -> tuple[TropMatrix, TropVector]:
+    """A 40 x 3 solvable system whose first column holds every prime <= 97 as a denominator."""
+    first = [_prime_value(rng, p) for p in PRIMES] + [_prime_value(rng) for _ in range(40 - len(PRIMES))]
+    rng.shuffle(first)
+    a = TropMatrix([[e, _prime_value(rng), _prime_value(rng)] for e in first])
+    return a, mat_vec(a, TropVector(_prime_value(rng) for _ in range(3)))
+
+
+def test_normalize_matches_plain_fraction_reference():
+    # every field of the report, and Y* of solvable systems, against the
+    # cell-by-cell Fraction reference on prime denominators
+    rng = random.Random(14)
+    cases = [_prime_system(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(200)]
+    long_lcd = _long_lcd_system(rng)
+    assert math.lcm(*(e.denominator for e in long_lcd[0].column(0))).bit_length() > 100
+    cases.append(long_lcd)
+    solvable = 0
+    for a, b in cases:
+        res, ref = normalize(a, b), normalize_reference(a, b)
+        for field in dataclasses.fields(res):
+            assert getattr(res, field.name) == getattr(ref, field.name), field.name
+        outcome = solve(a, b)
+        if isinstance(outcome, Solvable):
+            solvable += 1
+            y_ref = [x + m - ref.b_mean for x, m in zip(outcome.x_star, ref.col_means)]
+            assert normalized_solution(a, b, outcome.x_star) == TropVector(y_ref) == ref.column_minima
+    assert solvable >= 50

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from tropsolve import (
     format_scalar,
     mat_vec,
     normalize,
+    normalized_solution,
     parse_matrix,
     parse_scalar,
     parse_vector,
@@ -76,11 +78,40 @@ def test_results_are_exact_fractions(text, data):
     out = solve(a, mat_vec(a, x0))  # solvable: x0 is a solution
     assert _exact(out.x_star)
     if all(any(e is not None for e in a.column(j)) for j in range(a.cols)):
-        res = normalize(a, parse_vector(data.draw(_vector_text(_FINITE_TOKEN, a.rows))))
+        b = parse_vector(data.draw(_vector_text(_FINITE_TOKEN, a.rows)))
+        res = normalize(a, b)
         assert all(_exact(r) for r in res.q)
+        assert all(_exact(r) for r in res.a_tilde.row_tuples())
         assert _exact(res.column_minima)
+        assert _exact(res.b_tilde)
+        assert _exact(res.col_means)
+        assert _exact([res.b_mean])
+        assert _exact(normalized_solution(a, b, solve(a, b).x_star))
     for dep in colrank(a).dependent:
         assert _exact(c for _, c in dep.combination)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(_TOKEN, min_size=n, max_size=n), min_size=1, max_size=4)
+    ),
+    st.data(),
+)
+def test_parsed_and_computed_equal_public_construction(token_rows, data):
+    # the library's own results compare and hash like the public
+    # constructors' from the same tokens: tuples of Fractions and None
+    a = parse_matrix("\n".join(" ".join(r) for r in token_rows))
+    public_a = TropMatrix([list(r) for r in token_rows])
+    assert a == public_a and hash(a) == hash(public_a)
+    tokens = data.draw(st.lists(_TOKEN, min_size=len(token_rows[0]), max_size=len(token_rows[0])))
+    x = parse_vector(data.draw(st.sampled_from(["\n", " "])).join(tokens))
+    public_x = TropVector(list(tokens))
+    assert x == public_x and hash(x) == hash(public_x)
+    y = mat_vec(a, x)
+    public_y = TropVector(
+        [functools.reduce(trop_add, (trop_mul(e, xk) for e, xk in zip(r, x)), BOTTOM) for r in a.row_tuples()]
+    )
+    assert y == public_y and hash(y) == hash(public_y)
 
 
 @given(scalars, scalars)
