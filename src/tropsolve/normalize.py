@@ -86,13 +86,12 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     outcome = solve(a, b)  # raises the shape error, which is reported before the others
     if not is_regular(b):
         raise RegularityError("b is not regular; preprocess the system to remove -inf equations")
+    # with a regular b, x*_j is -inf exactly where column j has no finite entry
+    if None in outcome.x_star:
+        j = tuple(outcome.x_star).index(None)
+        raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf")
     b_mean = column_mean(b)
-    means = []
-    for j, col in enumerate(zip(*a.row_tuples())):
-        try:
-            means.append(column_mean(col))
-        except DegenerateColumnError:
-            raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf") from None
+    means = [column_mean(col) for col in zip(*a.row_tuples())]
     shifts = [m - b_mean for m in means]
     mean_pairs, shift_pairs = as_pairs(means), as_pairs(shifts)
     a_tilde, q = [], []

@@ -77,12 +77,14 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     eta = _aligned_coeffs(col_scan, indep_cols)
     xi = _aligned_coeffs(row_scan, indep_rows)
 
-    a_bar = submatrix(a, indep_rows, indep_cols) if indep_rows and indep_cols else None
-    b_bar = TropVector(b[i] for i in indep_rows) if indep_rows else None
-
-    # a dependent row's b entry against the same max-combination of b_bar;
-    # with no independent row (all -inf matrix) every dependent row fails
-    rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar) if xi and b_bar is not None else [BOTTOM] * len(xi)
+    if indep_rows:
+        a_bar = submatrix(a, indep_rows, indep_cols)
+        b_bar = TropVector(b[i] for i in indep_rows)
+        # a dependent row's b entry against the same max-combination of b_bar
+        rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar) if xi else []
+    else:  # row and column rank are 0 together, for an all -inf A: every dependent row fails
+        a_bar = b_bar = None
+        rhs = [BOTTOM] * len(xi)
     consistency = tuple((dep_row, v == b[dep_row]) for (dep_row, _), v in zip(xi, rhs))
 
     return ReducedSystem(
@@ -105,7 +107,7 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
     -inf columns) are unconstrained and are stored as -inf, matching the
     solver's convention.
     """
-    if sys.a_bar is None or sys.b_bar is None:
+    if sys.a_bar is None:
         raise ValueError("reduced system is empty; nothing to expand")
     if len(reduced_y) != len(sys.indep_cols):
         raise DimensionError(
@@ -136,8 +138,6 @@ def dof_via_reduction(a: TropMatrix, b: TropVector) -> int:
     if not isinstance(full, Solvable):
         raise UnsolvableSystemError("system unsolvable: degrees of freedom undefined")
     sys = reduce_system(a, b)
-    if sys.a_bar is None or sys.b_bar is None:
-        return 0
     reduced = solve(sys.a_bar, sys.b_bar)
     if not isinstance(reduced, Solvable):
         raise AssertionError("internal error: reduced system unsolvable while full system solvable")

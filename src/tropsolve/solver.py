@@ -9,7 +9,7 @@ finite b_i attains some column's minimum; x* is then the maximal
 solution, and the unattained rows otherwise witness unsolvability.
 
 `residuate` is the one exact kernel for that step, shared by `solve`,
-the rank scan and `reduce.expand_solution`.
+the rank scan, `reduce.expand_solution` and `check_equivalence`.
 It runs on integer pairs from `as_pairs`: each slack t_i - k_i is the
 unreduced (n_t*d_k - n_k*d_t, d_t*d_k), slacks are compared by
 cross-multiplication, and no common denominator is formed. It has three
@@ -167,19 +167,17 @@ def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
     if a.rows != a2.rows or a.cols != a2.cols:
         raise DimensionError(f"shapes differ: {a.rows}x{a.cols} vs {a2.rows}x{a2.cols}")
     alphas: list[Fraction] = []
-    for j in range(a.cols):
-        shift = None
-        for i in range(a.rows):
-            e, e2 = a.entry(i, j), a2.entry(i, j)
-            if (e is None) != (e2 is None):
-                return None
-            if e is None:
-                continue
-            d = e2 - e
-            if shift is None:
-                shift = d
-            elif shift != d:
-                return None
-        alphas.append(shift if shift is not None else Fraction(0))
+    for col, col2 in zip(zip(*a.row_tuples()), zip(*a2.row_tuples())):
+        pairs, pairs2 = as_pairs(col), as_pairs(col2)
+        support = sum(1 << i for i, p in enumerate(pairs) if p is not None)
+        if support != sum(1 << i for i, p in enumerate(pairs2) if p is not None):
+            return None
+        res = residuate(pairs, pairs2)
+        if res is None:  # an all -inf column pair
+            alphas.append(Fraction(0))
+        elif res[0] == support:  # every finite row attains the least slack a2_ij - a_ij
+            alphas.append(Fraction(*res[1]))
+        else:
+            return None
     return alphas
 

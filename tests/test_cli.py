@@ -398,10 +398,19 @@ def test_exit_code_contract_on_arbitrary_bytes(matrix, vector):
                 assert main([str(x) for x in argv]) in (0, 1, 2)
 
 
-def test_shape_mismatch_exit_2(data_dir):
-    report = run(["solve", path(data_dir, "rank_3x3.mat"), path(data_dir, "solvable_4x5_b.vec")])
+@pytest.mark.parametrize(
+    "command, second, message",
+    [
+        pytest.param(command, "solvable_4x5_b.vec", "matrix has 3 rows but vector has 4 entries", id=command)
+        for command in ("normalize", "solve", "dof", "reduce")
+    ]
+    + [pytest.param("check-equiv", "rank_4x5.mat", "shapes differ: 3x3 vs 4x5", id="check-equiv")],
+)
+def test_shape_mismatch_exit_2(data_dir, command, second, message):
+    report = run([command, path(data_dir, "rank_3x3.mat"), path(data_dir, second)])
     assert report.exit_code == 2
-    assert "error" in report.payload
+    assert report.payload == {"error": message}
+    assert render_text(report) == f"error: {message}"
 
 
 def test_missing_file_exit_2(data_dir):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tropsolve import (
+    DimensionError,
+    RegularityError,
     Solvable,
     TropMatrix,
     TropVector,
@@ -164,10 +166,12 @@ def test_full_and_reduced_solvability_coincide_random():
 
 
 def test_reduce_regularity_and_shape_checks(rank_3x3):
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionError) as shape:
         reduce_system(rank_3x3, TropVector([1, 2]))
-    with pytest.raises(Exception):
+    assert str(shape.value) == "matrix has 3 rows but vector has 2 entries"
+    with pytest.raises(RegularityError) as regular:
         reduce_system(rank_3x3, TropVector([1, None, 2]))
+    assert str(regular.value) == "b must be regular for row-column reduction"
 
 
 def test_degenerate_all_bottom_matrix():

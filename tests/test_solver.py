@@ -211,6 +211,58 @@ def test_check_equivalence_rejects_bottom_pattern_change():
     assert check_equivalence(a, a) == [Fraction(0), Fraction(0)]
 
 
+def _shifts_reference(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
+    """Per-column shifts a2_ij - a_ij by plain `Fraction` subtraction, or None."""
+    alphas = []
+    for col, col2 in zip(zip(*a.row_tuples()), zip(*a2.row_tuples())):
+        if [e is None for e in col] != [e is None for e in col2]:
+            return None
+        shifts = {e2 - e for e, e2 in zip(col, col2) if e is not None}
+        if len(shifts) > 1:
+            return None
+        alphas.append(shifts.pop() if shifts else Fraction(0))
+    return alphas
+
+
+def test_check_equivalence_tall_long_denominators():
+    # every change sits in a row at index 64 or later, past a 64-bit row mask
+    rng = random.Random(31)
+
+    def long_fraction() -> Fraction:
+        digits = rng.randint(20, 100)
+        den = rng.randrange(10 ** (digits - 1), 10**digits)
+        return Fraction(rng.randrange(-50 * den, 50 * den), den)
+
+    for _ in range(12):
+        m, n = rng.randint(66, 80), rng.randint(2, 4)
+        cols = [[None if rng.random() < 0.2 else long_fraction() for _ in range(m)] for _ in range(n)]
+        empty, j = rng.sample(range(n), 2)
+        cols[empty] = [None] * m  # an all -inf column pair: alpha 0
+        late, gap = rng.sample(range(64, m), 2)
+        cols[j][late], cols[j][gap] = long_fraction(), None
+        alphas = [long_fraction() for _ in range(n)]
+        shifted = [[None if e is None else e + al for e in col] for col, al in zip(cols, alphas)]
+        a = from_columns(cols)
+
+        expected = [Fraction(0) if c == empty else al for c, al in enumerate(alphas)]
+        a2 = from_columns(shifted)
+        assert check_equivalence(a, a2) == _shifts_reference(a, a2) == expected
+
+        changed = []
+        for sign in (1, -1):
+            bumped = [list(col) for col in shifted]
+            bumped[j][late] += sign * Fraction(1, 10 ** rng.randint(1, 60))
+            changed.append(bumped)
+        for col, row, value in ((j, late, None), (j, gap, long_fraction()), (empty, late, long_fraction())):
+            pattern = [list(c) for c in shifted]
+            pattern[col][row] = value
+            changed.append(pattern)
+        for cols2 in changed:
+            a2 = from_columns(cols2)
+            assert _shifts_reference(a, a2) is None
+            assert check_equivalence(a, a2) is None
+
+
 def test_map_equivalent_solution_formula():
     x = TropVector([1, 2])
     assert map_equivalent_solution(x, [Fraction(2), Fraction(0)], 3) == TropVector([2, 5])
