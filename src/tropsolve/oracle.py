@@ -23,9 +23,9 @@ __all__ = ["principal_solution", "exhaustive_solvable"]
 def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
     """Residuation: x_j = min over rows with a_ij finite of (b_i - a_ij).
 
-    Intended for regular b. Columns with no finite entry leave x_j
-    unconstrained; the entry is stored as -inf (no finite cap exists).
-    A -inf b entry against a finite a_ij likewise forces x_j to -inf.
+    Columns with no finite entry leave x_j unconstrained; the entry is
+    stored as -inf (no finite cap exists). A -inf b entry against a
+    finite a_ij forces x_j to -inf.
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")

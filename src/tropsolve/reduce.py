@@ -1,11 +1,11 @@
-"""Row-column reduction of A x = b.
+"""Row-column reduction of A x = b, for every b that `solve` takes.
 
 Dependent columns and rows of A are expressed exactly as max-combinations
 of the independent ones (coefficients eta for columns, xi for rows). The
 reduced system keeps only independent rows and columns; a dependent row's
-equation is consistent iff its b entry equals the same max-combination of
-the kept b entries. Solvability of the full and reduced systems then
-coincide, and a reduced solution expands back to a full one.
+equation holds iff its b entry, -inf or not, is the same max-combination
+of the kept b entries. With every such row holding, the full and reduced
+systems are solvable together, and a reduced solution expands back.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError, RegularityError, UnsolvableSystemError
+from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
-from .matrix import TropMatrix, TropVector, is_regular, mat_vec, submatrix
+from .matrix import TropMatrix, TropVector, mat_vec, submatrix
 from .rank import RankReport, colrank, rowrank
 from .scalar import BOTTOM, Scalar, as_pairs
 from .solver import Solvable, residuate, solve
@@ -31,8 +31,8 @@ class ReducedSystem:
 
     `eta` maps each dependent column (pairs, ascending) to coefficients
     aligned with `indep_cols`; `xi` does the same for dependent rows and
-    `indep_rows`. `a_bar`/`b_bar` are None only in the degenerate case of
-    an entirely -inf matrix, which has no independent rows or columns.
+    `indep_rows`. `a_bar`/`b_bar` are None only for an entirely -inf
+    matrix: its reduced system is empty, and solvable, with no unknowns.
     """
 
     indep_rows: tuple[int, ...]  # ascending original indices
@@ -66,8 +66,6 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     """Run column and row analysis and assemble the reduced system."""
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    if not is_regular(b):
-        raise RegularityError("b must be regular for row-column reduction")
 
     col_scan = colrank(a)
     row_scan = rowrank(a)
@@ -82,7 +80,7 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
         b_bar = TropVector(b[i] for i in indep_rows)
         # a dependent row's b entry against the same max-combination of b_bar
         rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar) if xi else []
-    else:  # row and column rank are 0 together, for an all -inf A: every dependent row fails
+    else:  # row and column rank are 0 together, for an all -inf A: a row holds iff b_i is -inf
         a_bar = b_bar = None
         rhs = [BOTTOM] * len(xi)
     consistency = tuple((dep_row, v == b[dep_row]) for (dep_row, _), v in zip(xi, rhs))
@@ -131,13 +129,15 @@ def dof_via_reduction(a: TropMatrix, b: TropVector) -> int:
     """Degrees of freedom as (column rank) - (leading variables of the reduced system).
 
     The reduced system has the independent columns as its unknowns, so this
-    is `degrees_of_freedom` of its `solve` outcome. Raises
-    `UnsolvableSystemError` when A x = b is unsolvable.
+    is `degrees_of_freedom` of its `solve` outcome, or 0 when it has no
+    unknowns. Raises `UnsolvableSystemError` when A x = b is unsolvable.
     """
     full = solve(a, b)
     if not isinstance(full, Solvable):
         raise UnsolvableSystemError("system unsolvable: degrees of freedom undefined")
     sys = reduce_system(a, b)
+    if sys.a_bar is None:
+        return 0
     reduced = solve(sys.a_bar, sys.b_bar)
     if not isinstance(reduced, Solvable):
         raise AssertionError("internal error: reduced system unsolvable while full system solvable")

@@ -68,6 +68,20 @@ def arbitrary_instance(rng: random.Random, max_dim: int = 6, bottom_p: float = 0
     return rand_matrix(rng, m, n, bottom_p), rand_finite_vector(rng, m)
 
 
+def with_bottoms(rng: random.Random, a: TropMatrix, b: TropVector | None = None) -> TropVector:
+    """A right-hand side for `a` that is -inf on at least one row and at most half of them, at random.
+
+    Given b, those entries of b become -inf. Without b, it is A x0 for a
+    random x0 that is -inf on every column with a finite entry in those
+    rows, so A x = b is solvable.
+    """
+    rows = rng.sample(range(a.rows), rng.randint(1, max(1, a.rows // 2)))
+    if b is not None:
+        return TropVector(BOTTOM if i in rows else e for i, e in enumerate(b))
+    forced = {j for i in rows for j in range(a.cols) if a.entry(i, j) is not None}
+    return mat_vec(a, TropVector(BOTTOM if j in forced else rand_fraction(rng) for j in range(a.cols)))
+
+
 def from_columns(cols) -> TropMatrix:
     """The matrix whose columns are the given vectors."""
     return TropMatrix(list(zip(*cols)))

@@ -43,6 +43,7 @@ from helpers import (
     rand_finite_vector,
     rand_matrix,
     solvable_instance,
+    with_bottoms,
 )
 
 
@@ -208,21 +209,27 @@ def test_criterion_7_equivalence_invariance():
 
 def test_criterion_8_reduction_equivalence():
     rng = random.Random(1008)
+    instances = [planted_instance(rng) for _ in range(500)]
+    # -inf entries in b: planted b = A x0, random b, and the empty reduction of an all -inf A
+    for _ in range(200):
+        a = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), bottom_p=rng.choice((0.25, 0.5)))
+        instances.append((a, with_bottoms(rng, a, rand_finite_vector(rng, a.rows) if rng.random() < 0.5 else None)))
+    instances.append((parse_matrix("-inf -inf\n-inf -inf\n"), parse_vector("-inf\n-inf\n")))
     failures = 0
-    for _ in range(500):
-        a, b = planted_instance(rng)
+    for a, b in instances:
         sys = reduce_system(a, b)
         full = solve(a, b)
         reduced_out = solve(sys.a_bar, sys.b_bar) if sys.a_bar is not None else None
-        reduced_solvable = isinstance(reduced_out, Solvable)
+        # the empty reduced system is solvable
+        reduced_solvable = sys.a_bar is None or isinstance(reduced_out, Solvable)
         if isinstance(full, Solvable) != (sys.consistent() and reduced_solvable):
             failures += 1
             continue
-        if isinstance(full, Solvable):
+        if isinstance(full, Solvable) and sys.a_bar is not None:
             x = expand_solution(reduced_out.x_star, sys)
             if not verify(a, x, b) or x != full.x_star:
                 failures += 1
-    report("8 (reduction equivalence, 500 instances)", failures == 0, f"{failures} failures")
+    report(f"8 (reduction equivalence, {len(instances)} instances)", failures == 0, f"{failures} failures")
 
 
 def test_criterion_9_normalization_zero_sum():

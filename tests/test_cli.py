@@ -180,13 +180,13 @@ def test_normalize_irregular_b_exit_2(tmp_path):
     assert "preprocess" in report.payload["error"]
 
 
-def test_reduce_refuses_bottom_in_b_that_solve_accepts(tmp_path, capsys):
-    # README: -inf in b is allowed for solve and dof, but reduce needs a regular b
+def test_reduce_accepts_bottom_in_b_like_solve(tmp_path, capsys):
+    # README: only normalize needs a regular b; solve, dof and reduce take a -inf in b
     (tmp_path / "a.mat").write_text("0 -inf\n-inf 0\n0 0\n")
     (tmp_path / "b.vec").write_text("-inf\n1\n1\n")
     files = [str(tmp_path / "a.mat"), str(tmp_path / "b.vec")]
-    assert [main([cmd, *files]) for cmd in ("solve", "dof", "reduce")] == [0, 0, 2]
-    assert capsys.readouterr().out.splitlines()[-1] == "error: b must be regular for row-column reduction"
+    assert [main([cmd, *files]) for cmd in ("solve", "dof", "reduce")] == [0, 0, 0]
+    assert capsys.readouterr().out.splitlines()[-1] == "degrees of freedom (direct): 1"
 
 
 def test_reduce_unsolvable_exit_1(data_dir):

@@ -16,10 +16,11 @@ from tropsolve import (
     mat_vec,
     normalize,
     normalized_solution,
+    principal_solution,
     solve,
 )
 
-from helpers import normalize_reference, q_column_minima, rand_finite_vector, rand_matrix
+from helpers import normalize_reference, q_column_minima, rand_finite_vector, rand_matrix, with_bottoms
 
 F = Fraction
 
@@ -247,3 +248,30 @@ def test_normalize_matches_plain_fraction_reference():
             y_ref = [x + m - ref.b_mean for x, m in zip(outcome.x_star, ref.col_means)]
             assert normalized_solution(a, b, outcome.x_star) == TropVector(y_ref) == ref.column_minima
     assert solvable >= 50
+
+
+def test_normalized_solution_on_systems_normalize_refuses():
+    # Y* where b holds -inf or a column is all -inf, against the plain-Fraction
+    # y*_j = x*_j + mean_j - b_mean, means over finite entries, -inf where x*_j is
+    def mean(entries) -> F:
+        finite = [e for e in entries if e is not None]
+        return sum(finite, F(0)) / len(finite)
+
+    rng = random.Random(16)
+    finite_y = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        grid = [[None if rng.random() < 0.3 else _prime_value(rng) for _ in range(n)] for _ in range(m)]
+        for j in rng.sample(range(n), rng.randint(0, n // 2)):
+            for r in grid:
+                r[j] = None
+        a = TropMatrix(grid)
+        b = with_bottoms(rng, a, TropVector(_prime_value(rng) for _ in range(m)) if rng.random() < 0.5 else None)
+        with pytest.raises((RegularityError, DegenerateColumnError)):
+            normalize(a, b)
+        x_star = solve(a, b).x_star
+        assert x_star == principal_solution(a, b)
+        y_ref = [None if x is None else x + mean(col) - mean(b) for x, col in zip(x_star, zip(*grid))]
+        assert normalized_solution(a, b, x_star) == TropVector(y_ref)
+        finite_y += sum(y is not None for y in y_ref)
+    assert finite_y >= 100

@@ -5,7 +5,6 @@ import pytest
 
 from tropsolve import (
     DimensionError,
-    RegularityError,
     Solvable,
     TropMatrix,
     TropVector,
@@ -18,11 +17,22 @@ from tropsolve import (
     solve,
     verify,
 )
+from tropsolve.cli import main
 
-from helpers import identity, max_combination, planted_instance, rand_finite_vector
+from helpers import (
+    identity,
+    max_combination,
+    planted_instance,
+    rand_finite_vector,
+    rand_matrix,
+    with_bottoms,
+)
 
 
 def check_reconstruction(a: TropMatrix, sys) -> None:
+    if not sys.indep_cols:  # the empty combination of an all -inf A
+        assert all(e is None for r in a.row_tuples() for e in r) and not sys.indep_rows
+        return
     for dep_col, coeffs in sys.eta:
         combo = max_combination([a.column(c) for c in sys.indep_cols], list(coeffs))
         assert combo == a.column(dep_col)
@@ -147,31 +157,62 @@ def test_full_and_reduced_solvability_coincide_random():
     # then systems whose random scalars have 20-30-digit denominators
     instances += [planted_instance(rng, max_den=10 ** rng.randint(20, 30)) for _ in range(120)]
     assert sum(any(e is None for r in a.row_tuples() for e in r) for a, _ in instances[200:]) >= 20
+    # then -inf entries in b, on planted systems and on random ones with -inf shares 0, 0.25, 0.5
+    for _ in range(150):
+        a, b = planted_instance(rng)
+        instances.append((a, with_bottoms(rng, a, b if rng.random() < 0.5 else None)))
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = rand_matrix(rng, m, n, bottom_p=rng.choice((0, 0.25, 0.5)))
+        instances.append((a, with_bottoms(rng, a, rand_finite_vector(rng, m) if rng.random() < 0.5 else None)))
+    # and the empty reduction, against an all -inf b and a finite one
+    instances += [(TropMatrix([[None] * 3] * 2), TropVector([None, None])), (TropMatrix([[None]]), TropVector([0]))]
+    solvable = {True: 0, False: 0}
+    finite_x_with_bottom_b = 0
     for a, b in instances:
         sys = reduce_system(a, b)
         check_reconstruction(a, sys)
         full = solve(a, b)
-        if sys.a_bar is None:
-            reduced_solvable = False
-        else:
-            reduced_solvable = isinstance(solve(sys.a_bar, sys.b_bar), Solvable)
+        # the empty reduced system of an all -inf A is solvable
+        reduced = solve(sys.a_bar, sys.b_bar) if sys.a_bar is not None else None
+        reduced_solvable = sys.a_bar is None or isinstance(reduced, Solvable)
         assert isinstance(full, Solvable) == (sys.consistent() and reduced_solvable)
-        if isinstance(full, Solvable):
-            reduced = solve(sys.a_bar, sys.b_bar)
-            x = expand_solution(reduced.x_star, sys)
-            assert verify(a, x, b)
-            assert x == full.x_star
-            # plain-Fraction residuation, sharing no code with the kernel
-            assert x == principal_solution(a, b)
+        if not isinstance(full, Solvable):
+            continue
+        solvable[None in b] += 1
+        finite_x_with_bottom_b += None in b and any(e is not None for e in full.x_star)
+        # plain-Fraction residuation, sharing no code with the kernel
+        assert full.x_star == principal_solution(a, b)
+        if sys.a_bar is None:
+            assert all(e is None for e in full.x_star) and dof_via_reduction(a, b) == 0
+            continue
+        x = expand_solution(reduced.x_star, sys)
+        assert verify(a, x, b)
+        assert x == full.x_star
+    assert solvable[False] >= 100 and solvable[True] >= 100 and finite_x_with_bottom_b >= 40
 
 
-def test_reduce_regularity_and_shape_checks(rank_3x3):
+def test_reduce_shape_check(rank_3x3):
     with pytest.raises(DimensionError) as shape:
         reduce_system(rank_3x3, TropVector([1, 2]))
     assert str(shape.value) == "matrix has 3 rows but vector has 2 entries"
-    with pytest.raises(RegularityError) as regular:
-        reduce_system(rank_3x3, TropVector([1, None, 2]))
-    assert str(regular.value) == "b must be regular for row-column reduction"
+
+
+def test_empty_reduction_of_all_bottom_system(tmp_path, capsys):
+    # column rank 0: the reduced system is empty and solvable, with no unknowns
+    a, b = TropMatrix([[None, None], [None, None]]), TropVector([None, None])
+    sys = reduce_system(a, b)
+    assert sys.a_bar is None and sys.b_bar is None
+    assert sys.row_consistency == ((0, True), (1, True))
+    assert isinstance(solve(a, b), Solvable)
+    assert dof_via_reduction(a, b) == 0
+    (tmp_path / "a.mat").write_text("-inf -inf\n-inf -inf\n")
+    (tmp_path / "b.vec").write_text("-inf\n-inf\n")
+    assert main(["reduce", str(tmp_path / "a.mat"), str(tmp_path / "b.vec")]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "degrees of freedom via reduction: 0",
+        "degrees of freedom (direct): 2",
+    ]
 
 
 def test_degenerate_all_bottom_matrix():
