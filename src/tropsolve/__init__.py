@@ -49,4 +49,4 @@ from .solver import (
     verify,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -55,6 +55,11 @@ def _ones(indices) -> list[int]:
     return [i + 1 for i in sorted(indices)]
 
 
+def _listed(items, sep: str = ", ") -> str:
+    """The rule for a list in a text report: its items joined, or `-` when it is empty."""
+    return sep.join(map(str, items)) or "-"
+
+
 def _grid_lines(rows: list[list[str]], boxed: list[list[int]] | None = None) -> list[str]:
     """Right-aligned columns; `boxed` lists, per column, the 1-based rows whose cell is bracketed."""
     cells = rows
@@ -159,7 +164,7 @@ def _render_solve(p: dict) -> list[str]:
         lines.append("witness rows (no column minimum): " + ", ".join(map(str, p["witness_rows"])))
     lines.append("coverage (column minima per row):")
     for i, cols in enumerate(p["coverage"], start=1):
-        lines.append(f"  row {i}: " + (", ".join(map(str, cols)) if cols else "-"))
+        lines.append(f"  row {i}: " + _listed(cols))
     if "check" in p:
         c = p["check"]
         lines.append("oracle check: " + ("agrees" if c["agrees"] else "DISAGREES"))
@@ -197,15 +202,12 @@ def _render_dof(p: dict) -> list[str]:
         ]
     lines = [
         f"degrees of freedom: {p['degrees_of_freedom']}",
-        "leading variables: " + ", ".join(f"x{j}" for j in p["leading"]),
-        "free variables: " + (", ".join(f"x{j}" for j in p["free"]) if p["free"] else "-"),
+        "leading variables: " + _listed(f"x{j}" for j in p["leading"]),
+        "free variables: " + _listed(f"x{j}" for j in p["free"]),
         "trace:",
     ]
     for s in p["trace"]:
-        lines.append(
-            f"  {s['rule']}: chose column {s['column']}, removed rows "
-            + (", ".join(map(str, s["removed_rows"])) if s["removed_rows"] else "-")
-        )
+        lines.append(f"  {s['rule']}: chose column {s['column']}, removed rows " + _listed(s["removed_rows"]))
     if "exact" in p:
         e = p["exact"]
         lines.append(
@@ -261,7 +263,7 @@ def _render_rank(p: dict) -> list[str]:
     unit = "column" if p["axis"] == "columns" else "row"
     lines = [
         f"{unit[:3]}rank: {p['rank']}",
-        f"independent {unit}s: " + ", ".join(map(str, p["independent"])),
+        f"independent {unit}s: " + _listed(p["independent"]),
         "scan trace: "
         + ", ".join(f"{unit} {t['index']} {t['verdict']}" for t in p["scan_trace"]),
     ]
@@ -286,8 +288,8 @@ def _cmd_reduce(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
         "status": "solvable" if solvable else "unsolvable",
         "independent_rows": [i + 1 for i in sys_red.indep_rows],
         "independent_cols": [j + 1 for j in sys_red.indep_cols],
-        "a_bar": [[format_scalar(e) for e in r] for r in sys_red.a_bar.row_tuples()] if sys_red.a_bar else None,
-        "b_bar": [format_scalar(e) for e in sys_red.b_bar] if sys_red.b_bar else None,
+        "a_bar": [[format_scalar(e) for e in r] for r in sys_red.a_bar.row_tuples()] if sys_red.indep_cols else None,
+        "b_bar": [format_scalar(e) for e in sys_red.b_bar] if sys_red.indep_cols else None,
         "eta": [
             {"column": j + 1, "coefficients": [format_scalar(c) for c in coeffs]}
             for j, coeffs in sys_red.eta
@@ -308,17 +310,17 @@ def _cmd_reduce(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
 def _render_reduce(p: dict) -> list[str]:
     lines = [
         f"status: {p['status']}",
-        "independent rows: " + ", ".join(map(str, p["independent_rows"])),
-        "independent columns: " + ", ".join(map(str, p["independent_cols"])),
+        "independent rows: " + _listed(p["independent_rows"]),
+        "independent columns: " + _listed(p["independent_cols"]),
     ]
     if p["a_bar"] is not None:
         lines.append("reduced matrix:")
         lines += _grid_lines(p["a_bar"])
         lines.append("reduced b: " + " ".join(p["b_bar"]))
     for e in p["eta"]:
-        lines.append(f"eta for column {e['column']}: " + " ".join(e["coefficients"]))
+        lines.append(f"eta for column {e['column']}: " + _listed(e["coefficients"], " "))
     for x in p["xi"]:
-        lines.append(f"xi for row {x['row']}: " + " ".join(x["coefficients"]))
+        lines.append(f"xi for row {x['row']}: " + _listed(x["coefficients"], " "))
     for rc in p["row_consistency"]:
         lines.append(f"row {rc['row']} consistency: {'ok' if rc['consistent'] else 'VIOLATED'}")
     if p["dof_via_reduction"] is not None:

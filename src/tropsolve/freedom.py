@@ -75,9 +75,7 @@ def degrees_of_freedom(outcome: SolveOutcome) -> DofReport:
 
     for r, rowcov in sets.items():
         if r in remaining and len(rowcov) == 1:
-            (col,) = rowcov
-            if col not in leading:
-                choose("singleton", col)
+            choose("singleton", *rowcov)
 
     while remaining:
         freq: dict[int, int] = {}

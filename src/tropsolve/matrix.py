@@ -38,19 +38,17 @@ __all__ = [
 
 
 class TropVector:
-    """A vector of max-plus scalars, length >= 1."""
+    """A vector of max-plus scalars, possibly empty."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable):
         # list first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
         self._entries = tuple([as_scalar(e) for e in entries])
-        if not self._entries:
-            raise DimensionError("vector must have at least one entry")
 
     @classmethod
     def _of(cls, entries: tuple[Scalar, ...]) -> TropVector:
-        """A vector on a non-empty tuple of `Fraction`s and None that the library built, taken as is."""
+        """A vector on a tuple of `Fraction`s and None that the library built, taken as is."""
         v = cls.__new__(cls)
         v._entries = entries
         return v
@@ -77,22 +75,19 @@ class TropVector:
 
 
 class TropMatrix:
-    """A dense m x n matrix of max-plus scalars, m, n >= 1."""
+    """A dense m x n matrix of max-plus scalars, m, n >= 0; a matrix with no rows has no columns."""
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
         # lists first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
         self._rows = tuple([tuple([as_scalar(e) for e in r]) for r in rows])
-        if not self._rows or not self._rows[0]:
-            raise DimensionError("matrix must have at least one row and one column")
-        width = len(self._rows[0])
-        if any(len(r) != width for r in self._rows):
+        if len({len(r) for r in self._rows}) > 1:
             raise DimensionError("matrix rows must all have the same length")
 
     @classmethod
     def _of(cls, rows: tuple[tuple[Scalar, ...], ...]) -> TropMatrix:
-        """A matrix on rows the library built: non-empty tuples of one width, taken as they are."""
+        """A matrix on rows the library built: tuples of one width, taken as they are."""
         m = cls.__new__(cls)
         m._rows = rows
         return m
@@ -103,7 +98,7 @@ class TropMatrix:
 
     @property
     def cols(self) -> int:
-        return len(self._rows[0])
+        return len(self._rows[0]) if self._rows else 0
 
     def entry(self, i: int, j: int) -> Scalar:
         return self._rows[i][j]
@@ -164,6 +159,8 @@ def row_maxima(rows: Iterable[Sequence[Scalar]], x_pairs: Sequence[Pair | None])
 
 def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMatrix:
     """The entries at the given row and column indices, in the given order."""
+    if cols and not rows:
+        raise DimensionError("a matrix with no rows has no columns")
     for kind, indices, size in (("row", rows, a.rows), ("column", cols, a.cols)):
         bad = next((k for k in indices if not 0 <= k < size), None)
         if bad is not None:

@@ -31,14 +31,14 @@ class ReducedSystem:
 
     `eta` maps each dependent column (pairs, ascending) to coefficients
     aligned with `indep_cols`; `xi` does the same for dependent rows and
-    `indep_rows`. `a_bar`/`b_bar` are None only for an entirely -inf
-    matrix: its reduced system is empty, and solvable, with no unknowns.
+    `indep_rows`. An entirely -inf matrix has rank 0: `a_bar` is 0x0 and
+    `b_bar` empty, a system that is solvable, with no unknowns.
     """
 
     indep_rows: tuple[int, ...]  # ascending original indices
     indep_cols: tuple[int, ...]
-    a_bar: TropMatrix | None
-    b_bar: TropVector | None
+    a_bar: TropMatrix
+    b_bar: TropVector
     eta: tuple[tuple[int, CoeffRow], ...]
     xi: tuple[tuple[int, CoeffRow], ...]
     row_consistency: tuple[tuple[int, bool], ...]
@@ -75,14 +75,10 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     eta = _aligned_coeffs(col_scan, indep_cols)
     xi = _aligned_coeffs(row_scan, indep_rows)
 
-    if indep_rows:
-        a_bar = submatrix(a, indep_rows, indep_cols)
-        b_bar = TropVector(b[i] for i in indep_rows)
-        # a dependent row's b entry against the same max-combination of b_bar
-        rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar) if xi else []
-    else:  # row and column rank are 0 together, for an all -inf A: a row holds iff b_i is -inf
-        a_bar = b_bar = None
-        rhs = [BOTTOM] * len(xi)
+    a_bar = submatrix(a, indep_rows, indep_cols)
+    b_bar = TropVector(b[i] for i in indep_rows)
+    # a dependent row's b entry against the same max-combination of b_bar (-inf when b_bar is empty)
+    rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar) if xi else []
     consistency = tuple((dep_row, v == b[dep_row]) for (dep_row, _), v in zip(xi, rhs))
 
     return ReducedSystem(
@@ -103,10 +99,9 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
     takes min_i (y_i - eta_ij) over finite coefficients, by the solver's
     kernel `residuate`. Dependent columns with no finite coefficient (all
     -inf columns) are unconstrained and are stored as -inf, matching the
-    solver's convention.
+    solver's convention. The empty reduction of an all -inf A expands the
+    empty vector to the all -inf x.
     """
-    if sys.a_bar is None:
-        raise ValueError("reduced system is empty; nothing to expand")
     if len(reduced_y) != len(sys.indep_cols):
         raise DimensionError(
             f"reduced solution has {len(reduced_y)} entries, expected {len(sys.indep_cols)}"
@@ -129,15 +124,14 @@ def dof_via_reduction(a: TropMatrix, b: TropVector) -> int:
     """Degrees of freedom as (column rank) - (leading variables of the reduced system).
 
     The reduced system has the independent columns as its unknowns, so this
-    is `degrees_of_freedom` of its `solve` outcome, or 0 when it has no
-    unknowns. Raises `UnsolvableSystemError` when A x = b is unsolvable.
+    is `degrees_of_freedom` of its `solve` outcome, which is 0 for the
+    empty reduction of an all -inf A. Raises `UnsolvableSystemError` when
+    A x = b is unsolvable.
     """
     full = solve(a, b)
     if not isinstance(full, Solvable):
         raise UnsolvableSystemError("system unsolvable: degrees of freedom undefined")
     sys = reduce_system(a, b)
-    if sys.a_bar is None:
-        return 0
     reduced = solve(sys.a_bar, sys.b_bar)
     if not isinstance(reduced, Solvable):
         raise AssertionError("internal error: reduced system unsolvable while full system solvable")

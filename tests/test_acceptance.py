@@ -219,13 +219,11 @@ def test_criterion_8_reduction_equivalence():
     for a, b in instances:
         sys = reduce_system(a, b)
         full = solve(a, b)
-        reduced_out = solve(sys.a_bar, sys.b_bar) if sys.a_bar is not None else None
-        # the empty reduced system is solvable
-        reduced_solvable = sys.a_bar is None or isinstance(reduced_out, Solvable)
-        if isinstance(full, Solvable) != (sys.consistent() and reduced_solvable):
+        reduced_out = solve(sys.a_bar, sys.b_bar)
+        if isinstance(full, Solvable) != (sys.consistent() and isinstance(reduced_out, Solvable)):
             failures += 1
             continue
-        if isinstance(full, Solvable) and sys.a_bar is not None:
+        if isinstance(full, Solvable):
             x = expand_solution(reduced_out.x_star, sys)
             if not verify(a, x, b) or x != full.x_star:
                 failures += 1

@@ -319,6 +319,23 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert "line 2" in out and "column 3" in out
 
 
+@pytest.mark.parametrize(
+    "mat_text, vec_text, message",
+    [
+        ("# no rows\n", "1\n", "no matrix rows found"),
+        ("1\n", "# no entries\n\n", "no vector entries found"),
+    ],
+    ids=["matrix", "vector"],
+)
+def test_empty_input_file_exit_2(tmp_path, mat_text, vec_text, message):
+    # empty vectors and matrices are values, but empty files are refused
+    (tmp_path / "a.mat").write_text(mat_text)
+    (tmp_path / "b.vec").write_text(vec_text)
+    report = run(["solve", str(tmp_path / "a.mat"), str(tmp_path / "b.vec")])
+    assert report.exit_code == 2
+    assert render_text(report) == f"error: {message}"
+
+
 def test_exponent_token_exit_2(tmp_path, capsys):
     # 1e5000 is outside the scalar grammar, and its value has more digits
     # than Python will convert to a string

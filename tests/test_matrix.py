@@ -9,16 +9,31 @@ from tropsolve import (
     BOTTOM,
     DimensionError,
     ParseError,
+    Solvable,
+    TropicalError,
     TropMatrix,
     TropVector,
+    check_equivalence,
+    colrank,
+    degrees_of_freedom,
+    dof_via_reduction,
+    exhaustive_solvable,
+    expand_solution,
     format_matrix,
     format_vector,
     is_regular,
     mat_vec,
+    minimal_leading_oracle,
+    normalize,
     parse_matrix,
     parse_scalar,
     parse_vector,
+    principal_solution,
+    reduce_system,
+    rowrank,
+    solve,
     submatrix,
+    verify,
 )
 
 from helpers import max_combination, rand_matrix, scalar_mul, transpose
@@ -85,11 +100,63 @@ def test_shapes_validated():
     with pytest.raises(DimensionError):
         TropMatrix([[1, 2], [3]])
     with pytest.raises(DimensionError):
-        TropMatrix([])
-    with pytest.raises(DimensionError):
-        TropVector([])
-    with pytest.raises(DimensionError):
         mat_vec(TropMatrix([[1, 2]]), TropVector([1]))
+    # empty shapes are values; a matrix with no rows has no columns
+    assert len(TropVector([])) == 0
+    assert (TropMatrix([]).rows, TropMatrix([]).cols) == (0, 0)
+    assert (TropMatrix([[], []]).rows, TropMatrix([[], []]).cols) == (2, 0)
+    with pytest.raises(DimensionError):
+        submatrix(TropMatrix([[1, 2]]), [], [0])
+
+
+# the 0x0 system, and 2x0 against an all -inf b and a finite one
+EMPTY_SYSTEMS = {
+    "0x0": (TropMatrix([]), TropVector([])),
+    "2x0-bottom-b": (TropMatrix([[], []]), TropVector([None, None])),
+    "2x0-finite-b": (TropMatrix([[], []]), TropVector([0, 1])),
+}
+
+
+def _expand_reduced(a, b):
+    sys = reduce_system(a, b)
+    return expand_solution(solve(sys.a_bar, sys.b_bar).x_star, sys)
+
+
+PUBLIC_CALLS = {
+    "solve": solve,
+    "verify": lambda a, b: verify(a, TropVector([None] * a.cols), b),
+    "mat_vec": lambda a, b: mat_vec(a, TropVector([None] * a.cols)),
+    "normalize": normalize,
+    "degrees_of_freedom": lambda a, b: degrees_of_freedom(solve(a, b)),
+    "minimal_leading_oracle": lambda a, b: minimal_leading_oracle(solve(a, b)),
+    "colrank": lambda a, b: colrank(a),
+    "rowrank": lambda a, b: rowrank(a),
+    "reduce_system": reduce_system,
+    "expand_solution": _expand_reduced,
+    "dof_via_reduction": dof_via_reduction,
+    "check_equivalence": lambda a, b: check_equivalence(a, a),
+    "principal_solution": principal_solution,
+    "exhaustive_solvable": exhaustive_solvable,
+    "submatrix": lambda a, b: submatrix(a, range(a.rows), range(a.cols)),
+}
+
+
+@pytest.mark.parametrize("system", EMPTY_SYSTEMS)
+@pytest.mark.parametrize("call", PUBLIC_CALLS)
+def test_public_functions_take_empty_systems(call, system):
+    # a value or a library error; never an IndexError, ZeroDivisionError or AttributeError
+    try:
+        PUBLIC_CALLS[call](*EMPTY_SYSTEMS[system])
+    except TropicalError:
+        pass
+
+
+@pytest.mark.parametrize("system", EMPTY_SYSTEMS)
+def test_empty_systems_solve_like_the_oracles(system):
+    a, b = EMPTY_SYSTEMS[system]
+    solvable = isinstance(solve(a, b), Solvable)
+    assert solvable == exhaustive_solvable(a, b) == verify(a, principal_solution(a, b), b)
+    assert solvable == (system != "2x0-finite-b")
 
 
 @given(small_matrix(2, 3))
@@ -156,6 +223,12 @@ def test_rows_end_only_at_line_breaks(sep):
 def test_parse_matrix_empty():
     with pytest.raises(ParseError):
         parse_matrix("# nothing here\n")
+
+
+def test_parse_vector_empty():
+    with pytest.raises(ParseError) as exc:
+        parse_vector("# nothing here\n\n")
+    assert str(exc.value) == "no vector entries found"
 
 
 def test_parse_vector_one_per_line_and_single_line():

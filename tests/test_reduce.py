@@ -173,19 +173,14 @@ def test_full_and_reduced_solvability_coincide_random():
         sys = reduce_system(a, b)
         check_reconstruction(a, sys)
         full = solve(a, b)
-        # the empty reduced system of an all -inf A is solvable
-        reduced = solve(sys.a_bar, sys.b_bar) if sys.a_bar is not None else None
-        reduced_solvable = sys.a_bar is None or isinstance(reduced, Solvable)
-        assert isinstance(full, Solvable) == (sys.consistent() and reduced_solvable)
+        reduced = solve(sys.a_bar, sys.b_bar)
+        assert isinstance(full, Solvable) == (sys.consistent() and isinstance(reduced, Solvable))
         if not isinstance(full, Solvable):
             continue
         solvable[None in b] += 1
         finite_x_with_bottom_b += None in b and any(e is not None for e in full.x_star)
         # plain-Fraction residuation, sharing no code with the kernel
         assert full.x_star == principal_solution(a, b)
-        if sys.a_bar is None:
-            assert all(e is None for e in full.x_star) and dof_via_reduction(a, b) == 0
-            continue
         x = expand_solution(reduced.x_star, sys)
         assert verify(a, x, b)
         assert x == full.x_star
@@ -202,14 +197,28 @@ def test_empty_reduction_of_all_bottom_system(tmp_path, capsys):
     # column rank 0: the reduced system is empty and solvable, with no unknowns
     a, b = TropMatrix([[None, None], [None, None]]), TropVector([None, None])
     sys = reduce_system(a, b)
-    assert sys.a_bar is None and sys.b_bar is None
+    assert sys.a_bar == TropMatrix([]) and sys.b_bar == TropVector([])
     assert sys.row_consistency == ((0, True), (1, True))
-    assert isinstance(solve(a, b), Solvable)
+    full, reduced = solve(a, b), solve(sys.a_bar, sys.b_bar)
+    assert isinstance(full, Solvable) and isinstance(reduced, Solvable)
+    # the empty solution expands to the all -inf x that solve returns
+    x = expand_solution(reduced.x_star, sys)
+    assert x == full.x_star == TropVector([None, None]) and verify(a, x, b)
     assert dof_via_reduction(a, b) == 0
     (tmp_path / "a.mat").write_text("-inf -inf\n-inf -inf\n")
     (tmp_path / "b.vec").write_text("-inf\n-inf\n")
     assert main(["reduce", str(tmp_path / "a.mat"), str(tmp_path / "b.vec")]) == 0
-    assert capsys.readouterr().out.splitlines()[-2:] == [
+    # an empty list prints as -
+    assert capsys.readouterr().out.splitlines() == [
+        "status: solvable",
+        "independent rows: -",
+        "independent columns: -",
+        "eta for column 1: -",
+        "eta for column 2: -",
+        "xi for row 1: -",
+        "xi for row 2: -",
+        "row 1 consistency: ok",
+        "row 2 consistency: ok",
         "degrees of freedom via reduction: 0",
         "degrees of freedom (direct): 2",
     ]
@@ -219,7 +228,7 @@ def test_degenerate_all_bottom_matrix():
     a = TropMatrix([[None, None], [None, None]])
     b = rand_finite_vector(random.Random(0), 2)
     sys = reduce_system(a, b)
-    assert sys.a_bar is None and sys.b_bar is None
+    assert sys.a_bar == TropMatrix([]) and sys.b_bar == TropVector([])
     assert not sys.consistent()
     assert all(coeffs == () for _, coeffs in sys.eta)
     assert not isinstance(solve(a, b), Solvable)
