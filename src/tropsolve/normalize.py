@@ -10,8 +10,8 @@ q_ij = (b_i - a_ij) + mean_j - b_mean, so Q's column minima are plain
 residuation shifted by mean_j - b_mean, attained in the same rows.
 `normalize` reads them from `solve`: its x* shifted, and its coverage
 transposed; Q is built only for the report. This is the only module that
-knows the means: it materialises the grid for the `normalize` report and
-shifts `solve`'s x* into the normalized y* for the `solve` report.
+knows the means, and `_shift` alone forms them and the shift: Q's column
+minima and the `solve` report's normalized y* are both its x* + shift.
 
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in Q and are never a column minimum.
@@ -76,12 +76,27 @@ def column_mean(col: Iterable[Scalar]) -> Fraction:
     return Fraction(sum(n * (lcd // d) for d, n in sums.items()), lcd * count)
 
 
+def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, list[Scalar], list[Scalar], TropVector]:
+    """The normalization shift: b_mean, each mean_j and mean_j - b_mean, and y* = x* + shift.
+
+    mean_j and the shift are None, and y*_j is -inf, where x*_j is -inf;
+    b_mean is None when b has no finite entry. A finite x*_j implies a
+    finite entry in column j and in b, so no mean is of an empty set.
+    """
+    b_mean = None if all(e is None for e in b) else column_mean(b)
+    means = [None if xj is None else column_mean(col) for xj, col in zip(x_star, zip(*a.row_tuples()))]
+    shifts = [None if m is None else m - b_mean for m in means]
+    y_star = [BOTTOM if s is None else xj + s for xj, s in zip(x_star, shifts)]
+    return b_mean, means, shifts, TropVector._of(tuple(y_star))
+
+
 def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     """Build the normalized system, its associated grid Q and Q's column minima.
 
     Requires a regular b and at least one finite entry per column of `a`
-    (`solve` handles systems violating either). The minima are `solve`'s
-    x*_j + mean_j - b_mean, attained in the rows its coverage lists.
+    (`solve` handles systems violating either), and a non-empty b. The
+    minima are `solve`'s x*_j + mean_j - b_mean, attained in the rows its
+    coverage lists.
     """
     outcome = solve(a, b)  # raises the shape error, which is reported before the others
     if not is_regular(b):
@@ -90,9 +105,9 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     if None in outcome.x_star:
         j = tuple(outcome.x_star).index(None)
         raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf")
-    b_mean = column_mean(b)
-    means = [column_mean(col) for col in zip(*a.row_tuples())]
-    shifts = [m - b_mean for m in means]
+    if not len(b):
+        raise DegenerateColumnError("b has no entry, so it has no mean")
+    b_mean, means, shifts, y_star = _shift(a, b, outcome.x_star)
     mean_pairs, shift_pairs = as_pairs(means), as_pairs(shifts)
     a_tilde, q = [], []
     for (nb, db), r in zip(as_pairs(b), a.row_tuples()):
@@ -118,8 +133,7 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         b_tilde=TropVector._of(tuple([e - b_mean for e in b])),
         b_mean=b_mean,
         q=tuple(q),
-        # b is regular and no column is all -inf, so every x*_j is finite
-        column_minima=TropVector._of(tuple([x + s for x, s in zip(outcome.x_star, shifts)])),
+        column_minima=y_star,
         argmin_rows=tuple([frozenset(rows) for rows in argmins]),
     )
 
@@ -129,10 +143,6 @@ def normalized_solution(a: TropMatrix, b: TropVector, x_star: TropVector) -> Tro
 
     Both means are over finite entries, and y*_j is -inf where x*_j is.
     For `solve`'s x* of a system `normalize` accepts, y* is Q's column
-    minima. A finite x*_j implies a finite entry in column j and in b.
+    minima.
     """
-    b_mean = None if all(e is None for e in b) else column_mean(b)
-    return TropVector(
-        BOTTOM if xj is None else xj + column_mean(col) - b_mean
-        for xj, col in zip(x_star, zip(*a.row_tuples()))
-    )
+    return _shift(a, b, x_star)[3]

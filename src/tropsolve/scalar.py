@@ -12,8 +12,9 @@ Strings follow the file-token grammar of `parse_scalar`.
 The hot loops (the max-plus product `matrix.row_maxima` behind `mat_vec`
 and the rank scan's self-check, the residuation kernel `solver.residuate`
 behind `solve`, the rank scan, `expand_solution` and `check_equivalence`,
-and the `normalize` report: `column_mean` and the A~ and Q grids, and
-through `column_mean` the normalized solution Y*) do their arithmetic on
+and the `normalize` report: `column_mean`, behind the one shift
+mean_j - b_mean that gives both Q's column minima and the normalized
+solution Y*, and the A~ and Q grids) do their arithmetic on
 exact `(numerator, denominator)` integer pairs (`Pair`, from `as_pairs`)
 instead: sums and differences are left unreduced, denominators stay
 positive, so p/q < r/s is decided by p*s < r*q, and each result is

@@ -162,7 +162,8 @@ def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
 
     Returns None when no such shifts exist: the -inf patterns differ, or
     some column is not shifted by a constant. Columns that are entirely
-    -inf in both matrices get alpha_j = 0.
+    -inf in both matrices get alpha_j = 0. Two matrices with no column
+    give `[]`, a positive verdict although falsy, so test `is not None`.
     """
     if a.rows != a2.rows or a.cols != a2.cols:
         raise DimensionError(f"shapes differ: {a.rows}x{a.cols} vs {a2.rows}x{a2.cols}")

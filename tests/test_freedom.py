@@ -62,6 +62,16 @@ def test_dof_rejects_uncovered_row(unsolvable_5x4):
         minimal_leading_oracle(out)
 
 
+@pytest.mark.parametrize("col", [-1, 2])
+def test_dof_rejects_out_of_range_column(col):
+    # a hand-built outcome whose coverage names a column that x* does not have
+    out = Solvable(TropVector([0, 0]), ((0,), (col,)), frozenset(), frozenset())
+    with pytest.raises(ValueError, match="column index out of range for n=2"):
+        degrees_of_freedom(out)
+    with pytest.raises(ValueError, match="column index out of range for n=2"):
+        minimal_leading_oracle(out)
+
+
 def test_dof_skips_bottom_rows_and_names_rows_in_a():
     # row 1 has b = -inf, forces x1 to -inf and holds no column minimum;
     # the system is solvable, and the trace keeps the rows' indices in A

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from tropsolve import (
     BOTTOM,
+    DegenerateColumnError,
     DimensionError,
     ParseError,
+    RegularityError,
     Solvable,
     TropicalError,
     TropMatrix,
@@ -25,6 +27,7 @@ from tropsolve import (
     mat_vec,
     minimal_leading_oracle,
     normalize,
+    normalized_solution,
     parse_matrix,
     parse_scalar,
     parse_vector,
@@ -127,6 +130,7 @@ PUBLIC_CALLS = {
     "verify": lambda a, b: verify(a, TropVector([None] * a.cols), b),
     "mat_vec": lambda a, b: mat_vec(a, TropVector([None] * a.cols)),
     "normalize": normalize,
+    "normalized_solution": lambda a, b: normalized_solution(a, b, solve(a, b).x_star),
     "degrees_of_freedom": lambda a, b: degrees_of_freedom(solve(a, b)),
     "minimal_leading_oracle": lambda a, b: minimal_leading_oracle(solve(a, b)),
     "colrank": lambda a, b: colrank(a),
@@ -157,6 +161,23 @@ def test_empty_systems_solve_like_the_oracles(system):
     solvable = isinstance(solve(a, b), Solvable)
     assert solvable == exhaustive_solvable(a, b) == verify(a, principal_solution(a, b), b)
     assert solvable == (system != "2x0-finite-b")
+
+
+def test_normalize_empty_systems():
+    # the 0x0 system has no b entry to take a mean of; 2x0 normalizes to empty grids
+    with pytest.raises(DegenerateColumnError, match="^b has no entry, so it has no mean$"):
+        normalize(*EMPTY_SYSTEMS["0x0"])
+    with pytest.raises(RegularityError):
+        normalize(*EMPTY_SYSTEMS["2x0-bottom-b"])
+    res = normalize(*EMPTY_SYSTEMS["2x0-finite-b"])
+    assert res.b_mean == Fraction(1, 2)
+    assert res.b_tilde == TropVector([Fraction(-1, 2), Fraction(1, 2)])
+    assert res.a_tilde == TropMatrix([[], []])
+    assert res.q == ((), ())
+    assert res.col_means == res.argmin_rows == ()
+    assert res.column_minima == TropVector([])
+    for a, b in EMPTY_SYSTEMS.values():
+        assert normalized_solution(a, b, solve(a, b).x_star) == TropVector([])
 
 
 @given(small_matrix(2, 3))

@@ -11,6 +11,7 @@ from tropsolve import (
     TropVector,
     Unsolvable,
     check_equivalence,
+    exhaustive_solvable,
     mat_vec,
     normalize,
     normalized_solution,
@@ -71,8 +72,10 @@ def test_solve_one_by_one():
 
 
 def test_solve_shape_mismatch():
-    with pytest.raises(DimensionError):
-        solve(TropMatrix([[1, 2]]), TropVector([1, 2]))
+    # solve, the checker and both oracles refuse a b that does not match A's rows
+    for call in (solve, lambda a, b: verify(a, TropVector([0, 0]), b), principal_solution, exhaustive_solvable):
+        with pytest.raises(DimensionError):
+            call(TropMatrix([[1, 2]]), TropVector([1, 2]))
 
 
 # --- -inf right-hand sides and all -inf columns (the paper's preprocessing) --
@@ -209,6 +212,10 @@ def test_check_equivalence_rejects_bottom_pattern_change():
     other = TropMatrix([[3, 1], [-5, 0]])
     assert check_equivalence(a, other) is None
     assert check_equivalence(a, a) == [Fraction(0), Fraction(0)]
+    # no column: the empty list of shifts is a positive verdict
+    no_cols = TropMatrix([[], []])
+    assert check_equivalence(no_cols, no_cols) == []
+    assert check_equivalence(no_cols, no_cols) is not None
 
 
 def _shifts_reference(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
