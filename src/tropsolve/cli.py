@@ -26,7 +26,7 @@ from .errors import TropicalError
 from .freedom import degrees_of_freedom, minimal_leading_oracle
 from .matrix import TropMatrix, TropVector, parse_matrix, parse_vector
 from .normalize import normalize, normalized_solution
-from .oracle import exhaustive_solvable, principal_solution
+from .oracle import EXHAUSTIVE_MAX_SIDE, exhaustive_solvable, principal_solution
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
 from .scalar import format_scalar
@@ -77,6 +77,13 @@ def _grid_lines(rows: list[list[str]], boxed: list[list[int]] | None = None) -> 
 
 def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     res = normalize(a, b)
+    # the means and minima carry the report's longest denominators; past Python's
+    # int/str digit limit (3.10.7 on; 0 is none) the A~ and Q over them run to megabytes
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    longest = max(max(abs(f.numerator), f.denominator) for f in (*res.col_means, res.b_mean, *res.column_minima))
+    if limit and longest >= 10**limit:
+        raise TropicalError(f"a column mean or minimum has more than {limit} digits, "
+                            "Python's int/str digit limit; the normalize report is refused")
     payload = {
         "a_tilde": [[format_scalar(e) for e in r] for r in res.a_tilde.row_tuples()],
         "col_means": [format_scalar(f) for f in res.col_means],
@@ -107,25 +114,13 @@ def _solution_strings(outcome: Solvable) -> list[str]:
     ]
 
 
-def _y_star_strings(a: TropMatrix, b: TropVector, outcome: Solvable) -> list[str] | None:
-    """Y* tokens, or None when one passes Python's int/str digit limit.
-
-    Y* is display only: X* and coverage carry the verdict, so a Y* too
-    long to print must not turn a solvable system into an error.
-    """
-    try:
-        return [format_scalar(e) for e in normalized_solution(a, b, outcome.x_star)]
-    except ValueError:
-        return None
-
-
 def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     outcome = solve(a, b)
     solvable = isinstance(outcome, Solvable)
     payload = {
         "status": "solvable" if solvable else "unsolvable",
         "x_star": _solution_strings(outcome) if solvable else None,
-        "y_star": _y_star_strings(a, b, outcome) if solvable else None,
+        "y_star": [format_scalar(e) for e in normalized_solution(a, b, outcome.x_star)] if solvable else None,
         "witness_rows": [] if solvable else _ones(outcome.witness_rows),
         "coverage": [_ones(cols) for cols in outcome.coverage],
         "forced_bottom": _ones(outcome.forced_bottom) if solvable else [],
@@ -136,7 +131,7 @@ def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
         ok = verify(a, x0, b)
         agree = ok == solvable and x0 == outcome.x_star
         exh = None
-        if a.rows <= 4 and a.cols <= 4:
+        if a.rows <= EXHAUSTIVE_MAX_SIDE and a.cols <= EXHAUSTIVE_MAX_SIDE:
             exh = exhaustive_solvable(a, b)
             agree = agree and exh == solvable
         payload["check"] = {
@@ -152,10 +147,7 @@ def _render_solve(p: dict) -> list[str]:
     lines = [f"status: {p['status']}"]
     if p["status"] == "solvable":
         lines.append("X* = (" + ", ".join(p["x_star"]) + ")")
-        if p["y_star"] is None:
-            lines.append("Y* = unavailable (exceeds Python's int/str digit limit)")
-        else:
-            lines.append("Y* = (" + ", ".join(p["y_star"]) + ")")
+        lines.append("Y* = (" + ", ".join(p["y_star"]) + ")")
         if p["forced_bottom"]:
             lines.append("forced to -inf: columns " + ", ".join(map(str, p["forced_bottom"])))
         if p["unbounded"]:
@@ -415,8 +407,8 @@ def _dispatch(args) -> Report:
     try:
         loaded = [_load(name, getattr(args, dest), parse) for dest, name, _, parse in command.inputs]
         payload, exit_code = command.handler(args, *(obj for _, obj in loaded))
-    # ValueError covers UnicodeDecodeError and a derived value, such as a mean
-    # over many long denominators, that passes Python's int/str digit limit
+    # ValueError covers UnicodeDecodeError (a file that is not UTF-8) and a
+    # path with a NUL byte ("embedded null byte" from open)
     except (TropicalError, OSError, ValueError) as exc:
         return Report(args.command, (), {"error": str(exc)}, 2)
     return Report(args.command, tuple(digest for digest, _ in loaded), payload, exit_code)

@@ -100,7 +100,7 @@ def minimal_leading_oracle(outcome: SolveOutcome) -> tuple[int, tuple[int, ...]]
     if n > 20:
         raise SizeBoundError(f"exhaustive cover search limited to 20 columns, got {n}")
     sets = list(_cover_sets(outcome, n).values())
-    candidates = sorted(set().union(*sets)) if sets else []
+    candidates = sorted(set().union(*sets))
     for size in range(0, len(candidates) + 1):
         for subset in combinations(candidates, size):
             chosen = set(subset)

@@ -19,6 +19,9 @@ from .scalar import BOTTOM, Scalar, trop_add, trop_mul
 
 __all__ = ["principal_solution", "exhaustive_solvable"]
 
+# the most rows, and the most columns, `exhaustive_solvable` takes
+EXHAUSTIVE_MAX_SIDE = 4
+
 
 def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
     """Residuation: x_j = min over rows with a_ij finite of (b_i - a_ij).
@@ -65,8 +68,10 @@ def exhaustive_solvable(a: TropMatrix, b: TropVector) -> bool:
     -inf; any solution is dominated by the principal one, whose entries
     all lie on that grid. Refuses systems larger than 4x4.
     """
-    if a.rows > 4 or a.cols > 4:
-        raise SizeBoundError(f"exhaustive search limited to 4x4 systems, got {a.rows}x{a.cols}")
+    if a.rows > EXHAUSTIVE_MAX_SIDE or a.cols > EXHAUSTIVE_MAX_SIDE:
+        raise SizeBoundError(
+            f"exhaustive search limited to {EXHAUSTIVE_MAX_SIDE}x{EXHAUSTIVE_MAX_SIDE} systems, got {a.rows}x{a.cols}"
+        )
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
     per_col = []

@@ -27,6 +27,7 @@ few times the digits of their inputs.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -111,9 +112,16 @@ def parse_scalar(token: str) -> Scalar:
 
 
 def format_scalar(s: Scalar) -> str:
-    """Canonical token for a scalar; inverse of parse_scalar."""
+    """Canonical token for a scalar, in full; inverse of parse_scalar.
+
+    Past Python's int/str digit limit the digits come from `Decimal`, which
+    converts any int exactly and has no such limit.
+    """
     if s is None:
         return "-inf"
-    if s.denominator == 1:
-        return str(s.numerator)
-    return f"{s.numerator}/{s.denominator}"
+    n, d = s.numerator, s.denominator
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        n, d = Decimal(n), Decimal(d)
+        return str(n) if d == 1 else f"{n}/{d}"

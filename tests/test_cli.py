@@ -7,6 +7,8 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -351,23 +353,28 @@ def test_exponent_token_exit_2(tmp_path, capsys):
 
 def test_derived_value_past_digit_limit_exit_2(tmp_path, capsys):
     # every token is within the digit cap, but the column mean of 60 distinct
-    # 90-digit denominators has more digits than Python converts to a string
+    # 90-digit denominators has more digits than Python converts to a string;
+    # normalize refuses the report its A~ and Q grids would make over it
     mat = tmp_path / "a.mat"
     mat.write_text("".join(f"1/{10**89 + 7 * i + 1}\n" for i in range(60)))
     vec = tmp_path / "b.vec"
     vec.write_text("0\n" * 60)
+    message = (
+        "a column mean or minimum has more than 4300 digits, "
+        "Python's int/str digit limit; the normalize report is refused"
+    )
     report = run(["normalize", str(mat), str(vec)])
-    assert report.exit_code == 2 and "limit" in report.payload["error"]
+    assert report.exit_code == 2 and report.payload["error"] == message
     code = main(["normalize", str(mat), str(vec)])
     out = capsys.readouterr().out
     assert code == 2
-    assert out.startswith("error: ")
+    assert out == f"error: {message}\n"
 
 
 def test_solve_y_star_past_digit_limit_keeps_verdict(tmp_path, capsys):
-    # X* = (0, 0) prints, but Y* shifts by column means over 120 distinct
-    # 90-digit denominators, past Python's int/str digit limit; Y* is
-    # display only, so the verdict stands
+    # X* = (0, 0), and Y* shifts it by column means over 120 distinct 90-digit
+    # denominators, past Python's int/str digit limit: Y* prints in full all
+    # the same, and the verdict stands
     ds = [10**89 + 7 * i + 1 for i in range(120)]
     mat = tmp_path / "a.mat"
     mat.write_text("".join(f"1/{d} {i % 2}\n" for i, d in enumerate(ds)))
@@ -376,13 +383,22 @@ def test_solve_y_star_past_digit_limit_keeps_verdict(tmp_path, capsys):
     report = run(["solve", str(mat), str(vec), "--json"])
     assert report.exit_code == 0
     assert report.payload["x_star"] == ["0", "0"]
-    assert report.payload["y_star"] is None
     assert report.payload["coverage"] == [[1] if i % 2 == 0 else [2] for i in range(120)]
-    assert json.loads(render_json(report))["payload"]["y_star"] is None
+    # the reference: y*_j = x*_j + mean_j - b_mean on plain Fractions
+    def mean(col):
+        return sum(col, Fraction(0)) / len(col)
+
+    b_mean = mean([Fraction(1, d) if i % 2 == 0 else Fraction(1) for i, d in enumerate(ds)])
+    expected = [mean([Fraction(1, d) for d in ds]) - b_mean, mean([Fraction(i % 2) for i in range(120)]) - b_mean]
+    tokens = report.payload["y_star"]
+    assert min(map(len, tokens)) > 4300
+    # int(tok) would itself refuse these digits; Decimal reads them exactly
+    assert [Fraction(*(int(Decimal(t)) for t in tok.split("/"))) for tok in tokens] == expected
+    assert json.loads(render_json(report))["payload"]["y_star"] == tokens
     code = main(["solve", str(mat), str(vec)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "X* = (0, 0)\nY* = unavailable (exceeds Python's int/str digit limit)\n" in out
+    assert "X* = (0, 0)\nY* = (" + ", ".join(tokens) + ")\n" in out
 
 
 # besides raw bytes: grammar tokens, near misses and rectangular grids, so that
@@ -433,6 +449,13 @@ def test_shape_mismatch_exit_2(data_dir, command, second, message):
 def test_missing_file_exit_2(data_dir):
     report = run(["solve", "no_such_file.mat", path(data_dir, "solvable_4x5_b.vec")])
     assert report.exit_code == 2
+
+
+def test_path_with_null_byte_exit_2(data_dir):
+    # open() raises ValueError, not OSError, for a path with a NUL byte
+    report = run(["solve", "a\x00b", path(data_dir, "solvable_4x5_b.vec")])
+    assert report.exit_code == 2
+    assert render_text(report) == "error: embedded null byte"
 
 
 def test_usage_error_exit_2():

@@ -102,6 +102,10 @@ def test_submatrix_index_errors(rows, cols):
 def test_shapes_validated():
     with pytest.raises(DimensionError):
         TropMatrix([[1, 2], [3]])
+    # a vector or matrix is never equal to the plain sequence of its entries
+    assert TropVector([1, 2]) != (Fraction(1), Fraction(2))
+    assert TropMatrix([[1, 2]]) != [[Fraction(1), Fraction(2)]]
+    assert repr(TropVector([Fraction(5, 2), None])) == "TropVector(5/2, -inf)"
     with pytest.raises(DimensionError):
         mat_vec(TropMatrix([[1, 2]]), TropVector([1]))
     # empty shapes are values; a matrix with no rows has no columns

@@ -147,6 +147,27 @@ def test_format_parse_round_trip(a):
     assert parse_scalar(format_scalar(a)) == a
 
 
+# 10**5000 + 7 and 3 * 10**4999 + 1 as decimal strings, built without str(int)
+_LONG = "1" + "0" * 4998 + "07"
+_LONG_DEN = "3" + "0" * 4998 + "1"
+
+
+@pytest.mark.parametrize(
+    "value,token",
+    [
+        (Fraction(10**5000 + 7), _LONG),
+        (Fraction(-(10**5000 + 7)), "-" + _LONG),
+        (Fraction(10**5000 + 7, 3), _LONG + "/3"),
+        (Fraction(-1, 3 * 10**4999 + 1), "-1/" + _LONG_DEN),
+        (Fraction(-(10**5000 + 7), 3 * 10**4999 + 1), f"-{_LONG}/{_LONG_DEN}"),
+    ],
+    ids=["int", "negative-int", "long-numerator", "long-denominator", "both-long"],
+)
+def test_format_past_digit_limit_is_exact(value, token):
+    # about 5000 digits, past Python's default 4300-digit int/str limit
+    assert format_scalar(value) == token
+
+
 @pytest.mark.parametrize(
     "token,expected",
     [
