@@ -49,4 +49,4 @@ from .solver import (
     verify,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

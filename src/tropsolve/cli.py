@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import TropicalError
@@ -35,8 +34,7 @@ from .solver import Solvable, solve, verify, check_equivalence
 __all__ = ["Report", "run", "main"]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     inputs: tuple[dict, ...]
     payload: dict
@@ -77,13 +75,6 @@ def _grid_lines(rows: list[list[str]], boxed: list[list[int]] | None = None) -> 
 
 def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     res = normalize(a, b)
-    # the means and minima carry the report's longest denominators; past Python's
-    # int/str digit limit (3.10.7 on; 0 is none) the A~ and Q over them run to megabytes
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    longest = max(max(abs(f.numerator), f.denominator) for f in (*res.col_means, res.b_mean, *res.column_minima))
-    if limit and longest >= 10**limit:
-        raise TropicalError(f"a column mean or minimum has more than {limit} digits, "
-                            "Python's int/str digit limit; the normalize report is refused")
     payload = {
         "a_tilde": [[format_scalar(e) for e in r] for r in res.a_tilde.row_tuples()],
         "col_means": [format_scalar(f) for f in res.col_means],
@@ -382,7 +373,7 @@ def render_text(report: Report) -> str:
 
 def render_json(report: Report) -> str:
     # the report's fields, in declaration order, are the document's keys
-    return json.dumps(vars(report), indent=2)
+    return json.dumps(report._asdict(), indent=2)
 
 
 @functools.cache

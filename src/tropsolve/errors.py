@@ -18,7 +18,11 @@ class RegularityError(TropicalError):
 
 
 class SizeBoundError(TropicalError):
-    """An exhaustive procedure was asked to exceed its size bound."""
+    """A procedure was asked to exceed a size bound.
+
+    The exhaustive oracles refuse a side past their bound, and `normalize`
+    a mean or minimum past Python's int/str digit limit.
+    """
 
 
 class UnsolvableSystemError(TropicalError):

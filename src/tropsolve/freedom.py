@@ -13,8 +13,8 @@ on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import SizeBoundError, UnsolvableSystemError
 from .solver import SolveOutcome, Unsolvable
@@ -22,15 +22,13 @@ from .solver import SolveOutcome, Unsolvable
 __all__ = ["DofStep", "DofReport", "degrees_of_freedom", "minimal_leading_oracle"]
 
 
-@dataclass(frozen=True)
-class DofStep:
+class DofStep(NamedTuple):
     rule: str  # "singleton" | "greedy"
     chosen_col: int
     removed_rows: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DofReport:
+class DofReport(NamedTuple):
     leading_cols: tuple[int, ...]  # in choice order
     free_cols: tuple[int, ...]  # ascending
     d_f: int

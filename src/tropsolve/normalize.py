@@ -27,11 +27,11 @@ shift mean_j - b_mean is reduced once per column. The report holds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import DegenerateColumnError, RegularityError
+from .errors import DegenerateColumnError, RegularityError, SizeBoundError
 from .matrix import TropMatrix, TropVector, is_regular
 from .scalar import BOTTOM, Scalar, as_pairs
 from .solver import solve
@@ -42,8 +42,7 @@ __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_soluti
 QGrid = tuple[tuple[Fraction | None, ...], ...]
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     """Normalized system data: A~, column means, b~, mean of b, Q and its column minima."""
 
     a_tilde: TropMatrix
@@ -96,7 +95,8 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     Requires a regular b and at least one finite entry per column of `a`
     (`solve` handles systems violating either), and a non-empty b. The
     minima are `solve`'s x*_j + mean_j - b_mean, attained in the rows its
-    coverage lists.
+    coverage lists. A mean or minimum past Python's int/str digit limit
+    raises `SizeBoundError` before A~ and Q are built.
     """
     outcome = solve(a, b)  # raises the shape error, which is reported before the others
     if not is_regular(b):
@@ -108,6 +108,13 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     if not len(b):
         raise DegenerateColumnError("b has no entry, so it has no mean")
     b_mean, means, shifts, y_star = _shift(a, b, outcome.x_star)
+    # the means and minima carry the report's longest denominators; past Python's
+    # int/str digit limit (3.10.7 on; 0 is none) the A~ and Q over them run to megabytes
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    longest = max(max(abs(f.numerator), f.denominator) for f in (*means, b_mean, *y_star))
+    if limit and longest >= 10**limit:
+        raise SizeBoundError(f"a column mean or minimum has more than {limit} digits, "
+                             "Python's int/str digit limit; the normalize report is refused")
     mean_pairs, shift_pairs = as_pairs(means), as_pairs(shifts)
     a_tilde, q = [], []
     for (nb, db), r in zip(as_pairs(b), a.row_tuples()):

@@ -27,9 +27,8 @@ max-combination, which share no code with `residuate` or `row_maxima`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .matrix import TropMatrix, row_maxima
 from .scalar import Pair, Scalar, as_pairs
@@ -38,16 +37,14 @@ from .solver import residuate
 __all__ = ["Dependence", "RankReport", "colrank", "rowrank"]
 
 
-@dataclass(frozen=True)
-class Dependence:
+class Dependence(NamedTuple):
     """A column reproduced exactly as max over (independent column + coefficient)."""
 
     col: int
     combination: tuple[tuple[int, Fraction], ...]  # (index, finite coefficient)
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     axis: str  # "columns" | "rows"
     independent: tuple[int, ...]  # original indices, in discovery order
     dependent: tuple[Dependence, ...]  # ascending by index

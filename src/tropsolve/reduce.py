@@ -10,8 +10,8 @@ systems are solvable together, and a reduced solution expands back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
@@ -25,8 +25,7 @@ __all__ = ["ReducedSystem", "reduce_system", "expand_solution", "dof_via_reducti
 CoeffRow = tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(NamedTuple):
     """Reduction data for one system.
 
     `eta` maps each dependent column (pairs, ascending) to coefficients

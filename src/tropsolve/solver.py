@@ -21,8 +21,8 @@ bitmask, which `mask_rows` lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
@@ -43,8 +43,7 @@ __all__ = [
 RowCoverage = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Solvable:
+class Solvable(NamedTuple):
     """Maximal solution plus the coverage data behind it.
 
     Entries of `x_star` at `unbounded` columns are stored as -inf but are
@@ -58,8 +57,7 @@ class Solvable:
     unbounded: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Unsolvable:
+class Unsolvable(NamedTuple):
     """Witness rows: every row listed holds no column minimum of Q.
 
     `x_star` is still the principal vector, the greatest x with A x <= b

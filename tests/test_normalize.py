@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +8,7 @@ from tropsolve import (
     BOTTOM,
     DegenerateColumnError,
     RegularityError,
+    SizeBoundError,
     Solvable,
     TropMatrix,
     TropVector,
@@ -240,8 +240,9 @@ def test_normalize_matches_plain_fraction_reference():
     solvable = 0
     for a, b in cases:
         res, ref = normalize(a, b), normalize_reference(a, b)
-        for field in dataclasses.fields(res):
-            assert getattr(res, field.name) == getattr(ref, field.name), field.name
+        assert len(res._fields) == 7
+        for name in res._fields:
+            assert getattr(res, name) == getattr(ref, name), name
         outcome = solve(a, b)
         if isinstance(outcome, Solvable):
             solvable += 1
@@ -275,3 +276,21 @@ def test_normalized_solution_on_systems_normalize_refuses():
         assert normalized_solution(a, b, x_star) == TropVector(y_ref)
         finite_y += sum(y is not None for y in y_ref)
     assert finite_y >= 100
+
+
+def test_normalize_refuses_mean_past_digit_limit():
+    # the system of tests/test_cli.py::test_derived_value_past_digit_limit_exit_2:
+    # the column mean of 60 distinct 90-digit denominators has more digits than
+    # Python converts to a string, and the library refuses it as the CLI does
+    a = TropMatrix([[Fraction(1, 10**89 + 7 * i + 1)] for i in range(60)])
+    b = TropVector([0] * 60)
+    with pytest.raises(SizeBoundError) as exc:
+        normalize(a, b)
+    assert str(exc.value) == (
+        "a column mean or minimum has more than 4300 digits, "
+        "Python's int/str digit limit; the normalize report is refused"
+    )
+    # the bound itself: a 4301-digit mean is refused, a 4300-digit one is not
+    with pytest.raises(SizeBoundError):
+        normalize(TropMatrix([[Fraction(1, 10**4300)]]), TropVector([0]))
+    assert normalize(TropMatrix([[Fraction(1, 10**4300 - 1)]]), TropVector([0])).column_minima == TropVector([0])
