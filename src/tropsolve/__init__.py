@@ -35,6 +35,7 @@ from .scalar import (
     BOTTOM,
     Scalar,
     as_scalar,
+    format_pair,
     format_scalar,
     parse_scalar,
     trop_add,
@@ -49,4 +50,4 @@ from .solver import (
     verify,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -28,7 +28,7 @@ from .normalize import normalize, normalized_solution
 from .oracle import EXHAUSTIVE_MAX_SIDE, exhaustive_solvable, principal_solution
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
-from .scalar import format_scalar
+from .scalar import format_pair, format_scalar
 from .solver import Solvable, solve, verify, check_equivalence
 
 __all__ = ["Report", "run", "main"]
@@ -76,11 +76,11 @@ def _grid_lines(rows: list[list[str]], boxed: list[list[int]] | None = None) -> 
 def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     res = normalize(a, b)
     payload = {
-        "a_tilde": [[format_scalar(e) for e in r] for r in res.a_tilde.row_tuples()],
+        "a_tilde": [["-inf" if e is None else format_pair(*e) for e in r] for r in res.a_tilde],
         "col_means": [format_scalar(f) for f in res.col_means],
         "b_tilde": [format_scalar(e) for e in res.b_tilde],
         "b_mean": format_scalar(res.b_mean),
-        "q": [["+inf-" if e is None else format_scalar(e) for e in r] for r in res.q],
+        "q": [["+inf-" if e is None else format_pair(*e) for e in r] for r in res.q],
         "column_minima": [format_scalar(e) for e in res.column_minima],
         "argmin_rows": [_ones(s) for s in res.argmin_rows],
     }

@@ -14,14 +14,17 @@ knows the means, and `_shift` alone forms them and the shift: Q's column
 minima and the `solve` report's normalized y* are both its x* + shift.
 
 Means are taken over the finite entries of a column only; positions where
-the matrix entry is -inf hold None in Q and are never a column minimum.
+the matrix entry is -inf hold None in A~ and Q, and a None in Q is never a
+column minimum.
 Every exact value of the report is built on integer pairs and reduced
 once: `column_mean` sums integer numerators per distinct denominator and
 forms one `Fraction` over their lcm; a~_ij = a_ij - mean_j and
-q_ij = (b_i - a_ij) + (mean_j - b_mean) are each one `Fraction(n, d)`,
-whose per-cell operands are input entries and whose large-denominator
-shift mean_j - b_mean is reduced once per column. The report holds
-`Fraction`s and None, as it prints them.
+q_ij = (b_i - a_ij) + (mean_j - b_mean) are each one integer pair reduced
+by one gcd, whose per-cell operands are input entries and whose
+large-denominator shift mean_j - b_mean is reduced once per column. A~ and
+Q are grids of reduced `(numerator, denominator)` pairs, denominator
+positive, and None; `Fraction(*p)` gives a cell's value. The means, b~ and
+the column minima are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -33,23 +36,24 @@ from typing import Iterable, NamedTuple
 
 from .errors import DegenerateColumnError, RegularityError, SizeBoundError
 from .matrix import TropMatrix, TropVector, is_regular
-from .scalar import BOTTOM, Scalar, as_pairs
+from .scalar import BOTTOM, Pair, Scalar, as_pairs
 from .solver import solve
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
 
-# None marks a -inf matrix entry (rendered as +inf-).
-QGrid = tuple[tuple[Fraction | None, ...], ...]
+# Rows of reduced (numerator, denominator) pairs; None marks a -inf matrix
+# entry (rendered as -inf in A~ and +inf- in Q).
+PairGrid = tuple[tuple[Pair | None, ...], ...]
 
 
 class NormalizationResult(NamedTuple):
     """Normalized system data: A~, column means, b~, mean of b, Q and its column minima."""
 
-    a_tilde: TropMatrix
+    a_tilde: PairGrid
     col_means: tuple[Fraction, ...]
     b_tilde: TropVector
     b_mean: Fraction
-    q: QGrid
+    q: PairGrid
     column_minima: TropVector
     argmin_rows: tuple[frozenset[int], ...]
 
@@ -112,22 +116,28 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     # int/str digit limit (3.10.7 on; 0 is none) the A~ and Q over them run to megabytes
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     longest = max(max(abs(f.numerator), f.denominator) for f in (*means, b_mean, *y_star))
-    if limit and longest >= 10**limit:
+    # 10**limit has more than 3 * limit bits, so a shorter value is below it
+    if limit and longest.bit_length() > 3 * limit and longest >= 10**limit:
         raise SizeBoundError(f"a column mean or minimum has more than {limit} digits, "
                              "Python's int/str digit limit; the normalize report is refused")
     mean_pairs, shift_pairs = as_pairs(means), as_pairs(shifts)
+    gcd = math.gcd
     a_tilde, q = [], []
     for (nb, db), r in zip(as_pairs(b), a.row_tuples()):
         a_row, q_row = [], []
         for e, (nm, dm), (ns, ds) in zip(r, mean_pairs, shift_pairs):
             if e is None:
-                a_row.append(BOTTOM)
+                a_row.append(None)
                 q_row.append(None)
                 continue
             na, da = e.as_integer_ratio()
-            a_row.append(Fraction(na * dm - nm * da, da * dm))
+            n, d = na * dm - nm * da, da * dm
+            g = gcd(n, d)
+            a_row.append((n // g, d // g))
             sn, sd = nb * da - na * db, db * da  # b_i - a_ij
-            q_row.append(Fraction(sn * ds + ns * sd, sd * ds))
+            n, d = sn * ds + ns * sd, sd * ds
+            g = gcd(n, d)
+            q_row.append((n // g, d // g))
         a_tilde.append(tuple(a_row))
         q.append(tuple(q_row))
     argmins: list[list[int]] = [[] for _ in range(a.cols)]
@@ -135,7 +145,7 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         for j in cols:
             argmins[j].append(i)
     return NormalizationResult(
-        a_tilde=TropMatrix._of(tuple(a_tilde)),
+        a_tilde=tuple(a_tilde),
         col_means=tuple(means),
         b_tilde=TropVector._of(tuple([e - b_mean for e in b])),
         b_mean=b_mean,

@@ -18,10 +18,11 @@ solution Y*, and the A~ and Q grids) do their arithmetic on
 exact `(numerator, denominator)` integer pairs (`Pair`, from `as_pairs`)
 instead: sums and differences are left unreduced, denominators stay
 positive, so p/q < r/s is decided by p*s < r*q, and each result is
-reduced once into a `Fraction` (one per mean and per grid cell), or not
-at all where only a comparison needs it. `row_maxima` and `residuate`
-never form a common denominator, so their intermediates stay within a
-few times the digits of their inputs.
+reduced once: into a `Fraction` per mean, into a pair by one gcd per
+grid cell of A~ and Q (which stay pairs and print through `format_pair`),
+or not at all where only a comparison needs it. `row_maxima` and
+`residuate` never form a common denominator, so their intermediates stay
+within a few times the digits of their inputs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "trop_mul",
     "as_pairs",
     "parse_scalar",
+    "format_pair",
     "format_scalar",
 ]
 
@@ -111,17 +113,19 @@ def parse_scalar(token: str) -> Scalar:
     return Fraction(-num if sign else num, d)
 
 
-def format_scalar(s: Scalar) -> str:
-    """Canonical token for a scalar, in full; inverse of parse_scalar.
+def format_pair(n: int, d: int) -> str:
+    """Canonical token for the reduced fraction n/d, d > 0, in full: the one token rule.
 
     Past Python's int/str digit limit the digits come from `Decimal`, which
     converts any int exactly and has no such limit.
     """
-    if s is None:
-        return "-inf"
-    n, d = s.numerator, s.denominator
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
         n, d = Decimal(n), Decimal(d)
         return str(n) if d == 1 else f"{n}/{d}"
+
+
+def format_scalar(s: Scalar) -> str:
+    """Canonical token for a scalar, in full; inverse of parse_scalar."""
+    return "-inf" if s is None else format_pair(s.numerator, s.denominator)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -139,12 +140,26 @@ def q_column_minima(q) -> tuple[list[Fraction], list[frozenset[int]]]:
     return minima, argmins
 
 
+def is_reduced_pair(p) -> bool:
+    """True for None (-inf) and for a tuple of two ints n, d with d > 0 and gcd(n, d) == 1."""
+    if p is None:
+        return True
+    return type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is int and p[1] > 0 and math.gcd(*p) == 1
+
+
+def fraction_grid(grid) -> tuple[tuple[Fraction | None, ...], ...]:
+    """A grid of (numerator, denominator) pairs and None, as `Fraction`s and None."""
+    return tuple(tuple(None if p is None else Fraction(*p) for p in row) for row in grid)
+
+
 def normalize_reference(a: TropMatrix, b: TropVector) -> NormalizationResult:
     """Plain-`Fraction` reference for `normalize`, cell by cell as the paper defines it.
 
     Each mean is the sum of the finite entries over their count; then
     a~_ij = a_ij - mean_j, b~_i = b_i - b_mean and q_ij = b~_i - a~_ij.
     Shares no arithmetic with `normalize`, which works on integer pairs.
+    A~ and Q are grids of `Fraction`s and None, to compare with
+    `fraction_grid` of `normalize`'s pair grids.
     Expects a regular b and a finite entry in every column.
     """
 
@@ -154,12 +169,12 @@ def normalize_reference(a: TropMatrix, b: TropVector) -> NormalizationResult:
 
     means = [mean(col) for col in zip(*a.row_tuples())]
     b_mean = mean(b)
-    a_tilde = [[None if e is None else e - m for e, m in zip(r, means)] for r in a.row_tuples()]
+    a_tilde = tuple(tuple(None if e is None else e - m for e, m in zip(r, means)) for r in a.row_tuples())
     b_tilde = [e - b_mean for e in b]
     q = tuple(tuple(None if e is None else bt - e for e in r) for bt, r in zip(b_tilde, a_tilde))
     minima, argmins = q_column_minima(q)
     return NormalizationResult(
-        a_tilde=TropMatrix(a_tilde),
+        a_tilde=a_tilde,
         col_means=tuple(means),
         b_tilde=TropVector(b_tilde),
         b_mean=b_mean,

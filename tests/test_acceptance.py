@@ -37,6 +37,7 @@ from tropsolve.cli import render_json, render_text, run
 
 from helpers import (
     arbitrary_instance,
+    fraction_grid,
     from_columns,
     map_equivalent_solution,
     planted_instance,
@@ -238,8 +239,7 @@ def test_criterion_9_normalization_zero_sum():
         a = rand_matrix(rng, m, n, bottom_p=0.25, regular_cols=True)
         b = rand_finite_vector(rng, m)
         res = normalize(a, b)
-        for j in range(n):
-            col = res.a_tilde.column(j)
+        for col in zip(*fraction_grid(res.a_tilde)):
             if sum((e for e in col if e is not None), Fraction(0)) != 0:
                 failures += 1
                 break

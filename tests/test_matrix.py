@@ -176,7 +176,7 @@ def test_normalize_empty_systems():
     res = normalize(*EMPTY_SYSTEMS["2x0-finite-b"])
     assert res.b_mean == Fraction(1, 2)
     assert res.b_tilde == TropVector([Fraction(-1, 2), Fraction(1, 2)])
-    assert res.a_tilde == TropMatrix([[], []])
+    assert res.a_tilde == ((), ())
     assert res.q == ((), ())
     assert res.col_means == res.argmin_rows == ()
     assert res.column_minima == TropVector([])

@@ -20,7 +20,15 @@ from tropsolve import (
     solve,
 )
 
-from helpers import normalize_reference, q_column_minima, rand_finite_vector, rand_matrix, with_bottoms
+from helpers import (
+    fraction_grid,
+    is_reduced_pair,
+    normalize_reference,
+    q_column_minima,
+    rand_finite_vector,
+    rand_matrix,
+    with_bottoms,
+)
 
 F = Fraction
 
@@ -42,8 +50,8 @@ def test_normalize_solvable_4x5(solvable_4x5):
     assert res.col_means == (F(50), F(80), F(-10), F(38), F(-1))
     assert res.b_mean == F(104)
     assert res.b_tilde == TropVector([-2, -26, -28, 56])
-    assert res.a_tilde.column(0) == TropVector([115, 91, 87, -293])
-    assert res.q[3] == (F(349), F(38), F(252), F(-62), F(60))
+    assert [r[0] for r in res.a_tilde] == [(115, 1), (91, 1), (87, 1), (-293, 1)]
+    assert res.q[3] == ((349, 1), (38, 1), (252, 1), (-62, 1), (60, 1))
     assert res.column_minima == TropVector([-117, -49, -84, -62, -31])
     assert res.argmin_rows == (
         frozenset({0, 1}),
@@ -59,7 +67,7 @@ def test_normalize_dof_4x5(dof_4x5):
     res = normalize(a, b)
     assert res.col_means == (F(-2), F(9, 2), F(21, 4), F(1, 4), F(-1, 2))
     assert res.b_mean == F(7)
-    assert res.q[0] == (F(0), F(-9, 2), F(-35, 4), F(5, 4), F(-5, 2))
+    assert res.q[0] == ((0, 1), (-9, 2), (-35, 4), (5, 4), (-5, 2))
 
 
 def test_normalize_unsolvable_5x4_fifths(unsolvable_5x4):
@@ -75,7 +83,7 @@ def test_normalize_fixed_point():
     a = TropMatrix([[1, -2], [-1, 2]])
     b = TropVector([3, -3])
     res = normalize(a, b)
-    assert res.a_tilde == a
+    assert fraction_grid(res.a_tilde) == a.row_tuples()
     assert res.b_tilde == b
 
 
@@ -83,7 +91,7 @@ def test_normalize_preserves_bottom_and_marks_sentinel():
     a = TropMatrix([[1, None], [3, 4]])
     b = TropVector([0, 2])
     res = normalize(a, b)
-    assert res.a_tilde.entry(0, 1) == BOTTOM
+    assert res.a_tilde[0][1] is None
     assert res.q[0][1] is None
     assert res.q[1][1] is not None
 
@@ -103,7 +111,7 @@ def test_column_minima_skips_sentinel():
     # which never attains a column minimum
     a = TropMatrix([[-5, -1], [None, -2], [-5, 0]])
     res = normalize(a, TropVector([3, -6, 3]))
-    assert res.q == ((F(3), F(3)), (None, F(-5)), (F(3), F(2)))
+    assert res.q == (((3, 1), (3, 1)), (None, (-5, 1)), ((3, 1), (2, 1)))
     assert res.column_minima == TropVector([3, -5])
     assert res.argmin_rows == (frozenset({0, 2}), frozenset({1}))
 
@@ -115,8 +123,7 @@ def test_zero_sum_property_random():
         a = rand_matrix(rng, m, n, bottom_p=0.25, regular_cols=True)
         b = rand_finite_vector(rng, m)
         res = normalize(a, b)
-        for j in range(n):
-            col = res.a_tilde.column(j)
+        for col in zip(*fraction_grid(res.a_tilde)):
             assert sum((e for e in col if e is not None), F(0)) == 0
         assert sum(res.b_tilde, F(0)) == 0
 
@@ -149,7 +156,7 @@ def _wide_tied_system(rng: random.Random, m: int) -> tuple[TropMatrix, TropVecto
 
 
 def test_back_transformed_minima_equal_direct_residuation():
-    # Q's minima and rows, read off the Fraction grid by the test, are
+    # Q's minima and rows, read off the grid by the test, are
     # normalize's, and back-shifted they are plain residuation
     rng = random.Random(12)
     cases = []
@@ -160,7 +167,7 @@ def test_back_transformed_minima_equal_direct_residuation():
     high_ties = 0
     for a, b in cases:
         res = normalize(a, b)
-        minima, argmins = q_column_minima(res.q)
+        minima, argmins = q_column_minima(fraction_grid(res.q))
         assert list(res.column_minima) == minima
         assert list(res.argmin_rows) == argmins
         for j in range(a.cols):
@@ -242,13 +249,35 @@ def test_normalize_matches_plain_fraction_reference():
         res, ref = normalize(a, b), normalize_reference(a, b)
         assert len(res._fields) == 7
         for name in res._fields:
-            assert getattr(res, name) == getattr(ref, name), name
+            got = getattr(res, name)
+            if name in ("a_tilde", "q"):
+                got = fraction_grid(got)
+            assert got == getattr(ref, name), name
         outcome = solve(a, b)
         if isinstance(outcome, Solvable):
             solvable += 1
             y_ref = [x + m - ref.b_mean for x, m in zip(outcome.x_star, ref.col_means)]
             assert normalized_solution(a, b, outcome.x_star) == TropVector(y_ref) == ref.column_minima
     assert solvable >= 50
+
+
+def test_grid_cells_are_reduced_pairs():
+    # every finite cell of A~ and Q is a pair of ints (n, d), d > 0, gcd(n, d) == 1;
+    # on prime denominators most cells' unreduced pairs share a factor
+    rng = random.Random(17)
+    cases = [_prime_system(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(200)]
+    cases.append(_long_lcd_system(rng))
+    cells = 0
+    for a, b in cases:
+        res = normalize(a, b)
+        for grid in (res.a_tilde, res.q):
+            assert len(grid) == a.rows and all(len(r) == a.cols for r in grid)
+            for r, row in zip(a.row_tuples(), grid):
+                for e, p in zip(r, row):
+                    assert (p is None) == (e is None)
+                    assert is_reduced_pair(p), p
+                    cells += p is not None
+    assert cells > 5000
 
 
 def test_normalized_solution_on_systems_normalize_refuses():

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tropsolve import (
     TropMatrix,
     TropVector,
     colrank,
+    format_pair,
     format_scalar,
     mat_vec,
     normalize,
@@ -23,6 +25,8 @@ from tropsolve import (
     trop_mul,
 )
 from tropsolve.scalar import MAX_DIGITS
+
+from helpers import is_reduced_pair
 
 finite = st.fractions(min_value=-100, max_value=100, max_denominator=12)
 scalars = st.one_of(st.just(BOTTOM), finite)
@@ -80,8 +84,7 @@ def test_results_are_exact_fractions(text, data):
     if all(any(e is not None for e in a.column(j)) for j in range(a.cols)):
         b = parse_vector(data.draw(_vector_text(_FINITE_TOKEN, a.rows)))
         res = normalize(a, b)
-        assert all(_exact(r) for r in res.q)
-        assert all(_exact(r) for r in res.a_tilde.row_tuples())
+        assert all(is_reduced_pair(p) for r in (*res.q, *res.a_tilde) for p in r)
         assert _exact(res.column_minima)
         assert _exact(res.b_tilde)
         assert _exact(res.col_means)
@@ -166,6 +169,20 @@ _LONG_DEN = "3" + "0" * 4998 + "1"
 def test_format_past_digit_limit_is_exact(value, token):
     # about 5000 digits, past Python's default 4300-digit int/str limit
     assert format_scalar(value) == token
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_format_pair_is_the_scalar_token(n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    assert format_pair(n, d) == format_scalar(Fraction(n, d))
+
+
+def test_format_pair_past_digit_limit():
+    # 10**5000 + 1 as a decimal string, built without str(int)
+    long = "1" + "0" * 4999 + "1"
+    assert format_pair(10**5000 + 1, 1) == long
+    assert format_pair(1, 10**5000 + 1) == "1/" + long
 
 
 @pytest.mark.parametrize(

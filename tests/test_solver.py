@@ -25,6 +25,7 @@ from tropsolve import (
 
 from helpers import (
     arbitrary_instance,
+    fraction_grid,
     from_columns,
     map_equivalent_solution,
     perturbed,
@@ -166,7 +167,7 @@ def test_solver_matches_residuation_oracle():
 
 def test_solve_matches_normalize_column_minima():
     # the residuation pass against the paper's route through the grid Q,
-    # whose minima and rows the test reads off the Fraction grid itself
+    # whose minima and rows the test reads off the grid itself
     # (normalize's own minima are solve's x* shifted, so they prove nothing here)
     rng = random.Random(25)
     solvable = 0
@@ -174,7 +175,7 @@ def test_solve_matches_normalize_column_minima():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = rand_matrix(rng, m, n, bottom_p=0.25, regular_rows=True, regular_cols=True)
         b = mat_vec(a, rand_finite_vector(rng, n)) if k % 2 else rand_finite_vector(rng, m)
-        minima, argmins = q_column_minima(normalize(a, b).q)
+        minima, argmins = q_column_minima(fraction_grid(normalize(a, b).q))
         out = solve(a, b)
         assert out.coverage == tuple(tuple(j for j in range(n) if i in argmins[j]) for i in range(m))
         assert normalized_solution(a, b, out.x_star) == TropVector(minima)
