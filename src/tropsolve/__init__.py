@@ -50,4 +50,4 @@ from .solver import (
     verify,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"

@@ -140,11 +140,11 @@ def _render_solve(p: dict) -> list[str]:
         lines.append("X* = (" + ", ".join(p["x_star"]) + ")")
         lines.append("Y* = (" + ", ".join(p["y_star"]) + ")")
         if p["forced_bottom"]:
-            lines.append("forced to -inf: columns " + ", ".join(map(str, p["forced_bottom"])))
+            lines.append("forced to -inf: columns " + _listed(p["forced_bottom"]))
         if p["unbounded"]:
-            lines.append("unbounded columns: " + ", ".join(map(str, p["unbounded"])))
+            lines.append("unbounded columns: " + _listed(p["unbounded"]))
     else:
-        lines.append("witness rows (no column minimum): " + ", ".join(map(str, p["witness_rows"])))
+        lines.append("witness rows (no column minimum): " + _listed(p["witness_rows"]))
     lines.append("coverage (column minima per row):")
     for i, cols in enumerate(p["coverage"], start=1):
         lines.append(f"  row {i}: " + _listed(cols))
@@ -181,7 +181,7 @@ def _render_dof(p: dict) -> list[str]:
     if p["status"] == "unsolvable":
         return [
             "status: unsolvable (degrees of freedom undefined)",
-            "witness rows: " + ", ".join(map(str, p["witness_rows"])),
+            "witness rows: " + _listed(p["witness_rows"]),
         ]
     lines = [
         f"degrees of freedom: {p['degrees_of_freedom']}",
@@ -193,10 +193,7 @@ def _render_dof(p: dict) -> list[str]:
         lines.append(f"  {s['rule']}: chose column {s['column']}, removed rows " + _listed(s["removed_rows"]))
     if "exact" in p:
         e = p["exact"]
-        lines.append(
-            f"exact minimum cover: {e['min_size']} columns "
-            + "{" + ", ".join(map(str, e["witness"])) + "}"
-        )
+        lines.append(f"exact minimum cover: {e['min_size']} columns {{{_listed(e['witness'])}}}")
     return lines
 
 
@@ -367,7 +364,8 @@ _COMMANDS = {
 
 def render_text(report: Report) -> str:
     if "error" in report.payload:
-        return f"error: {report.payload['error']}"
+        # the message may quote input bytes; escaped, it prints on any stdout
+        return f"error: {report.payload['error']}".encode("ascii", "backslashreplace").decode("ascii")
     return "\n".join(_COMMANDS[report.command].render(report.payload))
 
 

@@ -21,7 +21,7 @@ class SizeBoundError(TropicalError):
     """A procedure was asked to exceed a size bound.
 
     The exhaustive oracles refuse a side past their bound, and `normalize`
-    a mean or minimum past Python's int/str digit limit.
+    a mean or minimum of more than `normalize.MAX_MEAN_DIGITS` digits.
     """
 
 

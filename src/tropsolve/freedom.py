@@ -21,6 +21,9 @@ from .solver import SolveOutcome, Unsolvable
 
 __all__ = ["DofStep", "DofReport", "degrees_of_freedom", "minimal_leading_oracle"]
 
+# the most columns `minimal_leading_oracle` takes
+EXACT_COVER_MAX_COLS = 20
+
 
 class DofStep(NamedTuple):
     rule: str  # "singleton" | "greedy"
@@ -91,12 +94,12 @@ def minimal_leading_oracle(outcome: SolveOutcome) -> tuple[int, tuple[int, ...]]
     """Exact minimum number of columns covering every covered row, by enumeration.
 
     Subsets are tried in increasing size, so the first cover found is
-    minimum; returns (size, one witness subset). Refuses more than 20
-    columns, before it looks at solvability.
+    minimum; returns (size, one witness subset). Refuses more than
+    `EXACT_COVER_MAX_COLS` columns, before it looks at solvability.
     """
     n = len(outcome.x_star)
-    if n > 20:
-        raise SizeBoundError(f"exhaustive cover search limited to 20 columns, got {n}")
+    if n > EXACT_COVER_MAX_COLS:
+        raise SizeBoundError(f"exhaustive cover search limited to {EXACT_COVER_MAX_COLS} columns, got {n}")
     sets = list(_cover_sets(outcome, n).values())
     candidates = sorted(set().union(*sets))
     for size in range(0, len(candidates) + 1):

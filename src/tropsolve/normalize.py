@@ -25,12 +25,14 @@ large-denominator shift mean_j - b_mean is reduced once per column. A~ and
 Q are grids of reduced `(numerator, denominator)` pairs, denominator
 positive, and None; `Fraction(*p)` gives a cell's value. The means, b~ and
 the column minima are `Fraction`s.
+The report is refused before A~ and Q are built when a mean or minimum has
+more than `MAX_MEAN_DIGITS` digits: a bound of this module's own, the same
+under every interpreter setting.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -40,6 +42,11 @@ from .scalar import BOTTOM, Pair, Scalar, as_pairs
 from .solver import solve
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
+
+# the most digits a column mean, the mean of b or a column minimum may have,
+# since the A~ and Q grids over longer means run to megabytes
+MAX_MEAN_DIGITS = 4300
+_MEAN_BOUND = 10**MAX_MEAN_DIGITS
 
 # Rows of reduced (numerator, denominator) pairs; None marks a -inf matrix
 # entry (rendered as -inf in A~ and +inf- in Q).
@@ -99,8 +106,8 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     Requires a regular b and at least one finite entry per column of `a`
     (`solve` handles systems violating either), and a non-empty b. The
     minima are `solve`'s x*_j + mean_j - b_mean, attained in the rows its
-    coverage lists. A mean or minimum past Python's int/str digit limit
-    raises `SizeBoundError` before A~ and Q are built.
+    coverage lists. A mean or minimum of more than `MAX_MEAN_DIGITS`
+    digits raises `SizeBoundError` before A~ and Q are built.
     """
     outcome = solve(a, b)  # raises the shape error, which is reported before the others
     if not is_regular(b):
@@ -112,14 +119,11 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     if not len(b):
         raise DegenerateColumnError("b has no entry, so it has no mean")
     b_mean, means, shifts, y_star = _shift(a, b, outcome.x_star)
-    # the means and minima carry the report's longest denominators; past Python's
-    # int/str digit limit (3.10.7 on; 0 is none) the A~ and Q over them run to megabytes
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # the means and minima carry the report's longest denominators
     longest = max(max(abs(f.numerator), f.denominator) for f in (*means, b_mean, *y_star))
-    # 10**limit has more than 3 * limit bits, so a shorter value is below it
-    if limit and longest.bit_length() > 3 * limit and longest >= 10**limit:
-        raise SizeBoundError(f"a column mean or minimum has more than {limit} digits, "
-                             "Python's int/str digit limit; the normalize report is refused")
+    if longest >= _MEAN_BOUND:
+        raise SizeBoundError(f"a column mean or minimum has more than {MAX_MEAN_DIGITS} digits; "
+                             "the normalize report is refused")
     mean_pairs, shift_pairs = as_pairs(means), as_pairs(shifts)
     gcd = math.gcd
     a_tilde, q = [], []

@@ -174,6 +174,14 @@ def test_dof_with_eliminated_equations(tmp_path):
     assert report.payload["trace"][0]["removed_rows"] == [2]
 
 
+def test_dof_exact_empty_cover_prints_dash(tmp_path, capsys):
+    # b = -inf leaves no row to cover, so the minimum cover is empty
+    (tmp_path / "a.mat").write_text("0\n")
+    (tmp_path / "b.vec").write_text("-inf\n")
+    assert main(["dof", str(tmp_path / "a.mat"), str(tmp_path / "b.vec"), "--exact"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "exact minimum cover: 0 columns {-}"
+
+
 def test_normalize_irregular_b_exit_2(tmp_path):
     (tmp_path / "a.mat").write_text("1 2\n3 4\n")
     (tmp_path / "b.vec").write_text("1\n-inf\n")
@@ -353,16 +361,13 @@ def test_exponent_token_exit_2(tmp_path, capsys):
 
 def test_derived_value_past_digit_limit_exit_2(tmp_path, capsys):
     # every token is within the digit cap, but the column mean of 60 distinct
-    # 90-digit denominators has more digits than Python converts to a string;
-    # normalize refuses the report its A~ and Q grids would make over it
+    # 90-digit denominators has more than 4300 digits; normalize refuses the
+    # report its A~ and Q grids would make over it
     mat = tmp_path / "a.mat"
     mat.write_text("".join(f"1/{10**89 + 7 * i + 1}\n" for i in range(60)))
     vec = tmp_path / "b.vec"
     vec.write_text("0\n" * 60)
-    message = (
-        "a column mean or minimum has more than 4300 digits, "
-        "Python's int/str digit limit; the normalize report is refused"
-    )
+    message = "a column mean or minimum has more than 4300 digits; the normalize report is refused"
     report = run(["normalize", str(mat), str(vec)])
     assert report.exit_code == 2 and report.payload["error"] == message
     code = main(["normalize", str(mat), str(vec)])
@@ -533,6 +538,55 @@ def test_entry_point_subprocess(data_dir):
     )
     assert proc.returncode == 0
     assert "X* = (-63, -25, 30, 4, 74)" in proc.stdout
+
+
+_LONG_DENOMINATORS = [10**89 + 7 * i + 1 for i in range(60)]
+
+
+@pytest.mark.parametrize(
+    "command, mat_text, vec_text, exit_code",
+    [
+        # the 60 column-mean denominators give a mean of more than 4300 digits
+        ("normalize", "".join(f"1/{d}\n" for d in _LONG_DENOMINATORS), "0\n" * 60, 2),
+        # 10 of them give a mean of about 900 digits, past the lowest limit Python takes
+        ("normalize", "".join(f"1/{d}\n" for d in _LONG_DENOMINATORS[:10]), "0\n" * 10, 0),
+        ("solve", "1 \u00e9\n", "0\n", 2),
+    ],
+    ids=["long60", "mid", "non-ascii-token"],
+)
+def test_report_bytes_ignore_interpreter_settings(tmp_path, command, mat_text, vec_text, exit_code):
+    # the same input gives the same exit code and stdout bytes under every
+    # int/str digit limit and stdout encoding; each setting is made in a child,
+    # since the limit is process-wide and other tests run the CLI from threads
+    (tmp_path / "a.mat").write_text(mat_text, encoding="utf-8")
+    (tmp_path / "b.vec").write_text(vec_text)
+    base = {k: v for k, v in _child_env().items() if k not in ("PYTHONINTMAXSTRDIGITS", "PYTHONIOENCODING")}
+    settings = [(digits, encoding) for digits in (None, "0", "640") for encoding in ("utf-8", "ascii")]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "tropsolve.cli", command, "a.mat", "b.vec"],
+            cwd=tmp_path,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**base, "PYTHONIOENCODING": encoding, **({} if digits is None else {"PYTHONINTMAXSTRDIGITS": digits})},
+        )
+        for digits, encoding in settings
+    ]
+    results = [(*proc.communicate(timeout=60), proc.returncode) for proc in procs]
+    assert [b"Traceback" in err for _, err, _ in results] == [False] * len(settings)
+    out = results[0][0]
+    assert {(code, stdout) for stdout, _, code in results} == {(exit_code, out)}
+    if command == "solve":
+        assert out == b"error: line 1, column 3: malformed scalar token '\\xe9'\n"
+    elif exit_code == 2:
+        assert out == b"error: a column mean or minimum has more than 4300 digits; the normalize report is refused\n"
+
+
+def test_text_error_line_is_ascii():
+    # JSON reports escape non-ASCII characters; a text error line does too
+    report = cli.Report("solve", (), {"error": "[Errno 2] No such file or directory: 'd\u00e9j\u00e0.mat'"}, 2)
+    assert render_text(report) == "error: [Errno 2] No such file or directory: 'd\\xe9j\\xe0.mat'"
+    assert "\\u00e9" in render_json(report)
 
 
 def test_closed_stdout_keeps_the_verdict(tmp_path):
