@@ -97,7 +97,7 @@ def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, li
     means = [None if xj is None else column_mean(col) for xj, col in zip(x_star, zip(*a.row_tuples()))]
     shifts = [None if m is None else m - b_mean for m in means]
     y_star = [BOTTOM if s is None else xj + s for xj, s in zip(x_star, shifts)]
-    return b_mean, means, shifts, TropVector._of(tuple(y_star))
+    return b_mean, means, shifts, TropVector(y_star)
 
 
 def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
@@ -151,7 +151,7 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     return NormalizationResult(
         a_tilde=tuple(a_tilde),
         col_means=tuple(means),
-        b_tilde=TropVector._of(tuple([e - b_mean for e in b])),
+        b_tilde=TropVector([e - b_mean for e in b]),
         b_mean=b_mean,
         q=tuple(q),
         column_minima=y_star,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, mat_vec, submatrix
-from .rank import RankReport, colrank, rowrank
+from .rank import colrank, rowrank
 from .scalar import BOTTOM, Scalar, as_pairs
 from .solver import Solvable, residuate, solve
 
@@ -50,17 +50,6 @@ class ReducedSystem(NamedTuple):
         return all(ok for _, ok in self.row_consistency)
 
 
-def _aligned_coeffs(report: RankReport, indep_sorted: tuple[int, ...]) -> tuple[tuple[int, CoeffRow], ...]:
-    position = {idx: k for k, idx in enumerate(indep_sorted)}
-    out = []
-    for dep in report.dependent:
-        coeffs: list[Scalar] = [BOTTOM] * len(indep_sorted)
-        for idx, coeff in dep.combination:
-            coeffs[position[idx]] = coeff
-        out.append((dep.col, tuple(coeffs)))
-    return tuple(out)
-
-
 def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     """Run column and row analysis and assemble the reduced system."""
     if a.rows != len(b):
@@ -71,8 +60,10 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     indep_cols = tuple(sorted(col_scan.independent))
     indep_rows = tuple(sorted(row_scan.independent))
 
-    eta = _aligned_coeffs(col_scan, indep_cols)
-    xi = _aligned_coeffs(row_scan, indep_rows)
+    # a combination keys each finite coefficient by its independent index; a missing one is -inf;
+    # lists first: a tuple built from an iterator grows by resizing (peak RSS)
+    eta = tuple([(dep.col, tuple([*map(dict(dep.combination).get, indep_cols)])) for dep in col_scan.dependent])
+    xi = tuple([(dep.col, tuple([*map(dict(dep.combination).get, indep_rows)])) for dep in row_scan.dependent])
 
     a_bar = submatrix(a, indep_rows, indep_cols)
     b_bar = TropVector(b[i] for i in indep_rows)

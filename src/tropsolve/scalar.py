@@ -9,20 +9,11 @@ and floats are refused; the public matrix and vector constructors call it
 on every entry.
 Strings follow the file-token grammar of `parse_scalar`.
 
-The hot loops (the max-plus product `matrix.row_maxima` behind `mat_vec`
-and the rank scan's self-check, the residuation kernel `solver.residuate`
-behind `solve`, the rank scan, `expand_solution` and `check_equivalence`,
-and the `normalize` report: `column_mean`, behind the one shift
-mean_j - b_mean that gives both Q's column minima and the normalized
-solution Y*, and the A~ and Q grids) do their arithmetic on
-exact `(numerator, denominator)` integer pairs (`Pair`, from `as_pairs`)
-instead: sums and differences are left unreduced, denominators stay
-positive, so p/q < r/s is decided by p*s < r*q, and each result is
-reduced once: into a `Fraction` per mean, into a pair by one gcd per
-grid cell of A~ and Q (which stay pairs and print through `format_pair`),
-or not at all where only a comparison needs it. `row_maxima` and
-`residuate` never form a common denominator, so their intermediates stay
-within a few times the digits of their inputs.
+The library's kernels do their arithmetic on exact `(numerator,
+denominator)` integer pairs instead (`Pair`, from `as_pairs`): a
+denominator stays positive and is not always reduced, so p/q < r/s is
+decided by p*s < r*q, and each result is reduced once, or not at all
+where only a comparison needs it.
 """
 
 from __future__ import annotations

@@ -137,7 +137,7 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
             coverage[i].append(j)
 
     cov: RowCoverage = tuple(tuple(c) for c in coverage)
-    x_star = TropVector._of(tuple(x_entries))
+    x_star = TropVector(x_entries)
     uncovered = tuple(i for i, v in enumerate(b) if v is not None and not coverage[i])
     if uncovered:
         return Unsolvable(uncovered, cov, x_star)

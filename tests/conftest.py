@@ -39,6 +39,12 @@ def dof_4x5():
 
 
 @pytest.fixture(scope="session")
+def greedy_4x5():
+    """4x5 system, b = 0, whose greedy leading set has 3 columns and least cover 2 (columns 3, 5)."""
+    return load_matrix("greedy_4x5.mat"), load_vector("greedy_4x5_b.vec")
+
+
+@pytest.fixture(scope="session")
 def rank_4x5() -> TropMatrix:
     """4x5 matrix of column rank 2 (independent columns 4 and 2)."""
     return load_matrix("rank_4x5.mat")

@@ -13,6 +13,7 @@ from tropsolve import (
     degrees_of_freedom,
     minimal_leading_oracle,
     solve,
+    submatrix,
 )
 
 from helpers import solvable_instance
@@ -78,8 +79,10 @@ def test_dof_skips_bottom_rows_and_names_rows_in_a():
     out = solve(TropMatrix([[0, None], [None, 0], [0, 0]]), TropVector([None, 1, 1]))
     assert isinstance(out, Solvable)
     assert out.coverage == ((), (1,), (1,))
+    assert out.forced_bottom == {0}
     report = degrees_of_freedom(out)
     assert report.trace == (DofStep("singleton", 1, (1, 2)),)
+    # the paper's count, n minus the leading variables, lists the forced x1 as free
     assert (report.leading_cols, report.free_cols, report.d_f) == ((1,), (0,), 1)
     assert minimal_leading_oracle(out) == (1, (1,))
 
@@ -153,3 +156,37 @@ def test_greedy_at_least_oracle_minimum_random():
         size, witness = minimal_leading_oracle(out)
         assert len(report.leading_cols) >= size
         assert all(set(cols) & set(witness) for cols in out.coverage)
+
+
+def test_dof_at_most_n_minus_least_cover_on_every_coverage():
+    # the leading set covers every row with a finite b_i, so it holds at least tau columns: d_f <= n - tau.
+    # With b = 0 and entries 0 or -1, row i is covered by the columns holding a 0 in it (a column of -1s
+    # covers every row), so every set system occurs as a coverage, and so do greedy set cover's gaps
+    rng = random.Random(34)
+    gaps = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 8)
+        rows = [[rng.choice((0, -1)) for _ in range(n)] for _ in range(m)]
+        for r in rows:
+            if 0 not in r:
+                r[rng.randrange(n)] = 0
+        out = solve(TropMatrix(rows), TropVector([0] * m))
+        d_f, (tau, _) = degrees_of_freedom(out).d_f, minimal_leading_oracle(out)
+        assert d_f <= n - tau
+        gaps += d_f < n - tau
+    assert gaps
+
+
+@pytest.mark.parametrize(
+    "order, d_f, leading, cover",
+    [((0, 1, 2, 3, 4), 2, (0, 1, 2), (2, 4)), ((2, 4, 0, 1, 3), 3, (0, 1), (0, 1))],
+    ids=["order-12345", "order-35124"],
+)
+def test_greedy_4x5_count_depends_on_column_order(greedy_4x5, order, d_f, leading, cover):
+    # in the file's order the greedy's first pick, column 1 (a four-way tie on two rows), is in no
+    # least cover; with columns 3 and 5 first it picks exactly them
+    a, b = greedy_4x5
+    out = solve(submatrix(a, range(a.rows), order), b)
+    report = degrees_of_freedom(out)
+    assert (report.d_f, report.leading_cols) == (d_f, leading)
+    assert minimal_leading_oracle(out) == (2, cover)
