@@ -2,7 +2,18 @@
 
 
 class TropicalError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors this package raises for input it cannot take.
+
+    These are malformed text, shapes that do not conform, a system that
+    `normalize` cannot normalize and size bounds, which the CLI reports
+    with exit code 2, and `UnsolvableSystemError` for a call that needs a
+    solvable system. Misusing a library call raises Python's own
+    exception instead: `ValueError` for a scan order that is not a
+    permutation (`colrank`, `rowrank`), an outcome naming an out-of-range
+    column (`degrees_of_freedom`, `minimal_leading_oracle`) or a vector
+    that does not solve the reduced system (`expand_solution`);
+    `TypeError` for a float entry; `IndexError` for an index out of range.
+    """
 
 
 class DimensionError(TropicalError):

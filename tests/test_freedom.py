@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -190,3 +192,44 @@ def test_greedy_4x5_count_depends_on_column_order(greedy_4x5, order, d_f, leadin
     report = degrees_of_freedom(out)
     assert (report.d_f, report.leading_cols) == (d_f, leading)
     assert minimal_leading_oracle(out) == (2, cover)
+
+
+def _solves(rows, b, x) -> bool:
+    """max_j (a_ij + x_j) = b_i in every row, with None for -inf."""
+    for r, bi in zip(rows, b):
+        terms = [e + xj for e, xj in zip(r, x) if e is not None and xj is not None]
+        if (max(terms) if terms else None) != bi:
+            return False
+    return True
+
+
+def test_x_star_unique_iff_no_unbounded_column_and_every_finite_column_sole_cover():
+    # x solves A x = b iff x <= x* and the columns with x_j = x*_j cover every row with a finite b_i.
+    # So a column whose rows all have another cover can drop to -inf, a forced column has no other
+    # value, and an unbounded column takes any value. The oracle counts solutions on a grid that holds,
+    # per column, every finite b_i - a_ij, that value minus 1/2 and -inf (and 0 for an all -inf column),
+    # with plain Fraction max and sums: x* is on it, and so is a second solution whenever one exists
+    rng = random.Random(35)
+    solvable = unique = 0
+    for _ in range(4000):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[rng.choice((None, -1, 0, 1)) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice((None, -1, 0, 1, 2)) for _ in range(m)]
+        axes = []
+        for j in range(n):
+            slack = {Fraction(bi - r[j]) for r, bi in zip(rows, b) if r[j] is not None and bi is not None}
+            zero = {Fraction(0)} if all(r[j] is None for r in rows) else set()
+            axes.append([None, *slack, *(s - Fraction(1, 2) for s in slack), *zero])
+        # 0, 1 or 2, where 2 stands for "more than one"
+        solutions = len(list(itertools.islice((x for x in itertools.product(*axes) if _solves(rows, b, x)), 2)))
+        out = solve(TropMatrix(rows), TropVector(b))
+        assert isinstance(out, Solvable) == (solutions > 0)
+        if not solutions:
+            continue
+        sole_covers = {cols[0] for cols in out.coverage if len(cols) == 1}
+        finite = {j for j, x in enumerate(out.x_star) if x is not None}
+        criterion = not out.unbounded and finite <= sole_covers
+        assert criterion == (solutions == 1)
+        solvable += 1
+        unique += criterion
+    assert solvable > 1000 and unique > 300

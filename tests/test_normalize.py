@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -307,7 +308,7 @@ def test_normalized_solution_on_systems_normalize_refuses():
     assert finite_y >= 100
 
 
-def test_normalize_refuses_mean_past_digit_limit():
+def test_normalize_refuses_mean_past_digit_limit(monkeypatch):
     # the system of tests/test_cli.py::test_derived_value_past_digit_limit_exit_2:
     # the column mean of 60 distinct 90-digit denominators has more than 4300
     # digits, and the library refuses it as the CLI does
@@ -320,3 +321,13 @@ def test_normalize_refuses_mean_past_digit_limit():
     with pytest.raises(SizeBoundError):
         normalize(TropMatrix([[Fraction(1, 10**4300)]]), TropVector([0]))
     assert normalize(TropMatrix([[Fraction(1, 10**4300 - 1)]]), TropVector([0])).column_minima == TropVector([0])
+    # within normalize only the A~ and Q code converts to pairs, so a refusal
+    # that never reaches as_pairs has built neither grid
+    def no_grids(values):
+        raise AssertionError("as_pairs called: the grids are being built")
+
+    monkeypatch.setattr(importlib.import_module("tropsolve.normalize"), "as_pairs", no_grids)
+    with pytest.raises(SizeBoundError):
+        normalize(a, b)
+    with pytest.raises(AssertionError, match="as_pairs called"):
+        normalize(TropMatrix([[1, 2], [3, 4]]), TropVector([0, 1]))

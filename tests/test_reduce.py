@@ -222,6 +222,9 @@ def test_empty_reduction_of_all_bottom_system(tmp_path, capsys):
         "degrees of freedom via reduction: 0",
         "degrees of freedom (direct): 2",
     ]
+    # and colrank finds no independent column
+    assert main(["colrank", str(tmp_path / "a.mat")]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["colrank: 0", "independent columns: -"]
 
 
 def test_degenerate_all_bottom_matrix():
