@@ -1,17 +1,21 @@
 """Dense matrices and vectors over the max-plus scalars.
 
 Shapes are fixed at construction and entries are immutable. Every entry
-is a `Fraction` or None (-inf). The constructors coerce every entry with
-`as_scalar` and check the shape; `parse_matrix` alone skips that, through
-the private `_of` constructor of `TropMatrix`, whose docstring says why.
-Indexing is 0-based throughout the library; only rendered reports use
+is a `Fraction` or None (-inf) to the caller. A vector stores its
+`Fraction`s; a matrix stores one grid of reduced (numerator, denominator)
+pairs, denominator positive, None for -inf, which the kernels read
+through `pair_rows`, and builds `Fraction`s only when asked. The
+constructors coerce every entry with `as_scalar` and check the shape;
+`parse_matrix` and `submatrix` hand their pair grids to the private `_of`.
+Indexing is 0-based throughout the library, and an index out of range
+raises `IndexError`, a negative one too; only rendered reports use
 1-based indices. `row_maxima` is the one max-plus product loop: it works
-on exact integer (numerator, denominator) pairs and returns each row's
-maximum unreduced. `mat_vec`, which every solve's self-check runs, wraps
-it and builds one reduced `Fraction` per output entry; the rank scan's
-self-check calls it on pairs directly. `parse_matrix` and `parse_vector`
-parse each distinct token text once per call and share its scalar
-between the cells that spell it; nothing is cached across calls.
+on pairs and returns each row's maximum unreduced. `mat_vec`, which every
+solve's self-check runs, wraps it and builds one reduced `Fraction` per
+output entry; the rank scan's self-check calls it on pairs directly.
+`parse_matrix` and `parse_vector` parse each distinct token text once per
+call and share its value between the cells that spell it; nothing is
+cached across calls.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError
-from .scalar import BOTTOM, Pair, Scalar, as_pairs, as_scalar, format_scalar, parse_scalar
+from .scalar import Pair, PairGrid, Scalar, as_pairs, as_scalar, format_pair, format_scalar, parse_pair, parse_scalar
 
 __all__ = [
     "TropMatrix",
@@ -48,6 +52,8 @@ class TropVector:
         return len(self._entries)
 
     def __getitem__(self, i: int) -> Scalar:
+        if not isinstance(i, slice) and not 0 <= i < len(self._entries):
+            raise IndexError(f"index {i} out of range for {len(self._entries)} entries")
         return self._entries[i]
 
     def __iter__(self):
@@ -68,82 +74,95 @@ class TropVector:
 class TropMatrix:
     """A dense m x n matrix of max-plus scalars, m, n >= 0; a matrix with no rows has no columns."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_pairs",)
 
     def __init__(self, rows: Iterable[Iterable]):
         # lists first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
-        self._rows = tuple([tuple([as_scalar(e) for e in r]) for r in rows])
-        if len({len(r) for r in self._rows}) > 1:
+        self._pairs = tuple([tuple(as_pairs(map(as_scalar, r))) for r in rows])
+        if len({len(r) for r in self._pairs}) > 1:
             raise DimensionError("matrix rows must all have the same length")
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[Scalar, ...], ...]) -> TropMatrix:
-        """A matrix on `parse_matrix`'s rows, tuples of one width of scalars, taken as they are.
-
-        Coercing them again adds about a fifth to parsing: 1.1 of 4.3 ms on a
-        100x100 file (denominators <= 5; Python 3.11, 2-CPU host).
-        """
+    def _of(cls, pairs: PairGrid) -> TropMatrix:
+        """A matrix on rows of one width of reduced pairs, taken as they are."""
         m = cls.__new__(cls)
-        m._rows = rows
+        m._pairs = pairs
         return m
 
     @property
     def rows(self) -> int:
-        return len(self._rows)
+        return len(self._pairs)
 
     @property
     def cols(self) -> int:
-        return len(self._rows[0]) if self._rows else 0
+        return len(self._pairs[0]) if self._pairs else 0
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self._rows[i][j]
+        self._check("row", i, self.rows)
+        self._check("column", j, self.cols)
+        p = self._pairs[i][j]
+        return None if p is None else Fraction(*p)
 
     def row(self, i: int) -> TropVector:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row index {i} out of range for {self.rows} rows")
-        return TropVector(self._rows[i])
+        self._check("row", i, self.rows)
+        return TropVector(_scalars(self._pairs[i]))
 
     def column(self, j: int) -> TropVector:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column index {j} out of range for {self.cols} columns")
-        return TropVector(r[j] for r in self._rows)
+        self._check("column", j, self.cols)
+        return TropVector(_scalars(r[j] for r in self._pairs))
+
+    @staticmethod
+    def _check(kind: str, k: int, size: int) -> None:
+        if not 0 <= k < size:
+            raise IndexError(f"{kind} index {k} out of range for {size} {kind}s")
 
     def row_tuples(self) -> tuple[tuple[Scalar, ...], ...]:
-        return self._rows
+        """The entries as rows of `Fraction`s and None, built on each call, one per distinct pair."""
+        memo = {p: None if p is None else Fraction(*p) for p in set().union(*self._pairs)}
+        return tuple([tuple(map(memo.__getitem__, r)) for r in self._pairs])
+
+    def pair_rows(self) -> PairGrid:
+        """The stored rows of reduced pairs (denominator > 0) and None."""
+        return self._pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TropMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._pairs)
 
     def __repr__(self) -> str:
         return f"TropMatrix({self.rows}x{self.cols})"
+
+
+def _scalars(pairs: Iterable[Pair | None]) -> list[Scalar]:
+    """Each pair as its reduced `Fraction`; None stays None."""
+    return [None if p is None else Fraction(*p) for p in pairs]
 
 
 def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     """Apply a matrix to a column vector under max-plus."""
     if a.cols != len(x):
         raise DimensionError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
-    best = row_maxima(a.row_tuples(), as_pairs(x))
-    return TropVector([BOTTOM if p is None else Fraction(*p) for p in best])
+    best = row_maxima(a.pair_rows(), as_pairs(x))
+    return TropVector(_scalars(best))
 
 
-def row_maxima(rows: Iterable[Sequence[Scalar]], x_pairs: Sequence[Pair | None]) -> list[Pair | None]:
-    """Per row, the greatest a_ik + x_k as an unreduced pair (num, den > 0); None if every term is -inf.
+def row_maxima(rows: Iterable[Sequence[Pair | None]], x_pairs: Sequence[Pair | None]) -> list[Pair | None]:
+    """Per row of pairs, the greatest a_ik + x_k as an unreduced pair (num, den > 0); None if every term is -inf.
 
     The one max-plus product loop: `mat_vec` and the rank scan's self-check
-    both run it. Entries are read through `as_integer_ratio` in place.
+    both run it.
     """
     out = []
     for r in rows:
         best_n = best_d = None
-        for e, xp in zip(r, x_pairs):
-            if e is None or xp is None:
+        for ap, xp in zip(r, x_pairs):
+            if ap is None or xp is None:
                 continue
-            na, da = e.as_integer_ratio()
+            na, da = ap
             nx, dx = xp
             pn, pd = na * dx + nx * da, da * dx
             if best_d is None or pn * best_d > best_n * pd:
@@ -157,10 +176,10 @@ def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMa
     if cols and not rows:
         raise DimensionError("a matrix with no rows has no columns")
     for kind, indices, size in (("row", rows, a.rows), ("column", cols, a.cols)):
-        bad = next((k for k in indices if not 0 <= k < size), None)
-        if bad is not None:
-            raise IndexError(f"{kind} index {bad} out of range for {size} {kind}s")
-    return TropMatrix([a.entry(i, j) for j in cols] for i in rows)
+        for k in indices:
+            a._check(kind, k, size)
+    pairs = a.pair_rows()
+    return TropMatrix._of(tuple([tuple([pairs[i][j] for j in cols]) for i in rows]))
 
 
 def is_regular(v: TropVector) -> bool:
@@ -174,8 +193,9 @@ def is_regular(v: TropVector) -> bool:
 # all entries on a single line. Lines end at \n, \r\n or \r only.
 # parse -> format -> parse is the identity.
 # Each parse call keeps a memo from token text (not value: `2.5` and `5/2`
-# are separate keys) to its scalar, and drops it when the call returns; a
-# bad token is reported at the line and column of its first occurrence.
+# are separate keys) to its value, a reduced pair for a matrix and a
+# `Fraction` for a vector, and drops it when the call returns; a bad token
+# is reported at the line and column of its first occurrence.
 
 
 def _data_lines(text: str):
@@ -187,12 +207,12 @@ def _data_lines(text: str):
         yield lineno, raw
 
 
-def _parse_tokens(lineno: int, raw: str, memo: dict[str, Scalar]) -> list[Scalar]:
+def _parse_tokens(lineno: int, raw: str, memo: dict, parse) -> list:
     entries = []
     for token in raw.split():
         if token not in memo:
             try:
-                memo[token] = parse_scalar(token)
+                memo[token] = parse(token)
             except ParseError as exc:
                 raise ParseError(str(exc), line=lineno, column=_column(raw, token)) from None
         entries.append(memo[token])
@@ -213,9 +233,9 @@ def parse_matrix(text: str) -> TropMatrix:
     rows = []
     width = None
     first_lineno = None
-    memo: dict[str, Scalar] = {}
+    memo: dict[str, Pair | None] = {}
     for lineno, raw in _data_lines(text):
-        entries = _parse_tokens(lineno, raw, memo)
+        entries = _parse_tokens(lineno, raw, memo, parse_pair)
         if width is None:
             width, first_lineno = len(entries), lineno
         elif len(entries) != width:
@@ -231,7 +251,7 @@ def parse_matrix(text: str) -> TropMatrix:
 
 def parse_vector(text: str) -> TropVector:
     memo: dict[str, Scalar] = {}
-    lines = [(lineno, _parse_tokens(lineno, raw, memo)) for lineno, raw in _data_lines(text)]
+    lines = [(lineno, _parse_tokens(lineno, raw, memo, parse_scalar)) for lineno, raw in _data_lines(text)]
     if not lines:
         raise ParseError("no vector entries found")
     if all(len(entries) == 1 for _, entries in lines):
@@ -243,7 +263,7 @@ def parse_vector(text: str) -> TropVector:
 
 
 def format_matrix(a: TropMatrix) -> str:
-    return "\n".join(" ".join(format_scalar(e) for e in r) for r in a.row_tuples()) + "\n"
+    return "\n".join(" ".join("-inf" if p is None else format_pair(*p) for p in r) for r in a.pair_rows()) + "\n"
 
 
 def format_vector(v: TropVector) -> str:

@@ -16,13 +16,13 @@ minima and the `solve` report's normalized y* are both its x* + shift.
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in A~ and Q, and a None in Q is never a
 column minimum.
-Every exact value of the report is built on integer pairs and reduced
-once: `column_mean` sums integer numerators per distinct denominator and
-forms one `Fraction` over their lcm; a~_ij = a_ij - mean_j and
-q_ij = (b_i - a_ij) + (mean_j - b_mean) are each one integer pair reduced
-by one gcd, whose per-cell operands are input entries and whose
-large-denominator shift mean_j - b_mean is reduced once per column. A~ and
-Q are grids of reduced `(numerator, denominator)` pairs, denominator
+Every exact value of the report is built on integer pairs, the matrix's
+stored ones among them, and reduced once: a mean sums integer numerators
+per distinct denominator and forms one `Fraction` over their lcm;
+a~_ij = a_ij - mean_j and q_ij = (b_i - a_ij) + (mean_j - b_mean) are
+each one integer pair reduced by one gcd, whose per-cell operands are
+input entries and whose large-denominator shift mean_j - b_mean is
+reduced once per column. A~ and Q are grids of reduced `(numerator, denominator)` pairs, denominator
 positive, and None; `Fraction(*p)` gives a cell's value. The means, b~ and
 the column minima are `Fraction`s.
 The report is refused before A~ and Q are built when a mean or minimum has
@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DegenerateColumnError, RegularityError, SizeBoundError
 from .matrix import TropMatrix, TropVector, is_regular
-from .scalar import BOTTOM, Pair, Scalar, as_pairs
+from .scalar import BOTTOM, Pair, PairGrid, Scalar, as_pairs
 from .solver import solve
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
@@ -48,15 +48,10 @@ __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_soluti
 MAX_MEAN_DIGITS = 4300
 _MEAN_BOUND = 10**MAX_MEAN_DIGITS
 
-# Rows of reduced (numerator, denominator) pairs; None marks a -inf matrix
-# entry (rendered as -inf in A~ and +inf- in Q).
-PairGrid = tuple[tuple[Pair | None, ...], ...]
-
-
 class NormalizationResult(NamedTuple):
     """Normalized system data: A~, column means, b~, mean of b, Q and its column minima."""
 
-    a_tilde: PairGrid
+    a_tilde: PairGrid  # reduced pairs; None marks a -inf matrix entry (rendered as -inf in A~ and +inf- in Q)
     col_means: tuple[Fraction, ...]
     b_tilde: TropVector
     b_mean: Fraction
@@ -69,21 +64,20 @@ def column_mean(col: Iterable[Scalar]) -> Fraction:
     """Classical mean of the finite entries of a column.
 
     The denominator is the number of finite entries, so -inf positions do
-    not participate at all. Numerators are summed per distinct
-    denominator, and those sums once over their lcm, so the mean is
-    reduced once.
+    not participate at all.
     """
-    sums: dict[int, int] = {}
-    count = 0
-    for e in col:
-        if e is not None:
-            n, d = e.as_integer_ratio()
-            sums[d] = sums.get(d, 0) + n
-            count += 1
-    if not count:
+    return _mean([e.as_integer_ratio() for e in col if e is not None])
+
+
+def _mean(pairs: list[Pair]) -> Fraction:
+    """The mean of finite pairs: numerators summed per distinct denominator, those sums once over their lcm."""
+    if not pairs:
         raise DegenerateColumnError("degenerate column: every entry is -inf")
+    sums: dict[int, int] = {}
+    for n, d in pairs:
+        sums[d] = sums.get(d, 0) + n
     lcd = math.lcm(*sums)
-    return Fraction(sum(n * (lcd // d) for d, n in sums.items()), lcd * count)
+    return Fraction(sum(n * (lcd // d) for d, n in sums.items()), lcd * len(pairs))
 
 
 def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, list[Scalar], list[Scalar], TropVector]:
@@ -94,7 +88,8 @@ def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, li
     finite entry in column j and in b, so no mean is of an empty set.
     """
     b_mean = None if all(e is None for e in b) else column_mean(b)
-    means = [None if xj is None else column_mean(col) for xj, col in zip(x_star, zip(*a.row_tuples()))]
+    cols = zip(x_star, zip(*a.pair_rows()))
+    means = [None if xj is None else _mean([p for p in col if p is not None]) for xj, col in cols]
     shifts = [None if m is None else m - b_mean for m in means]
     y_star = [BOTTOM if s is None else xj + s for xj, s in zip(x_star, shifts)]
     return b_mean, means, shifts, TropVector(y_star)
@@ -127,14 +122,14 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     mean_pairs, shift_pairs = as_pairs(means), as_pairs(shifts)
     gcd = math.gcd
     a_tilde, q = [], []
-    for (nb, db), r in zip(as_pairs(b), a.row_tuples()):
+    for (nb, db), r in zip(as_pairs(b), a.pair_rows()):
         a_row, q_row = [], []
         for e, (nm, dm), (ns, ds) in zip(r, mean_pairs, shift_pairs):
             if e is None:
                 a_row.append(None)
                 q_row.append(None)
                 continue
-            na, da = e.as_integer_ratio()
+            na, da = e
             n, d = na * dm - nm * da, da * dm
             g = gcd(n, d)
             a_row.append((n // g, d // g))

@@ -32,18 +32,18 @@ def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
+    b = list(b)
     out: list[Scalar] = []
-    for j in range(a.cols):
+    for col in zip(*a.row_tuples()):
         bounds = []
         forced = False
-        for i in range(a.rows):
-            e = a.entry(i, j)
+        for e, bi in zip(col, b):
             if e is None:
                 continue
-            if b[i] is None:
+            if bi is None:
                 forced = True
                 break
-            bounds.append(b[i] - e)
+            bounds.append(bi - e)
         if forced or not bounds:
             out.append(BOTTOM)
         else:
@@ -51,12 +51,12 @@ def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
     return TropVector(out)
 
 
-def _satisfies(a: TropMatrix, x: tuple[Scalar, ...], b: TropVector) -> bool:
-    for i in range(a.rows):
+def _satisfies(rows: tuple[tuple[Scalar, ...], ...], x: tuple[Scalar, ...], b: list[Scalar]) -> bool:
+    for r, bi in zip(rows, b):
         acc = BOTTOM
-        for j in range(a.cols):
-            acc = trop_add(acc, trop_mul(a.entry(i, j), x[j]))
-        if acc != b[i]:
+        for e, xj in zip(r, x):
+            acc = trop_add(acc, trop_mul(e, xj))
+        if acc != bi:
             return False
     return True
 
@@ -74,12 +74,9 @@ def exhaustive_solvable(a: TropMatrix, b: TropVector) -> bool:
         )
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
+    rows, b = a.row_tuples(), list(b)
     per_col = []
-    for j in range(a.cols):
-        vals = {
-            b[i] - a.entry(i, j)
-            for i in range(a.rows)
-            if a.entry(i, j) is not None and b[i] is not None
-        }
+    for col in zip(*rows):
+        vals = {bi - e for e, bi in zip(col, b) if e is not None and bi is not None}
         per_col.append(sorted(vals) + [BOTTOM])
-    return any(_satisfies(a, x, b) for x in product(*per_col))
+    return any(_satisfies(rows, x, b) for x in product(*per_col))

@@ -1,9 +1,10 @@
 """Column and row rank of a max-plus matrix by iterative dependence scans.
 
-The scan runs over a list of vectors: the columns for `colrank`, the rows
-for `rowrank`. Each vector, from the last to the first, is tested for
-dependence on the other surviving vectors; dependent ones leave the
-working set, independent ones stay.
+The scan runs over a list of vectors, read as the matrix's stored
+reduced pairs: the columns for `colrank`, the rows for `rowrank`. Each
+vector, from the last to the first, is tested for dependence on the
+other surviving vectors; dependent ones leave the working set,
+independent ones stay.
 
 A test is a residuation, `solver.residuate`: against a working vector k,
 the target t gets the coefficient min_i (t_i - k_i) over the finite k_i,
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .matrix import TropMatrix, row_maxima
-from .scalar import Pair, Scalar, as_pairs
+from .scalar import Pair
 from .solver import residuate
 
 __all__ = ["Dependence", "RankReport", "colrank", "rowrank"]
@@ -63,18 +64,18 @@ def colrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
     Each recorded dependence combines the final independent columns with
     the maximal coefficients, so it reproduces the column exactly.
     """
-    return _scan(zip(*a.row_tuples()), scan_order, "columns")
+    return _scan(zip(*a.pair_rows()), scan_order, "columns")
 
 
 def rowrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankReport:
     """The same scan over the rows; indices are row indices."""
-    return _scan(a.row_tuples(), scan_order, "rows")
+    return _scan(a.pair_rows(), scan_order, "rows")
 
 
-def _scan(vectors: Iterable[Sequence[Scalar]], scan_order: Sequence[int] | None, axis: str) -> RankReport:
-    """The dependence scan over `vectors` (the columns or the rows), reported under `axis`."""
-    vectors = list(vectors)
-    n = len(vectors)
+def _scan(vectors: Iterable[Sequence[Pair | None]], scan_order: Sequence[int] | None, axis: str) -> RankReport:
+    """The dependence scan over `vectors` (the columns or the rows, as pairs), reported under `axis`."""
+    pairs = list(vectors)
+    n = len(pairs)
     if scan_order is None:
         order = list(range(n - 1, -1, -1))
     else:
@@ -82,7 +83,6 @@ def _scan(vectors: Iterable[Sequence[Scalar]], scan_order: Sequence[int] | None,
         if sorted(order) != list(range(n)):
             raise ValueError(f"scan order must be a permutation of 0..{n - 1}")
 
-    pairs = [as_pairs(v) for v in vectors]
     support = [sum(1 << i for i, p in enumerate(pv) if p is not None) for pv in pairs]
     bottom = [j for j in range(n) if not support[j]]
     trace: list[tuple[int, str]] = [(j, "dependent") for j in bottom]
@@ -118,7 +118,7 @@ def _scan(vectors: Iterable[Sequence[Scalar]], scan_order: Sequence[int] | None,
     basis = surviving  # after the scan: the independent vectors, in index order
     combinations = {j: () for j in bottom}
     if dependents:
-        span = list(zip(*(vectors[k] for k in basis)))  # one row per entry, one column per basis vector
+        span = list(zip(*(pairs[k] for k in basis)))  # one row per entry, one column per basis vector
         for j in dependents:
             coeffs = [residual(k, j)[1] for k in basis]
             # the combination must give the target's -inf pattern and, by cross-multiplication, its values

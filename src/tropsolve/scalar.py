@@ -10,7 +10,9 @@ on every entry.
 Strings follow the file-token grammar of `parse_scalar`.
 
 The library's kernels do their arithmetic on exact `(numerator,
-denominator)` integer pairs instead (`Pair`, from `as_pairs`): a
+denominator)` integer pairs instead (`Pair`): a matrix stores its cells
+as reduced pairs, which `parse_pair` reads from file tokens, and a
+vector's `Fraction`s become pairs through `as_pairs`. A computed pair's
 denominator stays positive and is not always reduced, so p/q < r/s is
 decided by p*s < r*q, and each result is reduced once, or not at all
 where only a comparison needs it.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .errors import ParseError
@@ -32,6 +35,7 @@ __all__ = [
     "trop_add",
     "trop_mul",
     "as_pairs",
+    "parse_pair",
     "parse_scalar",
     "format_pair",
     "format_scalar",
@@ -44,6 +48,9 @@ BOTTOM: Scalar = None
 
 # A finite scalar as (numerator, denominator), denominator > 0, not always reduced.
 Pair = tuple[int, int]
+
+# Rows of pairs, None for -inf.
+PairGrid = tuple[tuple[Pair | None, ...], ...]
 
 
 def as_scalar(x) -> Scalar:
@@ -87,10 +94,10 @@ _RUN = rf"(\d{{1,{MAX_DIGITS}}})"
 _TOKEN = re.compile(rf"(-?){_RUN}(?:\.{_RUN}|/{_RUN})?", re.ASCII)
 
 
-def parse_scalar(token: str) -> Scalar:
-    """Parse one scalar token: `-243`, `2.5` (exactly 5/2), `-13/4`, `-inf`."""
+def parse_pair(token: str) -> Pair | None:
+    """Parse one scalar token to its reduced pair, None for `-inf`: `6/4` gives (3, 2)."""
     if token == "-inf":
-        return BOTTOM
+        return None
     match = _TOKEN.fullmatch(token)
     if match is None:
         raise ParseError(f"malformed scalar token {token!r}")
@@ -101,7 +108,14 @@ def parse_scalar(token: str) -> Scalar:
         num, d = int(whole), 1 if den is None else int(den)
     if d == 0:
         raise ParseError(f"malformed scalar token {token!r}")
-    return Fraction(-num if sign else num, d)
+    g = gcd(num, d)
+    return -num // g if sign else num // g, d // g
+
+
+def parse_scalar(token: str) -> Scalar:
+    """Parse one scalar token: `-243`, `2.5` (exactly 5/2), `-13/4`, `-inf`."""
+    p = parse_pair(token)
+    return None if p is None else Fraction(*p)
 
 
 def format_pair(n: int, d: int) -> str:

@@ -10,7 +10,8 @@ solution, and the unattained rows otherwise witness unsolvability.
 
 `residuate` is the one exact kernel for that step, shared by `solve`,
 the rank scan, `reduce.expand_solution` and `check_equivalence`.
-It runs on integer pairs from `as_pairs`: each slack t_i - k_i is the
+It runs on integer pairs, a matrix's stored ones (`TropMatrix.pair_rows`)
+and a vector's from `as_pairs`: each slack t_i - k_i is the
 unreduced (n_t*d_k - n_k*d_t, d_t*d_k), slacks are compared by
 cross-multiplication, and no common denominator is formed. It has three
 outcomes: k has no finite entry (None; `solve` calls such a column
@@ -22,7 +23,7 @@ bitmask, which `mask_rows` lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
@@ -73,7 +74,7 @@ class Unsolvable(NamedTuple):
 SolveOutcome = Solvable | Unsolvable
 
 
-def residuate(k_pairs: list[Pair | None], t_pairs: list[Pair | None]) -> tuple[int, Pair | None] | None:
+def residuate(k_pairs: Sequence[Pair | None], t_pairs: Sequence[Pair | None]) -> tuple[int, Pair | None] | None:
     """Least slack t_i - k_i over the finite k_i, and the rows attaining it.
 
     Returns None when k has no finite entry, (0, None) when a finite k_i
@@ -123,8 +124,8 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     x_entries: list[Scalar] = [BOTTOM] * a.cols
     forced: set[int] = set()
     unbounded: set[int] = set()
-    for j, col in enumerate(zip(*a.row_tuples())):
-        res = residuate(as_pairs(col), b_pairs)
+    for j, col in enumerate(zip(*a.pair_rows())):
+        res = residuate(col, b_pairs)
         if res is None:
             unbounded.add(j)
             continue
@@ -166,12 +167,11 @@ def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
     if a.rows != a2.rows or a.cols != a2.cols:
         raise DimensionError(f"shapes differ: {a.rows}x{a.cols} vs {a2.rows}x{a2.cols}")
     alphas: list[Fraction] = []
-    for col, col2 in zip(zip(*a.row_tuples()), zip(*a2.row_tuples())):
-        pairs, pairs2 = as_pairs(col), as_pairs(col2)
-        support = sum(1 << i for i, p in enumerate(pairs) if p is not None)
-        if support != sum(1 << i for i, p in enumerate(pairs2) if p is not None):
+    for col, col2 in zip(zip(*a.pair_rows()), zip(*a2.pair_rows())):
+        support = sum(1 << i for i, p in enumerate(col) if p is not None)
+        if support != sum(1 << i for i, p in enumerate(col2) if p is not None):
             return None
-        res = residuate(pairs, pairs2)
+        res = residuate(col, col2)
         if res is None:  # an all -inf column pair
             alphas.append(Fraction(0))
         elif res[0] == support:  # every finite row attains the least slack a2_ij - a_ij

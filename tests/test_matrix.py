@@ -39,7 +39,7 @@ from tropsolve import (
     verify,
 )
 
-from helpers import max_combination, rand_matrix, scalar_mul, transpose
+from helpers import is_reduced_pair, max_combination, rand_matrix, scalar_mul, transpose
 
 
 def small_matrix(rows: int, cols: int):
@@ -89,6 +89,22 @@ def test_index_errors():
         a.row(5)
     with pytest.raises(IndexError):
         a.row(-1)
+
+
+@pytest.mark.parametrize(
+    "i, j, message",
+    [(-1, 0, "row index -1 out of range for 2 rows"), (0, -1, "column index -1 out of range for 2 columns"),
+     (2, 0, "row index 2 out of range for 2 rows"), (0, 2, "column index 2 out of range for 2 columns")],
+)
+def test_entry_and_vector_index_never_count_from_the_end(i, j, message):
+    a = TropMatrix([[1, 2], [3, 4]])
+    with pytest.raises(IndexError, match=f"^{message}$"):
+        a.entry(i, j)
+    v = TropVector([5, 6])
+    with pytest.raises(IndexError, match=f"^index {i + j} out of range for 2 entries$"):
+        v[i + j]
+    assert (a.entry(1, 0), v[1]) == (Fraction(3), Fraction(6))
+    assert v[1:] == v[-1:] == (Fraction(6),)  # slices keep Python's meaning
 
 
 @pytest.mark.parametrize("rows, cols", [([-1], [0]), ([0], [-1]), ([2], [0]), ([0], [2]), ([0, 1], [1, 5])])
@@ -262,6 +278,19 @@ def test_parse_vector_one_per_line_and_single_line():
     assert parse_vector("-inf\n") == TropVector([None])
     with pytest.raises(ParseError):
         parse_vector("1 2\n3\n")
+
+
+def test_parsed_matrix_stores_reduced_pairs():
+    text = "6/4 2.50 -0 007 0/5 -inf\n"
+    a = parse_matrix(text)
+    public = TropMatrix([[Fraction(3, 2), Fraction(5, 2), Fraction(0), Fraction(7), Fraction(0), None]])
+    assert a == public and hash(a) == hash(public)
+    assert a.pair_rows() == public.pair_rows() == (((3, 2), (5, 2), (0, 1), (7, 1), (0, 1), None),)
+    assert all(is_reduced_pair(p) for r in a.pair_rows() for p in r)
+    assert a.row_tuples() == public.row_tuples() and a.entry(0, 0) == Fraction(3, 2)
+    canonical = format_matrix(a)
+    assert canonical == "3/2 5/2 0 7 0 -inf\n"
+    assert parse_matrix(canonical) == a and format_matrix(parse_matrix(canonical)) == canonical
 
 
 def test_round_trip_bit_exact():

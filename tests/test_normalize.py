@@ -321,7 +321,7 @@ def test_normalize_refuses_mean_past_digit_limit(monkeypatch):
     with pytest.raises(SizeBoundError):
         normalize(TropMatrix([[Fraction(1, 10**4300)]]), TropVector([0]))
     assert normalize(TropMatrix([[Fraction(1, 10**4300 - 1)]]), TropVector([0])).column_minima == TropVector([0])
-    # within normalize only the A~ and Q code converts to pairs, so a refusal
+    # within normalize only the A~ and Q code calls as_pairs, so a refusal
     # that never reaches as_pairs has built neither grid
     def no_grids(values):
         raise AssertionError("as_pairs called: the grids are being built")

@@ -1,5 +1,7 @@
 import functools
 import math
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,7 @@ from tropsolve import (
     trop_add,
     trop_mul,
 )
-from tropsolve.scalar import MAX_DIGITS
+from tropsolve.scalar import MAX_DIGITS, parse_pair
 
 from helpers import is_reduced_pair
 
@@ -197,11 +199,13 @@ def test_format_pair_past_digit_limit():
 )
 def test_parse_finite_tokens_exactly(token, expected):
     assert parse_scalar(token) == expected
+    assert parse_pair(token) == expected.as_integer_ratio() and is_reduced_pair(parse_pair(token))
     assert TropVector([token]) == TropVector([expected])
 
 
 def test_parse_bottom_token():
     assert parse_scalar("-inf") == BOTTOM
+    assert parse_pair("-inf") is None
     assert TropVector(["-inf"]) == TropVector([BOTTOM])
 
 
@@ -213,7 +217,18 @@ def test_parse_bottom_token():
     ],
 )
 def test_parse_rejects_garbage(token):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_scalar(token)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(exc.value))}$"):
+        parse_pair(token)
     with pytest.raises(ParseError):  # library strings follow the same grammar
         TropVector([token])
+
+
+def test_src_uses_no_private_fraction_name():
+    # CPython 3.12 changed Fraction's private names; the library must run unchanged on 3.10-3.13
+    private = re.compile(r"\b_(numerator|denominator|normalize|from_coprime_ints)\b")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    hits = [f"{path}:{n}" for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1) if private.search(line)]
+    assert hits == []
