@@ -12,7 +12,16 @@ attained in a set of rows; a finite k_i against t_i = -inf makes the
 coefficient -inf and the set empty. Coefficient and rows depend on k and
 t alone, so the scan memoises `residuate` per pair, with the rows as an
 int bitmask. The target is dependent iff the OR of its working vectors'
-masks equals the mask of its finite entries.
+masks equals the mask of its finite entries. An OR does not depend on
+the order of its terms, so the order in which a test visits its working
+vectors changes no verdict, and two rules skip residuations:
+
+- a pattern miss, k finite in a row where t is -inf, is read from the
+  two support masks and gives (0, None) without calling `residuate`
+  or storing a table entry;
+- each test tries the vectors already found independent first, then
+  the untested survivors in index order, and stops as soon as the OR
+  covers the target's support.
 
 Every finally independent vector is in the working set at every test,
 so a dependent vector's maximal combination over the final independent
@@ -29,11 +38,12 @@ max-combination, which share no code with `residuate` or `row_maxima`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .matrix import TropMatrix, row_maxima
 from .scalar import Pair
-from .solver import residuate
+from .solver import residuate, support_mask
 
 __all__ = ["Dependence", "RankReport", "colrank", "rowrank"]
 
@@ -83,39 +93,42 @@ def _scan(vectors: Iterable[Sequence[Pair | None]], scan_order: Sequence[int] | 
         if sorted(order) != list(range(n)):
             raise ValueError(f"scan order must be a permutation of 0..{n - 1}")
 
-    support = [sum(1 << i for i, p in enumerate(pv) if p is not None) for pv in pairs]
+    support = [support_mask(pv) for pv in pairs]
     bottom = [j for j in range(n) if not support[j]]
     trace: list[tuple[int, str]] = [(j, "dependent") for j in bottom]
 
     table: dict[tuple[int, int], tuple[int, Pair | None]] = {}  # (k, t) -> residuate; k is never all -inf
 
     def residual(k: int, t: int) -> tuple[int, Pair | None]:
+        if support[k] & ~support[t]:  # a finite k_i meets t_i = -inf: residuate's (0, None)
+            return 0, None
         hit = table.get((k, t))
         if hit is None:
             hit = table[(k, t)] = residuate(pairs[k], pairs[t])
         return hit
 
-    surviving = [j for j in range(n) if support[j]]  # index order
+    untested = [j for j in range(n) if support[j]]  # index order
     discovery: list[int] = []
     dependents: list[int] = []
     for target in order:
         if not support[target]:
             continue
+        untested.remove(target)
         goal, covered = support[target], 0
-        for k in surviving:
-            if k != target:
-                covered |= residual(k, target)[0]
-                if covered == goal:
-                    break
+        for k in chain(discovery, untested):  # the working set: the known independents first
+            if support[k] & ~goal:  # a pattern miss adds no row; `residual` would give (0, None)
+                continue
+            covered |= residual(k, target)[0]
+            if covered == goal:
+                break
         if covered == goal:
             trace.append((target, "dependent"))
-            surviving.remove(target)
             dependents.append(target)
         else:
             trace.append((target, "independent"))
             discovery.append(target)
 
-    basis = surviving  # after the scan: the independent vectors, in index order
+    basis = sorted(discovery)
     combinations = {j: () for j in bottom}
     if dependents:
         span = list(zip(*(pairs[k] for k in basis)))  # one row per entry, one column per basis vector

@@ -109,6 +109,11 @@ def mask_rows(mask: int) -> list[int]:
     return rows
 
 
+def support_mask(pairs: Sequence[Pair | None]) -> int:
+    """The rows of the finite entries of `pairs`, as an int bitmask; `mask_rows` lists them back."""
+    return sum(1 << i for i, p in enumerate(pairs) if p is not None)
+
+
 def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     """Decide solvability of A x = b and return the maximal solution if any.
 
@@ -168,8 +173,8 @@ def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
         raise DimensionError(f"shapes differ: {a.rows}x{a.cols} vs {a2.rows}x{a2.cols}")
     alphas: list[Fraction] = []
     for col, col2 in zip(zip(*a.pair_rows()), zip(*a2.pair_rows())):
-        support = sum(1 << i for i, p in enumerate(col) if p is not None)
-        if support != sum(1 << i for i, p in enumerate(col2) if p is not None):
+        support = support_mask(col)
+        if support != support_mask(col2):
             return None
         res = residuate(col, col2)
         if res is None:  # an all -inf column pair

@@ -24,6 +24,15 @@ def rand_fraction(rng: random.Random, lo: int = -30, hi: int = 30, max_den: int 
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def prime_value(rng: random.Random, p: int | None = None) -> Fraction:
+    """A value in [-30, 30] with denominator p, a random prime <= 97 when p is None."""
+    p = rng.choice(PRIMES) if p is None else p
+    return Fraction(rng.randint(-30 * p, 30 * p), p)
+
+
 def rand_scalar(rng: random.Random, bottom_p: float = 0.2, max_den: int = 5) -> Scalar:
     if rng.random() < bottom_p:
         return BOTTOM

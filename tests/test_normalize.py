@@ -22,9 +22,11 @@ from tropsolve import (
 )
 
 from helpers import (
+    PRIMES,
     fraction_grid,
     is_reduced_pair,
     normalize_reference,
+    prime_value,
     q_column_minima,
     rand_finite_vector,
     rand_matrix,
@@ -203,38 +205,30 @@ def test_q_invariant_under_equivalence_shifts():
         assert normalize(a, b).q == normalize(a2, b2).q
 
 
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-def _prime_value(rng: random.Random, p: int | None = None) -> F:
-    p = rng.choice(PRIMES) if p is None else p
-    return F(rng.randint(-30 * p, 30 * p), p)
-
-
 def _prime_system(rng: random.Random, m: int, n: int) -> tuple[TropMatrix, TropVector]:
     """An m x n system with prime denominators <= 97, a -inf share of 0.25 and no all -inf column.
 
     Half the time b = A x0 for a random x0 (solvable when b is regular),
     otherwise b is random.
     """
-    grid = [[None if rng.random() < 0.25 else _prime_value(rng) for _ in range(n)] for _ in range(m)]
+    grid = [[None if rng.random() < 0.25 else prime_value(rng) for _ in range(n)] for _ in range(m)]
     for j in range(n):
         if all(r[j] is None for r in grid):
-            grid[rng.randrange(m)][j] = _prime_value(rng)
+            grid[rng.randrange(m)][j] = prime_value(rng)
     a = TropMatrix(grid)
     if rng.random() < 0.5:
-        b = mat_vec(a, TropVector(_prime_value(rng) for _ in range(n)))
+        b = mat_vec(a, TropVector(prime_value(rng) for _ in range(n)))
         if all(e is not None for e in b):
             return a, b
-    return a, TropVector(_prime_value(rng) for _ in range(m))
+    return a, TropVector(prime_value(rng) for _ in range(m))
 
 
 def _long_lcd_system(rng: random.Random) -> tuple[TropMatrix, TropVector]:
     """A 40 x 3 solvable system whose first column holds every prime <= 97 as a denominator."""
-    first = [_prime_value(rng, p) for p in PRIMES] + [_prime_value(rng) for _ in range(40 - len(PRIMES))]
+    first = [prime_value(rng, p) for p in PRIMES] + [prime_value(rng) for _ in range(40 - len(PRIMES))]
     rng.shuffle(first)
-    a = TropMatrix([[e, _prime_value(rng), _prime_value(rng)] for e in first])
-    return a, mat_vec(a, TropVector(_prime_value(rng) for _ in range(3)))
+    a = TropMatrix([[e, prime_value(rng), prime_value(rng)] for e in first])
+    return a, mat_vec(a, TropVector(prime_value(rng) for _ in range(3)))
 
 
 def test_normalize_matches_plain_fraction_reference():
@@ -292,12 +286,12 @@ def test_normalized_solution_on_systems_normalize_refuses():
     finite_y = 0
     for _ in range(300):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
-        grid = [[None if rng.random() < 0.3 else _prime_value(rng) for _ in range(n)] for _ in range(m)]
+        grid = [[None if rng.random() < 0.3 else prime_value(rng) for _ in range(n)] for _ in range(m)]
         for j in rng.sample(range(n), rng.randint(0, n // 2)):
             for r in grid:
                 r[j] = None
         a = TropMatrix(grid)
-        b = with_bottoms(rng, a, TropVector(_prime_value(rng) for _ in range(m)) if rng.random() < 0.5 else None)
+        b = with_bottoms(rng, a, TropVector(prime_value(rng) for _ in range(m)) if rng.random() < 0.5 else None)
         with pytest.raises((RegularityError, DegenerateColumnError)):
             normalize(a, b)
         x_star = solve(a, b).x_star

@@ -13,6 +13,8 @@ from tropsolve import (
     rowrank,
 )
 
+from tropsolve.rank import Dependence, RankReport
+from tropsolve.reduce import reduce_system
 from tropsolve.solver import residuate
 
 from helpers import (
@@ -21,6 +23,7 @@ from helpers import (
     identity,
     max_combination,
     planted_instance,
+    prime_value,
     rand_matrix,
     rand_scalar,
     scalar_mul,
@@ -287,35 +290,50 @@ def _wide_low_rank(rng: random.Random, m: int) -> TropMatrix:
     return from_columns(cols + [scalar_mul(Fraction(3), gens[-1])])
 
 
+def oracle_scan(vecs: list[TropVector], order: list[int] | None, axis: str) -> RankReport:
+    """The rank scan replayed with `dependence_oracle`, which shares no code with the scan.
+
+    Each target is tested against all its working vectors in index order,
+    and each dependence is the oracle's combination over the final basis.
+    """
+    n = len(vecs)
+    surviving = [j for j in range(n) if any(e is not None for e in vecs[j])]
+    trace = [(j, "dependent") for j in range(n) if j not in surviving]
+    independent = []
+    for target in range(n - 1, -1, -1) if order is None else order:
+        if target not in surviving:
+            continue
+        if dependence_oracle([vecs[j] for j in surviving if j != target], vecs[target]) is None:
+            trace.append((target, "independent"))
+            independent.append(target)
+        else:
+            trace.append((target, "dependent"))
+            surviving.remove(target)
+    dependent = []
+    for j in sorted(j for j, verdict in trace if verdict == "dependent"):
+        lam = dependence_oracle([vecs[k] for k in surviving], vecs[j])
+        assert lam is not None
+        dependent.append(Dependence(j, tuple((k, c) for k, c in zip(surviving, lam) if c is not None)))
+    return RankReport(axis, tuple(independent), tuple(dependent), len(independent), tuple(trace))
+
+
+def columns_and_rows(a: TropMatrix) -> tuple[list[TropVector], list[TropVector]]:
+    return [a.column(j) for j in range(a.cols)], [a.row(i) for i in range(a.rows)]
+
+
 def test_scan_stress_wide_masks_match_oracle_replay():
-    # masks span more than one machine word; every verdict is replayed with
-    # the plain-Fraction oracle on the working set of its step, and every
-    # combination is checked against the oracle on the final basis
+    # masks span more than one machine word; every report, verdicts and
+    # combinations, equals the plain-Fraction oracle's replay of the scan
     rng = random.Random(47)
     a = _wide_low_rank(rng, 70)
-    cols, rows = [a.column(j) for j in range(a.cols)], [a.row(i) for i in range(a.rows)]
+    cols, rows = columns_and_rows(a)
     for rank_fn, vecs, order in (
         (colrank, cols, None),
         (colrank, cols, rng.sample(range(a.cols), a.cols)),
         (rowrank, rows, rng.sample(range(a.rows), a.rows)),
     ):
         report = rank_fn(a, order)
-        surviving = [j for j, v in enumerate(vecs) if any(e is not None for e in v)]
-        for target, verdict in report.scan_trace:
-            if target not in surviving:
-                assert verdict == "dependent" and all(e is None for e in vecs[target])
-                continue
-            working = [vecs[j] for j in surviving if j != target]
-            dependent = dependence_oracle(working, vecs[target]) is not None
-            assert verdict == ("dependent" if dependent else "independent"), (rank_fn.__name__, target)
-            if dependent:
-                surviving.remove(target)
-        basis = sorted(report.independent)
-        assert basis == surviving
-        for dep in report.dependent:
-            lam = dependence_oracle([vecs[k] for k in basis], vecs[dep.col])
-            assert lam is not None
-            assert dep.combination == tuple((k, c) for k, c in zip(basis, lam) if c is not None)
+        assert report == oracle_scan(vecs, order, report.axis), rank_fn.__name__
 
     # the cases the masks must get right do occur: the first test (the last
     # column) has a working column with mask 0, and some dependences need
@@ -331,3 +349,96 @@ def test_scan_stress_wide_masks_match_oracle_replay():
         union_only += all(r != support for r in attained)
         high_ties += any(len(r) > 1 and max(r) >= 64 for r in attained)
     assert union_only > 0 and high_ties > 0
+
+
+def _block_diagonal(blocks: list[TropMatrix]) -> TropMatrix:
+    """The blocks along the diagonal, -inf everywhere else."""
+    n = sum(b.cols for b in blocks)
+    rows, left = [], 0
+    for b in blocks:
+        rows += [[None] * left + list(r) + [None] * (n - left - b.cols) for r in b.row_tuples()]
+        left += b.cols
+    return TropMatrix(rows)
+
+
+def _pattern_misses(calls) -> list:
+    """The recorded `residuate` calls in which a finite k_i meets t_i = -inf."""
+    return [(k, t) for k, t in calls if any(kp is not None and tp is None for kp, tp in zip(k, t))]
+
+
+def test_scan_reads_pattern_misses_from_masks(monkeypatch):
+    # a pattern miss (a finite k_i against t_i = -inf) is decided by the
+    # support masks, so `residuate` never sees one; skipping it, and trying
+    # the known independents first, must leave every report equal to the
+    # oracle's replay, whatever the scan order
+    calls = []
+
+    def recording(k_pairs, t_pairs):
+        calls.append((k_pairs, t_pairs))
+        return residuate(k_pairs, t_pairs)
+
+    monkeypatch.setattr(rank, "residuate", recording)
+    rng = random.Random(53)
+    misses = 0  # ordered pairs of vectors that are pattern misses: the rule has work to do
+    for _ in range(80):
+        a = rand_matrix(rng, rng.randint(2, 8), rng.randint(2, 8), bottom_p=rng.uniform(0.3, 0.5))
+        for rank_fn, vecs in zip((colrank, rowrank), columns_and_rows(a)):
+            order = rng.sample(range(len(vecs)), len(vecs))
+            report = rank_fn(a, order)
+            assert report == oracle_scan(vecs, order, report.axis), (rank_fn.__name__, a, order)
+            misses += len(_pattern_misses((k, t) for k in vecs for t in vecs))
+    assert misses > 1000
+    assert calls and not _pattern_misses(calls)
+
+    # a column against a column of another block is a pattern miss, so
+    # colrank calls `residuate` within a block only
+    blocks = [planted_instance(rng)[0] for _ in range(3)]
+    a = _block_diagonal(blocks)
+    row_block = [k for k, b in enumerate(blocks) for _ in range(b.rows)]
+
+    def block(pairs) -> int:
+        return row_block[next(i for i, p in enumerate(pairs) if p is not None)]
+
+    calls.clear()
+    report = colrank(a)
+    assert report == oracle_scan(columns_and_rows(a)[0], None, "columns")
+    assert report.dependent and calls
+    assert all(block(k) == block(t) for k, t in calls)
+
+
+def _coefficient_rows(report: RankReport) -> tuple:
+    """`reduce`'s form of a report's dependences: per dependent, one coefficient per basis index (None for -inf)."""
+    basis = sorted(report.independent)
+    return tuple((d.col, tuple(dict(d.combination).get(k) for k in basis)) for d in report.dependent)
+
+
+def test_north_star_size_scans_match_oracle_replay():
+    # colrank, rowrank and reduce at the 30 x 30 size the benchmark targets:
+    # prime denominators, 10% -inf, and 8 planted dependent columns and rows
+    rng = random.Random(59)
+
+    def planted(vecs: list[TropVector], extra: int) -> list[TropVector]:
+        """`vecs` and `extra` max-combinations of three of them each, shuffled."""
+        out = list(vecs)
+        for _ in range(extra):
+            picked = rng.sample(vecs, 3)
+            out.append(max_combination(picked, [prime_value(rng) for _ in picked]))
+        rng.shuffle(out)
+        return out
+
+    core = [TropVector(None if rng.random() < 0.1 else prime_value(rng) for _ in range(22)) for _ in range(22)]
+    wide = from_columns(planted(core, 8))  # 22 x 30; combining its rows keeps every column dependence
+    a = TropMatrix([list(r) for r in planted([wide.row(i) for i in range(22)], 8)])
+    assert (a.rows, a.cols) == (30, 30)
+    cols, rows = columns_and_rows(a)
+    want_cols, want_rows = oracle_scan(cols, None, "columns"), oracle_scan(rows, None, "rows")
+    assert len(want_cols.dependent) >= 8 and len(want_rows.dependent) >= 8
+    assert colrank(a) == want_cols
+    assert rowrank(a) == want_rows
+
+    b = max_combination(cols, [prime_value(rng) for _ in cols])
+    red = reduce_system(a, b)
+    assert red.indep_cols == tuple(sorted(want_cols.independent))
+    assert red.indep_rows == tuple(sorted(want_rows.independent))
+    assert (red.eta, red.xi) == (_coefficient_rows(want_cols), _coefficient_rows(want_rows))
+    assert red.consistent()

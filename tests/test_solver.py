@@ -189,6 +189,16 @@ def test_solve_matches_normalize_column_minima():
 # --- equivalence ------------------------------------------------------------
 
 
+def test_support_mask_and_mask_rows_are_inverse():
+    # the finite rows of a pair list, as a bitmask past bit 63 and back
+    rng = random.Random(61)
+    for m in (0, 1, 5, 64, 70, 130):
+        pairs = [None if rng.random() < 0.4 else (rng.randint(-9, 9), 1) for _ in range(m)]
+        finite = [i for i, p in enumerate(pairs) if p is not None]
+        assert solver.mask_rows(solver.support_mask(pairs)) == finite
+    assert solver.support_mask([None, (1, 1), None, (0, 1)]) == 0b1010
+
+
 def test_check_equivalence_identity_and_shift():
     a = TropMatrix([[3, 6, 5], [-5, 0, -2], [4, 1, 6]])
     assert check_equivalence(a, a) == [Fraction(0)] * 3
