@@ -3,14 +3,18 @@
 Every production path (`solve`, and through it `normalize`'s column
 minima; the rank scan; `reduce`; `check_equivalence`) runs on the
 integer-pair kernels `solver.residuate` and `matrix.mat_vec`. Nothing
-here shares their code: the principal solution is the direct residuation
-formula on plain `Fraction`s, and tiny systems can be decided by
+here shares their code, and nothing is imported from `solver`: the
+principal solution is the direct residuation formula written out again
+on the matrix's stored integer pairs, and tiny systems can be decided by
 exhaustive enumeration over the finite grid of relevant candidate
-values, checked with `trop_add`/`trop_mul`.
+values, checked with `trop_add`/`trop_mul`. The tests check
+`principal_solution` in turn against the same formula on plain
+`Fraction`s (`tests/helpers.py`, `principal_reference`).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from .errors import DimensionError, SizeBoundError
@@ -28,26 +32,31 @@ def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
 
     Columns with no finite entry leave x_j unconstrained; the entry is
     stored as -inf (no finite cap exists). A -inf b entry against a
-    finite a_ij forces x_j to -inf.
+    finite a_ij forces x_j to -inf. Both cases are read from the -inf
+    pattern before any arithmetic. Otherwise each candidate b_i - a_ij
+    is the unreduced integer pair (nb*d - n*db, db*d) of A's stored pair
+    n/d and b_i = nb/db, the least is kept by cross-multiplication, and
+    one `Fraction` is built per column.
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    b = list(b)
+    b_pairs = [None if e is None else e.as_integer_ratio() for e in b]
+    bottom_rows = [i for i, p in enumerate(b_pairs) if p is None]
     out: list[Scalar] = []
-    for col in zip(*a.row_tuples()):
-        bounds = []
-        forced = False
-        for e, bi in zip(col, b):
-            if e is None:
-                continue
-            if bi is None:
-                forced = True
-                break
-            bounds.append(bi - e)
-        if forced or not bounds:
+    for col in zip(*a.pair_rows()):
+        if col.count(None) == len(col) or any(col[i] is not None for i in bottom_rows):
             out.append(BOTTOM)
-        else:
-            out.append(min(bounds))
+            continue
+        least_n = least_d = None
+        for ap, bp in zip(col, b_pairs):
+            if ap is None:
+                continue
+            n, d = ap
+            nb, db = bp
+            cn, cd = nb * d - n * db, db * d
+            if least_d is None or cn * least_d < least_n * cd:
+                least_n, least_d = cn, cd
+        out.append(Fraction(least_n, least_d))
     return TropVector(out)
 
 

@@ -31,8 +31,8 @@ unreduced coefficient pairs, and compares each entry with the target's
 pair by cross-multiplication, -inf pattern included. Only the reported
 coefficients become `Fraction`s.
 The library holds no second dependence test: the tests replay the scan
-against `oracle.principal_solution` and a plain `Fraction`
-max-combination, which share no code with `residuate` or `row_maxima`.
+against a residuation and a max-combination on plain `Fraction`s of
+their own, which share no code with `residuate` or `row_maxima`.
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 from tropsolve import (
     BOTTOM,
+    DimensionError,
     NormalizationResult,
     Scalar,
     TropMatrix,
     TropVector,
     mat_vec,
-    principal_solution,
     trop_add,
     trop_mul,
 )
@@ -126,16 +126,44 @@ def max_combination(vectors: list[TropVector], coeffs: list[Scalar]) -> TropVect
     return TropVector(out)
 
 
+def principal_reference(a: TropMatrix, b: TropVector) -> TropVector:
+    """Plain-`Fraction` reference for `principal_solution`: x_j = min over rows with a_ij finite of (b_i - a_ij).
+
+    Columns with no finite entry give -inf, and so does a -inf b entry
+    against a finite a_ij. Shares no arithmetic with `principal_solution`,
+    which works on integer pairs.
+    """
+    if a.rows != len(b):
+        raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
+    b = list(b)
+    out: list[Scalar] = []
+    for col in zip(*a.row_tuples()):
+        bounds = []
+        forced = False
+        for e, bi in zip(col, b):
+            if e is None:
+                continue
+            if bi is None:
+                forced = True
+                break
+            bounds.append(bi - e)
+        if forced or not bounds:
+            out.append(BOTTOM)
+        else:
+            out.append(min(bounds))
+    return TropVector(out)
+
+
 def dependence_oracle(cols: list[TropVector], target: TropVector) -> list[Scalar] | None:
     """The principal solution of [cols] x = target, if its max-combination is the target.
 
-    Plain-`Fraction` reference for the rank scan: `principal_solution`
+    Plain-`Fraction` reference for the rank scan: `principal_reference`
     and `max_combination` share no code with `residuate` or `mat_vec`.
     With no columns, only an all -inf target is the (empty) combination.
     """
     if not cols:
         return [] if all(e is None for e in target) else None
-    lambdas = list(principal_solution(from_columns(cols), target))
+    lambdas = list(principal_reference(from_columns(cols), target))
     return lambdas if max_combination(cols, lambdas) == target else None
 
 

@@ -41,6 +41,7 @@ from helpers import (
     from_columns,
     map_equivalent_solution,
     planted_instance,
+    principal_reference,
     rand_finite_vector,
     rand_matrix,
     solvable_instance,
@@ -160,7 +161,7 @@ def test_criterion_6_oracle_equivalence():
         else:
             a, b = arbitrary_instance(rng, max_dim=6, bottom_p=0.2)
         out = solve(a, b)
-        x = principal_solution(a, b)
+        x = principal_reference(a, b)
         solvable = isinstance(out, Solvable)
         if solvable != verify(a, x, b):
             failures += 1

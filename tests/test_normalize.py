@@ -17,7 +17,6 @@ from tropsolve import (
     mat_vec,
     normalize,
     normalized_solution,
-    principal_solution,
     solve,
 )
 
@@ -27,6 +26,7 @@ from helpers import (
     is_reduced_pair,
     normalize_reference,
     prime_value,
+    principal_reference,
     q_column_minima,
     rand_finite_vector,
     rand_matrix,
@@ -295,7 +295,7 @@ def test_normalized_solution_on_systems_normalize_refuses():
         with pytest.raises((RegularityError, DegenerateColumnError)):
             normalize(a, b)
         x_star = solve(a, b).x_star
-        assert x_star == principal_solution(a, b)
+        assert x_star == principal_reference(a, b)
         y_ref = [None if x is None else x + mean(col) - mean(b) for x, col in zip(x_star, zip(*grid))]
         assert normalized_solution(a, b, x_star) == TropVector(y_ref)
         finite_y += sum(y is not None for y in y_ref)

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,12 +13,24 @@ from tropsolve import (
     TropVector,
     exhaustive_solvable,
     mat_vec,
+    matrix,
+    oracle,
     principal_solution,
+    scalar,
     solve,
+    solver,
     verify,
 )
 
-from helpers import arbitrary_instance, rand_finite_vector, rand_matrix
+from helpers import (
+    arbitrary_instance,
+    prime_value,
+    principal_reference,
+    rand_finite_vector,
+    rand_fraction,
+    rand_matrix,
+    with_bottoms,
+)
 
 
 def test_principal_solution_goldens(solvable_4x5, unsolvable_5x4):
@@ -35,6 +50,94 @@ def test_principal_solution_unconstrained_column():
     a = TropMatrix([[1, None], [2, None]])
     x = principal_solution(a, TropVector([5, 5]))
     assert x[1] == BOTTOM  # no finite cap exists
+
+
+def _wide_value(rng: random.Random) -> Fraction:
+    """A value with a 100-digit numerator and a 100-digit denominator, either sign, as in CI's `wide` system."""
+    v = Fraction(rng.randrange(10**99, 10**100), rng.randrange(10**99, 10**100))
+    return -v if rng.random() < 0.5 else v
+
+
+def _reference_system(rng: random.Random, family: str, m: int, n: int):
+    """A seeded m x n system of one value family, with -inf in A, and in b or planted b at random."""
+    value = {
+        "small": lambda: rand_fraction(rng),
+        "primes": lambda: prime_value(rng),
+        "wide": lambda: _wide_value(rng),
+    }[family]
+    bottom_p = rng.choice((0.0, 0.3))
+    grid = [[None if rng.random() < bottom_p else value() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in grid:
+            row[j] = None
+    a = TropMatrix(grid)
+    shape = rng.choice(("free", "planted", "bottoms"))
+    if shape == "planted":
+        b = mat_vec(a, TropVector(value() for _ in range(n)))
+    else:
+        b = TropVector(value() for _ in range(m))
+        if shape == "bottoms":
+            b = with_bottoms(rng, a, b)
+    return a, b
+
+
+def test_principal_solution_matches_fraction_reference():
+    rng = random.Random(64)
+    seen = {"forced": 0, "unbounded": 0, "tied": 0, "1xn": 0, "mx1": 0}
+    for family, max_side, count in (("small", 12, 300), ("primes", 12, 300), ("wide", 8, 120)):
+        for _ in range(count):
+            m, n = rng.randint(1, max_side), rng.randint(1, max_side)
+            m, n = rng.choice(((m, n), (1, n), (m, 1)))
+            a, b = _reference_system(rng, family, m, n)
+            x = principal_solution(a, b)
+            assert x == principal_reference(a, b), (family, a.row_tuples(), b)
+            seen["1xn"] += m == 1
+            seen["mx1"] += n == 1
+            rows = a.row_tuples()
+            for j, xj in enumerate(x):
+                col = [r[j] for r in rows]
+                if all(e is None for e in col):
+                    seen["unbounded"] += 1
+                elif any(e is not None and bi is None for e, bi in zip(col, b)):
+                    seen["forced"] += 1
+                elif sum(e is not None and bi - e == xj for e, bi in zip(col, b)) > 1:
+                    seen["tied"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_principal_solution_shares_no_kernel(monkeypatch, solvable_4x5, unsolvable_5x4):
+    def refuse(*args):
+        raise AssertionError("the oracle called a production kernel")
+
+    for module, name in ((solver, "residuate"), (matrix, "row_maxima"), (matrix, "mat_vec"), (scalar, "as_pairs")):
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(oracle, name, refuse, raising=False)
+    assert principal_solution(*solvable_4x5) == TropVector([-63, -25, 30, 4, 74])
+    assert principal_solution(*unsolvable_5x4) == TropVector([-10, -6, -7, -8])
+    tree = ast.parse(inspect.getsource(oracle))
+    assert "solver" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
+def test_principal_solution_operands_stay_pair_sized(monkeypatch):
+    # each x_j is built from one candidate (nb*d - n*db, db*d), so neither part
+    # outgrows two input entries; a common denominator per column would carry
+    # the lcm of all 16 distinct 100-digit denominators of A's column and b
+    rng = random.Random(65)
+    a = TropMatrix([[_wide_value(rng) for _ in range(8)] for _ in range(8)])
+    b = TropVector(_wide_value(rng) for _ in range(8))
+    built = []
+
+    def record(n, d):
+        built.append((n, d))
+        return Fraction(n, d)
+
+    monkeypatch.setattr(oracle, "Fraction", record)
+    assert principal_solution(a, b) == principal_reference(a, b)
+    entries = [p for row in a.pair_rows() for p in row] + [e.as_integer_ratio() for e in b]
+    entry_bits = max(max(abs(n).bit_length(), d.bit_length()) for n, d in entries)
+    assert len(built) == a.cols
+    assert all(max(abs(n).bit_length(), d.bit_length()) <= 2 * entry_bits + 1 for n, d in built), entry_bits
 
 
 def test_exhaustive_unsolvable_2x2():

@@ -29,6 +29,7 @@ from helpers import (
     from_columns,
     map_equivalent_solution,
     perturbed,
+    principal_reference,
     q_column_minima,
     rand_finite_vector,
     rand_matrix,
@@ -160,7 +161,7 @@ def test_solver_matches_residuation_oracle():
     for _ in range(200):
         a, b = arbitrary_instance(rng)
         out = solve(a, b)
-        x = principal_solution(a, b)
+        x = principal_reference(a, b)
         assert x == out.x_star
         assert verify(a, x, b) == isinstance(out, Solvable)
 
@@ -420,7 +421,7 @@ def test_large_denominators_match_plain_fraction_references():
         a = TropMatrix(rows)
 
         out = solve(a, b)
-        x0 = principal_solution(a, b)
+        x0 = principal_reference(a, b)
         assert isinstance(out, Solvable) == verify(a, x0, b)
         if isinstance(out, Solvable):
             solvable += 1
