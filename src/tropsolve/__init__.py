@@ -50,4 +50,4 @@ from .solver import (
     verify,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

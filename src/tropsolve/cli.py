@@ -25,11 +25,11 @@ from .errors import TropicalError
 from .freedom import degrees_of_freedom, minimal_leading_oracle
 from .matrix import TropMatrix, TropVector, parse_matrix, parse_vector
 from .normalize import normalize, normalized_solution
-from .oracle import EXHAUSTIVE_MAX_SIDE, exhaustive_solvable, principal_solution
+from .oracle import EXHAUSTIVE_MAX_SIDE, exhaustive_solvable, principal_solution, satisfies
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
 from .scalar import format_pair, format_scalar
-from .solver import Solvable, solve, verify, check_equivalence
+from .solver import Solvable, solve, check_equivalence
 
 __all__ = ["Report", "run", "main"]
 
@@ -119,7 +119,7 @@ def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     }
     if args.check:
         x0 = principal_solution(a, b)
-        ok = verify(a, x0, b)
+        ok = satisfies(a, x0, b)
         agree = ok == solvable and x0 == outcome.x_star
         exh = None
         if a.rows <= EXHAUSTIVE_MAX_SIDE and a.cols <= EXHAUSTIVE_MAX_SIDE:
@@ -348,7 +348,7 @@ _COMMANDS = {
     "normalize": _Command("normalize a system and print the associated grid Q",
                           (_A, _B), None, _cmd_normalize, _render_normalize),
     "solve": _Command("solve A x = b; exit 0 if solvable, 1 if not", (_A, _B),
-                      ("--check", {"action": "store_true", "help": "cross-check with brute-force oracles"}),
+                      ("--check", {"action": "store_true", "help": "cross-check with independent oracles"}),
                       _cmd_solve, _render_solve),
     "dof": _Command("degrees of freedom of a solvable system", (_A, _B),
                     ("--exact", {"action": "store_true", "help": "also compute the exact minimum cover"}),

@@ -17,14 +17,14 @@ Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in A~ and Q, and a None in Q is never a
 column minimum.
 Every exact value of the report is built on integer pairs, the matrix's
-stored ones among them, and reduced once: a mean sums integer numerators
-per distinct denominator and forms one `Fraction` over their lcm;
-a~_ij = a_ij - mean_j and q_ij = (b_i - a_ij) + (mean_j - b_mean) are
-each one integer pair reduced by one gcd, whose per-cell operands are
-input entries and whose large-denominator shift mean_j - b_mean is
-reduced once per column. A~ and Q are grids of reduced `(numerator, denominator)` pairs, denominator
-positive, and None; `Fraction(*p)` gives a cell's value. The means, b~ and
-the column minima are `Fraction`s.
+stored ones among them: a mean sums integer numerators per distinct
+denominator and forms one `Fraction` over their lcm. a~_ij = a_ij +
+(-mean_j) and q_ij = (b_i - a_ij) + (mean_j - b_mean) each add a short
+reduced fraction (the entry, or b_i - a_ij reduced over db*da) to one
+reduced once per column, so every per-cell gcd has a small denominator
+as one operand. A~ and Q are grids of reduced `(numerator, denominator)`
+pairs, denominator positive, and None; `Fraction(*p)` gives a cell's
+value. The means, b~ and the column minima are `Fraction`s.
 The report is refused before A~ and Q are built when a mean or minimum has
 more than `MAX_MEAN_DIGITS` digits: a bound of this module's own, the same
 under every interpreter setting.
@@ -83,6 +83,8 @@ def _mean(pairs: list[Pair]) -> Fraction:
 def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, list[Scalar], list[Scalar], TropVector]:
     """The normalization shift: b_mean, each mean_j and mean_j - b_mean, and y* = x* + shift.
 
+    y*_j = x*_j + shift_j is `Fraction`'s own sum, which Python 3.11 and
+    later reduce by the same identity as the grid cells of `normalize`.
     mean_j and the shift are None, and y*_j is -inf, where x*_j is -inf;
     b_mean is None when b has no finite entry. A finite x*_j implies a
     finite entry in column j and in b, so no mean is of an empty set.
@@ -129,14 +131,27 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
                 a_row.append(None)
                 q_row.append(None)
                 continue
+            # p/q + r/s of reduced operands (Knuth, TAOCP 4.5.1): g = gcd(q, s); if g > 1,
+            # t = p*(s/g) + r*(q/g) and g2 = gcd(t, g) reduce it, so each gcd has a small operand
             na, da = e
-            n, d = na * dm - nm * da, da * dm
-            g = gcd(n, d)
-            a_row.append((n // g, d // g))
-            sn, sd = nb * da - na * db, db * da  # b_i - a_ij
-            n, d = sn * ds + ns * sd, sd * ds
-            g = gcd(n, d)
-            q_row.append((n // g, d // g))
+            g = gcd(da, dm)  # a~_ij = a_ij + (-mean_j)
+            if g == 1:
+                a_row.append((na * dm - nm * da, da * dm))
+            else:
+                t = na * (dm // g) - nm * (da // g)
+                g2 = gcd(t, g)
+                a_row.append((t, da // g * dm) if g2 == 1 else (t // g2, da // g * (dm // g2)))
+            sn, sd = nb * da - na * db, db * da  # b_i - a_ij, reduced over its small denominator
+            g = gcd(sn, sd)
+            if g != 1:
+                sn, sd = sn // g, sd // g
+            g = gcd(sd, ds)  # q_ij = (b_i - a_ij) + shift_j
+            if g == 1:
+                q_row.append((sn * ds + ns * sd, sd * ds))
+            else:
+                t = sn * (ds // g) + ns * (sd // g)
+                g2 = gcd(t, g)
+                q_row.append((t, sd // g * ds) if g2 == 1 else (t // g2, sd // g * (ds // g2)))
         a_tilde.append(tuple(a_row))
         q.append(tuple(q_row))
     argmins: list[list[int]] = [[] for _ in range(a.cols)]

@@ -5,11 +5,12 @@ minima; the rank scan; `reduce`; `check_equivalence`) runs on the
 integer-pair kernels `solver.residuate` and `matrix.mat_vec`. Nothing
 here shares their code, and nothing is imported from `solver`: the
 principal solution is the direct residuation formula written out again
-on the matrix's stored integer pairs, and tiny systems can be decided by
+on the matrix's stored integer pairs, `satisfies` checks A x = b term by
+term against b on the same pairs, and tiny systems can be decided by
 exhaustive enumeration over the finite grid of relevant candidate
-values, checked with `trop_add`/`trop_mul`. The tests check
-`principal_solution` in turn against the same formula on plain
-`Fraction`s (`tests/helpers.py`, `principal_reference`).
+values, each checked with `satisfies`. The tests check both in turn
+against the same formulas on plain `Fraction`s (`tests/helpers.py`,
+`principal_reference` and `max_combination`).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from itertools import product
 
 from .errors import DimensionError, SizeBoundError
 from .matrix import TropMatrix, TropVector
-from .scalar import BOTTOM, Scalar, trop_add, trop_mul
+from .scalar import BOTTOM, Scalar
 
-__all__ = ["principal_solution", "exhaustive_solvable"]
+__all__ = ["principal_solution", "satisfies", "exhaustive_solvable"]
 
 # the most rows, and the most columns, `exhaustive_solvable` takes
 EXHAUSTIVE_MAX_SIDE = 4
@@ -60,12 +61,26 @@ def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
     return TropVector(out)
 
 
-def _satisfies(rows: tuple[tuple[Scalar, ...], ...], x: tuple[Scalar, ...], b: list[Scalar]) -> bool:
-    for r, bi in zip(rows, b):
-        acc = BOTTOM
-        for e, xj in zip(r, x):
-            acc = trop_add(acc, trop_mul(e, xj))
-        if acc != bi:
+def satisfies(a: TropMatrix, x: TropVector, b: TropVector) -> bool:
+    """Whether A x = b under max-plus: in each row no term a_ij + x_j exceeds b_i, and one attains it.
+
+    A term is the integer pair (n*dx + nx*d, d*dx) of A's stored pair n/d
+    and x_j = nx/dx, compared with b_i by cross-multiplication; a -inf b_i
+    admits no finite term.
+    """
+    if a.cols != len(x) or a.rows != len(b):
+        raise DimensionError(f"shapes do not conform: {a.rows}x{a.cols} matrix, x of length {len(x)}, "
+                             f"b of length {len(b)}")
+    x_pairs = [None if e is None else e.as_integer_ratio() for e in x]
+    for row, bi in zip(a.pair_rows(), b):
+        terms = [(ap, xp) for ap, xp in zip(row, x_pairs) if ap is not None and xp is not None]
+        if bi is None:
+            if terms:
+                return False
+            continue
+        nb, db = bi.as_integer_ratio()
+        # each term's excess over b_i times a positive denominator: the greatest must be 0
+        if max([(n * dx + nx * d) * db - nb * (d * dx) for (n, d), (nx, dx) in terms], default=-1) != 0:
             return False
     return True
 
@@ -83,9 +98,8 @@ def exhaustive_solvable(a: TropMatrix, b: TropVector) -> bool:
         )
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    rows, b = a.row_tuples(), list(b)
     per_col = []
-    for col in zip(*rows):
+    for col in zip(*a.row_tuples()):
         vals = {bi - e for e, bi in zip(col, b) if e is not None and bi is not None}
         per_col.append(sorted(vals) + [BOTTOM])
-    return any(_satisfies(rows, x, b) for x in product(*per_col))
+    return any(satisfies(a, TropVector(x), b) for x in product(*per_col))

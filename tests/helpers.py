@@ -33,6 +33,12 @@ def prime_value(rng: random.Random, p: int | None = None) -> Fraction:
     return Fraction(rng.randint(-30 * p, 30 * p), p)
 
 
+def wide_value(rng: random.Random) -> Fraction:
+    """A value with a 100-digit numerator and a 100-digit denominator, either sign, as in CI's `wide` system."""
+    v = Fraction(rng.randrange(10**99, 10**100), rng.randrange(10**99, 10**100))
+    return -v if rng.random() < 0.5 else v
+
+
 def rand_scalar(rng: random.Random, bottom_p: float = 0.2, max_den: int = 5) -> Scalar:
     if rng.random() < bottom_p:
         return BOTTOM

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropsolve
-from tropsolve import TropVector, cli, parse_matrix, parse_vector, principal_solution
+from tropsolve import TropVector, cli, parse_matrix, parse_vector, principal_solution, solver
 from tropsolve.cli import main, render_json, render_text, run
 
 
@@ -72,6 +72,19 @@ def test_solve_check_flag_agrees(data_dir):
     assert report.payload["check"]["verify"] is False
     assert report.payload["check"]["principal_solution"] == ["-10", "-6", "-7", "-8"]
     assert "agrees" in render_text(report)
+
+
+def test_solve_check_verifies_with_the_oracle(data_dir, monkeypatch):
+    # the "verifies" field is the oracle's own max-plus product, not the solver's
+    def refuse(*args):
+        raise AssertionError("solve --check called the production verify")
+
+    monkeypatch.setattr(solver, "verify", refuse)
+    monkeypatch.setattr(cli, "verify", refuse, raising=False)
+    for name, verdict in (("solvable_4x5", True), ("unsolvable_5x4", False)):
+        report = run(["solve", path(data_dir, f"{name}.mat"), path(data_dir, f"{name}_b.vec"), "--check"])
+        assert report.payload["check"]["verify"] is verdict
+        assert report.payload["check"]["agrees"] is True
 
 
 def test_solve_check_compares_x_star_when_unsolvable(data_dir, monkeypatch):

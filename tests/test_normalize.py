@@ -30,6 +30,7 @@ from helpers import (
     q_column_minima,
     rand_finite_vector,
     rand_matrix,
+    wide_value,
     with_bottoms,
 )
 
@@ -231,15 +232,37 @@ def _long_lcd_system(rng: random.Random) -> tuple[TropMatrix, TropVector]:
     return a, mat_vec(a, TropVector(prime_value(rng) for _ in range(3)))
 
 
+def _near_digit_limit_system() -> tuple[TropMatrix, TropVector]:
+    """A 50 x 2 system whose first column mean has 4299 digits, just under `MAX_MEAN_DIGITS`."""
+    col = [F(i - 20, 10**89 + 7 * i + 1) for i in range(49)] + [F(1, 10**70 + 3)]
+    a = TropMatrix([[e, F(3 * i + 1, 97)] for i, e in enumerate(col)])
+    return a, TropVector(F(i % 5, 3) for i in range(50))
+
+
+def _sum_branch(x: F, y: F) -> str:
+    """The branch that the reduced sum x + y takes: g = gcd of the denominators, g2 = gcd(t, g)."""
+    g = math.gcd(x.denominator, y.denominator)
+    if g == 1:
+        return "g=1"
+    t = x.numerator * (y.denominator // g) + y.numerator * (x.denominator // g)
+    return "g2=1" if math.gcd(t, g) == 1 else "g2>1"
+
+
 def test_normalize_matches_plain_fraction_reference():
     # every field of the report, and Y* of solvable systems, against the
-    # cell-by-cell Fraction reference on prime denominators
+    # cell-by-cell Fraction reference on prime denominators, a 121-bit column
+    # lcm and a mean just under the digit bound; each of a~_ij = a_ij + (-mean_j),
+    # q_ij = (b_i - a_ij) + shift_j and y*_j = x*_j + shift_j reaches every
+    # branch of the reduced sum
     rng = random.Random(14)
     cases = [_prime_system(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(200)]
     long_lcd = _long_lcd_system(rng)
     assert math.lcm(*(e.denominator for e in long_lcd[0].column(0))).bit_length() > 100
-    cases.append(long_lcd)
+    near_limit = _near_digit_limit_system()
+    assert 10**4298 < normalize_reference(*near_limit).col_means[0].denominator < 10**4299
+    cases += [long_lcd, near_limit]
     solvable = 0
+    seen = {(part, branch): 0 for part in ("A~", "Q", "Y*") for branch in ("g=1", "g2=1", "g2>1")}
     for a, b in cases:
         res, ref = normalize(a, b), normalize_reference(a, b)
         assert len(res._fields) == 7
@@ -248,12 +271,21 @@ def test_normalize_matches_plain_fraction_reference():
             if name in ("a_tilde", "q"):
                 got = fraction_grid(got)
             assert got == getattr(ref, name), name
+        shifts = [m - ref.b_mean for m in ref.col_means]
+        for r, bi in zip(a.row_tuples(), b):
+            for e, m, s in zip(r, ref.col_means, shifts):
+                if e is not None:
+                    seen["A~", _sum_branch(e, -m)] += 1
+                    seen["Q", _sum_branch(bi - e, s)] += 1
         outcome = solve(a, b)
+        for x, s in zip(outcome.x_star, shifts):
+            seen["Y*", _sum_branch(x, s)] += 1
         if isinstance(outcome, Solvable):
             solvable += 1
             y_ref = [x + m - ref.b_mean for x, m in zip(outcome.x_star, ref.col_means)]
             assert normalized_solution(a, b, outcome.x_star) == TropVector(y_ref) == ref.column_minima
     assert solvable >= 50
+    assert min(seen.values()) >= 10, seen
 
 
 def test_grid_cells_are_reduced_pairs():
@@ -273,6 +305,33 @@ def test_grid_cells_are_reduced_pairs():
                     assert is_reduced_pair(p), p
                     cells += p is not None
     assert cells > 5000
+
+
+def test_normalize_gcd_operands_stay_pair_sized(monkeypatch):
+    # each cell of A~ and Q is a reduced sum whose gcds all take a small
+    # denominator as one operand, so no per-cell gcd has two operands longer
+    # than two input entries; reducing each cell over the column mean's
+    # 800-digit denominator would take 2 * 8 * 8 such gcds
+    rng = random.Random(66)
+    a = TropMatrix([[wide_value(rng) for _ in range(8)] for _ in range(8)])
+    b = TropVector(wide_value(rng) for _ in range(8))
+    entries = [p for row in a.pair_rows() for p in row] + [e.as_integer_ratio() for e in b]
+    entry_bits = max(max(abs(n).bit_length(), d.bit_length()) for n, d in entries)
+    calls, gcd = [], math.gcd
+
+    def record(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", record)  # Fraction's own arithmetic calls math.gcd too
+    res = normalize(a, b)
+    monkeypatch.undo()
+    assert fraction_grid(res.q) == normalize_reference(a, b).q
+    long_calls = [c for c in calls if min(abs(x).bit_length() for x in c) > 2 * entry_bits + 1]
+    # b's mean, and per column its mean, its shift and y*_j, and per row b~_i:
+    # Fraction arithmetic before Python 3.11 reduces each of these by one gcd
+    # of its full operands
+    assert len(long_calls) <= 1 + 3 * a.cols + a.rows, (len(long_calls), len(calls))
 
 
 def test_normalized_solution_on_systems_normalize_refuses():

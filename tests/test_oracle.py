@@ -24,11 +24,13 @@ from tropsolve import (
 
 from helpers import (
     arbitrary_instance,
+    max_combination,
     prime_value,
     principal_reference,
     rand_finite_vector,
     rand_fraction,
     rand_matrix,
+    wide_value,
     with_bottoms,
 )
 
@@ -52,18 +54,12 @@ def test_principal_solution_unconstrained_column():
     assert x[1] == BOTTOM  # no finite cap exists
 
 
-def _wide_value(rng: random.Random) -> Fraction:
-    """A value with a 100-digit numerator and a 100-digit denominator, either sign, as in CI's `wide` system."""
-    v = Fraction(rng.randrange(10**99, 10**100), rng.randrange(10**99, 10**100))
-    return -v if rng.random() < 0.5 else v
-
-
 def _reference_system(rng: random.Random, family: str, m: int, n: int):
     """A seeded m x n system of one value family, with -inf in A, and in b or planted b at random."""
     value = {
         "small": lambda: rand_fraction(rng),
         "primes": lambda: prime_value(rng),
-        "wide": lambda: _wide_value(rng),
+        "wide": lambda: wide_value(rng),
     }[family]
     bottom_p = rng.choice((0.0, 0.3))
     grid = [[None if rng.random() < bottom_p else value() for _ in range(n)] for _ in range(m)]
@@ -84,7 +80,7 @@ def _reference_system(rng: random.Random, family: str, m: int, n: int):
 
 def test_principal_solution_matches_fraction_reference():
     rng = random.Random(64)
-    seen = {"forced": 0, "unbounded": 0, "tied": 0, "1xn": 0, "mx1": 0}
+    seen = {"forced": 0, "unbounded": 0, "tied": 0, "1xn": 0, "mx1": 0, "satisfies": 0, "fails": 0}
     for family, max_side, count in (("small", 12, 300), ("primes", 12, 300), ("wide", 8, 120)):
         for _ in range(count):
             m, n = rng.randint(1, max_side), rng.randint(1, max_side)
@@ -92,6 +88,12 @@ def test_principal_solution_matches_fraction_reference():
             a, b = _reference_system(rng, family, m, n)
             x = principal_solution(a, b)
             assert x == principal_reference(a, b), (family, a.row_tuples(), b)
+            # A y = b by the plain-Fraction max-plus product of A's columns, for
+            # x and for x with -inf set to 0, whose terms reach -inf b entries
+            for y in (x, TropVector(0 if e is None else e for e in x)):
+                ok = oracle.satisfies(a, y, b)
+                assert ok == (max_combination([a.column(j) for j in range(n)], list(y)) == b)
+                seen["satisfies" if ok else "fails"] += 1
             seen["1xn"] += m == 1
             seen["mx1"] += n == 1
             rows = a.row_tuples()
@@ -115,6 +117,11 @@ def test_principal_solution_shares_no_kernel(monkeypatch, solvable_4x5, unsolvab
         monkeypatch.setattr(oracle, name, refuse, raising=False)
     assert principal_solution(*solvable_4x5) == TropVector([-63, -25, 30, 4, 74])
     assert principal_solution(*unsolvable_5x4) == TropVector([-10, -6, -7, -8])
+    a, b = solvable_4x5
+    assert oracle.satisfies(a, TropVector([-63, -25, 30, 4, 74]), b)
+    assert not oracle.satisfies(a, TropVector([-63, -25, 30, 4, 75]), b)
+    a2, b2 = unsolvable_5x4
+    assert not oracle.satisfies(a2, TropVector([-10, -6, -7, -8]), b2)
     tree = ast.parse(inspect.getsource(oracle))
     assert "solver" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
 
@@ -124,8 +131,8 @@ def test_principal_solution_operands_stay_pair_sized(monkeypatch):
     # outgrows two input entries; a common denominator per column would carry
     # the lcm of all 16 distinct 100-digit denominators of A's column and b
     rng = random.Random(65)
-    a = TropMatrix([[_wide_value(rng) for _ in range(8)] for _ in range(8)])
-    b = TropVector(_wide_value(rng) for _ in range(8))
+    a = TropMatrix([[wide_value(rng) for _ in range(8)] for _ in range(8)])
+    b = TropVector(wide_value(rng) for _ in range(8))
     built = []
 
     def record(n, d):
