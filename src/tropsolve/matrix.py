@@ -13,18 +13,20 @@ raises `IndexError`, a negative one too; only rendered reports use
 on pairs and returns each row's maximum unreduced. `mat_vec`, which every
 solve's self-check runs, wraps it and builds one reduced `Fraction` per
 output entry; the rank scan's self-check calls it on pairs directly.
-`parse_matrix` and `parse_vector` parse each distinct token text once per
-call and share its value between the cells that spell it; nothing is
-cached across calls.
+`parse_matrix` and `parse_vector` hand a file's distinct token texts to
+`scalar.parse_pairs` in one batch and build each row by lookup, so the
+cells that spell one token share its value; nothing is cached across
+calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError
-from .scalar import Pair, PairGrid, Scalar, as_pairs, as_scalar, format_pair, format_scalar, parse_pair, parse_scalar
+from .scalar import Pair, PairGrid, Scalar, as_pairs, as_scalar, format_pair, format_scalar, malformed, parse_pairs
 
 __all__ = [
     "TropMatrix",
@@ -192,31 +194,34 @@ def is_regular(v: TropVector) -> bool:
 # whitespace-separated scalar tokens. Vector files: one scalar per line, or
 # all entries on a single line. Lines end at \n, \r\n or \r only.
 # parse -> format -> parse is the identity.
-# Each parse call keeps a memo from token text (not value: `2.5` and `5/2`
-# are separate keys) to its value, a reduced pair for a matrix and a
-# `Fraction` for a vector, and drops it when the call returns; a bad token
-# is reported at the line and column of its first occurrence.
+# Each parse call maps every distinct token text (not value: `2.5` and `5/2`
+# are separate keys) to its value and drops the map when it returns. A token
+# missing from the map is malformed; the first in line order is reported at
+# the line and column of its first occurrence.
 
 
-def _data_lines(text: str):
+# A data line: its 1-based number, its text and its tokens.
+Line = tuple[int, str, list[str]]
+
+
+def _data_lines(text: str) -> list[Line]:
     # not str.splitlines: it also breaks at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029
-    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, raw
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(lineno, raw, raw.split()) for lineno, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
 
 
-def _parse_tokens(lineno: int, raw: str, memo: dict, parse) -> list:
-    entries = []
-    for token in raw.split():
-        if token not in memo:
-            try:
-                memo[token] = parse(token)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno, column=_column(raw, token)) from None
-        entries.append(memo[token])
-    return entries
+def _token_memo(lines: list[Line]) -> dict[str, Pair | None]:
+    return parse_pairs(chain.from_iterable(tokens for _, _, tokens in lines))
+
+
+def _entries(lineno: int, raw: str, tokens: list[str], memo: dict) -> tuple:
+    """The line's values by lookup; a token missing from `memo` is reported where it first occurs."""
+    try:
+        # list first: tuple(<map>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
+        return tuple(list(map(memo.__getitem__, tokens)))
+    except KeyError as missing:
+        token = missing.args[0]
+        raise malformed(token, line=lineno, column=_column(raw, token)) from None
 
 
 def _column(raw: str, token: str) -> int:
@@ -230,28 +235,26 @@ def _column(raw: str, token: str) -> int:
 
 
 def parse_matrix(text: str) -> TropMatrix:
+    lines = _data_lines(text)
+    memo = _token_memo(lines)
     rows = []
-    width = None
-    first_lineno = None
-    memo: dict[str, Pair | None] = {}
-    for lineno, raw in _data_lines(text):
-        entries = _parse_tokens(lineno, raw, memo, parse_pair)
-        if width is None:
-            width, first_lineno = len(entries), lineno
-        elif len(entries) != width:
+    for lineno, raw, tokens in lines:
+        row = _entries(lineno, raw, tokens, memo)
+        if rows and len(row) != len(rows[0]):
             raise ParseError(
-                f"row has {len(entries)} entries but row at line {first_lineno} has {width}",
+                f"row has {len(row)} entries but row at line {lines[0][0]} has {len(rows[0])}",
                 line=lineno,
             )
-        rows.append(tuple(entries))
+        rows.append(row)
     if not rows:
         raise ParseError("no matrix rows found")
     return TropMatrix._of(tuple(rows))
 
 
 def parse_vector(text: str) -> TropVector:
-    memo: dict[str, Scalar] = {}
-    lines = [(lineno, _parse_tokens(lineno, raw, memo, parse_scalar)) for lineno, raw in _data_lines(text)]
+    data = _data_lines(text)
+    memo = {t: None if p is None else Fraction(*p) for t, p in _token_memo(data).items()}
+    lines = [(lineno, _entries(lineno, raw, tokens, memo)) for lineno, raw, tokens in data]
     if not lines:
         raise ParseError("no vector entries found")
     if all(len(entries) == 1 for _, entries in lines):

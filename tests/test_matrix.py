@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,9 @@ from tropsolve import (
     verify,
 )
 
-from helpers import is_reduced_pair, max_combination, rand_matrix, scalar_mul, transpose
+from tropsolve.scalar import format_scalar, parse_pair
+
+from helpers import is_reduced_pair, max_combination, prime_value, rand_matrix, scalar_mul, transpose
 
 
 def small_matrix(rows: int, cols: int):
@@ -249,6 +252,115 @@ def test_parse_matrix_bad_token_diagnostics(parse, text, bad, line, column):
         column,
         str(first.value),
     )
+
+
+def _token_by_token(text: str, vector: bool):
+    """What the file parsers must give, from `parse_pair` one token at a time in line order.
+
+    The values (rows of pairs for a matrix, `Fraction`s for a vector) or the
+    expected error as (message, line, column).
+    """
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        row, pos = [], 0
+        for t in tokens:
+            start = raw.index(t, pos)
+            pos = start + len(t)
+            try:
+                row.append(parse_pair(t))
+            except ParseError as exc:
+                return str(exc), lineno, start + 1
+        if not vector and lines and len(row) != len(lines[0][1]):
+            return f"row has {len(row)} entries but row at line {lines[0][0]} has {len(lines[0][1])}", lineno, None
+        lines.append((lineno, row))
+    if not lines:
+        return f"no {'vector entries' if vector else 'matrix rows'} found", None, None
+    if not vector:
+        return tuple(tuple(row) for _, row in lines)
+    if len(lines) > 1 and any(len(row) != 1 for _, row in lines):
+        bad = next(lineno for lineno, row in lines if len(row) != 1)
+        return "vector must be one scalar per line or a single line", bad, None
+    return [None if p is None else Fraction(*p) for _, row in lines for p in row]
+
+
+def _assert_parsers_agree(text: str) -> None:
+    for parse, vector in ((parse_matrix, False), (parse_vector, True)):
+        expected = _token_by_token(text, vector)
+        if isinstance(expected, tuple) and expected and isinstance(expected[0], str):
+            message, line, column = expected
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert (str(exc.value), exc.value.line, exc.value.column) == (
+                str(ParseError(message, line, column)), line, column
+            )
+        else:
+            got = parse(text)
+            assert (got.pair_rows() if not vector else list(got)) == expected
+
+
+# ASCII grammar characters and near misses: `٣` is an Arabic-Indic digit, `²`
+# a superscript digit, `１` a full-width digit, all of which `int` would
+# take; `\x85` is whitespace to `str.split` but no line break in a file.
+_GRAMMAR_ALPHABET = "0123456789-/.+_einf٣²１\x85"
+_GRAMMAR_TOKEN = st.one_of(
+    st.text(_GRAMMAR_ALPHABET, min_size=1, max_size=7),
+    st.sampled_from(["-inf", "0", "-12", "3/4", "-6/4", "2.50", "007", "0/5", "-007/010"]),
+)
+
+
+@given(st.lists(st.lists(_GRAMMAR_TOKEN, min_size=1, max_size=4).map(" ".join), min_size=1, max_size=4))
+def test_file_parsers_agree_with_parse_pair(lines):
+    _assert_parsers_agree("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "5/-3", "0/0", "1/00", "-0/5", "007", "--1", "1.", ".5", "-INF", "+5", "1_000",
+        "9" * 100, "-" + "9" * 100 + "/" + "7" * 100, "1." + "0" * 100,
+        "9" * 101, "1/" + "7" * 101, "1." + "0" * 101,
+    ],
+)
+def test_file_parsers_near_misses(token):
+    for text in (f"1 {token} 2/3\n", f"4 -inf 5\n1 {token} 2/3\n", f"1\n{token}\n2/3\n", f"{token}\n"):
+        _assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize(
+    "parse,text,message,line,column",
+    [
+        pytest.param(
+            parse_matrix, "1 2\n3\n4 x\n", "row has 1 entries but row at line 1 has 2", 2, None, id="ragged-first"
+        ),
+        pytest.param(parse_matrix, "1 2\n3 4 x\n", "malformed scalar token 'x'", 2, 5, id="token-before-width"),
+        pytest.param(parse_matrix, "1 2\n3 x\nx 4\n", "malformed scalar token 'x'", 2, 3, id="repeated-later"),
+        pytest.param(parse_vector, "1 2\n3\nx\n", "malformed scalar token 'x'", 3, 1, id="vector-token-before-shape"),
+    ],
+)
+def test_first_error_in_line_order(parse, text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (str(ParseError(message, line, column)), line, column)
+
+
+def test_parse_peak_memory_stays_near_what_the_matrix_keeps():
+    rng = random.Random(29)
+    text = "".join(
+        " ".join("-inf" if rng.random() < 0.1 else format_scalar(prime_value(rng)) for _ in range(200)) + "\n"
+        for _ in range(200)
+    )
+    tracemalloc.start()
+    try:
+        a = parse_matrix(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.rows == a.cols == 200
+    # about 2.3x; one regex match over the whole file at once reads about 7x
+    assert peak <= 3 * kept
 
 
 @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
