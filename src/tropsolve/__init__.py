@@ -19,8 +19,6 @@ from .freedom import DofReport, DofStep, degrees_of_freedom, minimal_leading_ora
 from .matrix import (
     TropMatrix,
     TropVector,
-    format_matrix,
-    format_vector,
     is_regular,
     mat_vec,
     parse_matrix,
@@ -37,9 +35,6 @@ from .scalar import (
     as_scalar,
     format_pair,
     format_scalar,
-    parse_scalar,
-    trop_add,
-    trop_mul,
 )
 from .solver import (
     Solvable,
@@ -47,7 +42,6 @@ from .solver import (
     Unsolvable,
     check_equivalence,
     solve,
-    verify,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

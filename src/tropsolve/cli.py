@@ -53,6 +53,11 @@ def _ones(indices) -> list[int]:
     return [i + 1 for i in sorted(indices)]
 
 
+def _tokens(pairs, bottom: str = "-inf") -> list[str]:
+    """Each stored pair's token, and `bottom` for -inf."""
+    return [bottom if p is None else format_pair(*p) for p in pairs]
+
+
 def _listed(items, sep: str = ", ") -> str:
     """The rule for a list in a text report: its items joined, or `-` when it is empty."""
     return sep.join(map(str, items)) or "-"
@@ -76,12 +81,12 @@ def _grid_lines(rows: list[list[str]], boxed: list[list[int]] | None = None) -> 
 def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     res = normalize(a, b)
     payload = {
-        "a_tilde": [["-inf" if e is None else format_pair(*e) for e in r] for r in res.a_tilde],
+        "a_tilde": [_tokens(r) for r in res.a_tilde],
         "col_means": [format_scalar(f) for f in res.col_means],
-        "b_tilde": [format_scalar(e) for e in res.b_tilde],
+        "b_tilde": _tokens(res.b_tilde.pairs()),
         "b_mean": format_scalar(res.b_mean),
-        "q": [["+inf-" if e is None else format_pair(*e) for e in r] for r in res.q],
-        "column_minima": [format_scalar(e) for e in res.column_minima],
+        "q": [_tokens(r, "+inf-") for r in res.q],
+        "column_minima": _tokens(res.column_minima.pairs()),
         "argmin_rows": [_ones(s) for s in res.argmin_rows],
     }
     return payload, 0
@@ -100,8 +105,8 @@ def _render_normalize(p: dict) -> list[str]:
 
 def _solution_strings(outcome: Solvable) -> list[str]:
     return [
-        "unbounded" if j in outcome.unbounded else format_scalar(e)
-        for j, e in enumerate(outcome.x_star)
+        "unbounded" if j in outcome.unbounded else t
+        for j, t in enumerate(_tokens(outcome.x_star.pairs()))
     ]
 
 
@@ -111,7 +116,7 @@ def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     payload = {
         "status": "solvable" if solvable else "unsolvable",
         "x_star": _solution_strings(outcome) if solvable else None,
-        "y_star": [format_scalar(e) for e in normalized_solution(a, b, outcome.x_star)] if solvable else None,
+        "y_star": _tokens(normalized_solution(a, b, outcome.x_star).pairs()) if solvable else None,
         "witness_rows": [] if solvable else _ones(outcome.witness_rows),
         "coverage": [_ones(cols) for cols in outcome.coverage],
         "forced_bottom": _ones(outcome.forced_bottom) if solvable else [],
@@ -126,7 +131,7 @@ def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
             exh = exhaustive_solvable(a, b)
             agree = agree and exh == solvable
         payload["check"] = {
-            "principal_solution": [format_scalar(e) for e in x0],
+            "principal_solution": _tokens(x0.pairs()),
             "verify": ok,
             "exhaustive": exh,
             "agrees": agree,
@@ -268,8 +273,8 @@ def _cmd_reduce(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
         "status": "solvable" if solvable else "unsolvable",
         "independent_rows": [i + 1 for i in sys_red.indep_rows],
         "independent_cols": [j + 1 for j in sys_red.indep_cols],
-        "a_bar": [[format_scalar(e) for e in r] for r in sys_red.a_bar.row_tuples()] if sys_red.indep_cols else None,
-        "b_bar": [format_scalar(e) for e in sys_red.b_bar] if sys_red.indep_cols else None,
+        "a_bar": [_tokens(r) for r in sys_red.a_bar.pair_rows()] if sys_red.indep_cols else None,
+        "b_bar": _tokens(sys_red.b_bar.pairs()) if sys_red.indep_cols else None,
         "eta": [
             {"column": j + 1, "coefficients": [format_scalar(c) for c in coeffs]}
             for j, coeffs in sys_red.eta

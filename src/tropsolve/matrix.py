@@ -1,18 +1,20 @@
 """Dense matrices and vectors over the max-plus scalars.
 
 Shapes are fixed at construction and entries are immutable. Every entry
-is a `Fraction` or None (-inf) to the caller. A vector stores its
-`Fraction`s; a matrix stores one grid of reduced (numerator, denominator)
-pairs, denominator positive, None for -inf, which the kernels read
-through `pair_rows`, and builds `Fraction`s only when asked. The
-constructors coerce every entry with `as_scalar` and check the shape;
-`parse_matrix` and `submatrix` hand their pair grids to the private `_of`.
+is a `Fraction` or None (-inf) to the caller. Vectors and matrices store
+the same form: reduced (numerator, denominator) pairs, denominator
+positive, None for -inf, which the kernels read through
+`TropVector.pairs` and `TropMatrix.pair_rows`; `Fraction`s are built
+only when asked. Both classes compare and hash on the stored pairs and
+share one private constructor from pairs, `_of`, which the parsers, the
+kernels, `row`, `column` and `submatrix` use; the public constructors
+coerce every entry with `as_scalar` and check the shape.
 Indexing is 0-based throughout the library, and an index out of range
 raises `IndexError`, a negative one too; only rendered reports use
 1-based indices. `row_maxima` is the one max-plus product loop: it works
 on pairs and returns each row's maximum unreduced. `mat_vec`, which every
-solve's self-check runs, wraps it and builds one reduced `Fraction` per
-output entry; the rank scan's self-check calls it on pairs directly.
+solve's self-check runs, reduces its output once; the rank scan's
+self-check calls `row_maxima` on pairs directly.
 `parse_matrix` and `parse_vector` hand a file's distinct token texts to
 `scalar.parse_pairs` in one batch and build each row by lookup, so the
 cells that spell one token share its value; nothing is cached across
@@ -26,7 +28,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError
-from .scalar import Pair, PairGrid, Scalar, as_pairs, as_scalar, format_pair, format_scalar, malformed, parse_pairs
+from .scalar import Pair, PairGrid, Scalar, as_scalar, format_pair, malformed, parse_pairs, reduced
 
 __all__ = [
     "TropMatrix",
@@ -36,60 +38,80 @@ __all__ = [
     "is_regular",
     "parse_matrix",
     "parse_vector",
-    "format_matrix",
-    "format_vector",
 ]
 
 
-class TropVector:
-    """A vector of max-plus scalars, possibly empty."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable):
-        # list first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
-        self._entries = tuple([as_scalar(e) for e in entries])
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, i: int) -> Scalar:
-        if not isinstance(i, slice) and not 0 <= i < len(self._entries):
-            raise IndexError(f"index {i} out of range for {len(self._entries)} entries")
-        return self._entries[i]
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TropVector):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        return "TropVector(" + ", ".join(format_scalar(e) for e in self._entries) + ")"
+def _pair(e) -> Pair | None:
+    """A public entry, coerced by `as_scalar`, as its reduced pair."""
+    s = as_scalar(e)
+    return None if s is None else s.as_integer_ratio()
 
 
-class TropMatrix:
-    """A dense m x n matrix of max-plus scalars, m, n >= 0; a matrix with no rows has no columns."""
+def _scalar(p: Pair | None) -> Scalar:
+    return None if p is None else Fraction(*p)
+
+
+class _Stored:
+    """The storage vectors and matrices share: reduced pairs, compared and hashed as stored."""
 
     __slots__ = ("_pairs",)
 
+    @classmethod
+    def _of(cls, pairs):
+        """An instance on stored pairs taken as they are: reduced, and for a matrix rows of one width."""
+        obj = cls.__new__(cls)
+        obj._pairs = pairs
+        return obj
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._pairs == other._pairs
+
+    def __hash__(self) -> int:
+        return hash(self._pairs)
+
+
+class TropVector(_Stored):
+    """A vector of max-plus scalars, possibly empty."""
+
+    __slots__ = ()
+
+    def __init__(self, entries: Iterable):
+        # list first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
+        self._pairs = tuple([_pair(e) for e in entries])
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, i: int) -> Scalar:
+        if isinstance(i, slice):
+            return tuple(map(_scalar, self._pairs[i]))
+        if not 0 <= i < len(self._pairs):
+            raise IndexError(f"index {i} out of range for {len(self._pairs)} entries")
+        return _scalar(self._pairs[i])
+
+    def __iter__(self):
+        return map(_scalar, self._pairs)
+
+    def pairs(self) -> tuple[Pair | None, ...]:
+        """The stored reduced pairs (denominator > 0) and None."""
+        return self._pairs
+
+    def __repr__(self) -> str:
+        return "TropVector(" + ", ".join("-inf" if p is None else format_pair(*p) for p in self._pairs) + ")"
+
+
+class TropMatrix(_Stored):
+    """A dense m x n matrix of max-plus scalars, m, n >= 0; a matrix with no rows has no columns."""
+
+    __slots__ = ()
+
     def __init__(self, rows: Iterable[Iterable]):
         # lists first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
-        self._pairs = tuple([tuple(as_pairs(map(as_scalar, r))) for r in rows])
+        self._pairs = tuple([tuple([_pair(e) for e in r]) for r in rows])
         if len({len(r) for r in self._pairs}) > 1:
             raise DimensionError("matrix rows must all have the same length")
-
-    @classmethod
-    def _of(cls, pairs: PairGrid) -> TropMatrix:
-        """A matrix on rows of one width of reduced pairs, taken as they are."""
-        m = cls.__new__(cls)
-        m._pairs = pairs
-        return m
 
     @property
     def rows(self) -> int:
@@ -102,16 +124,15 @@ class TropMatrix:
     def entry(self, i: int, j: int) -> Scalar:
         self._check("row", i, self.rows)
         self._check("column", j, self.cols)
-        p = self._pairs[i][j]
-        return None if p is None else Fraction(*p)
+        return _scalar(self._pairs[i][j])
 
     def row(self, i: int) -> TropVector:
         self._check("row", i, self.rows)
-        return TropVector(_scalars(self._pairs[i]))
+        return TropVector._of(self._pairs[i])
 
     def column(self, j: int) -> TropVector:
         self._check("column", j, self.cols)
-        return TropVector(_scalars(r[j] for r in self._pairs))
+        return TropVector._of(tuple([r[j] for r in self._pairs]))
 
     @staticmethod
     def _check(kind: str, k: int, size: int) -> None:
@@ -120,36 +141,22 @@ class TropMatrix:
 
     def row_tuples(self) -> tuple[tuple[Scalar, ...], ...]:
         """The entries as rows of `Fraction`s and None, built on each call, one per distinct pair."""
-        memo = {p: None if p is None else Fraction(*p) for p in set().union(*self._pairs)}
+        memo = {p: _scalar(p) for p in set().union(*self._pairs)}
         return tuple([tuple(map(memo.__getitem__, r)) for r in self._pairs])
 
     def pair_rows(self) -> PairGrid:
         """The stored rows of reduced pairs (denominator > 0) and None."""
         return self._pairs
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TropMatrix):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return hash(self._pairs)
-
     def __repr__(self) -> str:
         return f"TropMatrix({self.rows}x{self.cols})"
-
-
-def _scalars(pairs: Iterable[Pair | None]) -> list[Scalar]:
-    """Each pair as its reduced `Fraction`; None stays None."""
-    return [None if p is None else Fraction(*p) for p in pairs]
 
 
 def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     """Apply a matrix to a column vector under max-plus."""
     if a.cols != len(x):
         raise DimensionError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
-    best = row_maxima(a.pair_rows(), as_pairs(x))
-    return TropVector(_scalars(best))
+    return TropVector._of(tuple([reduced(p) for p in row_maxima(a.pair_rows(), x.pairs())]))
 
 
 def row_maxima(rows: Iterable[Sequence[Pair | None]], x_pairs: Sequence[Pair | None]) -> list[Pair | None]:
@@ -186,16 +193,16 @@ def submatrix(a: TropMatrix, rows: Sequence[int], cols: Sequence[int]) -> TropMa
 
 def is_regular(v: TropVector) -> bool:
     """True iff the vector has no -inf entry."""
-    return all(e is not None for e in v)
+    return None not in v.pairs()
 
 
 # ---------------------------------------------------------------------------
 # Text formats. Matrix files: `#` comment lines, one row per line,
 # whitespace-separated scalar tokens. Vector files: one scalar per line, or
 # all entries on a single line. Lines end at \n, \r\n or \r only.
-# parse -> format -> parse is the identity.
+# Writing each entry back with `format_pair` and parsing again is the identity.
 # Each parse call maps every distinct token text (not value: `2.5` and `5/2`
-# are separate keys) to its value and drops the map when it returns. A token
+# are separate keys) to its pair and drops the map when it returns. A token
 # missing from the map is malformed; the first in line order is reported at
 # the line and column of its first occurrence.
 
@@ -253,21 +260,13 @@ def parse_matrix(text: str) -> TropMatrix:
 
 def parse_vector(text: str) -> TropVector:
     data = _data_lines(text)
-    memo = {t: None if p is None else Fraction(*p) for t, p in _token_memo(data).items()}
+    memo = _token_memo(data)
     lines = [(lineno, _entries(lineno, raw, tokens, memo)) for lineno, raw, tokens in data]
     if not lines:
         raise ParseError("no vector entries found")
     if all(len(entries) == 1 for _, entries in lines):
-        return TropVector([entries[0] for _, entries in lines])
+        return TropVector._of(tuple([entries[0] for _, entries in lines]))
     if len(lines) == 1:
-        return TropVector(lines[0][1])
+        return TropVector._of(lines[0][1])
     bad = next(lineno for lineno, entries in lines if len(entries) != 1)
     raise ParseError("vector must be one scalar per line or a single line", line=bad)
-
-
-def format_matrix(a: TropMatrix) -> str:
-    return "\n".join(" ".join("-inf" if p is None else format_pair(*p) for p in r) for r in a.pair_rows()) + "\n"
-
-
-def format_vector(v: TropVector) -> str:
-    return "\n".join(format_scalar(e) for e in v) + "\n"

@@ -16,15 +16,16 @@ minima and the `solve` report's normalized y* are both its x* + shift.
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in A~ and Q, and a None in Q is never a
 column minimum.
-Every exact value of the report is built on integer pairs, the matrix's
-stored ones among them: a mean sums integer numerators per distinct
-denominator and forms one `Fraction` over their lcm. a~_ij = a_ij +
+Every exact value of the report is built on the integer pairs that A and
+b store: a mean sums integer numerators per distinct denominator and
+forms one `Fraction` over their lcm. a~_ij = a_ij +
 (-mean_j) and q_ij = (b_i - a_ij) + (mean_j - b_mean) each add a short
 reduced fraction (the entry, or b_i - a_ij reduced over db*da) to one
 reduced once per column, so every per-cell gcd has a small denominator
 as one operand. A~ and Q are grids of reduced `(numerator, denominator)`
 pairs, denominator positive, and None; `Fraction(*p)` gives a cell's
-value. The means, b~ and the column minima are `Fraction`s.
+value. The means are `Fraction`s, and so are the entries of b~ and of
+the column minima, which are vectors.
 The report is refused before A~ and Q are built when a mean or minimum has
 more than `MAX_MEAN_DIGITS` digits: a bound of this module's own, the same
 under every interpreter setting.
@@ -32,13 +33,13 @@ under every interpreter setting.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .errors import DegenerateColumnError, RegularityError, SizeBoundError
 from .matrix import TropMatrix, TropVector, is_regular
-from .scalar import BOTTOM, Pair, PairGrid, Scalar, as_pairs
+from .scalar import BOTTOM, Pair, PairGrid, Scalar
 from .solver import solve
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
@@ -76,11 +77,11 @@ def _mean(pairs: list[Pair]) -> Fraction:
     sums: dict[int, int] = {}
     for n, d in pairs:
         sums[d] = sums.get(d, 0) + n
-    lcd = math.lcm(*sums)
+    lcd = lcm(*sums)
     return Fraction(sum(n * (lcd // d) for d, n in sums.items()), lcd * len(pairs))
 
 
-def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, list[Scalar], list[Scalar], TropVector]:
+def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, list[Scalar], list[Scalar], list[Scalar]]:
     """The normalization shift: b_mean, each mean_j and mean_j - b_mean, and y* = x* + shift.
 
     y*_j = x*_j + shift_j is `Fraction`'s own sum, which Python 3.11 and
@@ -89,12 +90,13 @@ def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, li
     b_mean is None when b has no finite entry. A finite x*_j implies a
     finite entry in column j and in b, so no mean is of an empty set.
     """
-    b_mean = None if all(e is None for e in b) else column_mean(b)
-    cols = zip(x_star, zip(*a.pair_rows()))
-    means = [None if xj is None else _mean([p for p in col if p is not None]) for xj, col in cols]
+    b_finite = [p for p in b.pairs() if p is not None]
+    b_mean = _mean(b_finite) if b_finite else None
+    cols = zip(x_star.pairs(), zip(*a.pair_rows()))
+    means = [None if xp is None else _mean([p for p in col if p is not None]) for xp, col in cols]
     shifts = [None if m is None else m - b_mean for m in means]
     y_star = [BOTTOM if s is None else xj + s for xj, s in zip(x_star, shifts)]
-    return b_mean, means, shifts, TropVector(y_star)
+    return b_mean, means, shifts, y_star
 
 
 def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
@@ -110,8 +112,8 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     if not is_regular(b):
         raise RegularityError("b is not regular; preprocess the system to remove -inf equations")
     # with a regular b, x*_j is -inf exactly where column j has no finite entry
-    if None in outcome.x_star:
-        j = tuple(outcome.x_star).index(None)
+    if not is_regular(outcome.x_star):
+        j = outcome.x_star.pairs().index(None)
         raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf")
     if not len(b):
         raise DegenerateColumnError("b has no entry, so it has no mean")
@@ -121,10 +123,10 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     if longest >= _MEAN_BOUND:
         raise SizeBoundError(f"a column mean or minimum has more than {MAX_MEAN_DIGITS} digits; "
                              "the normalize report is refused")
-    mean_pairs, shift_pairs = as_pairs(means), as_pairs(shifts)
-    gcd = math.gcd
+    mean_pairs = [m.as_integer_ratio() for m in means]
+    shift_pairs = [s.as_integer_ratio() for s in shifts]
     a_tilde, q = [], []
-    for (nb, db), r in zip(as_pairs(b), a.pair_rows()):
+    for (nb, db), r in zip(b.pairs(), a.pair_rows()):
         a_row, q_row = [], []
         for e, (nm, dm), (ns, ds) in zip(r, mean_pairs, shift_pairs):
             if e is None:
@@ -164,7 +166,7 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         b_tilde=TropVector([e - b_mean for e in b]),
         b_mean=b_mean,
         q=tuple(q),
-        column_minima=y_star,
+        column_minima=TropVector(y_star),
         argmin_rows=tuple([frozenset(rows) for rows in argmins]),
     )
 
@@ -176,4 +178,4 @@ def normalized_solution(a: TropMatrix, b: TropVector, x_star: TropVector) -> Tro
     For `solve`'s x* of a system `normalize` accepts, y* is Q's column
     minima.
     """
-    return _shift(a, b, x_star)[3]
+    return TropVector(_shift(a, b, x_star)[3])

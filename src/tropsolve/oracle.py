@@ -2,13 +2,14 @@
 
 Every production path (`solve`, and through it `normalize`'s column
 minima; the rank scan; `reduce`; `check_equivalence`) runs on the
-integer-pair kernels `solver.residuate` and `matrix.mat_vec`. Nothing
-here shares their code, and nothing is imported from `solver`: the
-principal solution is the direct residuation formula written out again
-on the matrix's stored integer pairs, `satisfies` checks A x = b term by
-term against b on the same pairs, and tiny systems can be decided by
-exhaustive enumeration over the finite grid of relevant candidate
-values, each checked with `satisfies`. The tests check both in turn
+integer-pair kernels `solver.residuate` and `matrix.mat_vec`, and
+reduces its results with `scalar.reduced`. Nothing here shares their
+code, and nothing is imported from `solver`: the principal solution is
+the direct residuation formula written out again on the integer pairs
+that A and b store, each result reduced by `Fraction`; `satisfies`
+checks A x = b term by term against b on the same pairs; and tiny
+systems can be decided by exhaustive enumeration over the finite grid of
+relevant candidate values, each checked with `satisfies`. The tests check both in turn
 against the same formulas on plain `Fraction`s (`tests/helpers.py`,
 `principal_reference` and `max_combination`).
 """
@@ -35,13 +36,13 @@ def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
     stored as -inf (no finite cap exists). A -inf b entry against a
     finite a_ij forces x_j to -inf. Both cases are read from the -inf
     pattern before any arithmetic. Otherwise each candidate b_i - a_ij
-    is the unreduced integer pair (nb*d - n*db, db*d) of A's stored pair
-    n/d and b_i = nb/db, the least is kept by cross-multiplication, and
+    is the unreduced integer pair (nb*d - n*db, db*d) of the stored pairs
+    n/d of A and nb/db of b, the least is kept by cross-multiplication, and
     one `Fraction` is built per column.
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    b_pairs = [None if e is None else e.as_integer_ratio() for e in b]
+    b_pairs = b.pairs()
     bottom_rows = [i for i, p in enumerate(b_pairs) if p is None]
     out: list[Scalar] = []
     for col in zip(*a.pair_rows()):
@@ -64,21 +65,21 @@ def principal_solution(a: TropMatrix, b: TropVector) -> TropVector:
 def satisfies(a: TropMatrix, x: TropVector, b: TropVector) -> bool:
     """Whether A x = b under max-plus: in each row no term a_ij + x_j exceeds b_i, and one attains it.
 
-    A term is the integer pair (n*dx + nx*d, d*dx) of A's stored pair n/d
-    and x_j = nx/dx, compared with b_i by cross-multiplication; a -inf b_i
-    admits no finite term.
+    A term is the integer pair (n*dx + nx*d, d*dx) of the stored pairs n/d
+    of A and nx/dx of x, compared with b_i by cross-multiplication; a -inf
+    b_i admits no finite term.
     """
     if a.cols != len(x) or a.rows != len(b):
         raise DimensionError(f"shapes do not conform: {a.rows}x{a.cols} matrix, x of length {len(x)}, "
                              f"b of length {len(b)}")
-    x_pairs = [None if e is None else e.as_integer_ratio() for e in x]
-    for row, bi in zip(a.pair_rows(), b):
+    x_pairs = x.pairs()
+    for row, bp in zip(a.pair_rows(), b.pairs()):
         terms = [(ap, xp) for ap, xp in zip(row, x_pairs) if ap is not None and xp is not None]
-        if bi is None:
+        if bp is None:
             if terms:
                 return False
             continue
-        nb, db = bi.as_integer_ratio()
+        nb, db = bp
         # each term's excess over b_i times a positive denominator: the greatest must be 0
         if max([(n * dx + nx * d) * db - nb * (d * dx) for (n, d), (nx, dx) in terms], default=-1) != 0:
             return False

@@ -10,14 +10,13 @@ systems are solvable together, and a reduced solution expands back.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, mat_vec, submatrix
 from .rank import colrank, rowrank
-from .scalar import BOTTOM, Scalar, as_pairs
+from .scalar import Pair, Scalar, reduced
 from .solver import Solvable, residuate, solve
 
 __all__ = ["ReducedSystem", "reduce_system", "expand_solution", "dof_via_reduction"]
@@ -66,10 +65,11 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     xi = tuple([(dep.col, tuple([*map(dict(dep.combination).get, indep_rows)])) for dep in row_scan.dependent])
 
     a_bar = submatrix(a, indep_rows, indep_cols)
-    b_bar = TropVector(b[i] for i in indep_rows)
+    b_pairs = b.pairs()
+    b_bar = TropVector._of(tuple([b_pairs[i] for i in indep_rows]))
     # a dependent row's b entry against the same max-combination of b_bar (-inf when b_bar is empty)
-    rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar) if xi else []
-    consistency = tuple((dep_row, v == b[dep_row]) for (dep_row, _), v in zip(xi, rhs))
+    rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar).pairs() if xi else ()
+    consistency = tuple((dep_row, p == b_pairs[dep_row]) for (dep_row, _), p in zip(xi, rhs))
 
     return ReducedSystem(
         indep_rows=indep_rows,
@@ -99,15 +99,15 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
     if mat_vec(sys.a_bar, reduced_y) != sys.b_bar:
         raise ValueError("not a reduced solution")
 
-    x: list[Scalar] = [BOTTOM] * sys.n_cols
-    for pos, c in enumerate(sys.indep_cols):
-        x[c] = reduced_y[pos]
-    y_pairs = as_pairs(reduced_y)
+    y_pairs = reduced_y.pairs()
+    x: list[Pair | None] = [None] * sys.n_cols
+    for c, p in zip(sys.indep_cols, y_pairs):
+        x[c] = p
     for dep_col, coeffs in sys.eta:
-        res = residuate(as_pairs(coeffs), y_pairs)
+        res = residuate(TropVector(coeffs).pairs(), y_pairs)
         if res is not None and res[1] is not None:
-            x[dep_col] = Fraction(*res[1])
-    return TropVector(x)
+            x[dep_col] = reduced(res[1])
+    return TropVector._of(tuple(x))
 
 
 def dof_via_reduction(a: TropMatrix, b: TropVector) -> int:

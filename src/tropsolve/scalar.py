@@ -2,23 +2,22 @@
 
 The scalar domain is the tropical (max-plus) semiring: addition is max,
 multiplication is classical addition, the additive identity is -inf and
-the multiplicative identity is 0. A scalar is a plain `Fraction`, or
-None for -inf (`BOTTOM`), so results are exact and bit-reproducible.
-`as_scalar` is the one place where ints and strings become `Fraction`s
-and floats are refused; the public matrix and vector constructors call it
-on every entry.
-Strings follow the file-token grammar of `parse_scalar`.
+the multiplicative identity is 0. To the caller a scalar is a plain
+`Fraction`, or None for -inf (`BOTTOM`), so results are exact and
+bit-reproducible. `as_scalar` is the one place where ints and strings
+become `Fraction`s and floats are refused; the public matrix and vector
+constructors call it on every entry. Strings follow the file-token
+grammar of `parse_pair`.
 
-The library's kernels do their arithmetic on exact `(numerator,
-denominator)` integer pairs instead (`Pair`): a matrix stores its cells
-as reduced pairs, and a vector's `Fraction`s become pairs through
-`as_pairs`. `parse_pair` reads one file token. `parse_pairs` reads a
-file's distinct tokens in one batch: one grammar check over all of them
-before any digit is converted, then one integer pass and one gcd pass,
-and `parse_pair` token by token only when a token is rejected. A
-computed pair's denominator stays positive and is not always reduced, so
-p/q < r/s is decided by p*s < r*q, and each result is reduced once, or
-not at all where only a comparison needs it.
+Vectors and matrices store, and the library's kernels compute on, exact
+`(numerator, denominator)` integer pairs instead (`Pair`). `parse_pair`
+reads one file token. `parse_pairs` reads a file's distinct tokens in
+one batch: one grammar check over all of them before any digit is
+converted, then one integer pass and one gcd pass, and `parse_pair`
+token by token only when a token is rejected. A computed pair's
+denominator stays positive and is not always reduced, so p/q < r/s is
+decided by p*s < r*q, and each stored result is reduced once by
+`reduced`, or not at all where only a comparison needs it.
 """
 
 from __future__ import annotations
@@ -37,12 +36,9 @@ __all__ = [
     "Scalar",
     "BOTTOM",
     "as_scalar",
-    "trop_add",
-    "trop_mul",
-    "as_pairs",
+    "reduced",
     "parse_pair",
     "parse_pairs",
-    "parse_scalar",
     "format_pair",
     "format_scalar",
 ]
@@ -66,29 +62,19 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return parse_scalar(x)
+        p = parse_pair(x)
+        return None if p is None else Fraction(*p)
     # floats are rejected: binary expansions are not what the text syntax
     # means by "2.5"
     raise TypeError(f"cannot build a tropical scalar from {type(x).__name__}")
 
 
-def trop_add(a: Scalar, b: Scalar) -> Scalar:
-    """Tropical sum: max of the two scalars (-inf is the identity)."""
-    if a is None:
-        return b
-    return a if b is None or b <= a else b
-
-
-def trop_mul(a: Scalar, b: Scalar) -> Scalar:
-    """Tropical product: classical sum (-inf is absorbing)."""
-    if a is None or b is None:
+def reduced(p: Pair | None) -> Pair | None:
+    """A computed pair in lowest terms, its denominator kept positive; None stays None."""
+    if p is None:
         return None
-    return a + b
-
-
-def as_pairs(entries: Iterable[Scalar]) -> list[Pair | None]:
-    """Each scalar as its (numerator, denominator) pair, positive denominator; None stays None."""
-    return [None if e is None else e.as_integer_ratio() for e in entries]
+    g = gcd(*p)
+    return p if g == 1 else (p[0] // g, p[1] // g)
 
 
 # Longest digit run a token may hold. Far below Python's 4300-digit limit on
@@ -186,12 +172,6 @@ def _parse_each(tokens: Iterable[str]) -> dict[str, Pair | None]:
     return memo
 
 
-def parse_scalar(token: str) -> Scalar:
-    """Parse one scalar token: `-243`, `2.5` (exactly 5/2), `-13/4`, `-inf`."""
-    p = parse_pair(token)
-    return None if p is None else Fraction(*p)
-
-
 def format_pair(n: int, d: int) -> str:
     """Canonical token for the reduced fraction n/d, d > 0, in full: the one token rule.
 
@@ -206,5 +186,5 @@ def format_pair(n: int, d: int) -> str:
 
 
 def format_scalar(s: Scalar) -> str:
-    """Canonical token for a scalar, in full; inverse of parse_scalar."""
+    """Canonical token for a scalar, in full; `as_scalar` reads it back."""
     return "-inf" if s is None else format_pair(s.numerator, s.denominator)

@@ -10,8 +10,8 @@ solution, and the unattained rows otherwise witness unsolvability.
 
 `residuate` is the one exact kernel for that step, shared by `solve`,
 the rank scan, `reduce.expand_solution` and `check_equivalence`.
-It runs on integer pairs, a matrix's stored ones (`TropMatrix.pair_rows`)
-and a vector's from `as_pairs`: each slack t_i - k_i is the
+It runs on the integer pairs that matrices and vectors store
+(`TropMatrix.pair_rows`, `TropVector.pairs`): each slack t_i - k_i is the
 unreduced (n_t*d_k - n_k*d_t, d_t*d_k), slacks are compared by
 cross-multiplication, and no common denominator is formed. It has three
 outcomes: k has no finite entry (None; `solve` calls such a column
@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DimensionError
 from .matrix import TropMatrix, TropVector, mat_vec
-from .scalar import BOTTOM, Pair, Scalar, as_pairs
+from .scalar import Pair, reduced
 
 __all__ = [
     "RowCoverage",
@@ -35,7 +35,6 @@ __all__ = [
     "Unsolvable",
     "SolveOutcome",
     "solve",
-    "verify",
     "check_equivalence",
 ]
 
@@ -123,10 +122,10 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     """
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
-    b_pairs = as_pairs(b)
+    b_pairs = b.pairs()
 
     coverage: list[list[int]] = [[] for _ in range(a.rows)]
-    x_entries: list[Scalar] = [BOTTOM] * a.cols
+    x_pairs: list[Pair | None] = [None] * a.cols
     forced: set[int] = set()
     unbounded: set[int] = set()
     for j, col in enumerate(zip(*a.pair_rows())):
@@ -138,27 +137,18 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
         if least is None:
             forced.add(j)
             continue
-        x_entries[j] = Fraction(*least)
+        x_pairs[j] = reduced(least)
         for i in mask_rows(mask):
             coverage[i].append(j)
 
     cov: RowCoverage = tuple(tuple(c) for c in coverage)
-    x_star = TropVector(x_entries)
-    uncovered = tuple(i for i, v in enumerate(b) if v is not None and not coverage[i])
+    x_star = TropVector._of(tuple(x_pairs))
+    uncovered = tuple(i for i, p in enumerate(b_pairs) if p is not None and not coverage[i])
     if uncovered:
         return Unsolvable(uncovered, cov, x_star)
     if mat_vec(a, x_star) != b:
         raise AssertionError("internal error: covered system does not reproduce b")
     return Solvable(x_star, cov, frozenset(forced), frozenset(unbounded))
-
-
-def verify(a: TropMatrix, x: TropVector, b: TropVector) -> bool:
-    """Check A x = b exactly, entry by entry."""
-    if a.cols != len(x) or a.rows != len(b):
-        raise DimensionError(
-            f"shapes do not conform: {a.rows}x{a.cols} matrix, x of length {len(x)}, b of length {len(b)}"
-        )
-    return mat_vec(a, x) == b
 
 
 def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:

@@ -1,10 +1,12 @@
-"""Seeded random instance generators shared by the property and acceptance tests."""
+"""Seeded random instance generators and plain-`Fraction` references shared by the tests."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from tropsolve import (
     BOTTOM,
@@ -13,10 +15,39 @@ from tropsolve import (
     Scalar,
     TropMatrix,
     TropVector,
+    format_scalar,
     mat_vec,
-    trop_add,
-    trop_mul,
 )
+
+
+def trop_add(a: Scalar, b: Scalar) -> Scalar:
+    """Tropical sum: max of the two scalars (-inf is the identity)."""
+    if a is None:
+        return b
+    return a if b is None or b <= a else b
+
+
+def trop_mul(a: Scalar, b: Scalar) -> Scalar:
+    """Tropical product: classical sum (-inf is absorbing)."""
+    if a is None or b is None:
+        return None
+    return a + b
+
+
+def solves(a: TropMatrix, x: TropVector, b: TropVector) -> bool:
+    """Plain-`Fraction` check of A x = b: each row's max of a_ij + x_j equals b_i."""
+    product = [functools.reduce(trop_add, map(trop_mul, r, x), BOTTOM) for r in a.row_tuples()]
+    return TropVector(product) == b
+
+
+def format_matrix(a: TropMatrix) -> str:
+    """The matrix file of `a`: one row per line, each entry's canonical token."""
+    return "\n".join(" ".join(map(format_scalar, r)) for r in a.row_tuples()) + "\n"
+
+
+def format_vector(v: TropVector) -> str:
+    """The vector file of `v`: one canonical token per line."""
+    return "\n".join(map(format_scalar, v)) + "\n"
 
 
 def rand_fraction(rng: random.Random, lo: int = -30, hi: int = 30, max_den: int = 5) -> Fraction:
@@ -127,8 +158,7 @@ def map_equivalent_solution(x: TropVector, alphas, beta) -> TropVector:
 def max_combination(vectors: list[TropVector], coeffs: list[Scalar]) -> TropVector:
     out = [BOTTOM] * len(vectors[0])
     for vec, lam in zip(vectors, coeffs):
-        for i in range(len(out)):
-            out[i] = trop_add(out[i], trop_mul(vec[i], lam))
+        out = [trop_add(o, trop_mul(e, lam)) for o, e in zip(out, vec)]
     return TropVector(out)
 
 
@@ -160,17 +190,18 @@ def principal_reference(a: TropMatrix, b: TropVector) -> TropVector:
     return TropVector(out)
 
 
-def dependence_oracle(cols: list[TropVector], target: TropVector) -> list[Scalar] | None:
+def dependence_oracle(cols: list[Sequence[Scalar]], target: Sequence[Scalar]) -> list[Scalar] | None:
     """The principal solution of [cols] x = target, if its max-combination is the target.
 
     Plain-`Fraction` reference for the rank scan: `principal_reference`
     and `max_combination` share no code with `residuate` or `mat_vec`.
     With no columns, only an all -inf target is the (empty) combination.
+    The vectors are `TropVector`s or sequences of their `Fraction`s and None.
     """
     if not cols:
         return [] if all(e is None for e in target) else None
     lambdas = list(principal_reference(from_columns(cols), target))
-    return lambdas if max_combination(cols, lambdas) == target else None
+    return lambdas if max_combination(cols, lambdas) == TropVector(target) else None
 
 
 def q_column_minima(q) -> tuple[list[Fraction], list[frozenset[int]]]:

@@ -20,8 +20,6 @@ from tropsolve import (
     degrees_of_freedom,
     exhaustive_solvable,
     expand_solution,
-    format_matrix,
-    format_vector,
     mat_vec,
     normalize,
     normalized_solution,
@@ -31,12 +29,14 @@ from tropsolve import (
     reduce_system,
     rowrank,
     solve,
-    verify,
 )
 from tropsolve.cli import render_json, render_text, run
+from tropsolve.oracle import satisfies
 
 from helpers import (
     arbitrary_instance,
+    format_matrix,
+    format_vector,
     fraction_grid,
     from_columns,
     map_equivalent_solution,
@@ -79,7 +79,7 @@ def test_criterion_2_golden_unsolvable(unsolvable_5x4):
         isinstance(out, Unsolvable)
         and out.witness_rows == (0, 1, 2)  # rows 1, 2, 3
         and x == TropVector([-10, -6, -7, -8])
-        and not verify(a, x, b)
+        and not satisfies(a, x, b)
         and mat_vec(a, x)[0] == Fraction(-1)
     )
     report("2 (golden unsolvable)", ok)
@@ -142,7 +142,7 @@ def test_criterion_5_maximality():
     for _ in range(1000):
         a, x0, b = solvable_instance(rng, max_dim=6, bottom_p=rng.uniform(0.0, 0.2))
         out = solve(a, b)
-        if not isinstance(out, Solvable) or not verify(a, out.x_star, b):
+        if not isinstance(out, Solvable) or not satisfies(a, out.x_star, b):
             failures += 1
             continue
         for j in range(a.cols):
@@ -163,7 +163,7 @@ def test_criterion_6_oracle_equivalence():
         out = solve(a, b)
         x = principal_reference(a, b)
         solvable = isinstance(out, Solvable)
-        if solvable != verify(a, x, b):
+        if solvable != satisfies(a, x, b):
             failures += 1
             continue
         if solvable and x != out.x_star:
@@ -227,7 +227,7 @@ def test_criterion_8_reduction_equivalence():
             continue
         if isinstance(full, Solvable):
             x = expand_solution(reduced_out.x_star, sys)
-            if not verify(a, x, b) or x != full.x_star:
+            if not satisfies(a, x, b) or x != full.x_star:
                 failures += 1
     report(f"8 (reduction equivalence, {len(instances)} instances)", failures == 0, f"{failures} failures")
 

@@ -16,8 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropsolve
-from tropsolve import TropVector, cli, parse_matrix, parse_vector, principal_solution, solver
+from tropsolve import TropMatrix, TropVector, cli, mat_vec, parse_matrix, parse_vector, principal_solution
 from tropsolve.cli import main, render_json, render_text, run
+from tropsolve.oracle import satisfies
+
+from helpers import format_matrix, format_vector, prime_value
 
 
 def path(data_dir, name):
@@ -75,16 +78,19 @@ def test_solve_check_flag_agrees(data_dir):
 
 
 def test_solve_check_verifies_with_the_oracle(data_dir, monkeypatch):
-    # the "verifies" field is the oracle's own max-plus product, not the solver's
-    def refuse(*args):
-        raise AssertionError("solve --check called the production verify")
+    # the "verifies" field is the oracle's own max-plus product, `oracle.satisfies`, not the solver's
+    calls = []
 
-    monkeypatch.setattr(solver, "verify", refuse)
-    monkeypatch.setattr(cli, "verify", refuse, raising=False)
+    def counted(*args):
+        calls.append(args)
+        return satisfies(*args)
+
+    monkeypatch.setattr(cli, "satisfies", counted)
     for name, verdict in (("solvable_4x5", True), ("unsolvable_5x4", False)):
         report = run(["solve", path(data_dir, f"{name}.mat"), path(data_dir, f"{name}_b.vec"), "--check"])
         assert report.payload["check"]["verify"] is verdict
         assert report.payload["check"]["agrees"] is True
+    assert len(calls) == 2
 
 
 def test_solve_check_compares_x_star_when_unsolvable(data_dir, monkeypatch):
@@ -622,3 +628,36 @@ def test_closed_stdout_keeps_the_verdict(tmp_path):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert "Traceback" not in err.decode()
+
+
+# `Fraction.__new__` calls of one in-process call on the 100x100 system below,
+# at the last version whose vectors stored `Fraction`s (0.12.0)
+FRACTIONS_BEFORE_PAIR_VECTORS = {"solve": 601, "solve --check": 701, "normalize": 701, "reduce": 8020}
+
+
+def test_fraction_constructions_per_call(tmp_path, monkeypatch, capsys):
+    # vectors and matrices store pairs, so `dof` builds no Fraction at all and
+    # the reports that print means, shifts or coefficients build no more than before
+    rng = random.Random(5)
+    a = TropMatrix([[None if rng.random() < 0.1 else prime_value(rng) for _ in range(100)] for _ in range(100)])
+    b = mat_vec(a, TropVector(prime_value(rng) for _ in range(100)))  # planted: solvable and regular
+    (tmp_path / "a.mat").write_text(format_matrix(a))
+    (tmp_path / "b.vec").write_text(format_vector(b))
+    built = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    fraction_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    counts = {}
+    for command in ("dof", *FRACTIONS_BEFORE_PAIR_VECTORS):
+        name, *flags = command.split()
+        built = 0
+        assert main([name, str(tmp_path / "a.mat"), str(tmp_path / "b.vec"), *flags]) == 0
+        counts[command] = built
+    capsys.readouterr()
+    assert counts["dof"] == 0, counts
+    assert all(counts[c] <= limit for c, limit in FRACTIONS_BEFORE_PAIR_VECTORS.items()), counts

@@ -22,27 +22,34 @@ from tropsolve import (
     dof_via_reduction,
     exhaustive_solvable,
     expand_solution,
-    format_matrix,
-    format_vector,
     is_regular,
     mat_vec,
     minimal_leading_oracle,
     normalize,
     normalized_solution,
     parse_matrix,
-    parse_scalar,
     parse_vector,
     principal_solution,
     reduce_system,
     rowrank,
     solve,
     submatrix,
-    verify,
 )
 
-from tropsolve.scalar import format_scalar, parse_pair
+from tropsolve.oracle import satisfies
+from tropsolve.scalar import as_scalar, format_scalar, parse_pair
 
-from helpers import is_reduced_pair, max_combination, prime_value, rand_matrix, scalar_mul, transpose
+from helpers import (
+    format_matrix,
+    format_vector,
+    is_reduced_pair,
+    max_combination,
+    prime_value,
+    rand_matrix,
+    scalar_mul,
+    solves,
+    transpose,
+)
 
 
 def small_matrix(rows: int, cols: int):
@@ -150,7 +157,7 @@ def _expand_reduced(a, b):
 
 PUBLIC_CALLS = {
     "solve": solve,
-    "verify": lambda a, b: verify(a, TropVector([None] * a.cols), b),
+    "satisfies": lambda a, b: satisfies(a, TropVector([None] * a.cols), b),
     "mat_vec": lambda a, b: mat_vec(a, TropVector([None] * a.cols)),
     "normalize": normalize,
     "normalized_solution": lambda a, b: normalized_solution(a, b, solve(a, b).x_star),
@@ -182,7 +189,7 @@ def test_public_functions_take_empty_systems(call, system):
 def test_empty_systems_solve_like_the_oracles(system):
     a, b = EMPTY_SYSTEMS[system]
     solvable = isinstance(solve(a, b), Solvable)
-    assert solvable == exhaustive_solvable(a, b) == verify(a, principal_solution(a, b), b)
+    assert solvable == exhaustive_solvable(a, b) == solves(a, principal_solution(a, b), b)
     assert solvable == (system != "2x0-finite-b")
 
 
@@ -400,6 +407,9 @@ def test_parsed_matrix_stores_reduced_pairs():
     assert a.pair_rows() == public.pair_rows() == (((3, 2), (5, 2), (0, 1), (7, 1), (0, 1), None),)
     assert all(is_reduced_pair(p) for r in a.pair_rows() for p in r)
     assert a.row_tuples() == public.row_tuples() and a.entry(0, 0) == Fraction(3, 2)
+    # a vector stores the same pairs, however it is built
+    for v in (parse_vector(text), a.row(0), TropVector(list(public.row(0)))):
+        assert v.pairs() == a.pair_rows()[0] and v == a.row(0) and hash(v) == hash(a.row(0))
     canonical = format_matrix(a)
     assert canonical == "3/2 5/2 0 7 0 -inf\n"
     assert parse_matrix(canonical) == a and format_matrix(parse_matrix(canonical)) == canonical
@@ -410,7 +420,7 @@ def test_round_trip_bit_exact():
     text = "5/2 2.5 10/4 0 -0 0/7 -inf\n" * 30
     a = parse_matrix(text)
     assert [list(r) for r in a.row_tuples()] == [
-        [parse_scalar(t) for t in line.split()] for line in text.splitlines()
+        [as_scalar(t) for t in line.split()] for line in text.splitlines()
     ]
     assert parse_matrix(format_matrix(a)) == a
     rng = random.Random(7)

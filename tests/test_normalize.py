@@ -374,13 +374,13 @@ def test_normalize_refuses_mean_past_digit_limit(monkeypatch):
     with pytest.raises(SizeBoundError):
         normalize(TropMatrix([[Fraction(1, 10**4300)]]), TropVector([0]))
     assert normalize(TropMatrix([[Fraction(1, 10**4300 - 1)]]), TropVector([0])).column_minima == TropVector([0])
-    # within normalize only the A~ and Q code calls as_pairs, so a refusal
-    # that never reaches as_pairs has built neither grid
-    def no_grids(values):
-        raise AssertionError("as_pairs called: the grids are being built")
+    # within normalize only the A~ and Q code calls gcd, first on each finite
+    # cell, so a refusal that never reaches gcd has built neither grid
+    def no_grids(*args):
+        raise AssertionError("gcd called: the grids are being built")
 
-    monkeypatch.setattr(importlib.import_module("tropsolve.normalize"), "as_pairs", no_grids)
+    monkeypatch.setattr(importlib.import_module("tropsolve.normalize"), "gcd", no_grids)
     with pytest.raises(SizeBoundError):
         normalize(a, b)
-    with pytest.raises(AssertionError, match="as_pairs called"):
+    with pytest.raises(AssertionError, match="gcd called"):
         normalize(TropMatrix([[1, 2], [3, 4]]), TropVector([0, 1]))

@@ -19,7 +19,6 @@ from tropsolve import (
     scalar,
     solve,
     solver,
-    verify,
 )
 
 from helpers import (
@@ -30,6 +29,7 @@ from helpers import (
     rand_finite_vector,
     rand_fraction,
     rand_matrix,
+    solves,
     wide_value,
     with_bottoms,
 )
@@ -41,7 +41,7 @@ def test_principal_solution_goldens(solvable_4x5, unsolvable_5x4):
     a2, b2 = unsolvable_5x4
     x = principal_solution(a2, b2)
     assert x == TropVector([-10, -6, -7, -8])
-    assert not verify(a2, x, b2)
+    assert not solves(a2, x, b2)
 
 
 def test_principal_solution_scalar_case():
@@ -112,7 +112,7 @@ def test_principal_solution_shares_no_kernel(monkeypatch, solvable_4x5, unsolvab
     def refuse(*args):
         raise AssertionError("the oracle called a production kernel")
 
-    for module, name in ((solver, "residuate"), (matrix, "row_maxima"), (matrix, "mat_vec"), (scalar, "as_pairs")):
+    for module, name in ((solver, "residuate"), (matrix, "row_maxima"), (matrix, "mat_vec"), (scalar, "reduced")):
         monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(oracle, name, refuse, raising=False)
     assert principal_solution(*solvable_4x5) == TropVector([-63, -25, 30, 4, 74])
@@ -178,4 +178,4 @@ def test_principal_agrees_with_solve_random():
     for _ in range(200):
         a, b = arbitrary_instance(rng, max_dim=6, bottom_p=0.25)
         out = solve(a, b)
-        assert isinstance(out, Solvable) == verify(a, principal_solution(a, b), b)
+        assert isinstance(out, Solvable) == solves(a, principal_solution(a, b), b)

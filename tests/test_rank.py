@@ -259,6 +259,7 @@ def test_scan_verdicts_match_oracle_random():
 
 def _attaining(k: TropVector, t: TropVector) -> set[int]:
     """Rows attaining min_i (t_i - k_i) over the finite k_i; empty when some such t_i is -inf."""
+    k, t = list(k), list(t)
     finite = [i for i, e in enumerate(k) if e is not None]
     if any(t[i] is None for i in finite):
         return set()
@@ -296,6 +297,7 @@ def oracle_scan(vecs: list[TropVector], order: list[int] | None, axis: str) -> R
     Each target is tested against all its working vectors in index order,
     and each dependence is the oracle's combination over the final basis.
     """
+    vecs = [tuple(v) for v in vecs]  # each vector's Fractions built once, not once per test
     n = len(vecs)
     surviving = [j for j in range(n) if any(e is not None for e in vecs[j])]
     trace = [(j, "dependent") for j in range(n) if j not in surviving]

@@ -5,9 +5,11 @@ the printed output in order, each on the line after the previous one. A
 shown line ending in `...` matches as a prefix, and a bare `...` skips
 any number of printed lines. Printed lines after the last shown one are
 not checked. A ```python block runs as it stands, and its asserts must
-hold.
+hold. Every name the package exports is documented in the "Library"
+section or used by another module of the package.
 """
 
+import ast
 import contextlib
 import io
 import pathlib
@@ -69,3 +71,30 @@ def test_readme_python_blocks():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_exported_name_has_a_user():
+    # a name `tropsolve/__init__.py` exports is read by another module of the
+    # package, or documented in README's "Library" section; otherwise it is dead code
+    src = ROOT / "src" / "tropsolve"
+    library = re.search(r"^## Library\n(.*?)^## ", (ROOT / "README.md").read_text(), re.M | re.S).group(1)
+    used: dict[str, set[str]] = {}  # module -> names it reads
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        used[path.stem] = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+        }
+    exports = [
+        (node.module, alias.name)
+        for node in ast.parse((src / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(exports) > 30
+    unused = [
+        f"{module}.{name}"
+        for module, name in exports
+        if not any(name in names for m, names in used.items() if m not in ("__init__", module))
+        and not re.search(rf"\b{name}\b", library)
+    ]
+    assert unused == []

@@ -14,9 +14,9 @@ from tropsolve import (
     mat_vec,
     reduce_system,
     solve,
-    verify,
 )
 from tropsolve.cli import main
+from tropsolve.oracle import satisfies
 
 from helpers import (
     identity,
@@ -98,7 +98,7 @@ def test_expand_min_over_shifts(rank_3x3):
     reduced = solve(sys.a_bar, sys.b_bar)
     assert isinstance(reduced, Solvable)
     x = expand_solution(reduced.x_star, sys)
-    assert verify(rank_3x3, x, b)
+    assert satisfies(rank_3x3, x, b)
     full = solve(rank_3x3, b)
     assert x == full.x_star
     # dependent column bound: min over (y_i - eta_i)
@@ -182,7 +182,7 @@ def test_full_and_reduced_solvability_coincide_random():
         # plain-Fraction residuation, sharing no code with the kernel
         assert full.x_star == principal_reference(a, b)
         x = expand_solution(reduced.x_star, sys)
-        assert verify(a, x, b)
+        assert satisfies(a, x, b)
         assert x == full.x_star
     assert solvable[False] >= 100 and solvable[True] >= 100 and finite_x_with_bottom_b >= 40
 
@@ -203,7 +203,7 @@ def test_empty_reduction_of_all_bottom_system(tmp_path, capsys):
     assert isinstance(full, Solvable) and isinstance(reduced, Solvable)
     # the empty solution expands to the all -inf x that solve returns
     x = expand_solution(reduced.x_star, sys)
-    assert x == full.x_star == TropVector([None, None]) and verify(a, x, b)
+    assert x == full.x_star == TropVector([None, None]) and satisfies(a, x, b)
     assert dof_via_reduction(a, b) == 0
     (tmp_path / "a.mat").write_text("-inf -inf\n-inf -inf\n")
     (tmp_path / "b.vec").write_text("-inf\n-inf\n")

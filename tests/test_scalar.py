@@ -13,22 +13,22 @@ from tropsolve import (
     ParseError,
     TropMatrix,
     TropVector,
+    as_scalar,
     colrank,
+    expand_solution,
     format_pair,
     format_scalar,
     mat_vec,
     normalize,
     normalized_solution,
     parse_matrix,
-    parse_scalar,
     parse_vector,
+    reduce_system,
     solve,
-    trop_add,
-    trop_mul,
 )
 from tropsolve.scalar import MAX_DIGITS, parse_pair
 
-from helpers import is_reduced_pair
+from helpers import is_reduced_pair, trop_add, trop_mul
 
 finite = st.fractions(min_value=-100, max_value=100, max_denominator=12)
 scalars = st.one_of(st.just(BOTTOM), finite)
@@ -104,7 +104,7 @@ def test_results_are_exact_fractions(text, data):
 )
 def test_parsed_and_computed_equal_public_construction(token_rows, data):
     # the library's own results compare and hash like the public
-    # constructors' from the same tokens: tuples of Fractions and None
+    # constructors' from the same tokens or values: each stored pair is reduced
     a = parse_matrix("\n".join(" ".join(r) for r in token_rows))
     public_a = TropMatrix([list(r) for r in token_rows])
     assert a == public_a and hash(a) == hash(public_a)
@@ -117,6 +117,17 @@ def test_parsed_and_computed_equal_public_construction(token_rows, data):
         [functools.reduce(trop_add, (trop_mul(e, xk) for e, xk in zip(r, x)), BOTTOM) for r in a.row_tuples()]
     )
     assert y == public_y and hash(y) == hash(public_y)
+    # every vector built from pairs: x*, b-bar, the expanded solution, rows, columns, b~ and Q's minima
+    sys = reduce_system(a, y)  # y = A x is solvable, and so is the reduced system
+    built = [solve(a, y).x_star, sys.b_bar, expand_solution(solve(sys.a_bar, sys.b_bar).x_star, sys)]
+    built += [a.row(i) for i in range(a.rows)] + [a.column(j) for j in range(a.cols)]
+    if all(any(e is not None for e in a.column(j)) for j in range(a.cols)):
+        b = parse_vector(" ".join(data.draw(st.lists(_FINITE_TOKEN, min_size=a.rows, max_size=a.rows))))
+        res = normalize(a, b)
+        built += [res.b_tilde, res.column_minima]
+    for v in built:
+        public = TropVector(list(v))
+        assert v == public and hash(v) == hash(public)
 
 
 @given(scalars, scalars)
@@ -149,7 +160,7 @@ def test_finite_order_matches_rational_order(p, q):
 
 @given(scalars)
 def test_format_parse_round_trip(a):
-    assert parse_scalar(format_scalar(a)) == a
+    assert as_scalar(format_scalar(a)) == a
 
 
 # 10**5000 + 7 and 3 * 10**4999 + 1 as decimal strings, built without str(int)
@@ -198,13 +209,13 @@ def test_format_pair_past_digit_limit():
     ],
 )
 def test_parse_finite_tokens_exactly(token, expected):
-    assert parse_scalar(token) == expected
+    assert as_scalar(token) == expected
     assert parse_pair(token) == expected.as_integer_ratio() and is_reduced_pair(parse_pair(token))
     assert TropVector([token]) == TropVector([expected])
 
 
 def test_parse_bottom_token():
-    assert parse_scalar("-inf") == BOTTOM
+    assert as_scalar("-inf") == BOTTOM
     assert parse_pair("-inf") is None
     assert TropVector(["-inf"]) == TropVector([BOTTOM])
 
@@ -218,10 +229,10 @@ def test_parse_bottom_token():
 )
 def test_parse_rejects_garbage(token):
     with pytest.raises(ParseError) as exc:
-        parse_scalar(token)
+        as_scalar(token)
     with pytest.raises(ParseError, match=f"^{re.escape(str(exc.value))}$"):
         parse_pair(token)
-    with pytest.raises(ParseError):  # library strings follow the same grammar
+    with pytest.raises(ParseError, match=f"^{re.escape(str(exc.value))}$"):  # as do the constructors
         TropVector([token])
 
 

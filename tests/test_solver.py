@@ -18,10 +18,8 @@ from tropsolve import (
     principal_solution,
     solve,
     solver,
-    trop_add,
-    trop_mul,
-    verify,
 )
+from tropsolve.oracle import satisfies
 
 from helpers import (
     arbitrary_instance,
@@ -34,6 +32,8 @@ from helpers import (
     rand_finite_vector,
     rand_matrix,
     solvable_instance,
+    trop_add,
+    trop_mul,
 )
 
 
@@ -45,7 +45,7 @@ def test_solve_golden_solvable(solvable_4x5):
     assert normalized_solution(a, b, out.x_star) == TropVector([-117, -49, -84, -62, -31])
     assert out.coverage == ((0, 2), (0, 2), (1, 2, 4), (3,))
     assert out.forced_bottom == frozenset() and out.unbounded == frozenset()
-    assert verify(a, out.x_star, b)
+    assert satisfies(a, out.x_star, b)
 
 
 def test_solve_golden_unsolvable(unsolvable_5x4):
@@ -63,7 +63,7 @@ def test_rejected_candidate_fails_first_equation(unsolvable_5x4):
     a, b = unsolvable_5x4
     x = principal_solution(a, b)
     assert x == TropVector([-10, -6, -7, -8])
-    assert not verify(a, x, b)
+    assert not satisfies(a, x, b)
     assert mat_vec(a, x)[0] == Fraction(-1)
 
 
@@ -74,8 +74,8 @@ def test_solve_one_by_one():
 
 
 def test_solve_shape_mismatch():
-    # solve, the checker and both oracles refuse a b that does not match A's rows
-    for call in (solve, lambda a, b: verify(a, TropVector([0, 0]), b), principal_solution, exhaustive_solvable):
+    # solve, the oracle's checker and both oracles refuse a b that does not match A's rows
+    for call in (solve, lambda a, b: satisfies(a, TropVector([0, 0]), b), principal_solution, exhaustive_solvable):
         with pytest.raises(DimensionError):
             call(TropMatrix([[1, 2]]), TropVector([1, 2]))
 
@@ -107,7 +107,7 @@ def test_preprocess_drops_row_and_forced_column():
     assert normalized_solution(a, b, out.x_star) == TropVector([None, 0])
     assert out.forced_bottom == frozenset({0}) and out.unbounded == frozenset()
     assert out.coverage == ((), (1,))
-    assert verify(a, out.x_star, b)
+    assert satisfies(a, out.x_star, b)
 
 
 def test_preprocess_all_bottom_b_vacuous():
@@ -118,7 +118,7 @@ def test_preprocess_all_bottom_b_vacuous():
     assert out.x_star == TropVector([None, None])
     assert out.forced_bottom == frozenset({0, 1}) and out.unbounded == frozenset()
     assert out.coverage == ((), ())
-    assert verify(a, out.x_star, b)
+    assert satisfies(a, out.x_star, b)
 
 
 def test_preprocess_unconstrained_column():
@@ -128,7 +128,7 @@ def test_preprocess_unconstrained_column():
     assert isinstance(out, Solvable)
     assert out.unbounded == frozenset({1}) and out.forced_bottom == frozenset()
     assert out.coverage == ((0,), (0,))
-    assert verify(a, out.x_star, b)
+    assert satisfies(a, out.x_star, b)
 
 
 def test_unsatisfiable_after_forcing():
@@ -149,7 +149,7 @@ def test_maximality_random():
         a, x0, b = solvable_instance(rng)
         out = solve(a, b)
         assert isinstance(out, Solvable), (a, b)
-        assert verify(a, out.x_star, b)
+        assert satisfies(a, out.x_star, b)
         # x0 is dominated; unbounded columns dominate any finite value
         for j in range(a.cols):
             if j not in out.unbounded:
@@ -163,7 +163,7 @@ def test_solver_matches_residuation_oracle():
         out = solve(a, b)
         x = principal_reference(a, b)
         assert x == out.x_star
-        assert verify(a, x, b) == isinstance(out, Solvable)
+        assert satisfies(a, x, b) == isinstance(out, Solvable)
 
 
 def test_solve_matches_normalize_column_minima():
@@ -300,7 +300,7 @@ def test_map_equivalent_uniform_shift_cancels(solvable_4x5):
         [[a.entry(i, j) + 1 for j in range(a.cols)] for i in range(a.rows)]
     )
     shifted_b = TropVector(e + 1 for e in b)
-    assert verify(shifted_a, mapped, shifted_b)
+    assert satisfies(shifted_a, mapped, shifted_b)
 
 
 def test_equivalence_invariance_random():
@@ -333,7 +333,7 @@ def test_equivalence_invariance_random():
         assert isinstance(out, Solvable) == isinstance(out2, Solvable)
         if isinstance(out, Solvable):
             assert map_equivalent_solution(out.x_star, alphas, beta) == out2.x_star
-            assert verify(a2, out2.x_star, b2)
+            assert satisfies(a2, out2.x_star, b2)
 
 
 def test_solvable_implies_exact_product_random():
@@ -422,7 +422,7 @@ def test_large_denominators_match_plain_fraction_references():
 
         out = solve(a, b)
         x0 = principal_reference(a, b)
-        assert isinstance(out, Solvable) == verify(a, x0, b)
+        assert isinstance(out, Solvable) == satisfies(a, x0, b)
         if isinstance(out, Solvable):
             solvable += 1
             assert out.x_star == x0
