@@ -1,8 +1,22 @@
-"""Seeded random instance generators and plain-`Fraction` references shared by the tests."""
+"""Seeded random instance generators and plain-`Fraction` references shared by the tests.
+
+The paper's two formulas are written here once, on plain `Fraction`s and
+None for -inf, and share no code with the library's integer-pair kernels:
+
+- `row_max`, one row of the max-plus product, max_j (a_ij + x_j); it
+  checks `matrix.row_maxima` and `mat_vec`;
+- `residuation`, min_i (t_i - k_i) over the finite k_i with the rows
+  attaining it; it checks `solver.residuate`, and through it `solve`'s
+  x* and coverage, the rank scan and `normalize`'s column minima.
+
+Every other reference here (`product`, `solves`, `max_combination`,
+`principal_reference`, `dependence_oracle`) is written on these two, and
+every generator plants b = A x0 with `product`. A test that needs the
+product or a residuation calls them; it does not write its own.
+"""
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +30,6 @@ from tropsolve import (
     TropMatrix,
     TropVector,
     format_scalar,
-    mat_vec,
 )
 
 
@@ -34,10 +47,38 @@ def trop_mul(a: Scalar, b: Scalar) -> Scalar:
     return a + b
 
 
+def row_max(row: Sequence[Scalar], x: Sequence[Scalar]) -> Scalar:
+    """One row of the max-plus product: max_j (a_ij + x_j), -inf when no term is finite."""
+    return max((e + xj for e, xj in zip(row, x) if e is not None and xj is not None), default=BOTTOM)
+
+
+def residuation(k: Sequence[Scalar], t: Sequence[Scalar]) -> tuple[Scalar, frozenset[int]] | None:
+    """The least slack min_i (t_i - k_i) over the finite k_i, and the rows attaining it.
+
+    The three outcomes of `solver.residuate`: None when k has no finite
+    entry; (-inf, no rows) when a finite k_i meets t_i = -inf; otherwise
+    the least slack and its rows.
+    """
+    k, t = list(k), list(t)  # a vector's Fractions built once
+    finite = [i for i, e in enumerate(k) if e is not None]
+    if not finite:
+        return None
+    if any(t[i] is None for i in finite):
+        return BOTTOM, frozenset()
+    slacks = {i: t[i] - k[i] for i in finite}
+    least = min(slacks.values())
+    return least, frozenset(i for i, s in slacks.items() if s == least)
+
+
+def product(a: TropMatrix, x: TropVector) -> TropVector:
+    """A x by `row_max`: the reference for `mat_vec`, and the way the tests plant b = A x0."""
+    x = list(x)
+    return TropVector([row_max(r, x) for r in a.row_tuples()])
+
+
 def solves(a: TropMatrix, x: TropVector, b: TropVector) -> bool:
     """Plain-`Fraction` check of A x = b: each row's max of a_ij + x_j equals b_i."""
-    product = [functools.reduce(trop_add, map(trop_mul, r, x), BOTTOM) for r in a.row_tuples()]
-    return TropVector(product) == b
+    return product(a, x) == b
 
 
 def format_matrix(a: TropMatrix) -> str:
@@ -106,7 +147,7 @@ def solvable_instance(rng: random.Random, max_dim: int = 6, bottom_p: float = 0.
     m, n = rng.randint(1, max_dim), rng.randint(1, max_dim)
     a = rand_matrix(rng, m, n, bottom_p, regular_rows=True)
     x0 = rand_finite_vector(rng, n)
-    return a, x0, mat_vec(a, x0)
+    return a, x0, product(a, x0)
 
 
 def arbitrary_instance(rng: random.Random, max_dim: int = 6, bottom_p: float = 0.2):
@@ -126,7 +167,7 @@ def with_bottoms(rng: random.Random, a: TropMatrix, b: TropVector | None = None)
     if b is not None:
         return TropVector(BOTTOM if i in rows else e for i, e in enumerate(b))
     forced = {j for i in rows for j in range(a.cols) if a.entry(i, j) is not None}
-    return mat_vec(a, TropVector(BOTTOM if j in forced else rand_fraction(rng) for j in range(a.cols)))
+    return product(a, TropVector(BOTTOM if j in forced else rand_fraction(rng) for j in range(a.cols)))
 
 
 def from_columns(cols) -> TropMatrix:
@@ -156,14 +197,12 @@ def map_equivalent_solution(x: TropVector, alphas, beta) -> TropVector:
 
 
 def max_combination(vectors: list[TropVector], coeffs: list[Scalar]) -> TropVector:
-    out = [BOTTOM] * len(vectors[0])
-    for vec, lam in zip(vectors, coeffs):
-        out = [trop_add(o, trop_mul(e, lam)) for o, e in zip(out, vec)]
-    return TropVector(out)
+    """max_k (v_k + lambda_k), entry by entry: `row_max` of each entry's row across the vectors."""
+    return TropVector([row_max(entries, coeffs) for entries in zip(*vectors)])
 
 
 def principal_reference(a: TropMatrix, b: TropVector) -> TropVector:
-    """Plain-`Fraction` reference for `principal_solution`: x_j = min over rows with a_ij finite of (b_i - a_ij).
+    """Plain-`Fraction` reference for `principal_solution`: x_j is the `residuation` of column j against b.
 
     Columns with no finite entry give -inf, and so does a -inf b entry
     against a finite a_ij. Shares no arithmetic with `principal_solution`,
@@ -172,29 +211,15 @@ def principal_reference(a: TropMatrix, b: TropVector) -> TropVector:
     if a.rows != len(b):
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
     b = list(b)
-    out: list[Scalar] = []
-    for col in zip(*a.row_tuples()):
-        bounds = []
-        forced = False
-        for e, bi in zip(col, b):
-            if e is None:
-                continue
-            if bi is None:
-                forced = True
-                break
-            bounds.append(bi - e)
-        if forced or not bounds:
-            out.append(BOTTOM)
-        else:
-            out.append(min(bounds))
-    return TropVector(out)
+    per_column = (residuation(col, b) for col in zip(*a.row_tuples()))
+    return TropVector(BOTTOM if r is None else r[0] for r in per_column)
 
 
 def dependence_oracle(cols: list[Sequence[Scalar]], target: Sequence[Scalar]) -> list[Scalar] | None:
     """The principal solution of [cols] x = target, if its max-combination is the target.
 
     Plain-`Fraction` reference for the rank scan: `principal_reference`
-    and `max_combination` share no code with `residuate` or `mat_vec`.
+    and `max_combination` share no code with `residuate` or `row_maxima`.
     With no columns, only an all -inf target is the (empty) combination.
     The vectors are `TropVector`s or sequences of their `Fraction`s and None.
     """
@@ -258,11 +283,11 @@ def normalize_reference(a: TropMatrix, b: TropVector) -> NormalizationResult:
     )
 
 
-def perturbed(product):
-    """A mat_vec that adds 1 to the first finite entry of the true product."""
+def perturbed(kernel):
+    """A mat_vec that adds 1 to the first finite entry of the product `kernel` gives."""
 
     def wrong(a, x):
-        out = list(product(a, x))
+        out = list(kernel(a, x))
         k = next(i for i, e in enumerate(out) if e is not None)
         out[k] += 1
         return TropVector(out)
@@ -300,7 +325,7 @@ def planted_instance(rng: random.Random, max_den: int = 5):
 
     if rng.random() < 0.5:
         x0 = rand_finite_vector(rng, a.cols, max_den)
-        b = mat_vec(a, x0)
+        b = product(a, x0)
         if any(e is None for e in b):
             b = rand_finite_vector(rng, a.rows, max_den)
     else:

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropsolve
-from tropsolve import TropMatrix, TropVector, cli, mat_vec, parse_matrix, parse_vector, principal_solution
+from tropsolve import TropMatrix, TropVector, cli, parse_matrix, parse_vector, principal_solution
 from tropsolve.cli import main, render_json, render_text, run
 from tropsolve.oracle import satisfies
 
-from helpers import format_matrix, format_vector, prime_value
+from helpers import format_matrix, format_vector, prime_value, product
 
 
 def path(data_dir, name):
@@ -294,9 +294,7 @@ def test_byte_order_mark_is_dropped(data_dir, tmp_path):
 
 def test_reduce_report(data_dir, tmp_path):
     a = parse_matrix((data_dir / "rank_3x3.mat").read_text())
-    from tropsolve import TropVector, mat_vec
-
-    b = mat_vec(a, TropVector([0, 0, 0]))
+    b = product(a, TropVector([0, 0, 0]))
     mat = tmp_path / "a.mat"
     vec = tmp_path / "b.vec"
     mat.write_text((data_dir / "rank_3x3.mat").read_text())
@@ -630,17 +628,17 @@ def test_closed_stdout_keeps_the_verdict(tmp_path):
     assert "Traceback" not in err.decode()
 
 
-# `Fraction.__new__` calls of one in-process call on the 100x100 system below,
-# at the last version whose vectors stored `Fraction`s (0.12.0)
-FRACTIONS_BEFORE_PAIR_VECTORS = {"solve": 601, "solve --check": 701, "normalize": 701, "reduce": 8020}
+# `Fraction.__new__` calls of one in-process call on the 100x100 system below
+# at 0.13.0 (0.12.0 built 601, 701, 701, 300 and 8020): `dof` and `reduce`
+# build none, the others only their means, shifts, Y* and b~
+FRACTIONS_PER_CALL = {"solve": 401, "solve --check": 501, "normalize": 601, "dof": 0, "reduce": 0}
 
 
 def test_fraction_constructions_per_call(tmp_path, monkeypatch, capsys):
-    # vectors and matrices store pairs, so `dof` builds no Fraction at all and
-    # the reports that print means, shifts or coefficients build no more than before
+    # vectors and matrices store pairs, so no call builds more Fractions than at 0.13.0
     rng = random.Random(5)
     a = TropMatrix([[None if rng.random() < 0.1 else prime_value(rng) for _ in range(100)] for _ in range(100)])
-    b = mat_vec(a, TropVector(prime_value(rng) for _ in range(100)))  # planted: solvable and regular
+    b = product(a, TropVector(prime_value(rng) for _ in range(100)))  # planted: solvable and regular
     (tmp_path / "a.mat").write_text(format_matrix(a))
     (tmp_path / "b.vec").write_text(format_vector(b))
     built = 0
@@ -653,11 +651,10 @@ def test_fraction_constructions_per_call(tmp_path, monkeypatch, capsys):
     fraction_new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     counts = {}
-    for command in ("dof", *FRACTIONS_BEFORE_PAIR_VECTORS):
+    for command in FRACTIONS_PER_CALL:
         name, *flags = command.split()
         built = 0
         assert main([name, str(tmp_path / "a.mat"), str(tmp_path / "b.vec"), *flags]) == 0
         counts[command] = built
     capsys.readouterr()
-    assert counts["dof"] == 0, counts
-    assert all(counts[c] <= limit for c, limit in FRACTIONS_BEFORE_PAIR_VECTORS.items()), counts
+    assert all(counts[c] <= limit for c, limit in FRACTIONS_PER_CALL.items()), counts

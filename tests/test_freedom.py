@@ -18,7 +18,7 @@ from tropsolve import (
     submatrix,
 )
 
-from helpers import solvable_instance
+from helpers import row_max, solvable_instance
 
 
 def test_dof_four_way_tie_resolved_to_lowest(dof_4x5):
@@ -194,21 +194,12 @@ def test_greedy_4x5_count_depends_on_column_order(greedy_4x5, order, d_f, leadin
     assert minimal_leading_oracle(out) == (2, cover)
 
 
-def _solves(rows, b, x) -> bool:
-    """max_j (a_ij + x_j) = b_i in every row, with None for -inf."""
-    for r, bi in zip(rows, b):
-        terms = [e + xj for e, xj in zip(r, x) if e is not None and xj is not None]
-        if (max(terms) if terms else None) != bi:
-            return False
-    return True
-
-
 def test_x_star_unique_iff_no_unbounded_column_and_every_finite_column_sole_cover():
     # x solves A x = b iff x <= x* and the columns with x_j = x*_j cover every row with a finite b_i.
     # So a column whose rows all have another cover can drop to -inf, a forced column has no other
     # value, and an unbounded column takes any value. The oracle counts solutions on a grid that holds,
     # per column, every finite b_i - a_ij, that value minus 1/2 and -inf (and 0 for an all -inf column),
-    # with plain Fraction max and sums: x* is on it, and so is a second solution whenever one exists
+    # checked by the plain-Fraction `row_max`: x* is on it, and so is a second solution whenever one exists
     rng = random.Random(35)
     solvable = unique = 0
     for _ in range(4000):
@@ -221,7 +212,8 @@ def test_x_star_unique_iff_no_unbounded_column_and_every_finite_column_sole_cove
             zero = {Fraction(0)} if all(r[j] is None for r in rows) else set()
             axes.append([None, *slack, *(s - Fraction(1, 2) for s in slack), *zero])
         # 0, 1 or 2, where 2 stands for "more than one"
-        solutions = len(list(itertools.islice((x for x in itertools.product(*axes) if _solves(rows, b, x)), 2)))
+        solves = (x for x in itertools.product(*axes) if all(row_max(r, x) == bi for r, bi in zip(rows, b)))
+        solutions = len(list(itertools.islice(solves, 2)))
         out = solve(TropMatrix(rows), TropVector(b))
         assert isinstance(out, Solvable) == (solutions > 0)
         if not solutions:

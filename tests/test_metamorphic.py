@@ -5,7 +5,7 @@ max-plus automorphism: it keeps every max and every sum. So each report of
 the scaled system is the original report with every value multiplied by
 lambda, and every verdict, index, count and word unchanged. The expected
 payload is derived from the other run's payload with plain `Fraction`
-arithmetic; the inputs are written with it too.
+arithmetic; the inputs are written with it too, b = A x0 by `helpers.row_max`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import random
 from fractions import Fraction
 
 from tropsolve.cli import run
+
+from helpers import row_max
 
 LAMBDA = Fraction(3, 7)
 
@@ -36,7 +38,7 @@ def _system(rng: random.Random, k: int):
     a = [[None if rng.random() < 0.2 else _value(rng) for _ in range(n)] for _ in range(m)]
     if k % 3 == 0:
         x0 = [_value(rng) for _ in range(n)]
-        b = [max((e + x for e, x in zip(r, x0) if e is not None), default=None) for r in a]
+        b = [row_max(r, x0) for r in a]
     else:
         b = [None if rng.random() < 0.2 else _value(rng) for _ in range(m)]
     shifts = [_value(rng) for _ in range(n)]

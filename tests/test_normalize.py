@@ -14,7 +14,6 @@ from tropsolve import (
     TropMatrix,
     TropVector,
     column_mean,
-    mat_vec,
     normalize,
     normalized_solution,
     solve,
@@ -27,9 +26,11 @@ from helpers import (
     normalize_reference,
     prime_value,
     principal_reference,
+    product,
     q_column_minima,
     rand_finite_vector,
     rand_matrix,
+    residuation,
     wide_value,
     with_bottoms,
 )
@@ -132,11 +133,6 @@ def test_zero_sum_property_random():
         assert sum(res.b_tilde, F(0)) == 0
 
 
-def _slacks(a: TropMatrix, b: TropVector, j: int) -> dict[int, F]:
-    """b_i - a_ij per row with a finite a_ij."""
-    return {i: b[i] - a.entry(i, j) for i in range(a.rows) if a.entry(i, j) is not None}
-
-
 def _wide_tied_system(rng: random.Random, m: int) -> tuple[TropMatrix, TropVector]:
     """An m x 5 system (m > 64) whose column minima are tied past row 63.
 
@@ -148,9 +144,7 @@ def _wide_tied_system(rng: random.Random, m: int) -> tuple[TropMatrix, TropVecto
     b = rand_finite_vector(rng, 64)
     attaining = []
     for j in range(a.cols):
-        slacks = _slacks(a, b, j)
-        least = min(slacks.values())
-        attaining += [i for i, s in slacks.items() if s == least]
+        attaining += sorted(residuation(a.column(j), b)[1])
     rows, b_entries = [list(r) for r in a.row_tuples()], list(b)
     for k in range(m - 64):
         src, c = attaining[k % len(attaining)], F(rng.randint(-40, 40), rng.randint(1, 5))
@@ -175,10 +169,9 @@ def test_back_transformed_minima_equal_direct_residuation():
         assert list(res.column_minima) == minima
         assert list(res.argmin_rows) == argmins
         for j in range(a.cols):
-            slacks = _slacks(a, b, j)
-            direct = min(slacks.values())
+            direct, rows = residuation(a.column(j), b)
             assert minima[j] - res.col_means[j] + res.b_mean == direct
-            assert argmins[j] == {i for i, s in slacks.items() if s == direct}
+            assert argmins[j] == rows
             high_ties += len(argmins[j]) > 1 and max(argmins[j]) > 63
     assert high_ties >= 3
 
@@ -218,7 +211,7 @@ def _prime_system(rng: random.Random, m: int, n: int) -> tuple[TropMatrix, TropV
             grid[rng.randrange(m)][j] = prime_value(rng)
     a = TropMatrix(grid)
     if rng.random() < 0.5:
-        b = mat_vec(a, TropVector(prime_value(rng) for _ in range(n)))
+        b = product(a, TropVector(prime_value(rng) for _ in range(n)))
         if all(e is not None for e in b):
             return a, b
     return a, TropVector(prime_value(rng) for _ in range(m))
@@ -229,7 +222,7 @@ def _long_lcd_system(rng: random.Random) -> tuple[TropMatrix, TropVector]:
     first = [prime_value(rng, p) for p in PRIMES] + [prime_value(rng) for _ in range(40 - len(PRIMES))]
     rng.shuffle(first)
     a = TropMatrix([[e, prime_value(rng), prime_value(rng)] for e in first])
-    return a, mat_vec(a, TropVector(prime_value(rng) for _ in range(3)))
+    return a, product(a, TropVector(prime_value(rng) for _ in range(3)))
 
 
 def _near_digit_limit_system() -> tuple[TropMatrix, TropVector]:

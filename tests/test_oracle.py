@@ -1,10 +1,12 @@
 import ast
 import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import helpers
 from tropsolve import (
     BOTTOM,
     SizeBoundError,
@@ -12,7 +14,6 @@ from tropsolve import (
     TropMatrix,
     TropVector,
     exhaustive_solvable,
-    mat_vec,
     matrix,
     oracle,
     principal_solution,
@@ -23,12 +24,13 @@ from tropsolve import (
 
 from helpers import (
     arbitrary_instance,
-    max_combination,
     prime_value,
     principal_reference,
+    product,
     rand_finite_vector,
     rand_fraction,
     rand_matrix,
+    residuation,
     solves,
     wide_value,
     with_bottoms,
@@ -70,7 +72,7 @@ def _reference_system(rng: random.Random, family: str, m: int, n: int):
     a = TropMatrix(grid)
     shape = rng.choice(("free", "planted", "bottoms"))
     if shape == "planted":
-        b = mat_vec(a, TropVector(value() for _ in range(n)))
+        b = product(a, TropVector(value() for _ in range(n)))
     else:
         b = TropVector(value() for _ in range(m))
         if shape == "bottoms":
@@ -92,29 +94,39 @@ def test_principal_solution_matches_fraction_reference():
             # x and for x with -inf set to 0, whose terms reach -inf b entries
             for y in (x, TropVector(0 if e is None else e for e in x)):
                 ok = oracle.satisfies(a, y, b)
-                assert ok == (max_combination([a.column(j) for j in range(n)], list(y)) == b)
+                assert ok == solves(a, y, b)
                 seen["satisfies" if ok else "fails"] += 1
             seen["1xn"] += m == 1
             seen["mx1"] += n == 1
-            rows = a.row_tuples()
-            for j, xj in enumerate(x):
-                col = [r[j] for r in rows]
-                if all(e is None for e in col):
+            for res in (residuation(col, b) for col in zip(*a.row_tuples())):
+                if res is None:
                     seen["unbounded"] += 1
-                elif any(e is not None and bi is None for e, bi in zip(col, b)):
+                elif not res[1]:  # a finite a_ij against b_i = -inf
                     seen["forced"] += 1
-                elif sum(e is not None and bi - e == xj for e, bi in zip(col, b)) > 1:
+                elif len(res[1]) > 1:
                     seen["tied"] += 1
     assert min(seen.values()) >= 20, seen
 
 
-def test_principal_solution_shares_no_kernel(monkeypatch, solvable_4x5, unsolvable_5x4):
-    def refuse(*args):
-        raise AssertionError("the oracle called a production kernel")
+KERNELS = ((solver, "residuate"), (matrix, "row_maxima"), (matrix, "mat_vec"), (scalar, "reduced"))
 
-    for module, name in ((solver, "residuate"), (matrix, "row_maxima"), (matrix, "mat_vec"), (scalar, "reduced")):
-        monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr(oracle, name, refuse, raising=False)
+
+def _refuse(monkeypatch, kernels, importers) -> None:
+    """Make each (module, name) kernel raise, in its module and under every name an importer binds it to."""
+
+    def refuse(*args):
+        raise AssertionError("a reference called a production kernel")
+
+    for module, name in kernels:
+        kernel = getattr(module, name)
+        for owner in (module, *importers):
+            for alias, value in list(vars(owner).items()):
+                if value is kernel:
+                    monkeypatch.setattr(owner, alias, refuse)
+
+
+def test_principal_solution_shares_no_kernel(monkeypatch, solvable_4x5, unsolvable_5x4):
+    _refuse(monkeypatch, KERNELS, [oracle])
     assert principal_solution(*solvable_4x5) == TropVector([-63, -25, 30, 4, 74])
     assert principal_solution(*unsolvable_5x4) == TropVector([-10, -6, -7, -8])
     a, b = solvable_4x5
@@ -124,6 +136,57 @@ def test_principal_solution_shares_no_kernel(monkeypatch, solvable_4x5, unsolvab
     assert not oracle.satisfies(a2, TropVector([-10, -6, -7, -8]), b2)
     tree = ast.parse(inspect.getsource(oracle))
     assert "solver" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
+def test_references_share_no_kernel(monkeypatch):
+    # every reference and generator in `helpers` returns with the kernels and
+    # the oracle refused, under every name helpers or the package binds them
+    # to, so no test checks a kernel with the kernel itself
+    package = [m for name, m in sys.modules.items() if name == "tropsolve" or name.startswith("tropsolve.")]
+    _refuse(monkeypatch, (*KERNELS, (oracle, "principal_solution"), (oracle, "satisfies")), [helpers, *package])
+    rng = random.Random(66)
+    a = helpers.rand_matrix(rng, 5, 4, bottom_p=0.3, regular_rows=True, regular_cols=True)
+    x0 = helpers.rand_finite_vector(rng, a.cols)
+    b = helpers.product(a, x0)
+    cols = [a.column(j) for j in range(a.cols)]
+    calls = {
+        "trop_add": lambda: helpers.trop_add(None, x0[0]),
+        "trop_mul": lambda: helpers.trop_mul(x0[0], None),
+        "row_max": lambda: helpers.row_max(a.row_tuples()[0], x0),
+        "residuation": lambda: helpers.residuation(cols[0], b),
+        "product": lambda: helpers.product(a, x0),
+        "solves": lambda: helpers.solves(a, x0, b),
+        "format_matrix": lambda: helpers.format_matrix(a),
+        "format_vector": lambda: helpers.format_vector(b),
+        "rand_fraction": lambda: helpers.rand_fraction(rng),
+        "prime_value": lambda: helpers.prime_value(rng),
+        "wide_value": lambda: helpers.wide_value(rng),
+        "rand_scalar": lambda: helpers.rand_scalar(rng),
+        "rand_matrix": lambda: helpers.rand_matrix(rng, 3, 4),
+        "rand_finite_vector": lambda: helpers.rand_finite_vector(rng, 3),
+        "solvable_instance": lambda: helpers.solvable_instance(rng),
+        "arbitrary_instance": lambda: helpers.arbitrary_instance(rng),
+        "with_bottoms": lambda: (helpers.with_bottoms(rng, a), helpers.with_bottoms(rng, a, b)),
+        "from_columns": lambda: helpers.from_columns(cols),
+        "transpose": lambda: helpers.transpose(a),
+        "identity": lambda: helpers.identity(3),
+        "scalar_mul": lambda: (helpers.scalar_mul(Fraction(2), a), helpers.scalar_mul(Fraction(2), b)),
+        "map_equivalent_solution": lambda: helpers.map_equivalent_solution(x0, list(x0), Fraction(1)),
+        "max_combination": lambda: helpers.max_combination(cols, list(x0)),
+        "principal_reference": lambda: helpers.principal_reference(a, b),
+        "dependence_oracle": lambda: helpers.dependence_oracle(cols, cols[0]),
+        "q_column_minima": lambda: helpers.q_column_minima(helpers.normalize_reference(a, b).q),
+        "is_reduced_pair": lambda: helpers.is_reduced_pair((1, 2)),
+        "fraction_grid": lambda: helpers.fraction_grid(a.pair_rows()),
+        "normalize_reference": lambda: helpers.normalize_reference(a, b),
+        "perturbed": lambda: helpers.perturbed(helpers.product)(a, x0),
+        "planted_instance": lambda: helpers.planted_instance(rng),
+    }
+    defined = {name for name, f in vars(helpers).items() if inspect.isfunction(f) and f.__module__ == helpers.__name__}
+    assert set(calls) == defined
+    got = {name: call() for name, call in calls.items()}
+    assert got["solves"] and helpers.solves(a, got["principal_reference"], b)
+    assert got["dependence_oracle"] is not None and got["perturbed"] != b
 
 
 def test_principal_solution_operands_stay_pair_sized(monkeypatch):
@@ -157,7 +220,7 @@ def test_exhaustive_witness_included():
     for _ in range(30):
         a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), bottom_p=0.2, regular_rows=True)
         x0 = rand_finite_vector(rng, a.cols)
-        assert exhaustive_solvable(a, mat_vec(a, x0))
+        assert exhaustive_solvable(a, product(a, x0))
 
 
 def test_exhaustive_refuses_large():

@@ -26,6 +26,7 @@ from helpers import (
     prime_value,
     rand_matrix,
     rand_scalar,
+    residuation,
     scalar_mul,
     transpose,
 )
@@ -257,16 +258,6 @@ def test_scan_verdicts_match_oracle_random():
         assert solver_dep == oracle_dep
 
 
-def _attaining(k: TropVector, t: TropVector) -> set[int]:
-    """Rows attaining min_i (t_i - k_i) over the finite k_i; empty when some such t_i is -inf."""
-    k, t = list(k), list(t)
-    finite = [i for i, e in enumerate(k) if e is not None]
-    if any(t[i] is None for i in finite):
-        return set()
-    least = min(t[i] - k[i] for i in finite)
-    return {i for i in finite if t[i] - k[i] == least}
-
-
 def _wide_low_rank(rng: random.Random, m: int) -> TropMatrix:
     """An m x m matrix (m > 64) of shifted copies and max-combinations of a few generators.
 
@@ -342,12 +333,12 @@ def test_scan_stress_wide_masks_match_oracle_replay():
     # the union of several masks, with ties in rows past bit 63
     report = colrank(a)
     target, blind = cols[-1], next(c for c in cols if all(e is None for e in c[10:]))
-    assert report.scan_trace[0] == (a.cols - 1, "dependent") and _attaining(blind, target) == set()
+    assert report.scan_trace[0] == (a.cols - 1, "dependent") and residuation(blind, target)[1] == set()
     basis = sorted(report.independent)
     union_only = high_ties = 0
     for dep in report.dependent:
         support = {i for i, e in enumerate(cols[dep.col]) if e is not None}
-        attained = [_attaining(cols[k], cols[dep.col]) for k in basis]
+        attained = [residuation(cols[k], cols[dep.col])[1] for k in basis]
         union_only += all(r != support for r in attained)
         high_ties += any(len(r) > 1 and max(r) >= 64 for r in attained)
     assert union_only > 0 and high_ties > 0
@@ -406,6 +397,90 @@ def test_scan_reads_pattern_misses_from_masks(monkeypatch):
     assert report == oracle_scan(columns_and_rows(a)[0], None, "columns")
     assert report.dependent and calls
     assert all(block(k) == block(t) for k, t in calls)
+
+
+def _planted_low_rank(rng: random.Random, side: int, r: int) -> TropMatrix:
+    """A side x side matrix spanned by an r x r core: max-combinations of its columns, then of the rows.
+
+    Entries have denominators up to 97 and coefficients prime ones, so that
+    two vectors are rarely equal.
+    """
+    core = rand_matrix(rng, r, r, bottom_p=0.1, regular_rows=True, regular_cols=True, max_den=97)
+    cols = [core.column(j) for j in range(r)]
+    cols += [max_combination(cols[:r], [prime_value(rng) for _ in range(r)]) for _ in range(side - r)]
+    rng.shuffle(cols)
+    rows = [list(v) for v in from_columns(cols).row_tuples()]
+    rows += [list(max_combination(rows[:r], [prime_value(rng) for _ in range(r)])) for _ in range(side - r)]
+    rng.shuffle(rows)
+    return TropMatrix(rows)
+
+
+def _recorded_scans(monkeypatch):
+    """`colrank` and `rowrank` (in a random order) of 10 seeded planted 24 x 24 rank-4 matrices.
+
+    Yields per scan the report, each vector's support mask and the scan's
+    `residuate` calls as (working vector, target, mask), by index. The
+    vectors of each matrix are distinct (checked), so a call's pairs name them.
+    """
+    calls = []
+
+    def recording(k_pairs, t_pairs):
+        res = residuate(k_pairs, t_pairs)
+        calls.append((k_pairs, t_pairs, res[0]))
+        return res
+
+    monkeypatch.setattr(rank, "residuate", recording)
+    rng = random.Random(71)
+    for _ in range(10):
+        a = _planted_low_rank(rng, 24, 4)
+        for rank_fn, vecs, order in zip((colrank, rowrank), columns_and_rows(a), (None, rng.sample(range(24), 24))):
+            index = {v.pairs(): j for j, v in enumerate(vecs)}
+            assert len(index) == len(vecs)
+            calls.clear()
+            report = rank_fn(a, order)
+            assert report.dependent
+            support = [sum(1 << i for i, p in enumerate(v.pairs()) if p is not None) for v in vecs]
+            yield report, support, [(index[k], index[t], mask) for k, t, mask in calls]
+
+
+def _split_at_cover(support: list[int], calls: list, target: int) -> tuple[list[int], list[int]]:
+    """The target's working vectors up to the call whose mask completes its cover, and those after it."""
+    mine, covered = [(k, mask) for k, t, mask in calls if t == target], 0
+    for n, (_, mask) in enumerate(mine, 1):
+        covered |= mask
+        if covered == support[target]:
+            return [k for k, _ in mine[:n]], [k for k, _ in mine[n:]]
+    return [k for k, _ in mine], []
+
+
+def test_scan_residuates_each_pair_once(monkeypatch):
+    # the memo: a dependence's coefficients are read back from its own test,
+    # so no (working vector, target) pair is residuated twice in a scan
+    for report, _, calls in _recorded_scans(monkeypatch):
+        pairs = [(k, t) for k, t, _ in calls]
+        assert len(set(pairs)) == len(pairs), report
+
+
+def test_scan_stops_a_test_once_its_target_is_covered(monkeypatch):
+    # the early stop: after the call that completes a target's cover, the
+    # target gets only the calls that fetch its coefficients on the final basis
+    for report, support, calls in _recorded_scans(monkeypatch):
+        for dep in report.dependent:
+            _, after = _split_at_cover(support, calls, dep.col)
+            assert set(after) <= set(report.independent), (report, dep.col)
+
+
+def test_scan_tries_the_known_independents_first(monkeypatch):
+    # each test's calls begin with the vectors already found independent, in
+    # the order they were found, less the pattern misses, which get no call
+    for report, support, calls in _recorded_scans(monkeypatch):
+        discovery = []
+        for target, verdict in report.scan_trace:
+            tested, _ = _split_at_cover(support, calls, target)
+            known = [k for k in discovery if not support[k] & ~support[target]]
+            assert tested[: len(known)] == known[: len(tested)], (report, target)
+            if verdict == "independent":
+                discovery.append(target)
 
 
 def _coefficient_rows(report: RankReport) -> tuple:

@@ -11,7 +11,6 @@ from tropsolve import (
     UnsolvableSystemError,
     dof_via_reduction,
     expand_solution,
-    mat_vec,
     reduce_system,
     solve,
 )
@@ -23,8 +22,10 @@ from helpers import (
     max_combination,
     planted_instance,
     principal_reference,
+    product,
     rand_finite_vector,
     rand_matrix,
+    residuation,
     with_bottoms,
 )
 
@@ -52,7 +53,7 @@ def test_reduce_no_reduction_when_everything_independent():
 
 
 def test_reduce_3x3_with_dependent_column_and_row(rank_3x3):
-    b = mat_vec(rank_3x3, TropVector([0, 0, 0]))
+    b = product(rank_3x3, TropVector([0, 0, 0]))
     sys = reduce_system(rank_3x3, b)
     assert sys.indep_cols == (0, 1)
     assert sys.indep_rows == (1, 2)
@@ -68,7 +69,7 @@ def test_reduce_planted_dependent_row_consistency():
     # row 4 = max(row 1 + 1, row 2 + 0); b matches on that row
     a = TropMatrix([[0, 3, 1], [2, 0, 4], [7, None, 0], [2, 4, 4]])
     x0 = TropVector([0, 0, 0])
-    b = mat_vec(a, x0)
+    b = product(a, x0)
     assert a.row(3) == max_combination([a.row(0), a.row(1)], [Fraction(1), Fraction(0)])
     sys = reduce_system(a, b)
     assert 3 in {r for r, _ in sys.xi}
@@ -93,7 +94,7 @@ def test_expand_identity_when_no_dependent_columns():
 
 
 def test_expand_min_over_shifts(rank_3x3):
-    b = mat_vec(rank_3x3, TropVector([0, 0, 0]))
+    b = product(rank_3x3, TropVector([0, 0, 0]))
     sys = reduce_system(rank_3x3, b)
     reduced = solve(sys.a_bar, sys.b_bar)
     assert isinstance(reduced, Solvable)
@@ -101,12 +102,8 @@ def test_expand_min_over_shifts(rank_3x3):
     assert satisfies(rank_3x3, x, b)
     full = solve(rank_3x3, b)
     assert x == full.x_star
-    # dependent column bound: min over (y_i - eta_i)
-    y = reduced.x_star
-    expected = min(
-        y[0] - Fraction(2), y[1] - Fraction(-2)
-    )
-    assert x[2] == Fraction(expected)
+    # dependent column bound: min over (y_i - eta_i), eta = (2, -2)
+    assert x[2] == residuation([Fraction(2), Fraction(-2)], reduced.x_star)[0]
 
 
 def test_expand_rejects_non_solution():
@@ -117,14 +114,14 @@ def test_expand_rejects_non_solution():
 
 
 def test_expand_length_check(rank_3x3):
-    b = mat_vec(rank_3x3, TropVector([0, 0, 0]))
+    b = product(rank_3x3, TropVector([0, 0, 0]))
     sys = reduce_system(rank_3x3, b)
     with pytest.raises(Exception):
         expand_solution(TropVector([0, 0, 0]), sys)
 
 
 def test_dof_via_reduction_goldens(rank_3x3, solvable_4x5):
-    b = mat_vec(rank_3x3, TropVector([0, 0, 0]))
+    b = product(rank_3x3, TropVector([0, 0, 0]))
     assert dof_via_reduction(rank_3x3, b) == 0
     a, b45 = solvable_4x5
     assert dof_via_reduction(a, b45) >= 0

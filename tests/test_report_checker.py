@@ -1,8 +1,9 @@
 """Every CLI report judged by the benchmark's independent checker.
 
-Seeded systems, written as text by this module's own plain-`Fraction`
-code, run through `cli.main` in-process under every subcommand, as text
-and as `--json`. `bench/checker.py` (imported by path; it imports nothing
+Seeded systems, drawn on plain `Fraction`s and combined with the tests'
+max-plus references (`helpers.row_max` and `max_combination`), run
+through `cli.main` in-process under every subcommand, as text and as
+`--json`. `bench/checker.py` (imported by path; it imports nothing
 from tropsolve) judges each report from its own residuation. It reads the
 text layout, so a JSON payload is first laid out in the lines it reads.
 `check-equiv` has no check there; `_check_equiv` below verifies its
@@ -20,6 +21,8 @@ import random
 from fractions import Fraction
 
 from tropsolve import cli
+
+from helpers import max_combination, row_max
 
 _spec = importlib.util.spec_from_file_location(
     "report_checker", pathlib.Path(__file__).resolve().parents[1] / "bench" / "checker.py"
@@ -51,14 +54,6 @@ def _value(rng: random.Random, big: bool) -> Fraction:
     return Fraction(rng.randint(-30 * den, 30 * den), den)
 
 
-def _combine(vectors: list[list], shifts: list[Fraction]) -> list:
-    out = []
-    for entries in zip(*vectors):
-        terms = [e + s for e, s in zip(entries, shifts) if e is not None]
-        out.append(max(terms) if terms else None)
-    return out
-
-
 def _system(k: int) -> tuple[list[list], list, list[list]]:
     """Seeded system k: A with -inf entries, never all -inf (k % 5 == 1: an all -inf column;
     k % 3 == 0: planted dependent columns and rows; k % 4 == 0: some 20-30
@@ -72,13 +67,13 @@ def _system(k: int) -> tuple[list[list], list, list[list]]:
         for j in rng.sample(range(n), rng.randint(1, n - 1)):
             src = [c for c in range(n) if c != j]
             picked = rng.sample(src, min(len(src), rng.randint(1, 2)))
-            col = _combine([[r[c] for r in rows] for c in picked], [Fraction(rng.randint(-9, 9)) for _ in picked])
+            col = max_combination([[r[c] for r in rows] for c in picked], [Fraction(rng.randint(-9, 9)) for _ in picked])
             for r, e in zip(rows, col):
                 r[j] = e
     if k % 3 == 0 and m > 1:
         i = rng.randrange(m)
         picked = rng.sample([r for r in range(m) if r != i], min(m - 1, 2))
-        rows[i] = _combine([rows[r] for r in picked], [Fraction(rng.randint(-9, 9)) for _ in picked])
+        rows[i] = list(max_combination([rows[r] for r in picked], [Fraction(rng.randint(-9, 9)) for _ in picked]))
     if k % 5 == 1 and n > 1:
         j = rng.randrange(n)
         for r in rows:
@@ -87,7 +82,8 @@ def _system(k: int) -> tuple[list[list], list, list[list]]:
     if all(e is None for r in rows for e in r):  # the checker's reduce check needs a finite entry
         rows[0][0] = _value(rng, big)
     if k % 2 == 0:
-        b = [e if e is not None else _value(rng, False) for e in _combine(list(zip(*rows)), [Fraction(rng.randint(-9, 9)) for _ in range(n)])]
+        x0 = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
+        b = [e if e is not None else _value(rng, False) for e in [row_max(r, x0) for r in rows]]
     else:
         b = [_value(rng, big) for _ in range(m)]
     shifts = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]

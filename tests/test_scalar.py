@@ -1,4 +1,3 @@
-import functools
 import math
 import pathlib
 import re
@@ -28,7 +27,7 @@ from tropsolve import (
 )
 from tropsolve.scalar import MAX_DIGITS, parse_pair
 
-from helpers import is_reduced_pair, trop_add, trop_mul
+from helpers import is_reduced_pair, product, trop_add, trop_mul
 
 finite = st.fractions(min_value=-100, max_value=100, max_denominator=12)
 scalars = st.one_of(st.just(BOTTOM), finite)
@@ -81,7 +80,7 @@ def test_results_are_exact_fractions(text, data):
     a = parse_matrix(text)
     assert all(_exact(r) for r in a.row_tuples())
     x0 = parse_vector(data.draw(_vector_text(_TOKEN, a.cols)))
-    out = solve(a, mat_vec(a, x0))  # solvable: x0 is a solution
+    out = solve(a, product(a, x0))  # solvable: x0 is a solution
     assert _exact(out.x_star)
     if all(any(e is not None for e in a.column(j)) for j in range(a.cols)):
         b = parse_vector(data.draw(_vector_text(_FINITE_TOKEN, a.rows)))
@@ -113,9 +112,7 @@ def test_parsed_and_computed_equal_public_construction(token_rows, data):
     public_x = TropVector(list(tokens))
     assert x == public_x and hash(x) == hash(public_x)
     y = mat_vec(a, x)
-    public_y = TropVector(
-        [functools.reduce(trop_add, (trop_mul(e, xk) for e, xk in zip(r, x)), BOTTOM) for r in a.row_tuples()]
-    )
+    public_y = product(a, x)
     assert y == public_y and hash(y) == hash(public_y)
     # every vector built from pairs: x*, b-bar, the expanded solution, rows, columns, b~ and Q's minima
     sys = reduce_system(a, y)  # y = A x is solvable, and so is the reduced system

@@ -28,12 +28,13 @@ from helpers import (
     map_equivalent_solution,
     perturbed,
     principal_reference,
+    product,
     q_column_minima,
     rand_finite_vector,
     rand_matrix,
+    residuation,
     solvable_instance,
-    trop_add,
-    trop_mul,
+    solves,
 )
 
 
@@ -175,7 +176,7 @@ def test_solve_matches_normalize_column_minima():
     for k in range(300):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = rand_matrix(rng, m, n, bottom_p=0.25, regular_rows=True, regular_cols=True)
-        b = mat_vec(a, rand_finite_vector(rng, n)) if k % 2 else rand_finite_vector(rng, m)
+        b = product(a, rand_finite_vector(rng, n)) if k % 2 else rand_finite_vector(rng, m)
         minima, argmins = q_column_minima(fraction_grid(normalize(a, b).q))
         out = solve(a, b)
         assert out.coverage == tuple(tuple(j for j in range(n) if i in argmins[j]) for i in range(m))
@@ -342,7 +343,7 @@ def test_solvable_implies_exact_product_random():
         a, b = arbitrary_instance(rng, max_dim=5)
         out = solve(a, b)
         if isinstance(out, Solvable):
-            assert mat_vec(a, out.x_star) == b
+            assert solves(a, out.x_star, b)
         else:
             assert all(out.coverage[i] == () for i in out.witness_rows)
 
@@ -370,31 +371,6 @@ def big_scalar(rng: random.Random, bottom_p: float):
     return BOTTOM if rng.random() < bottom_p else big_fraction(rng)
 
 
-def fold_product(a: TropMatrix, x: TropVector) -> TropVector:
-    out = []
-    for i in range(a.rows):
-        acc = BOTTOM
-        for j in range(a.cols):
-            acc = trop_add(acc, trop_mul(a.entry(i, j), x[j]))
-        out.append(acc)
-    return TropVector(out)
-
-
-def attaining_rows(a: TropMatrix, b: TropVector) -> tuple[tuple[int, ...], ...]:
-    """Per row, the columns whose least slack b_i - a_ij (plain Fraction) lies in that row."""
-    coverage = [[] for _ in range(a.rows)]
-    for j in range(a.cols):
-        finite = [i for i in range(a.rows) if a.entry(i, j) is not None]
-        if not finite or any(b[i] is None for i in finite):
-            continue
-        slacks = {i: b[i] - a.entry(i, j) for i in finite}
-        least = min(slacks.values())
-        for i in finite:
-            if slacks[i] == least:
-                coverage[i].append(j)
-    return tuple(tuple(c) for c in coverage)
-
-
 def test_large_denominators_match_plain_fraction_references():
     rng = random.Random(26)
     solvable = tied = deep = 0
@@ -404,7 +380,7 @@ def test_large_denominators_match_plain_fraction_references():
         rows = [[big_scalar(rng, 0.2) for _ in range(n)] for _ in range(m)]
         a = TropMatrix(rows)
         if k % 2:
-            b = fold_product(a, TropVector(big_fraction(rng) for _ in range(n)))
+            b = product(a, TropVector(big_fraction(rng) for _ in range(n)))
         else:
             b = TropVector(big_scalar(rng, 0.1) for _ in range(m))
         # plant a slack at a column minimum, or 10**-20..10**-100 off it:
@@ -413,7 +389,7 @@ def test_large_denominators_match_plain_fraction_references():
             finite = [i for i in range(m) if rows[i][j] is not None and b[i] is not None]
             spare = [i for i in range(m) if i not in finite and b[i] is not None]
             if finite and spare and rng.random() < 0.6:
-                least = min(b[i] - rows[i][j] for i in finite)
+                least, _ = residuation([None if bi is None else r[j] for r, bi in zip(rows, b)], b)
                 eps = rng.choice([0, 0, 1, -1]) * Fraction(1, 10 ** rng.randint(20, 100))
                 # in the tall systems, past bit 63 of the coverage masks
                 k_row = rng.choice([i for i in spare if i >= 64] or spare)
@@ -426,10 +402,12 @@ def test_large_denominators_match_plain_fraction_references():
         if isinstance(out, Solvable):
             solvable += 1
             assert out.x_star == x0
-        assert out.coverage == attaining_rows(a, b)
+        # per row, the columns whose least slack b_i - a_ij lies in that row
+        slack_rows = [residuation(col, b) for col in zip(*a.row_tuples())]
+        assert out.coverage == tuple(tuple(j for j, r in enumerate(slack_rows) if r and i in r[1]) for i in range(m))
         tied += sum(len(c) for c in out.coverage) > len({j for c in out.coverage for j in c})
         col_rows = [[i for i, c in enumerate(out.coverage) if j in c] for j in range(n)]
         deep += sum(len(r) > 1 and r[-1] >= 64 for r in col_rows)
         for x in (x0, TropVector(big_scalar(rng, 0.2) for _ in range(n))):
-            assert mat_vec(a, x) == fold_product(a, x)
+            assert mat_vec(a, x) == product(a, x)
     assert 60 <= solvable <= 240 and tied >= 60 and deep >= 8
