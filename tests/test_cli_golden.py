@@ -6,7 +6,13 @@ this module writes as text with its own plain-`Fraction` arithmetic, so no
 input depends on the code under test. Every command runs in one directory
 with relative file names, because JSON reports carry the input paths.
 
-Regenerate the digests, only when a report is meant to change, with
+`data/cli_golden_large.json` does the same for `reduce`, `colrank` and
+`rowrank` on seven systems of 20 to 30 rows and columns, written the
+same way: planted low rank (square, tall and wide), full rank with and
+without `-inf`, and `-inf` in b. Only these reach the scan's early stop
+with many working vectors and the parser's later token chunks.
+
+Regenerate both tables, only when a report is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -28,6 +34,7 @@ from tropsolve import cli
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
+GOLDEN_LARGE = DATA / "cli_golden_large.json"
 FIXTURES = ("solvable_4x5", "unsolvable_5x4", "dof_4x5", "rank_3x3", "rank_4x5")
 SEEDED = 40
 
@@ -146,10 +153,55 @@ def _command_lines(systems) -> list[list[str]]:
     return argvs
 
 
-def digests(workdir: pathlib.Path) -> dict[str, str]:
+def _planted(rng: random.Random, m: int, n: int, rank: int, bottom_p: float) -> list[list[Fraction | None]]:
+    """An m x n matrix spanned by a random rank x rank core, columns then rows, each order shuffled."""
+    core = [[None if rng.random() < bottom_p else _value(rng, False) for _ in range(rank)] for _ in range(rank)]
+    cols = [list(c) for c in zip(*core)]
+    cols += [_apply(core, [None if rng.random() < 0.3 else _value(rng, False) for _ in range(rank)]) for _ in range(n - rank)]
+    rng.shuffle(cols)
+    core_rows = [list(r) for r in zip(*cols)]
+    rows = core_rows + [
+        _apply(list(zip(*core_rows)), [None if rng.random() < 0.3 else _value(rng, False) for _ in range(rank)])
+        for _ in range(m - rank)
+    ]
+    rng.shuffle(rows)
+    return rows
+
+
+def _large_system(k: int) -> tuple[list[list], list]:
+    """Large system k: 0-1 planted rank 5 at 24x24 and 30x30, 2-3 a tall 30x20 and a wide 20x30 planted
+    system, 4 full rank with no -inf at 24x24, 5 full rank with about 10% -inf at 30x30, 6 a planted
+    system with -inf in b. b = A x0 on the planted systems, drawn at random on the others."""
+    rng = random.Random(8000 + k)
+    shape = ((24, 24), (30, 30), (30, 20), (20, 30), (24, 24), (30, 30), (24, 24))[k]
+    if k in (4, 5):
+        bottom_p = 0.1 if k == 5 else 0.0
+        rows = [[None if rng.random() < bottom_p else _value(rng, False) for _ in range(shape[1])] for _ in range(shape[0])]
+        return rows, [_value(rng, False) for _ in range(shape[0])]
+    rows = _planted(rng, *shape, 5, 0.2 if k % 2 else 0.0)
+    b = _apply(rows, [_shift(rng, False) for _ in range(shape[1])])
+    if k == 6:
+        for i in rng.sample(range(shape[0]), 6):
+            b[i] = None
+    return rows, b
+
+
+def _write_large_inputs(workdir: pathlib.Path) -> list[tuple[str, str]]:
+    """Write every large system; returns (matrix, vector) per system."""
+    systems = []
+    for k in range(7):
+        rows, b = _large_system(k)
+        rng = random.Random(k)
+        text = f"# large system {k}\n" + "".join(" ".join(_token(rng, e) for e in r) + "\n" for r in rows)
+        (workdir / f"l{k}.mat").write_text(text)
+        (workdir / f"l{k}_b.vec").write_text("".join(_token(rng, e) + "\n" for e in b))
+        systems.append((f"l{k}.mat", f"l{k}_b.vec"))
+    return systems
+
+
+def _run(workdir: pathlib.Path, argvs: list[list[str]]) -> dict[str, str]:
     """sha256 of each command's exit code and stdout, run from `workdir` with relative paths."""
     out = {}
-    argvs = _command_lines(_write_inputs(workdir))
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -163,6 +215,22 @@ def digests(workdir: pathlib.Path) -> dict[str, str]:
     return out
 
 
+def digests(workdir: pathlib.Path) -> dict[str, str]:
+    """The first table: every command line over the fixtures and the seeded systems."""
+    return _run(workdir, _command_lines(_write_inputs(workdir)))
+
+
+def large_digests(workdir: pathlib.Path) -> dict[str, str]:
+    """The second table: `reduce`, `colrank` and `rowrank` on the large systems."""
+    argvs = [
+        argv
+        for a, b in _write_large_inputs(workdir)
+        for cmd in (["reduce", a, b], ["colrank", a], ["rowrank", a])
+        for argv in (cmd, cmd + ["--json"])
+    ]
+    return _run(workdir, argvs)
+
+
 def test_cli_reports_match_golden_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = digests(tmp_path)
@@ -170,10 +238,18 @@ def test_cli_reports_match_golden_digests(tmp_path):
     assert [cmd for cmd in golden if got[cmd] != golden[cmd]] == []
 
 
+def test_cli_large_reports_match_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN_LARGE.read_text())
+    got = large_digests(tmp_path)
+    assert sorted(got) == sorted(golden)
+    assert [cmd for cmd in golden if got[cmd] != golden[cmd]] == []
+
+
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        table = digests(pathlib.Path(tmp))
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} digests to {GOLDEN}", file=sys.stderr)
+    for path, make in ((GOLDEN, digests), (GOLDEN_LARGE, large_digests)):
+        with tempfile.TemporaryDirectory() as tmp:
+            table = make(pathlib.Path(tmp))
+        path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(table)} digests to {path}", file=sys.stderr)
