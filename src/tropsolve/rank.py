@@ -29,7 +29,10 @@ set is read from the same table. The self-check runs the one max-plus
 product loop, `matrix.row_maxima`, on the basis vectors and the table's
 unreduced coefficient pairs, and compares each entry with the target's
 pair by cross-multiplication, -inf pattern included. Only the reported
-coefficients become `Fraction`s.
+coefficients become `Fraction`s. `reduce` runs the row scan on the rows
+cut to A's independent columns, where every test gives the verdict and
+the coefficients it gives on whole rows; its self-check still runs on
+the whole rows.
 The library holds no second dependence test: the tests replay the scan
 against a residuation and a max-combination on plain `Fraction`s of
 their own, which share no code with `residuate` or `row_maxima`.
@@ -82,8 +85,18 @@ def rowrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
     return _scan(a.pair_rows(), scan_order, "rows")
 
 
-def _scan(vectors: Iterable[Sequence[Pair | None]], scan_order: Sequence[int] | None, axis: str) -> RankReport:
-    """The dependence scan over `vectors` (the columns or the rows, as pairs), reported under `axis`."""
+def _scan(
+    vectors: Iterable[Sequence[Pair | None]],
+    scan_order: Sequence[int] | None,
+    axis: str,
+    whole: Sequence[Sequence[Pair | None]] | None = None,
+) -> RankReport:
+    """The dependence scan over `vectors` (the columns or the rows, as pairs), reported under `axis`.
+
+    `whole`, if given, holds the same vectors in full, and `vectors` holds
+    them cut to entries that decide every dependence as the full vectors
+    do; the self-check then runs on `whole`.
+    """
     pairs = list(vectors)
     n = len(pairs)
     if scan_order is None:
@@ -131,13 +144,14 @@ def _scan(vectors: Iterable[Sequence[Pair | None]], scan_order: Sequence[int] | 
     basis = sorted(discovery)
     combinations = {j: () for j in bottom}
     if dependents:
-        span = list(zip(*(pairs[k] for k in basis)))  # one row per entry, one column per basis vector
+        whole = pairs if whole is None else whole
+        span = list(zip(*(whole[k] for k in basis)))  # one row per entry, one column per basis vector
         for j in dependents:
             coeffs = [residual(k, j)[1] for k in basis]
             # the combination must give the target's -inf pattern and, by cross-multiplication, its values
             if not all(
                 got is want if got is None or want is None else got[0] * want[1] == want[0] * got[1]
-                for got, want in zip(row_maxima(span, coeffs), pairs[j])
+                for got, want in zip(row_maxima(span, coeffs), whole[j])
             ):
                 raise AssertionError("internal error: dependent column not spanned by the independent set")
             combinations[j] = tuple((k, Fraction(*c)) for k, c in zip(basis, coeffs) if c is not None)

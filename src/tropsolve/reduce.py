@@ -6,6 +6,33 @@ reduced system keeps only independent rows and columns; a dependent row's
 equation holds iff its b entry, -inf or not, is the same max-combination
 of the kept b entries. With every such row holding, the full and reduced
 systems are solvable together, and a reduced solution expands back.
+
+The row scan runs on A's rows cut to the independent columns C, and gives
+what `rowrank(a)` gives. The column scan has checked that every column j
+is max_{l in C} (eta_jl + column l), an all -inf column with every eta_jl
+= -inf. For rows a_k and the target row t:
+
+1. For any rows S and any xi, since + distributes over max,
+   max_{k in S} (a_kj + xi_k) = max_{l in C} (eta_jl + max_{k in S} (a_kl + xi_k)).
+2. So if t_l = max_{k in S} (a_kl + xi_k) for every l in C, the right side
+   of (1) is max_{l in C} (eta_jl + t_l), which is t_j by (1) for S = {t}
+   and xi = 0: t equals the combination on every column.
+3. The maximal coefficient of a_k, min (t_j - a_kj) over the finite a_kj,
+   is the same over C as over all columns. A min over C has fewer terms,
+   so it is >= the min over all columns. For a finite a_kj, (1) with
+   S = {k} gives some l in C with a_kj = eta_jl + a_kl, and t_j >= eta_jl
+   + t_l, so t_j - a_kj >= t_l - a_kl: every term of the min over all
+   columns is >= a term of the min over C.
+
+The -inf cases follow from (1) too. A row with no finite entry on C has
+none anywhere. A pattern miss on a dependent column j (a_kj finite,
+t_j = -inf) has an l in C with a_kl finite and t_l <= t_j - eta_jl =
+-inf, a miss on C; so the coefficient is -inf on C iff it is on all
+columns. A scan test asks whether t is the max-combination of some rows
+with their maximal coefficients; by (2) and (3) each test, and so each
+early stop, verdict, trace entry and coefficient, is the same on C. The
+scan's self-check still compares each dependent row with its
+combination on every column.
 """
 
 from __future__ import annotations
@@ -15,7 +42,7 @@ from typing import NamedTuple
 from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, mat_vec, submatrix
-from .rank import colrank, rowrank
+from .rank import _scan, colrank
 from .scalar import Pair, Scalar, reduced
 from .solver import Solvable, residuate, solve
 
@@ -55,8 +82,11 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
         raise DimensionError(f"matrix has {a.rows} rows but vector has {len(b)} entries")
 
     col_scan = colrank(a)
-    row_scan = rowrank(a)
     indep_cols = tuple(sorted(col_scan.independent))
+    rows = a.pair_rows()
+    # rowrank(a), on the rows cut to the independent columns (see the module docstring)
+    cut = rows if len(indep_cols) == a.cols else [[r[c] for c in indep_cols] for r in rows]
+    row_scan = _scan(cut, None, "rows", rows)
     indep_rows = tuple(sorted(row_scan.independent))
 
     # a combination keys each finite coefficient by its independent index; a missing one is -inf;

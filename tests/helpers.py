@@ -331,3 +331,19 @@ def planted_instance(rng: random.Random, max_den: int = 5):
     else:
         b = rand_finite_vector(rng, a.rows, max_den)
     return a, b
+
+
+def planted_low_rank(rng: random.Random, m: int, n: int, r: int) -> TropMatrix:
+    """An m x n matrix spanned by an r x r core: max-combinations of its columns, then of the rows.
+
+    Entries have denominators up to 97 and coefficients prime ones, so that
+    two vectors are rarely equal.
+    """
+    core = rand_matrix(rng, r, r, bottom_p=0.1, regular_rows=True, regular_cols=True, max_den=97)
+    cols = [core.column(j) for j in range(r)]
+    cols += [max_combination(cols[:r], [prime_value(rng) for _ in range(r)]) for _ in range(n - r)]
+    rng.shuffle(cols)
+    rows = [list(v) for v in from_columns(cols).row_tuples()]
+    rows += [list(max_combination(rows[:r], [prime_value(rng) for _ in range(r)])) for _ in range(m - r)]
+    rng.shuffle(rows)
+    return TropMatrix(rows)

@@ -9,8 +9,6 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
-
 from tropsolve import (
     Solvable,
     TropVector,
@@ -40,6 +38,7 @@ from helpers import (
     fraction_grid,
     from_columns,
     map_equivalent_solution,
+    max_combination,
     planted_instance,
     principal_reference,
     rand_finite_vector,
@@ -123,17 +122,18 @@ def test_criterion_4_golden_rank(rank_4x5, rank_3x3):
     report("4 (golden rank: scan trace, colrank, combination)", ok)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "stated expectation rowrank = 3 for the 3x3 example is not attainable: "
-        "the dependence scan reproduces row 1 exactly as max(row 2 + 6, row 3 - 1) "
-        "under every scan order, so the procedure yields rowrank 2"
-    ),
-)
 def test_criterion_4_rowrank_claim(rank_3x3):
-    ok = rowrank(rank_3x3).rank == 3
-    report("4 (rowrank = 3 sub-claim)", ok, "procedure yields rowrank 2")
+    # the inherited claim of row rank 3 does not hold: the scan certifies row
+    # rank 2, since row 0 = max(row 1 + 6, row 2 - 1) exactly
+    scan = rowrank(rank_3x3)
+    combination = ((1, Fraction(6)), (2, Fraction(-1)))
+    ok = (
+        scan.rank == 2
+        and scan.independent == (2, 1)
+        and [(d.col, d.combination) for d in scan.dependent] == [(0, combination)]
+        and max_combination([rank_3x3.row(1), rank_3x3.row(2)], [Fraction(6), Fraction(-1)]) == rank_3x3.row(0)
+    )
+    report("4 (rowrank = 2, row 0 = max(row 1 + 6, row 2 - 1))", ok)
 
 
 def test_criterion_5_maximality():

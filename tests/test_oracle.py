@@ -181,6 +181,7 @@ def test_references_share_no_kernel(monkeypatch):
         "normalize_reference": lambda: helpers.normalize_reference(a, b),
         "perturbed": lambda: helpers.perturbed(helpers.product)(a, x0),
         "planted_instance": lambda: helpers.planted_instance(rng),
+        "planted_low_rank": lambda: helpers.planted_low_rank(rng, 5, 4, 2),
     }
     defined = {name for name, f in vars(helpers).items() if inspect.isfunction(f) and f.__module__ == helpers.__name__}
     assert set(calls) == defined

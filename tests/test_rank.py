@@ -23,6 +23,7 @@ from helpers import (
     identity,
     max_combination,
     planted_instance,
+    planted_low_rank,
     prime_value,
     rand_matrix,
     rand_scalar,
@@ -399,22 +400,6 @@ def test_scan_reads_pattern_misses_from_masks(monkeypatch):
     assert all(block(k) == block(t) for k, t in calls)
 
 
-def _planted_low_rank(rng: random.Random, side: int, r: int) -> TropMatrix:
-    """A side x side matrix spanned by an r x r core: max-combinations of its columns, then of the rows.
-
-    Entries have denominators up to 97 and coefficients prime ones, so that
-    two vectors are rarely equal.
-    """
-    core = rand_matrix(rng, r, r, bottom_p=0.1, regular_rows=True, regular_cols=True, max_den=97)
-    cols = [core.column(j) for j in range(r)]
-    cols += [max_combination(cols[:r], [prime_value(rng) for _ in range(r)]) for _ in range(side - r)]
-    rng.shuffle(cols)
-    rows = [list(v) for v in from_columns(cols).row_tuples()]
-    rows += [list(max_combination(rows[:r], [prime_value(rng) for _ in range(r)])) for _ in range(side - r)]
-    rng.shuffle(rows)
-    return TropMatrix(rows)
-
-
 def _recorded_scans(monkeypatch):
     """`colrank` and `rowrank` (in a random order) of 10 seeded planted 24 x 24 rank-4 matrices.
 
@@ -432,7 +417,7 @@ def _recorded_scans(monkeypatch):
     monkeypatch.setattr(rank, "residuate", recording)
     rng = random.Random(71)
     for _ in range(10):
-        a = _planted_low_rank(rng, 24, 4)
+        a = planted_low_rank(rng, 24, 24, 4)
         for rank_fn, vecs, order in zip((colrank, rowrank), columns_and_rows(a), (None, rng.sample(range(24), 24))):
             index = {v.pairs(): j for j, v in enumerate(vecs)}
             assert len(index) == len(vecs)

@@ -12,8 +12,11 @@ from tropsolve import (
     dof_via_reduction,
     expand_solution,
     reduce_system,
+    rowrank,
     solve,
 )
+from tropsolve import rank
+from tropsolve import reduce as reduction
 from tropsolve.cli import main
 from tropsolve.oracle import satisfies
 
@@ -21,9 +24,11 @@ from helpers import (
     identity,
     max_combination,
     planted_instance,
+    planted_low_rank,
     principal_reference,
     product,
     rand_finite_vector,
+    rand_fraction,
     rand_matrix,
     residuation,
     with_bottoms,
@@ -232,3 +237,97 @@ def test_degenerate_all_bottom_matrix():
     assert not sys.consistent()
     assert all(coeffs == () for _, coeffs in sys.eta)
     assert not isinstance(solve(a, b), Solvable)
+
+
+def _row_scan_patched(monkeypatch, name: str, replacement) -> None:
+    """From the moment `reduce_system`'s `colrank` returns, `rank.<name>(*args)` runs `replacement(original, *args)`.
+
+    So only the row scan, which runs after the column scan, meets the patch.
+    """
+    original, col_scan, started = getattr(rank, name), reduction.colrank, []
+
+    def patched(*args):
+        return replacement(original, *args) if started else original(*args)
+
+    def colrank_then_rows(a):
+        report = col_scan(a)
+        started.append(True)
+        return report
+
+    monkeypatch.setattr(rank, name, patched)
+    monkeypatch.setattr(reduction, "colrank", colrank_then_rows)
+
+
+def _row_scan_calls(monkeypatch, name: str, a: TropMatrix) -> tuple:
+    """`reduce_system(a, A 0)` and the argument tuples of the `rank.<name>` calls its row scan makes."""
+    calls = []
+
+    def recording(original, *args):
+        calls.append(args)
+        return original(*args)
+
+    _row_scan_patched(monkeypatch, name, recording)
+    return reduce_system(a, product(a, TropVector([0] * a.cols))), calls
+
+
+def test_row_scan_on_independent_columns_matches_rowrank():
+    # reduce's row scan runs on the rows cut to the independent columns; by the
+    # theorem in reduce's docstring it finds the rows and coefficients rowrank(a) finds
+    rng = random.Random(33)
+    matrices = [planted_low_rank(rng, m, n, r) for m, n in ((12, 12), (16, 9), (9, 16)) for r in (2, 3, 4)]
+    matrices += [rand_matrix(rng, rng.randint(2, 9), rng.randint(2, 9), bottom_p=rng.uniform(0.25, 0.5)) for _ in range(60)]
+    for _ in range(20):  # rows that are shifted copies of others
+        base = rand_matrix(rng, rng.randint(1, 4), rng.randint(2, 7), bottom_p=0.2)
+        rows = [list(r) for r in base.row_tuples()]
+        for _ in range(3):
+            shift, row = rand_fraction(rng), rows[rng.randrange(len(rows))]
+            rows.append([None if e is None else e + shift for e in row])
+        rng.shuffle(rows)
+        matrices.append(TropMatrix(rows))
+    matrices += [TropMatrix([[None] * 4] * 3), TropMatrix([[], [], []])]
+    cut = 0
+    for a in matrices:
+        sys = reduce_system(a, rand_finite_vector(rng, a.rows))
+        report = rowrank(a)
+        basis = sorted(report.independent)
+        assert sys.indep_rows == tuple(basis), a
+        assert sys.xi == tuple((d.col, tuple(dict(d.combination).get(k) for k in basis)) for d in report.dependent), a
+        check_reconstruction(a, sys)
+        cut += len(sys.indep_cols) < a.cols
+    assert cut >= 40
+
+
+def test_row_scan_residuates_only_the_independent_columns(monkeypatch):
+    # the work: on a planted 24 x 24 rank-5 matrix, every residuation of the row
+    # scan gets vectors of length 5, |C|, not 24; its 216 calls, the ones
+    # rowrank(a) makes, read 1,080 entries of each side, where rowrank reads 5,184
+    a = planted_low_rank(random.Random(24), 24, 24, 5)
+    sys, calls = _row_scan_calls(monkeypatch, "residuate", a)
+    assert len(sys.indep_cols) == 5 and len(sys.indep_rows) == 5
+    assert len(calls) == 216 and {(len(k), len(t)) for k, t in calls} == {(5, 5)}
+
+
+def test_row_scan_self_check_covers_every_column(monkeypatch):
+    # the scope: each dependent row is compared with its combination on all of
+    # A's columns, once. A check cut back to C gives the same reports, by the
+    # theorem, so no other test can tell the two apart
+    a = planted_low_rank(random.Random(30), 30, 20, 5)
+    sys, spans = _row_scan_calls(monkeypatch, "row_maxima", a)
+    assert len(sys.indep_cols) < a.cols
+    assert len(spans) == len(sys.xi) == 25
+    assert all(len(span) == a.cols for span, _ in spans)
+
+
+def test_row_scan_self_check_fires(monkeypatch, rank_3x3):
+    # each finite coefficient of the row scan comes back 1 too large; its
+    # verdicts are unchanged, but row 0's combination overshoots it
+    def overshooting(original, k_pairs, t_pairs):
+        res = original(k_pairs, t_pairs)
+        if res is None or res[1] is None:
+            return res
+        mask, (n, d) = res
+        return mask, (n + d, d)
+
+    _row_scan_patched(monkeypatch, "residuate", overshooting)
+    with pytest.raises(AssertionError, match="dependent column not spanned by the independent set"):
+        reduce_system(rank_3x3, TropVector([0, 0, 0]))
