@@ -10,7 +10,11 @@ with relative file names, because JSON reports carry the input paths.
 `rowrank` on seven systems of 20 to 30 rows and columns, written the
 same way: planted low rank (square, tall and wide), full rank with and
 without `-inf`, and `-inf` in b. Only these reach the scan's early stop
-with many working vectors and the parser's later token chunks.
+with many working vectors and the parser's later token chunks. It also
+pins `solve`, `solve --check`, `dof` and `normalize` on three planted
+systems with about 10% `-inf`: 200x200 with denominators at most 5,
+200x200 with prime denominators up to 97, and 30x30 with distinct
+30-digit denominators, whose column means run to hundreds of digits.
 
 Regenerate both tables, only when a report is meant to change, with
 
@@ -186,17 +190,43 @@ def _large_system(k: int) -> tuple[list[list], list]:
     return rows, b
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# (file stem, side, denominator of one drawn value) per solve system
+SOLVE_FAMILIES = (
+    ("dense200", 200, lambda rng: rng.randint(1, 5)),
+    ("primes200", 200, lambda rng: rng.choice(PRIMES)),
+    ("wide30", 30, lambda rng: rng.randrange(10**29, 10**30)),
+)
+
+
+def _solve_system(k: int) -> tuple[list[list], list]:
+    """Solve system k of `SOLVE_FAMILIES`: values in [-30, 30], about 10% -inf, b = A x0 planted.
+
+    x0 takes the family's denominators, except on the 30-digit family,
+    where it is an integer so that b keeps 30-digit denominators.
+    """
+    rng = random.Random(9000 + k)
+    _, side, den = SOLVE_FAMILIES[k]
+
+    def value() -> Fraction:
+        d = den(rng)
+        return Fraction(rng.randint(-30 * d, 30 * d), d)
+
+    rows = [[None if rng.random() < 0.1 else value() for _ in range(side)] for _ in range(side)]
+    x0 = [Fraction(rng.randint(-30, 30)) if k == 2 else value() for _ in range(side)]
+    return rows, _apply(rows, x0)
+
+
 def _write_large_inputs(workdir: pathlib.Path) -> list[tuple[str, str]]:
-    """Write every large system; returns (matrix, vector) per system."""
-    systems = []
-    for k in range(7):
-        rows, b = _large_system(k)
+    """Write every large system; returns (matrix, vector) per system, the scan systems first."""
+    systems = [(f"l{k}", _large_system(k)) for k in range(7)]
+    systems += [(stem, _solve_system(k)) for k, (stem, _, _) in enumerate(SOLVE_FAMILIES)]
+    for k, (stem, (rows, b)) in enumerate(systems):
         rng = random.Random(k)
         text = f"# large system {k}\n" + "".join(" ".join(_token(rng, e) for e in r) + "\n" for r in rows)
-        (workdir / f"l{k}.mat").write_text(text)
-        (workdir / f"l{k}_b.vec").write_text("".join(_token(rng, e) + "\n" for e in b))
-        systems.append((f"l{k}.mat", f"l{k}_b.vec"))
-    return systems
+        (workdir / f"{stem}.mat").write_text(text)
+        (workdir / f"{stem}_b.vec").write_text("".join(_token(rng, e) + "\n" for e in b))
+    return [(f"{stem}.mat", f"{stem}_b.vec") for stem, _ in systems]
 
 
 def _run(workdir: pathlib.Path, argvs: list[list[str]]) -> dict[str, str]:
@@ -221,14 +251,16 @@ def digests(workdir: pathlib.Path) -> dict[str, str]:
 
 
 def large_digests(workdir: pathlib.Path) -> dict[str, str]:
-    """The second table: `reduce`, `colrank` and `rowrank` on the large systems."""
-    argvs = [
-        argv
-        for a, b in _write_large_inputs(workdir)
-        for cmd in (["reduce", a, b], ["colrank", a], ["rowrank", a])
-        for argv in (cmd, cmd + ["--json"])
+    """The second table: `reduce`, `colrank` and `rowrank` on the scan systems, and
+    `solve`, `solve --check`, `dof` and `normalize` on the solve systems."""
+    systems = _write_large_inputs(workdir)
+    cmds = [cmd for a, b in systems[:7] for cmd in (["reduce", a, b], ["colrank", a], ["rowrank", a])]
+    cmds += [
+        cmd
+        for a, b in systems[7:]
+        for cmd in (["solve", a, b], ["solve", a, b, "--check"], ["dof", a, b], ["normalize", a, b])
     ]
-    return _run(workdir, argvs)
+    return _run(workdir, [argv for cmd in cmds for argv in (cmd, cmd + ["--json"])])
 
 
 def test_cli_reports_match_golden_digests(tmp_path):

@@ -308,7 +308,7 @@ def test_normalize_gcd_operands_stay_pair_sized(monkeypatch):
     rng = random.Random(66)
     a = TropMatrix([[wide_value(rng) for _ in range(8)] for _ in range(8)])
     b = TropVector(wide_value(rng) for _ in range(8))
-    entries = [p for row in a.pair_rows() for p in row] + [e.as_integer_ratio() for e in b]
+    entries = [p for row in a.pair_rows() for p in row] + list(b.pairs())
     entry_bits = max(max(abs(n).bit_length(), d.bit_length()) for n, d in entries)
     calls, gcd = [], math.gcd
 
@@ -316,10 +316,13 @@ def test_normalize_gcd_operands_stay_pair_sized(monkeypatch):
         calls.append(args)
         return gcd(*args)
 
-    monkeypatch.setattr(math, "gcd", record)  # Fraction's own arithmetic calls math.gcd too
+    # the library's modules bind gcd by name at import; Fraction's own arithmetic calls math.gcd
+    for module in (math, importlib.import_module("tropsolve.normalize"), importlib.import_module("tropsolve.scalar")):
+        monkeypatch.setattr(module, "gcd", record)
     res = normalize(a, b)
     monkeypatch.undo()
     assert fraction_grid(res.q) == normalize_reference(a, b).q
+    assert len(calls) > 2 * a.rows * a.cols  # the hooks see the per-cell gcds
     long_calls = [c for c in calls if min(abs(x).bit_length() for x in c) > 2 * entry_bits + 1]
     # b's mean, and per column its mean, its shift and y*_j, and per row b~_i:
     # Fraction arithmetic before Python 3.11 reduces each of these by one gcd
