@@ -6,26 +6,27 @@ The associated grid Q with q_ij = b~_i - a~_ij holds, in its column
 minima, the largest admissible values of the transformed unknowns, and
 the rows attaining them decide solvability.
 
-q_ij = (b_i - a_ij) + mean_j - b_mean, so Q's column minima are plain
+q_ij = (b_i - a_ij) - (b_mean - mean_j), so Q's column minima are plain
 residuation shifted by mean_j - b_mean, attained in the same rows.
 `normalize` reads them from `solve`: its x* shifted, and its coverage
 transposed; Q is built only for the report. This is the only module that
-knows the means, and `_shift` alone forms them and the shift: Q's column
-minima and the `solve` report's normalized y* are both its x* + shift.
+knows the means, and `_shift` alone forms them and b_mean - mean_j: Q's
+column minima and the `solve` report's normalized y* are both x* minus it.
 
 Means are taken over the finite entries of a column only; positions where
 the matrix entry is -inf hold None in A~ and Q, and a None in Q is never a
 column minimum.
-Every exact value of the report is built on the integer pairs that A and
-b store: a mean sums integer numerators per distinct denominator and
-forms one `Fraction` over their lcm. a~_ij = a_ij +
-(-mean_j) and q_ij = (b_i - a_ij) + (mean_j - b_mean) each add a short
-reduced fraction (the entry, or b_i - a_ij reduced over db*da) to one
-reduced once per column, so every per-cell gcd has a small denominator
-as one operand. A~ and Q are grids of reduced `(numerator, denominator)`
-pairs, denominator positive, and None; `Fraction(*p)` gives a cell's
-value. The means are `Fraction`s, and so are the entries of b~ and of
-the column minima, which are vectors.
+Every value of the normalization is a reduced `(numerator, denominator)`
+pair, denominator positive, built on the pairs that A and b store. A mean
+sums integer numerators per distinct denominator, over their lcm, and is
+reduced once. Every difference goes through one routine, `_sub`, which
+subtracts reduced pairs by Knuth's identity: b_mean - mean_j once per
+column, then a~_ij = a_ij - mean_j, q_ij = (b_i - a_ij) - (b_mean - mean_j),
+y*_j = x*_j - (b_mean - mean_j) and b~_i = b_i - b_mean. Each per-cell gcd
+so has a short denominator as one operand. A~ and Q are grids of pairs and
+None; `Fraction(*p)` gives a cell's value. b~ and the column minima are
+vectors, and the only `Fraction`s built are the public `col_means` and
+`b_mean`.
 The report is refused before A~ and Q are built when a mean or minimum has
 more than `MAX_MEAN_DIGITS` digits: a bound of this module's own, the same
 under every interpreter setting.
@@ -34,12 +35,13 @@ under every interpreter setting.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .errors import DegenerateColumnError, RegularityError, SizeBoundError
 from .matrix import TropMatrix, TropVector, is_regular
-from .scalar import BOTTOM, Pair, PairGrid, Scalar
+from .scalar import Pair, PairGrid, Scalar, reduced
 from .solver import solve
 
 __all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
@@ -67,36 +69,59 @@ def column_mean(col: Iterable[Scalar]) -> Fraction:
     The denominator is the number of finite entries, so -inf positions do
     not participate at all.
     """
-    return _mean([e.as_integer_ratio() for e in col if e is not None])
+    return Fraction(*_mean([e.as_integer_ratio() for e in col if e is not None]))
 
 
-def _mean(pairs: list[Pair]) -> Fraction:
-    """The mean of finite pairs: numerators summed per distinct denominator, those sums once over their lcm."""
+def _mean(pairs: list[Pair]) -> Pair:
+    """The reduced mean of finite pairs: numerators summed per distinct denominator, those sums once over their lcm."""
     if not pairs:
         raise DegenerateColumnError("degenerate column: every entry is -inf")
     sums: dict[int, int] = {}
     for n, d in pairs:
         sums[d] = sums.get(d, 0) + n
     lcd = lcm(*sums)
-    return Fraction(sum(n * (lcd // d) for d, n in sums.items()), lcd * len(pairs))
+    return reduced((sum(n * (lcd // d) for d, n in sums.items()), lcd * len(pairs)))
 
 
-def _shift(a: TropMatrix, b: TropVector, x_star: TropVector) -> tuple[Scalar, list[Scalar], list[Scalar], list[Scalar]]:
-    """The normalization shift: b_mean, each mean_j and mean_j - b_mean, and y* = x* + shift.
+def _sub(xs: Iterable[Pair | None], ys: Iterable[Pair | None]) -> list[Pair | None]:
+    """x - y for each pair of reduced pairs of `xs` and `ys`, reduced; None where either is None.
 
-    y*_j = x*_j + shift_j is `Fraction`'s own sum, which Python 3.11 and
-    later reduce by the same identity as the grid cells of `normalize`.
-    mean_j and the shift are None, and y*_j is -inf, where x*_j is -inf;
-    b_mean is None when b has no finite entry. A finite x*_j implies a
-    finite entry in column j and in b, so no mean is of an empty set.
+    p/q - r/s by Knuth's identity (TAOCP vol. 2, 4.5.1): g = gcd(q, s); if
+    g > 1, t = p*(s/g) - r*(q/g) and g2 = gcd(t, g) reduce it. Both gcds
+    take the shorter denominator, or a divisor of it, as one operand, so a
+    short entry less a long mean costs only short gcds.
+    """
+    out = []
+    for x, y in zip(xs, ys):
+        if x is None or y is None:
+            out.append(None)
+            continue
+        (p, q), (r, s) = x, y
+        g = gcd(q, s)
+        if g == 1:
+            out.append((p * s - r * q, q * s))
+        else:
+            t = p * (s // g) - r * (q // g)
+            g2 = gcd(t, g)
+            out.append((t, q // g * s) if g2 == 1 else (t // g2, q // g * (s // g2)))
+    return out
+
+
+def _shift(
+    a: TropMatrix, b: TropVector, x_star: TropVector
+) -> tuple[Pair | None, list[Pair | None], list[Pair | None], list[Pair | None]]:
+    """The normalization shift: b_mean, each mean_j and b_mean - mean_j, and y* = x* - (b_mean - mean_j).
+
+    mean_j and b_mean - mean_j are None, and so is y*_j, where x*_j is
+    -inf; b_mean is None when b has no finite entry. A finite x*_j implies
+    a finite entry in column j and in b, so no mean is of an empty set.
     """
     b_finite = [p for p in b.pairs() if p is not None]
     b_mean = _mean(b_finite) if b_finite else None
     cols = zip(x_star.pairs(), zip(*a.pair_rows()))
     means = [None if xp is None else _mean([p for p in col if p is not None]) for xp, col in cols]
-    shifts = [None if m is None else m - b_mean for m in means]
-    y_star = [BOTTOM if s is None else xj + s for xj, s in zip(x_star, shifts)]
-    return b_mean, means, shifts, y_star
+    shifts = _sub(repeat(b_mean), means)
+    return b_mean, means, shifts, _sub(x_star.pairs(), shifts)
 
 
 def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
@@ -119,54 +144,20 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         raise DegenerateColumnError("b has no entry, so it has no mean")
     b_mean, means, shifts, y_star = _shift(a, b, outcome.x_star)
     # the means and minima carry the report's longest denominators
-    longest = max(max(abs(f.numerator), f.denominator) for f in (*means, b_mean, *y_star))
-    if longest >= _MEAN_BOUND:
+    if max(max(abs(n), d) for n, d in (*means, b_mean, *y_star)) >= _MEAN_BOUND:
         raise SizeBoundError(f"a column mean or minimum has more than {MAX_MEAN_DIGITS} digits; "
                              "the normalize report is refused")
-    mean_pairs = [m.as_integer_ratio() for m in means]
-    shift_pairs = [s.as_integer_ratio() for s in shifts]
-    a_tilde, q = [], []
-    for (nb, db), r in zip(b.pairs(), a.pair_rows()):
-        a_row, q_row = [], []
-        for e, (nm, dm), (ns, ds) in zip(r, mean_pairs, shift_pairs):
-            if e is None:
-                a_row.append(None)
-                q_row.append(None)
-                continue
-            # p/q + r/s of reduced operands (Knuth, TAOCP 4.5.1): g = gcd(q, s); if g > 1,
-            # t = p*(s/g) + r*(q/g) and g2 = gcd(t, g) reduce it, so each gcd has a small operand
-            na, da = e
-            g = gcd(da, dm)  # a~_ij = a_ij + (-mean_j)
-            if g == 1:
-                a_row.append((na * dm - nm * da, da * dm))
-            else:
-                t = na * (dm // g) - nm * (da // g)
-                g2 = gcd(t, g)
-                a_row.append((t, da // g * dm) if g2 == 1 else (t // g2, da // g * (dm // g2)))
-            sn, sd = nb * da - na * db, db * da  # b_i - a_ij, reduced over its small denominator
-            g = gcd(sn, sd)
-            if g != 1:
-                sn, sd = sn // g, sd // g
-            g = gcd(sd, ds)  # q_ij = (b_i - a_ij) + shift_j
-            if g == 1:
-                q_row.append((sn * ds + ns * sd, sd * ds))
-            else:
-                t = sn * (ds // g) + ns * (sd // g)
-                g2 = gcd(t, g)
-                q_row.append((t, sd // g * ds) if g2 == 1 else (t // g2, sd // g * (ds // g2)))
-        a_tilde.append(tuple(a_row))
-        q.append(tuple(q_row))
     argmins: list[list[int]] = [[] for _ in range(a.cols)]
     for i, cols in enumerate(outcome.coverage):
         for j in cols:
             argmins[j].append(i)
     return NormalizationResult(
-        a_tilde=tuple(a_tilde),
-        col_means=tuple(means),
-        b_tilde=TropVector([e - b_mean for e in b]),
-        b_mean=b_mean,
-        q=tuple(q),
-        column_minima=TropVector(y_star),
+        a_tilde=tuple([tuple(_sub(r, means)) for r in a.pair_rows()]),
+        col_means=tuple([Fraction(*m) for m in means]),
+        b_tilde=TropVector._of(tuple(_sub(b.pairs(), repeat(b_mean)))),
+        b_mean=Fraction(*b_mean),
+        q=tuple([tuple(_sub(_sub(repeat(bi), r), shifts)) for bi, r in zip(b.pairs(), a.pair_rows())]),
+        column_minima=TropVector._of(tuple(y_star)),
         argmin_rows=tuple([frozenset(rows) for rows in argmins]),
     )
 
@@ -178,4 +169,4 @@ def normalized_solution(a: TropMatrix, b: TropVector, x_star: TropVector) -> Tro
     For `solve`'s x* of a system `normalize` accepts, y* is Q's column
     minima.
     """
-    return TropVector(_shift(a, b, x_star)[3])
+    return TropVector._of(tuple(_shift(a, b, x_star)[3]))

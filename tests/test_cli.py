@@ -629,13 +629,15 @@ def test_closed_stdout_keeps_the_verdict(tmp_path):
 
 
 # `Fraction.__new__` calls of one in-process call on the 100x100 system below
-# at 0.13.0 (0.12.0 built 601, 701, 701, 300 and 8020): `dof` and `reduce`
-# build none, the others only their means, shifts, Y* and b~
-FRACTIONS_PER_CALL = {"solve": 401, "solve --check": 501, "normalize": 601, "dof": 0, "reduce": 0}
+# (0.12.0 built 601, 701, 701, 300 and 8020; 0.13.0 built 401, 501, 601, 0
+# and 0): `normalize` computes on pairs, so `solve` and its Y* build none,
+# `solve --check` builds 100 in its oracle line, and `normalize` builds only
+# its public `col_means` and `b_mean`
+FRACTIONS_PER_CALL = {"solve": 0, "solve --check": 100, "normalize": 101, "dof": 0, "reduce": 0}
 
 
 def test_fraction_constructions_per_call(tmp_path, monkeypatch, capsys):
-    # vectors and matrices store pairs, so no call builds more Fractions than at 0.13.0
+    # vectors and matrices store pairs, so no call builds more Fractions than listed
     rng = random.Random(5)
     a = TropMatrix([[None if rng.random() < 0.1 else prime_value(rng) for _ in range(100)] for _ in range(100)])
     b = product(a, TropVector(prime_value(rng) for _ in range(100)))  # planted: solvable and regular

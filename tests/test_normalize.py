@@ -244,9 +244,9 @@ def _sum_branch(x: F, y: F) -> str:
 def test_normalize_matches_plain_fraction_reference():
     # every field of the report, and Y* of solvable systems, against the
     # cell-by-cell Fraction reference on prime denominators, a 121-bit column
-    # lcm and a mean just under the digit bound; each of a~_ij = a_ij + (-mean_j),
-    # q_ij = (b_i - a_ij) + shift_j and y*_j = x*_j + shift_j reaches every
-    # branch of the reduced sum
+    # lcm and a mean just under the digit bound; each of a~_ij = a_ij - mean_j,
+    # q_ij = (b_i - a_ij) - (b_mean - mean_j) and y*_j = x*_j - (b_mean - mean_j)
+    # reaches every branch of the reduced difference, which x + (-y) takes too
     rng = random.Random(14)
     cases = [_prime_system(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(200)]
     long_lcd = _long_lcd_system(rng)
@@ -324,10 +324,10 @@ def test_normalize_gcd_operands_stay_pair_sized(monkeypatch):
     assert fraction_grid(res.q) == normalize_reference(a, b).q
     assert len(calls) > 2 * a.rows * a.cols  # the hooks see the per-cell gcds
     long_calls = [c for c in calls if min(abs(x).bit_length() for x in c) > 2 * entry_bits + 1]
-    # b's mean, and per column its mean, its shift and y*_j, and per row b~_i:
-    # Fraction arithmetic before Python 3.11 reduces each of these by one gcd
-    # of its full operands
-    assert len(long_calls) <= 1 + 3 * a.cols + a.rows, (len(long_calls), len(calls))
+    # b's mean and each column mean, reduced once as a pair and once more by
+    # `Fraction` for `col_means` and `b_mean`, and each b_mean - mean_j, whose
+    # two denominators are both long
+    assert len(long_calls) <= 2 + 3 * a.cols, (len(long_calls), len(calls))
 
 
 def test_normalized_solution_on_systems_normalize_refuses():
@@ -370,13 +370,15 @@ def test_normalize_refuses_mean_past_digit_limit(monkeypatch):
     with pytest.raises(SizeBoundError):
         normalize(TropMatrix([[Fraction(1, 10**4300)]]), TropVector([0]))
     assert normalize(TropMatrix([[Fraction(1, 10**4300 - 1)]]), TropVector([0])).column_minima == TropVector([0])
-    # within normalize only the A~ and Q code calls gcd, first on each finite
-    # cell, so a refusal that never reaches gcd has built neither grid
-    def no_grids(*args):
-        raise AssertionError("gcd called: the grids are being built")
-
-    monkeypatch.setattr(importlib.import_module("tropsolve.normalize"), "gcd", no_grids)
+    # `_sub` builds A~ and Q a row per call, and before the refusal forms only
+    # b_mean - mean_j and y*, one call each; a grid row built before the
+    # refusal adds a call
+    calls = []
+    module = importlib.import_module("tropsolve.normalize")
+    monkeypatch.setattr(module, "_sub", lambda *args, sub=module._sub: calls.append(args) or sub(*args))
     with pytest.raises(SizeBoundError):
         normalize(a, b)
-    with pytest.raises(AssertionError, match="gcd called"):
-        normalize(TropMatrix([[1, 2], [3, 4]]), TropVector([0, 1]))
+    assert len(calls) == 2
+    calls.clear()
+    normalize(TropMatrix([[1, 2], [3, 4]]), TropVector([0, 1]))
+    assert len(calls) > 2
