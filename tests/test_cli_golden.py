@@ -14,11 +14,18 @@ with many working vectors and the parser's later token chunks. It also
 pins `solve`, `solve --check`, `dof` and `normalize` on three planted
 systems with about 10% `-inf`: 200x200 with denominators at most 5,
 200x200 with prime denominators up to 97, and 30x30 with distinct
-30-digit denominators, whose column means run to hundreds of digits.
+30-digit denominators, whose column means run to hundreds of digits;
+`reduce` on the two 200x200 systems; `check-equiv` of the 30x30 system
+with `-inf` against a column-shifted copy and against that copy with one
+cell moved; and `colrank` and `rowrank` on an 80x80 matrix of planted
+rank 6, so that the scans' row masks pass bit 63.
 
 Regenerate both tables, only when a report is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which first prints, per table, each command line whose digest it adds,
+removes or changes against the committed file.
 """
 
 from __future__ import annotations
@@ -217,15 +224,34 @@ def _solve_system(k: int) -> tuple[list[list], list]:
     return rows, _apply(rows, x0)
 
 
+def _equiv_copies(rows: list[list]) -> tuple[list[list], list[list]]:
+    """A column-shifted copy of `rows`, and that copy with its last column's last finite cell moved by 1/3."""
+    rng = random.Random(8100)
+    shifts = [_shift(rng, False) for _ in rows[0]]
+    shifted = [[None if e is None else e + s for e, s in zip(r, shifts)] for r in rows]
+    perturbed = [list(r) for r in shifted]
+    i = max(i for i, r in enumerate(perturbed) if r[-1] is not None)
+    perturbed[i][-1] += Fraction(1, 3)
+    return shifted, perturbed
+
+
 def _write_large_inputs(workdir: pathlib.Path) -> list[tuple[str, str]]:
-    """Write every large system; returns (matrix, vector) per system, the scan systems first."""
+    """Write every large system; returns (matrix, vector) per system: the scan systems, the solve
+    systems, then the 80x80 planted rank 6 scan system. Also writes `l5`'s two check-equiv copies,
+    `l5_shift.mat` and `l5_perturbed.mat`."""
     systems = [(f"l{k}", _large_system(k)) for k in range(7)]
     systems += [(stem, _solve_system(k)) for k, (stem, _, _) in enumerate(SOLVE_FAMILIES)]
+    rng = random.Random(8007)
+    rows = _planted(rng, 80, 80, 6, 0.2)
+    systems.append(("l7", (rows, _apply(rows, [_shift(rng, False) for _ in range(80)]))))
     for k, (stem, (rows, b)) in enumerate(systems):
         rng = random.Random(k)
         text = f"# large system {k}\n" + "".join(" ".join(_token(rng, e) for e in r) + "\n" for r in rows)
         (workdir / f"{stem}.mat").write_text(text)
         (workdir / f"{stem}_b.vec").write_text("".join(_token(rng, e) + "\n" for e in b))
+    for stem, rows in zip(("l5_shift", "l5_perturbed"), _equiv_copies(systems[5][1][0])):
+        rng = random.Random(stem)
+        (workdir / f"{stem}.mat").write_text("".join(" ".join(_token(rng, e) for e in r) + "\n" for r in rows))
     return [(f"{stem}.mat", f"{stem}_b.vec") for stem, _ in systems]
 
 
@@ -251,16 +277,37 @@ def digests(workdir: pathlib.Path) -> dict[str, str]:
 
 
 def large_digests(workdir: pathlib.Path) -> dict[str, str]:
-    """The second table: `reduce`, `colrank` and `rowrank` on the scan systems, and
-    `solve`, `solve --check`, `dof` and `normalize` on the solve systems."""
+    """The second table: `reduce`, `colrank` and `rowrank` on the scan systems; `solve`,
+    `solve --check`, `dof` and `normalize` on the solve systems, and `reduce` on the two
+    200x200 ones; `check-equiv` of `l5` against its two copies; `colrank` and `rowrank`
+    at 80x80."""
     systems = _write_large_inputs(workdir)
     cmds = [cmd for a, b in systems[:7] for cmd in (["reduce", a, b], ["colrank", a], ["rowrank", a])]
     cmds += [
         cmd
-        for a, b in systems[7:]
+        for a, b in systems[7:10]
         for cmd in (["solve", a, b], ["solve", a, b, "--check"], ["dof", a, b], ["normalize", a, b])
     ]
+    cmds += [["reduce", a, b] for a, b in systems[7:9]]
+    cmds += [["check-equiv", "l5.mat", "l5_shift.mat"], ["check-equiv", "l5.mat", "l5_perturbed.mat"]]
+    cmds += [["colrank", systems[10][0]], ["rowrank", systems[10][0]]]
     return _run(workdir, [argv for cmd in cmds for argv in (cmd, cmd + ["--json"])])
+
+
+def table_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per command line whose digest `new` adds, removes or changes against `old`."""
+    return [
+        f"{verb} {cmd}"
+        for cmd in sorted(old.keys() | new.keys())
+        for verb in ["added" if cmd not in old else "removed" if cmd not in new else "changed"]
+        if old.get(cmd) != new.get(cmd)
+    ]
+
+
+def test_table_changes_names_each_moved_command():
+    old = {"a": "1", "b": "2", "c": "3"}
+    assert table_changes(old, {"a": "1", "b": "9", "d": "4"}) == ["changed b", "removed c", "added d"]
+    assert table_changes(old, dict(old)) == []
 
 
 def test_cli_reports_match_golden_digests(tmp_path):
@@ -283,5 +330,7 @@ if __name__ == "__main__":
     for path, make in ((GOLDEN, digests), (GOLDEN_LARGE, large_digests)):
         with tempfile.TemporaryDirectory() as tmp:
             table = make(pathlib.Path(tmp))
+        for line in table_changes(json.loads(path.read_text()) if path.exists() else {}, table):
+            print(f"{path.name}: {line}", file=sys.stderr)
         path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(table)} digests to {path}", file=sys.stderr)
