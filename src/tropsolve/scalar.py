@@ -11,12 +11,12 @@ grammar of `parse_pair`.
 
 Vectors and matrices store, and the library's kernels compute on, exact
 `(numerator, denominator)` integer pairs instead (`Pair`). `parse_pair`
-reads one file token. `parse_pairs` reads a file's distinct tokens in
-one batch: one grammar check over all of them before any digit is
-converted, then one integer pass and one gcd pass, and `parse_pair`
-token by token only when a token is rejected. A computed pair's
-denominator stays positive and is not always reduced, so p/q < r/s is
-decided by p*s < r*q, and each stored result is reduced once by
+reads one token. `parse_pairs` reads a file's distinct tokens in one
+batch: one grammar check over all of them before any digit is
+converted, then one integer pass and one gcd pass; it leaves out each
+token it rejects and hands only decimals to `parse_pair`. A computed
+pair's denominator stays positive and is not always reduced, so p/q <
+r/s is decided by p*s < r*q, and each stored result is reduced once by
 `reduced`, or not at all where only a comparison needs it.
 """
 
@@ -120,29 +120,33 @@ def parse_pairs(tokens: Iterable[str]) -> dict[str, Pair | None]:
     """Each distinct token that `parse_pair` accepts, mapped to its pair; a rejected token is left out.
 
     Every token is checked against the grammar, in space-joined chunks,
-    before any digit is converted. Then, a chunk at a time, integers go
-    through one pass of `_ints` and fractions through one `_ints` and one
-    `gcd` pass over their halves, dividing only where the gcd is not 1;
-    decimals go through `parse_pair`. Only when a token is rejected, by the
-    grammar or for a zero denominator, does every token go through
-    `parse_pair`.
+    before any digit is converted; only in a chunk that fails is each
+    token checked alone, and the malformed ones are left out. Then, a
+    chunk at a time, integers go through one pass of `_ints` and fractions
+    through one `_ints` and one `gcd` pass over their halves, dividing
+    only where the gcd exceeds 1, and those with denominator 0 are left
+    out; decimals go through `parse_pair`.
     """
     memo = dict.fromkeys(tokens)  # None is already `-inf`'s value
     todo = [t for t in memo if t != "-inf"]
     chunks = [todo[k : k + _CHUNK] for k in range(0, len(todo), _CHUNK)]
-    if not all(_TOKENS.fullmatch(" ".join(c)) for c in chunks):
-        return _parse_each(memo)
+    for c, chunk in enumerate(chunks):
+        if _TOKENS.fullmatch(" ".join(chunk)) is None:
+            chunks[c] = [t for t in chunk if _TOKEN.fullmatch(t)]
+            for t in set(chunk).difference(chunks[c]):
+                del memo[t]
     for chunk in chunks:
         fractions = [t for t in chunk if "/" in t]
         halves = _ints(",".join(fractions).replace("/", ","))
         nums, dens = halves[::2], halves[1::2]
-        if 0 in dens:
-            return _parse_each(memo)
         pairs = list(zip(nums, dens))
         gcds = list(map(gcd, nums, dens))
-        for k in compress(range(len(gcds)), map((1).__ne__, gcds)):
+        # skips gcd 0, which only 0/0 has; every n/0 is left out below
+        for k in compress(range(len(gcds)), map((1).__lt__, gcds)):
             pairs[k] = nums[k] // gcds[k], dens[k] // gcds[k]
         memo.update(zip(fractions, pairs))
+        for t in compress(fractions, map((0).__eq__, dens)):
+            del memo[t]
         rest = [t for t in chunk if "/" not in t]
         integers = [t for t in rest if "." not in t]
         memo.update(zip(integers, zip(_ints(",".join(integers)), repeat(1))))
@@ -160,16 +164,6 @@ def _ints(digits: str) -> list[int]:
         return json.loads(f"[{digits}]")
     except ValueError:
         return list(map(int, digits.split(",")))
-
-
-def _parse_each(tokens: Iterable[str]) -> dict[str, Pair | None]:
-    memo = {}
-    for t in tokens:
-        try:
-            memo[t] = parse_pair(t)
-        except ParseError:
-            pass
-    return memo
 
 
 def format_pair(n: int, d: int) -> str:

@@ -1,3 +1,4 @@
+import importlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -314,13 +315,43 @@ def _assert_parsers_agree(text: str) -> None:
 _GRAMMAR_ALPHABET = "0123456789-/.+_einf٣²１\x85"
 _GRAMMAR_TOKEN = st.one_of(
     st.text(_GRAMMAR_ALPHABET, min_size=1, max_size=7),
-    st.sampled_from(["-inf", "0", "-12", "3/4", "-6/4", "2.50", "007", "0/5", "-007/010"]),
+    st.sampled_from(["-inf", "0", "-12", "3/4", "-6/4", "2.50", "007", "0/5", "-007/010", "5/0", "-3/000"]),
 )
 
 
 @given(st.lists(st.lists(_GRAMMAR_TOKEN, min_size=1, max_size=4).map(" ".join), min_size=1, max_size=4))
 def test_file_parsers_agree_with_parse_pair(lines):
     _assert_parsers_agree("\n".join(lines) + "\n")
+
+
+def _distinct_tokens_file(bad: str, at: int) -> str:
+    """20 rows of 15 distinct integer and fraction tokens, the `at`-th of them `bad`."""
+    tokens = [f"{k}/{k % 11 + 1}" if k % 3 == 0 else str(k - 150) for k in range(300)]
+    tokens[at] = bad
+    return "".join(" ".join(tokens[r * 15 : r * 15 + 15]) + "\n" for r in range(20))
+
+
+@pytest.mark.parametrize("bad,at", [("1/2/3", 290), ("7/0", 40)])
+def test_rejected_token_keeps_file_without_decimals_away_from_parse_pair(monkeypatch, bad, at):
+    # 300 distinct tokens make two grammar chunks; a malformed token in the
+    # last one, or a zero denominator, is left out of the batch, and no
+    # other token is read one at a time
+    text = _distinct_tokens_file(bad, at)
+    expected = [_token_by_token(text, vector) for vector in (False, True)]
+    scalar, calls = importlib.import_module("tropsolve.scalar"), []
+    parse_one = scalar.parse_pair
+
+    def record(token):
+        calls.append(token)
+        return parse_one(token)
+
+    monkeypatch.setattr(scalar, "parse_pair", record)
+    for parse, (message, line, column) in zip((parse_matrix, parse_vector), expected):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (str(ParseError(message, line, column)), line, column)
+        assert repr(bad) in message
+    assert calls == []
 
 
 @pytest.mark.parametrize(
