@@ -3,9 +3,24 @@
 Scaling every entry of A, b and A2 by a positive rational lambda is a
 max-plus automorphism: it keeps every max and every sum. So each report of
 the scaled system is the original report with every value multiplied by
-lambda, and every verdict, index, count and word unchanged. The expected
-payload is derived from the other run's payload with plain `Fraction`
-arithmetic; the inputs are written with it too, b = A x0 by `helpers.row_max`.
+lambda, and every verdict, index, count and word unchanged.
+
+Permuting the rows or the columns of a system renames its rows or columns
+and changes nothing else. `solve`'s report is the other run's with each
+row and column index renamed, x* and Y* reordered with the columns, and
+every value equal. The rank scans test the vectors in another order, but
+the independent vectors of a finitely generated max-plus cone are its
+extremal generators (Butkovic, Schneider and Sergeev, "Generators,
+extremals and bases of max cones", LAA 2007), which no scan order moves
+as long as no two vectors are scaled copies of each other; of two scaled
+copies, the order picks which one stays. So the permuted systems are
+drawn with no two columns and no two rows scaled copies, and the rank
+reports agree as sets: each independent index, each dependence with its
+coefficients, and each verdict, renamed.
+
+Each expected payload is derived from the other run's payload with plain
+`Fraction` arithmetic and the transform; the inputs are written with it
+too, b = A x0 by `helpers.row_max`.
 """
 
 from __future__ import annotations
@@ -46,10 +61,10 @@ def _system(rng: random.Random, k: int):
     return a, [[e] for e in b], a2
 
 
-def _files(stem, a, b, a2) -> list[str]:
-    """Write A, b and A2 next to `stem` and return their paths."""
+def _files(stem, *grids) -> list[str]:
+    """Write A, b and A2, as many as given, next to `stem` and return their paths."""
     paths = []
-    for suffix, rows in (("_a.mat", a), ("_b.vec", b), ("_a2.mat", a2)):
+    for suffix, rows in zip(("_a.mat", "_b.vec", "_a2.mat"), grids):
         path = stem.with_name(stem.name + suffix)
         path.write_text("".join(" ".join(map(_token, r)) + "\n" for r in rows))
         paths.append(str(path))
@@ -104,3 +119,111 @@ def test_scaling_multiplies_every_value_and_keeps_everything_else(tmp_path):
             moved += expected != report.payload
     # every exit code occurs, and about half of the 540 payloads hold a value that scaling moves
     assert exit_codes == {0, 1, 2} and moved > 200
+
+
+def _has_scaled_copies(vectors) -> bool:
+    """True if two of the vectors have one -inf pattern and a constant difference, all -inf included."""
+    shapes = set()
+    for v in vectors:
+        first = next((e for e in v if e is not None), 0)
+        shapes.add(tuple(None if e is None else e - first for e in v))
+    return len(shapes) < len(vectors)
+
+
+def _unscaled_system(rng: random.Random, k: int):
+    """A and b as a one-column grid, no two columns and no two rows of A scaled copies.
+
+    A's last column is a max-combination of the others and its last row one
+    of the others, so the scans find dependences; b = A x0 for even k,
+    drawn otherwise.
+    """
+    while True:
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        a = [[None if rng.random() < 0.2 else _value(rng) for _ in range(n - 1)] for _ in range(m - 1)]
+        x, y = [_value(rng) for _ in range(n - 1)], [_value(rng) for _ in range(m - 1)]
+        for r in a:
+            r.append(row_max(r, x))
+        a.append([row_max(c, y) for c in zip(*a)])
+        if not _has_scaled_copies(a) and not _has_scaled_copies(list(zip(*a))):
+            break
+    if k % 2 == 0:
+        x0 = [_value(rng) for _ in range(n)]
+        b = [row_max(r, x0) for r in a]
+    else:
+        b = [None if rng.random() < 0.2 else _value(rng) for _ in range(m)]
+    return a, [[e] for e in b]
+
+
+def _renamed_solve(p: dict, rows: list[int], cols: list[int]) -> dict:
+    """The solve payload `p` with 1-based row i renamed rows[i - 1] + 1 and column j cols[j - 1] + 1."""
+
+    def ones(indices, names):
+        return sorted(names[i - 1] + 1 for i in indices)
+
+    def by_column(values):
+        return None if values is None else [values[cols.index(j)] for j in range(len(cols))]
+
+    coverage = [None] * len(rows)
+    for i, covering in enumerate(p["coverage"]):
+        coverage[rows[i]] = ones(covering, cols)
+    return {
+        **p,
+        "x_star": by_column(p["x_star"]),
+        "y_star": by_column(p["y_star"]),
+        "witness_rows": ones(p["witness_rows"], rows),
+        "coverage": coverage,
+        "forced_bottom": ones(p["forced_bottom"], cols),
+        "unbounded": ones(p["unbounded"], cols),
+    }
+
+
+def _renamed_rank(p: dict, names: list[int]) -> dict:
+    """The rank payload `p` with 1-based index i renamed names[i - 1] + 1, in an order no scan decides."""
+
+    def name(i):
+        return names[i - 1] + 1
+
+    return {
+        "axis": p["axis"],
+        "rank": p["rank"],
+        "independent": sorted(map(name, p["independent"])),
+        "dependent": sorted(
+            (name(d["index"]), sorted((name(c["index"]), c["coefficient"]) for c in d["combination"]))
+            for d in p["dependent"]
+        ),
+        "scan_trace": sorted((name(t["index"]), t["verdict"]) for t in p["scan_trace"]),
+    }
+
+
+def _permuted(grid, rows: list[int], cols: list[int]):
+    """Row i and column j of `grid` moved to rows[i] and cols[j]."""
+    out = [[None] * len(cols) for _ in rows]
+    for i, r in enumerate(grid):
+        for j, e in enumerate(r):
+            out[rows[i]][cols[j]] = e
+    return out
+
+
+def test_permutations_rename_every_index_and_keep_every_value(tmp_path):
+    rng = random.Random(61)
+    exit_codes, dependences = set(), 0
+    for k in range(80):
+        a, b = _unscaled_system(rng, k)
+        m, n = len(a), len(a[0])
+        rows, cols = rng.sample(range(m), m), rng.sample(range(n), n)
+        same_rows, same_cols = list(range(m)), list(range(n))
+        files = _files(tmp_path / f"p{k}", a, b)
+        report = run(["solve", *files])
+        exit_codes.add(report.exit_code)
+        for r, c in ((rows, same_cols), (same_rows, cols)):
+            moved = _files(tmp_path / f"p{k}_moved", _permuted(a, r, c), _permuted(b, r, [0]))
+            moved_report = run(["solve", *moved])
+            assert moved_report.exit_code == report.exit_code, (k, r, c)
+            assert moved_report.payload == _renamed_solve(report.payload, r, c), (k, r, c)
+        moved = _files(tmp_path / f"p{k}_moved", _permuted(a, rows, cols))
+        for command, names, same in (("colrank", cols, same_cols), ("rowrank", rows, same_rows)):
+            got, want = run([command, moved[0]]).payload, run([command, files[0]]).payload
+            assert _renamed_rank(got, same) == _renamed_rank(want, names), (k, command)
+            dependences += len(want["dependent"])
+    # solvable and unsolvable systems both occur, and each system has a dependent column and row
+    assert exit_codes == {0, 1} and dependences >= 2 * 80
