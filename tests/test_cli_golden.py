@@ -296,12 +296,12 @@ def large_digests(workdir: pathlib.Path) -> dict[str, str]:
 
 def table_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
     """One line per command line whose digest `new` adds, removes or changes against `old`."""
-    return [
-        f"{verb} {cmd}"
-        for cmd in sorted(old.keys() | new.keys())
-        for verb in ["added" if cmd not in old else "removed" if cmd not in new else "changed"]
-        if old.get(cmd) != new.get(cmd)
-    ]
+    changes = []
+    for cmd in sorted(old.keys() | new.keys()):
+        if old.get(cmd) != new.get(cmd):
+            verb = "added" if cmd not in old else "removed" if cmd not in new else "changed"
+            changes.append(f"{verb} {cmd}")
+    return changes
 
 
 def test_table_changes_names_each_moved_command():
