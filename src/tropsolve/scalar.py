@@ -6,17 +6,16 @@ the multiplicative identity is 0. To the caller a scalar is a plain
 `Fraction`, or None for -inf (`BOTTOM`), so results are exact and
 bit-reproducible. `as_scalar` is the one place where ints and strings
 become `Fraction`s and floats are refused; the public matrix and vector
-constructors call it on every entry. Strings follow the file-token
-grammar of `parse_pair`.
+constructors call it on every entry. It reads a string as a one-token
+batch of `parse_pairs`, the library's one token reader.
 
 Vectors and matrices store, and the library's kernels compute on, exact
-`(numerator, denominator)` integer pairs instead (`Pair`). `parse_pair`
-reads one token. `parse_pairs` reads a file's distinct tokens in one
-batch: one grammar check over all of them before any digit is
-converted, then one integer pass and one gcd pass; it leaves out each
-token it rejects and hands only decimals to `parse_pair`. A computed
-pair's denominator stays positive and is not always reduced, so p/q <
-r/s is decided by p*s < r*q, and each stored result is reduced once by
+`(numerator, denominator)` integer pairs instead (`Pair`). `parse_pairs`
+reads a file's distinct tokens in one batch: one grammar check over all
+of them before any digit is converted, then one integer pass and one
+gcd pass; it leaves out each token it rejects. A computed pair's
+denominator stays positive and is not always reduced, so p/q < r/s is
+decided by p*s < r*q, and each stored result is reduced once by
 `reduced`, or not at all where only a comparison needs it.
 """
 
@@ -37,7 +36,6 @@ __all__ = [
     "BOTTOM",
     "as_scalar",
     "reduced",
-    "parse_pair",
     "parse_pairs",
     "format_pair",
     "format_scalar",
@@ -62,7 +60,10 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        p = parse_pair(x)
+        try:
+            p = parse_pairs((x,))[x]
+        except KeyError:
+            raise malformed(x) from None
         return None if p is None else Fraction(*p)
     # floats are rejected: binary expansions are not what the text syntax
     # means by "2.5"
@@ -85,7 +86,8 @@ MAX_DIGITS = 100
 # No capture group: `_TOKENS` repeats it, where groups would cost ~4x.
 _GRAMMAR = rf"-?\d{{1,{MAX_DIGITS}}}(?:[./]\d{{1,{MAX_DIGITS}}})?"
 _TOKEN = re.compile(_GRAMMAR, re.ASCII)
-# Tokens joined by single spaces; `str.split` tokens hold no whitespace.
+# Tokens joined by single spaces; `parse_pairs` counts the spaces, since a
+# token of its own may hold one (`str.split` tokens hold none).
 _TOKENS = re.compile(rf"{_GRAMMAR}(?: {_GRAMMAR})*", re.ASCII)
 # Tokens per `_TOKENS` match: the engine's backtracking state grows by about
 # 0.5 KB per token matched, so one match over a whole 200x200 file would
@@ -94,51 +96,44 @@ _CHUNK = 256
 
 
 def malformed(token: str, line: int | None = None, column: int | None = None) -> ParseError:
-    """The error for a token that `parse_pair` rejects."""
+    """The error for a token that `parse_pairs` leaves out."""
     return ParseError(f"malformed scalar token {token!r}", line, column)
 
 
-def parse_pair(token: str) -> Pair | None:
-    """Parse one scalar token to its reduced pair, None for `-inf`: `6/4` gives (3, 2)."""
-    if token == "-inf":
-        return None
-    if _TOKEN.fullmatch(token) is None:
-        raise malformed(token)
-    whole, point, decimals = token.partition(".")
-    if point:
-        num, d = int(whole + decimals), 10 ** len(decimals)
-    else:
-        whole, _, den = token.partition("/")
-        num, d = int(whole), int(den) if den else 1
-    if d == 0:
-        raise malformed(token)
-    g = gcd(num, d)
-    return num // g, d // g
-
-
 def parse_pairs(tokens: Iterable[str]) -> dict[str, Pair | None]:
-    """Each distinct token that `parse_pair` accepts, mapped to its pair; a rejected token is left out.
+    """Each distinct token the README grammar accepts, mapped to its reduced pair; a rejected token is left out.
 
     Every token is checked against the grammar, in space-joined chunks,
-    before any digit is converted; only in a chunk that fails is each
-    token checked alone, and the malformed ones are left out. Then, a
-    chunk at a time, integers go through one pass of `_ints` and fractions
-    through one `_ints` and one `gcd` pass over their halves, dividing
-    only where the gcd exceeds 1, and those with denominator 0 are left
-    out; decimals go through `parse_pair`.
+    before any digit is converted; only in a chunk that fails, or whose
+    tokens hold a space of their own, is each token checked alone, and
+    the malformed ones are left out. Then, a chunk at a time, integers go
+    through one pass of `_ints`; fractions, and decimals `w.f` as the
+    fractions `wf/10^len(f)`, have their digits read by `_ints` and go
+    through one `gcd` pass, dividing only where the gcd exceeds 1, and
+    those with denominator 0 are left out.
     """
     memo = dict.fromkeys(tokens)  # None is already `-inf`'s value
-    todo = [t for t in memo if t != "-inf"]
+    todo = list(memo)
+    if "-inf" in memo:
+        todo.remove("-inf")
     chunks = [todo[k : k + _CHUNK] for k in range(0, len(todo), _CHUNK)]
     for c, chunk in enumerate(chunks):
-        if _TOKENS.fullmatch(" ".join(chunk)) is None:
+        joined = " ".join(chunk)
+        if joined.count(" ") != len(chunk) - 1 or _TOKENS.fullmatch(joined) is None:
             chunks[c] = [t for t in chunk if _TOKEN.fullmatch(t)]
             for t in set(chunk).difference(chunks[c]):
                 del memo[t]
     for chunk in chunks:
         fractions = [t for t in chunk if "/" in t]
+        rest = [t for t in chunk if "/" not in t]
+        integers = [t for t in rest if "." not in t]
+        decimals = [t for t in rest if "." in t]
         halves = _ints(",".join(fractions).replace("/", ","))
         nums, dens = halves[::2], halves[1::2]
+        if decimals:  # a decimal w.f is the fraction wf/10^len(f)
+            nums += _ints(",".join(decimals).replace(".", ""))
+            dens += [10 ** len(t.partition(".")[2]) for t in decimals]
+            fractions += decimals
         pairs = list(zip(nums, dens))
         gcds = list(map(gcd, nums, dens))
         # skips gcd 0, which only 0/0 has; every n/0 is left out below
@@ -147,10 +142,7 @@ def parse_pairs(tokens: Iterable[str]) -> dict[str, Pair | None]:
         memo.update(zip(fractions, pairs))
         for t in compress(fractions, map((0).__eq__, dens)):
             del memo[t]
-        rest = [t for t in chunk if "/" not in t]
-        integers = [t for t in rest if "." not in t]
         memo.update(zip(integers, zip(_ints(",".join(integers)), repeat(1))))
-        memo.update((t, parse_pair(t)) for t in rest if "." in t)
     return memo
 
 

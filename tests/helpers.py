@@ -13,6 +13,11 @@ Every other reference here (`product`, `solves`, `max_combination`,
 `principal_reference`, `dependence_oracle`) is written on these two, and
 every generator plants b = A x0 with `product`. A test that needs the
 product or a residuation calls them; it does not write its own.
+
+`read_token` reads one scalar token by the README grammar, character by
+character, with no regular expression and nothing from
+`tropsolve.scalar`; it checks `scalar.parse_pairs`, and through it the
+file parsers, `as_scalar` and the public constructors.
 """
 
 from __future__ import annotations
@@ -89,6 +94,38 @@ def format_matrix(a: TropMatrix) -> str:
 def format_vector(v: TropVector) -> str:
     """The vector file of `v`: one canonical token per line."""
     return "\n".join(map(format_scalar, v)) + "\n"
+
+
+def read_token(token: str) -> tuple[int, int] | None:
+    """A scalar token's reduced (numerator, denominator) pair, None for `-inf`; ValueError when the grammar rejects it.
+
+    The README grammar: `-inf`, or an optional leading `-` and then
+    digits, digits `.` digits (an exact decimal), or digits `/` digits
+    with a nonzero denominator. Only ASCII digits count, at most 100 in
+    each run.
+    """
+
+    def run(text: str) -> int:
+        if not 1 <= len(text) <= 100 or any(c not in "0123456789" for c in text):
+            raise ValueError(f"not a digit run: {text!r}")
+        return int(text)
+
+    if token == "-inf":
+        return None
+    negative = token.startswith("-")
+    body = token[negative:]
+    if "/" in body:
+        top, _, bottom = body.partition("/")
+        num, den = run(top), run(bottom)
+        if den == 0:
+            raise ValueError(f"zero denominator: {token!r}")
+    elif "." in body:
+        whole, _, decimals = body.partition(".")
+        num, den = run(whole) * 10 ** len(decimals) + run(decimals), 10 ** len(decimals)
+    else:
+        num, den = run(body), 1
+    g = math.gcd(num, den)
+    return (-num if negative else num) // g, den // g
 
 
 def rand_fraction(rng: random.Random, lo: int = -30, hi: int = 30, max_den: int = 5) -> Fraction:

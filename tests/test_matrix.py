@@ -1,4 +1,3 @@
-import importlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -38,7 +37,7 @@ from tropsolve import (
 )
 
 from tropsolve.oracle import satisfies
-from tropsolve.scalar import as_scalar, format_scalar, parse_pair
+from tropsolve.scalar import as_scalar, format_scalar, parse_pairs
 
 from helpers import (
     format_matrix,
@@ -47,6 +46,7 @@ from helpers import (
     max_combination,
     prime_value,
     rand_matrix,
+    read_token,
     scalar_mul,
     solves,
     transpose,
@@ -263,7 +263,7 @@ def test_parse_matrix_bad_token_diagnostics(parse, text, bad, line, column):
 
 
 def _token_by_token(text: str, vector: bool):
-    """What the file parsers must give, from `parse_pair` one token at a time in line order.
+    """What the file parsers must give, from `helpers.read_token` one token at a time in line order.
 
     The values (rows of pairs for a matrix, `Fraction`s for a vector) or the
     expected error as (message, line, column).
@@ -278,9 +278,9 @@ def _token_by_token(text: str, vector: bool):
             start = raw.index(t, pos)
             pos = start + len(t)
             try:
-                row.append(parse_pair(t))
-            except ParseError as exc:
-                return str(exc), lineno, start + 1
+                row.append(read_token(t))
+            except ValueError:
+                return f"malformed scalar token {t!r}", lineno, start + 1
         if not vector and lines and len(row) != len(lines[0][1]):
             return f"row has {len(row)} entries but row at line {lines[0][0]} has {len(lines[0][1])}", lineno, None
         lines.append((lineno, row))
@@ -315,12 +315,13 @@ def _assert_parsers_agree(text: str) -> None:
 _GRAMMAR_ALPHABET = "0123456789-/.+_einf٣²１\x85"
 _GRAMMAR_TOKEN = st.one_of(
     st.text(_GRAMMAR_ALPHABET, min_size=1, max_size=7),
-    st.sampled_from(["-inf", "0", "-12", "3/4", "-6/4", "2.50", "007", "0/5", "-007/010", "5/0", "-3/000"]),
+    st.sampled_from(["-inf", "0", "-12", "3/4", "-6/4", "2.50", "007", "0/5", "-007/010", "5/0", "-3/000",
+                     "0.5", "-0.0", "-007.250"]),
 )
 
 
 @given(st.lists(st.lists(_GRAMMAR_TOKEN, min_size=1, max_size=4).map(" ".join), min_size=1, max_size=4))
-def test_file_parsers_agree_with_parse_pair(lines):
+def test_file_parsers_agree_with_read_token(lines):
     _assert_parsers_agree("\n".join(lines) + "\n")
 
 
@@ -332,26 +333,30 @@ def _distinct_tokens_file(bad: str, at: int) -> str:
 
 
 @pytest.mark.parametrize("bad,at", [("1/2/3", 290), ("7/0", 40)])
-def test_rejected_token_keeps_file_without_decimals_away_from_parse_pair(monkeypatch, bad, at):
+def test_rejected_token_keeps_file_without_decimals_away_from_parse_pair(bad, at):
     # 300 distinct tokens make two grammar chunks; a malformed token in the
-    # last one, or a zero denominator, is left out of the batch, and no
-    # other token is read one at a time
+    # last one, or a zero denominator, is left out of the batch, and the
+    # file's error is the one token-by-token reading gives
     text = _distinct_tokens_file(bad, at)
     expected = [_token_by_token(text, vector) for vector in (False, True)]
-    scalar, calls = importlib.import_module("tropsolve.scalar"), []
-    parse_one = scalar.parse_pair
-
-    def record(token):
-        calls.append(token)
-        return parse_one(token)
-
-    monkeypatch.setattr(scalar, "parse_pair", record)
     for parse, (message, line, column) in zip((parse_matrix, parse_vector), expected):
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (str(exc.value), exc.value.line, exc.value.column) == (str(ParseError(message, line, column)), line, column)
         assert repr(bad) in message
-    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [None, "1.2.3"])
+def test_file_of_distinct_decimals_matches_read_token(bad):
+    # 320 distinct decimals, with leading and trailing zeros, make two
+    # grammar chunks; all are converted in the batch, and a malformed
+    # decimal in the last chunk is left out while the rest are still read
+    tokens = [f"{k // 10 - 16:03d}.{k % 10}{'0' * (k % 4)}" for k in range(320)]
+    if bad is not None:
+        tokens[300] = bad
+    assert len(set(tokens)) == 320
+    assert parse_pairs(tokens) == {t: read_token(t) for t in tokens if t != bad}
+    _assert_parsers_agree("".join(" ".join(tokens[r * 16 : r * 16 + 16]) + "\n" for r in range(20)))
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,13 @@ as long as no two vectors are scaled copies of each other; of two scaled
 copies, the order picks which one stays. So the permuted systems are
 drawn with no two columns and no two rows scaled copies, and the rank
 reports agree as sets: each independent index, each dependence with its
-coefficients, and each verdict, renamed.
+coefficients, and each verdict, renamed. `normalize`'s grids, b~, means,
+minima and argmin rows move with the rows and columns they belong to, and
+its b mean stays; `check-equiv` keeps its verdict under one permutation
+of both matrices, and its alpha moves with the columns; `dof` keeps its
+degrees of freedom and its leading and free columns under a row
+permutation, since the singleton step takes the same columns in any row
+order and the greedy step counts and breaks ties by column alone.
 
 Each expected payload is derived from the other run's payload with plain
 `Fraction` arithmetic and the transform; the inputs are written with it
@@ -227,3 +233,72 @@ def test_permutations_rename_every_index_and_keep_every_value(tmp_path):
             dependences += len(want["dependent"])
     # solvable and unsolvable systems both occur, and each system has a dependent column and row
     assert exit_codes == {0, 1} and dependences >= 2 * 80
+
+
+def _moved(values: list, names: list[int]) -> list:
+    """`values` with item i moved to names[i]."""
+    return _permuted([values], [0], names)[0]
+
+
+def _renamed_normalize(p: dict, rows: list[int], cols: list[int]) -> dict:
+    """The normalize payload `p` with row i moved to rows[i] and column j to cols[j]."""
+    return {
+        "a_tilde": _permuted(p["a_tilde"], rows, cols),
+        "col_means": _moved(p["col_means"], cols),
+        "b_tilde": _moved(p["b_tilde"], rows),
+        "b_mean": p["b_mean"],
+        "q": _permuted(p["q"], rows, cols),
+        "column_minima": _moved(p["column_minima"], cols),
+        "argmin_rows": _moved([sorted(rows[i - 1] + 1 for i in s) for s in p["argmin_rows"]], cols),
+    }
+
+
+def _partner(rng: random.Random, a, k: int):
+    """A column-shifted copy of A for k % 3 == 0; otherwise one finite entry is moved by 1 or made -inf.
+
+    A value moved in a column with another finite entry, or a changed -inf
+    pattern, leaves no constant shift, so those pairs are negative.
+    """
+    shifts = [_value(rng) for _ in a[0]]
+    a2 = [[None if e is None else e + s for e, s in zip(r, shifts)] for r in a]
+    cells = [(i, j) for i, r in enumerate(a) for j, e in enumerate(r) if e is not None]
+    if k % 3 and cells:
+        i, j = rng.choice(cells)
+        a2[i][j] = None if k % 3 == 2 else a2[i][j] + 1
+    return a2
+
+
+def test_normalize_check_equiv_and_dof_follow_permutations(tmp_path):
+    rng = random.Random(62)
+    normalized, verdicts, solvable = 0, {0: 0, 1: 0}, 0
+    for k in range(60):
+        a, b = _unscaled_system(rng, k)
+        a2 = _partner(rng, a, k)
+        m, n = len(a), len(a[0])
+        same_rows, same_cols = list(range(m)), list(range(n))
+        files = _files(tmp_path / f"q{k}", a, b, a2)
+        reports = {command: run([command, *paths]) for command, paths in
+                   (("normalize", files[:2]), ("check-equiv", files[::2]), ("dof", files[:2]))}
+        for r, c in ((rng.sample(range(m), m), same_cols), (same_rows, rng.sample(range(n), n))):
+            moved = _files(tmp_path / f"q{k}_moved", _permuted(a, r, c), _permuted(b, r, [0]), _permuted(a2, r, c))
+            got = run(["normalize", *moved[:2]])
+            want = reports["normalize"]
+            assert got.exit_code == want.exit_code, (k, r, c)
+            if want.exit_code == 0:
+                assert got.payload == _renamed_normalize(want.payload, r, c), (k, r, c)
+                normalized += 1
+            got, want = run(["check-equiv", *moved[::2]]), reports["check-equiv"]
+            assert got.exit_code == want.exit_code, (k, r, c)
+            alpha = want.payload["alpha"]
+            assert got.payload["alpha"] == (None if alpha is None else _moved(alpha, c)), (k, r, c)
+            verdicts[want.exit_code] += 1
+            if c is same_cols:
+                got, want = run(["dof", *moved[:2]]).payload, reports["dof"].payload
+                if want["status"] == "solvable":
+                    assert (got["degrees_of_freedom"], sorted(got["leading"]), got["free"]) == (
+                        want["degrees_of_freedom"], sorted(want["leading"]), want["free"]), k
+                    solvable += 1
+                else:
+                    assert got["witness_rows"] == sorted(r[i - 1] + 1 for i in want["witness_rows"]), k
+    # normalize accepts a good share of the systems, and check-equiv sees both verdicts
+    assert normalized >= 60 and min(verdicts.values()) >= 30 and solvable >= 20, (normalized, verdicts, solvable)

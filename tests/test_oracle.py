@@ -143,7 +143,8 @@ def test_references_share_no_kernel(monkeypatch):
     # the oracle refused, under every name helpers or the package binds them
     # to, so no test checks a kernel with the kernel itself
     package = [m for name, m in sys.modules.items() if name == "tropsolve" or name.startswith("tropsolve.")]
-    _refuse(monkeypatch, (*KERNELS, (oracle, "principal_solution"), (oracle, "satisfies")), [helpers, *package])
+    refused = (*KERNELS, (oracle, "principal_solution"), (oracle, "satisfies"), (scalar, "parse_pairs"))
+    _refuse(monkeypatch, refused, [helpers, *package])
     rng = random.Random(66)
     a = helpers.rand_matrix(rng, 5, 4, bottom_p=0.3, regular_rows=True, regular_cols=True)
     x0 = helpers.rand_finite_vector(rng, a.cols)
@@ -177,6 +178,7 @@ def test_references_share_no_kernel(monkeypatch):
         "dependence_oracle": lambda: helpers.dependence_oracle(cols, cols[0]),
         "q_column_minima": lambda: helpers.q_column_minima(helpers.normalize_reference(a, b).q),
         "is_reduced_pair": lambda: helpers.is_reduced_pair((1, 2)),
+        "read_token": lambda: helpers.read_token("-007.250"),
         "fraction_grid": lambda: helpers.fraction_grid(a.pair_rows()),
         "normalize_reference": lambda: helpers.normalize_reference(a, b),
         "perturbed": lambda: helpers.perturbed(helpers.product)(a, x0),
@@ -188,6 +190,7 @@ def test_references_share_no_kernel(monkeypatch):
     got = {name: call() for name, call in calls.items()}
     assert got["solves"] and helpers.solves(a, got["principal_reference"], b)
     assert got["dependence_oracle"] is not None and got["perturbed"] != b
+    assert got["read_token"] == (-29, 4)
 
 
 def test_principal_solution_operands_stay_pair_sized(monkeypatch):

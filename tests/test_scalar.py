@@ -25,9 +25,9 @@ from tropsolve import (
     reduce_system,
     solve,
 )
-from tropsolve.scalar import MAX_DIGITS, parse_pair
+from tropsolve.scalar import MAX_DIGITS, parse_pairs
 
-from helpers import is_reduced_pair, product, trop_add, trop_mul
+from helpers import is_reduced_pair, product, read_token, trop_add, trop_mul
 
 finite = st.fractions(min_value=-100, max_value=100, max_denominator=12)
 scalars = st.one_of(st.just(BOTTOM), finite)
@@ -207,13 +207,16 @@ def test_format_pair_past_digit_limit():
 )
 def test_parse_finite_tokens_exactly(token, expected):
     assert as_scalar(token) == expected
-    assert parse_pair(token) == expected.as_integer_ratio() and is_reduced_pair(parse_pair(token))
+    pair = parse_pairs([token])[token]
+    assert pair == expected.as_integer_ratio() and is_reduced_pair(pair)
+    assert read_token(token) == expected.as_integer_ratio()
     assert TropVector([token]) == TropVector([expected])
 
 
 def test_parse_bottom_token():
     assert as_scalar("-inf") == BOTTOM
-    assert parse_pair("-inf") is None
+    assert parse_pairs(["-inf"]) == {"-inf": None}
+    assert read_token("-inf") is None
     assert TropVector(["-inf"]) == TropVector([BOTTOM])
 
 
@@ -225,12 +228,23 @@ def test_parse_bottom_token():
     ],
 )
 def test_parse_rejects_garbage(token):
-    with pytest.raises(ParseError) as exc:
+    message = f"^{re.escape(f'malformed scalar token {token!r}')}$"
+    with pytest.raises(ParseError, match=message):
         as_scalar(token)
-    with pytest.raises(ParseError, match=f"^{re.escape(str(exc.value))}$"):
-        parse_pair(token)
-    with pytest.raises(ParseError, match=f"^{re.escape(str(exc.value))}$"):  # as do the constructors
+    assert parse_pairs([token]) == {}
+    with pytest.raises(ValueError):
+        read_token(token)
+    with pytest.raises(ParseError, match=message):  # as do the constructors
         TropVector([token])
+
+
+def test_tokens_holding_a_space_are_left_out():
+    # the space-joined grammar check of a chunk must not read one token "1 2" as two
+    assert parse_pairs(["1 2", "3/4 5", "7"]) == {"7": (7, 1)}
+    with pytest.raises(ParseError, match="^malformed scalar token '1 2'$"):
+        as_scalar("1 2")
+    with pytest.raises(ParseError, match="^malformed scalar token '3/4 5'$"):
+        TropVector(["3/4 5"])
 
 
 def test_src_uses_no_private_fraction_name():
