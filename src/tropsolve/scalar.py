@@ -113,7 +113,7 @@ def parse_pairs(tokens: Iterable[str]) -> dict[str, Pair | None]:
     those with denominator 0 are left out.
     """
     memo = dict.fromkeys(tokens)  # None is already `-inf`'s value
-    todo = list(memo)
+    todo = list(memo)  # a copy and one remove take a quarter of a filtering comprehension's time
     if "-inf" in memo:
         todo.remove("-inf")
     chunks = [todo[k : k + _CHUNK] for k in range(0, len(todo), _CHUNK)]

@@ -8,8 +8,7 @@ and must survive its test files; if it dies, the run itself is broken.
 
 Run from anywhere, with pytest and hypothesis installed:
 
-    python tests/mutants.py            # the whole catalogue
-    python tests/mutants.py NAME ...   # only the named mutants
+    python tests/mutants.py
 
 The tool copies the repository to a temporary directory, applies one
 mutant at a time, runs that mutant's test files there with `pytest -x`,
@@ -149,15 +148,12 @@ def killed(mutant: Mutant, tree: Path) -> bool:
     return done.returncode != 0
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    if names and len(chosen) != len(set(names)):
-        raise SystemExit(f"unknown mutant names: {sorted(set(names) - {m.name for m in MUTANTS})}")
+def main() -> int:
     wrong = 0
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"))
-        for m in chosen:
+        for m in MUTANTS:
             if m.equivalent:
                 print(f"{m.name}: equivalent: {m.equivalent}", flush=True)
                 continue
@@ -171,4 +167,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

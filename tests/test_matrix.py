@@ -334,9 +334,9 @@ def _distinct_tokens_file(bad: str, at: int) -> str:
 
 @pytest.mark.parametrize("bad,at", [("1/2/3", 290), ("7/0", 40)])
 def test_rejected_token_keeps_file_without_decimals_away_from_parse_pair(bad, at):
-    # 300 distinct tokens make two grammar chunks; a malformed token in the
-    # last one, or a zero denominator, is left out of the batch, and the
-    # file's error is the one token-by-token reading gives
+    # 300 distinct tokens make two grammar chunks; a rejected token in the
+    # last one, malformed or with a zero denominator, gives the file's error
+    # with the message, line and column that token-by-token reading gives
     text = _distinct_tokens_file(bad, at)
     expected = [_token_by_token(text, vector) for vector in (False, True)]
     for parse, (message, line, column) in zip((parse_matrix, parse_vector), expected):
