@@ -96,6 +96,11 @@ def format_vector(v: TropVector) -> str:
     return "\n".join(map(format_scalar, v)) + "\n"
 
 
+def grid_text(rows) -> str:
+    """A matrix or vector file of plain values: one line per row, each `Fraction`'s `str`, `-inf` for None."""
+    return "".join(" ".join("-inf" if e is None else str(e) for e in r) + "\n" for r in rows)
+
+
 def read_token(token: str) -> tuple[int, int] | None:
     """A scalar token's reduced (numerator, denominator) pair, None for `-inf`; ValueError when the grammar rejects it.
 

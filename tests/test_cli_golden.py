@@ -2,8 +2,9 @@
 
 `data/cli_golden.json` maps each command line to the sha256 of its exit
 code and stdout. The inputs are the five fixtures plus seeded systems that
-this module writes as text with its own plain-`Fraction` arithmetic, so no
-input depends on the code under test. Every command runs in one directory
+this module draws and writes as text on plain `Fraction`s, with
+`helpers.row_max` for every product, so no input depends on the code
+under test. Every command runs in one directory
 with relative file names, because JSON reports carry the input paths.
 
 `data/cli_golden_large.json` does the same for `reduce`, `colrank` and
@@ -43,6 +44,8 @@ from fractions import Fraction
 
 from tropsolve import cli
 
+from helpers import PRIMES, row_max
+
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
 GOLDEN_LARGE = DATA / "cli_golden_large.json"
@@ -73,14 +76,6 @@ def _shift(rng: random.Random, big: bool) -> Fraction:
     return Fraction(rng.randint(-30, 30)) if big else _value(rng, False)
 
 
-def _apply(rows: list[list[Fraction | None]], x: list[Fraction | None]) -> list[Fraction | None]:
-    out = []
-    for r in rows:
-        terms = [e + xk for e, xk in zip(r, x) if e is not None and xk is not None]
-        out.append(max(terms) if terms else None)
-    return out
-
-
 def _system(k: int) -> tuple[list[list], list, list[list]]:
     """Seeded system k: matrix, right-hand side and a second matrix for check-equiv.
 
@@ -100,10 +95,11 @@ def _system(k: int) -> tuple[list[list], list, list[list]]:
     if family == 3 and n > 1:
         for j in range(n // 2, n):
             coeffs = [None if rng.random() < 0.3 else _value(rng, False) for _ in range(n // 2)]
-            for r, e in zip(rows, _apply([r[: n // 2] for r in rows], coeffs)):
-                r[j] = e
+            for r in rows:
+                r[j] = row_max(r[: n // 2], coeffs)
     if (k // 5) % 2 == 0:
-        b = _apply(rows, [_shift(rng, big) for _ in range(n)])
+        x0 = [_shift(rng, big) for _ in range(n)]
+        b = [row_max(r, x0) for r in rows]
     else:
         b = [_value(rng, big) for _ in range(m)]
     if family == 1:
@@ -166,15 +162,17 @@ def _command_lines(systems) -> list[list[str]]:
 
 def _planted(rng: random.Random, m: int, n: int, rank: int, bottom_p: float) -> list[list[Fraction | None]]:
     """An m x n matrix spanned by a random rank x rank core, columns then rows, each order shuffled."""
+
+    def combination(vectors) -> list[Fraction | None]:
+        coeffs = [None if rng.random() < 0.3 else _value(rng, False) for _ in range(rank)]
+        return [row_max(v, coeffs) for v in vectors]
+
     core = [[None if rng.random() < bottom_p else _value(rng, False) for _ in range(rank)] for _ in range(rank)]
     cols = [list(c) for c in zip(*core)]
-    cols += [_apply(core, [None if rng.random() < 0.3 else _value(rng, False) for _ in range(rank)]) for _ in range(n - rank)]
+    cols += [combination(core) for _ in range(n - rank)]
     rng.shuffle(cols)
     core_rows = [list(r) for r in zip(*cols)]
-    rows = core_rows + [
-        _apply(list(zip(*core_rows)), [None if rng.random() < 0.3 else _value(rng, False) for _ in range(rank)])
-        for _ in range(m - rank)
-    ]
+    rows = core_rows + [combination(list(zip(*core_rows))) for _ in range(m - rank)]
     rng.shuffle(rows)
     return rows
 
@@ -190,14 +188,14 @@ def _large_system(k: int) -> tuple[list[list], list]:
         rows = [[None if rng.random() < bottom_p else _value(rng, False) for _ in range(shape[1])] for _ in range(shape[0])]
         return rows, [_value(rng, False) for _ in range(shape[0])]
     rows = _planted(rng, *shape, 5, 0.2 if k % 2 else 0.0)
-    b = _apply(rows, [_shift(rng, False) for _ in range(shape[1])])
+    x0 = [_shift(rng, False) for _ in range(shape[1])]
+    b = [row_max(r, x0) for r in rows]
     if k == 6:
         for i in rng.sample(range(shape[0]), 6):
             b[i] = None
     return rows, b
 
 
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 # (file stem, side, denominator of one drawn value) per solve system
 SOLVE_FAMILIES = (
     ("dense200", 200, lambda rng: rng.randint(1, 5)),
@@ -221,7 +219,7 @@ def _solve_system(k: int) -> tuple[list[list], list]:
 
     rows = [[None if rng.random() < 0.1 else value() for _ in range(side)] for _ in range(side)]
     x0 = [Fraction(rng.randint(-30, 30)) if k == 2 else value() for _ in range(side)]
-    return rows, _apply(rows, x0)
+    return rows, [row_max(r, x0) for r in rows]
 
 
 def _equiv_copies(rows: list[list]) -> tuple[list[list], list[list]]:
@@ -243,7 +241,8 @@ def _write_large_inputs(workdir: pathlib.Path) -> list[tuple[str, str]]:
     systems += [(stem, _solve_system(k)) for k, (stem, _, _) in enumerate(SOLVE_FAMILIES)]
     rng = random.Random(8007)
     rows = _planted(rng, 80, 80, 6, 0.2)
-    systems.append(("l7", (rows, _apply(rows, [_shift(rng, False) for _ in range(80)]))))
+    x0 = [_shift(rng, False) for _ in range(80)]
+    systems.append(("l7", (rows, [row_max(r, x0) for r in rows])))
     for k, (stem, (rows, b)) in enumerate(systems):
         rng = random.Random(k)
         text = f"# large system {k}\n" + "".join(" ".join(_token(rng, e) for e in r) + "\n" for r in rows)

@@ -36,18 +36,9 @@ from fractions import Fraction
 
 from tropsolve.cli import run
 
-from helpers import row_max
+from helpers import grid_text, rand_fraction, row_max
 
 LAMBDA = Fraction(3, 7)
-
-
-def _value(rng: random.Random) -> Fraction:
-    den = rng.randint(1, 5)
-    return Fraction(rng.randint(-30 * den, 30 * den), den)
-
-
-def _token(v: Fraction | None) -> str:
-    return "-inf" if v is None else str(v)
 
 
 def _system(rng: random.Random, k: int):
@@ -56,13 +47,13 @@ def _system(rng: random.Random, k: int):
     b = A x0 for every third k; otherwise it is drawn, -inf in about 20% of rows, as A is.
     """
     m, n = rng.randint(1, 5), rng.randint(1, 5)
-    a = [[None if rng.random() < 0.2 else _value(rng) for _ in range(n)] for _ in range(m)]
+    a = [[None if rng.random() < 0.2 else rand_fraction(rng) for _ in range(n)] for _ in range(m)]
     if k % 3 == 0:
-        x0 = [_value(rng) for _ in range(n)]
+        x0 = [rand_fraction(rng) for _ in range(n)]
         b = [row_max(r, x0) for r in a]
     else:
-        b = [None if rng.random() < 0.2 else _value(rng) for _ in range(m)]
-    shifts = [_value(rng) for _ in range(n)]
+        b = [None if rng.random() < 0.2 else rand_fraction(rng) for _ in range(m)]
+    shifts = [rand_fraction(rng) for _ in range(n)]
     a2 = [[None if e is None else e + s for e, s in zip(r, shifts)] for r in a]
     return a, [[e] for e in b], a2
 
@@ -72,7 +63,7 @@ def _files(stem, *grids) -> list[str]:
     paths = []
     for suffix, rows in zip(("_a.mat", "_b.vec", "_a2.mat"), grids):
         path = stem.with_name(stem.name + suffix)
-        path.write_text("".join(" ".join(map(_token, r)) + "\n" for r in rows))
+        path.write_text(grid_text(rows))
         paths.append(str(path))
     return paths
 
@@ -145,18 +136,18 @@ def _unscaled_system(rng: random.Random, k: int):
     """
     while True:
         m, n = rng.randint(2, 6), rng.randint(2, 6)
-        a = [[None if rng.random() < 0.2 else _value(rng) for _ in range(n - 1)] for _ in range(m - 1)]
-        x, y = [_value(rng) for _ in range(n - 1)], [_value(rng) for _ in range(m - 1)]
+        a = [[None if rng.random() < 0.2 else rand_fraction(rng) for _ in range(n - 1)] for _ in range(m - 1)]
+        x, y = [rand_fraction(rng) for _ in range(n - 1)], [rand_fraction(rng) for _ in range(m - 1)]
         for r in a:
             r.append(row_max(r, x))
         a.append([row_max(c, y) for c in zip(*a)])
         if not _has_scaled_copies(a) and not _has_scaled_copies(list(zip(*a))):
             break
     if k % 2 == 0:
-        x0 = [_value(rng) for _ in range(n)]
+        x0 = [rand_fraction(rng) for _ in range(n)]
         b = [row_max(r, x0) for r in a]
     else:
-        b = [None if rng.random() < 0.2 else _value(rng) for _ in range(m)]
+        b = [None if rng.random() < 0.2 else rand_fraction(rng) for _ in range(m)]
     return a, [[e] for e in b]
 
 
@@ -259,7 +250,7 @@ def _partner(rng: random.Random, a, k: int):
     A value moved in a column with another finite entry, or a changed -inf
     pattern, leaves no constant shift, so those pairs are negative.
     """
-    shifts = [_value(rng) for _ in a[0]]
+    shifts = [rand_fraction(rng) for _ in a[0]]
     a2 = [[None if e is None else e + s for e, s in zip(r, shifts)] for r in a]
     cells = [(i, j) for i, r in enumerate(a) for j, e in enumerate(r) if e is not None]
     if k % 3 and cells:

@@ -159,6 +159,7 @@ def test_references_share_no_kernel(monkeypatch):
         "solves": lambda: helpers.solves(a, x0, b),
         "format_matrix": lambda: helpers.format_matrix(a),
         "format_vector": lambda: helpers.format_vector(b),
+        "grid_text": lambda: helpers.grid_text(a.row_tuples()),
         "rand_fraction": lambda: helpers.rand_fraction(rng),
         "prime_value": lambda: helpers.prime_value(rng),
         "wide_value": lambda: helpers.wide_value(rng),

@@ -4,10 +4,12 @@ Seeded systems, drawn on plain `Fraction`s and combined with the tests'
 max-plus references (`helpers.row_max` and `max_combination`), run
 through `cli.main` in-process under every subcommand, as text and as
 `--json`. `bench/checker.py` (imported by path; it imports nothing
-from tropsolve) judges each report from its own residuation. It reads the
-text layout, so a JSON payload is first laid out in the lines it reads.
+from tropsolve) judges each text report from its own residuation.
 `check-equiv` has no check there; `_check_equiv` below verifies its
 shifts with the checker's max-combination and residuation primitives.
+Each JSON report must carry the text run's exit code and render, through
+`cli.render_text`, to the text report judged; the checker also reads the
+JSON `solve` report itself.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from tropsolve import cli
 
-from helpers import max_combination, row_max
+from helpers import grid_text, max_combination, row_max
 
 _spec = importlib.util.spec_from_file_location(
     "report_checker", pathlib.Path(__file__).resolve().parents[1] / "bench" / "checker.py"
@@ -94,57 +96,11 @@ def _system(k: int) -> tuple[list[list], list, list[list]]:
     return rows, b, rows2
 
 
-def _text(grid) -> str:
-    return "".join(" ".join("-inf" if e is None else str(e) for e in r) + "\n" for r in grid)
-
-
 def _run(argv: list[str]) -> tuple[str, int]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     return buf.getvalue(), code
-
-
-def _ones(indices: list[int]) -> str:
-    return ", ".join(map(str, indices))
-
-
-def _as_checker_text(command: str, p: dict) -> str:
-    """A JSON payload laid out in the report lines the checker reads."""
-    if command == "dof":
-        if p["status"] == "unsolvable":
-            return f"status: unsolvable (degrees of freedom undefined)\nwitness rows: {_ones(p['witness_rows'])}\n"
-        free = ", ".join(f"x{j}" for j in p["free"]) or "-"
-        return (
-            f"degrees of freedom: {p['degrees_of_freedom']}\n"
-            f"leading variables: {', '.join(f'x{j}' for j in p['leading'])}\nfree variables: {free}\n"
-        )
-    if command == "normalize":
-        boxed = {(i - 1, j) for j, rows in enumerate(p["argmin_rows"]) for i in rows}
-        q = [" ".join(f"[{v}]" if (i, j) in boxed else v for j, v in enumerate(r)) for i, r in enumerate(p["q"])]
-        return "\n".join(
-            [f"column means: {' '.join(p['col_means'])}", f"b mean: {p['b_mean']}", "Q (column minima boxed):"]
-            + q
-            + [f"column minima: {' '.join(p['column_minima'])}"]
-        )
-    if command in ("colrank", "rowrank"):
-        unit = "column" if command == "colrank" else "row"
-        lines = [f"{command}: {p['rank']}", f"independent {unit}s: {_ones(p['independent'])}"]
-        for d in p["dependent"]:
-            terms = ", ".join(f"{unit} {c['index']} + {c['coefficient']}" for c in d["combination"])
-            rhs = f"max({terms})" if terms else "all -inf (empty combination)"
-            lines.append(f"dependent {unit} {d['index']} = {rhs}")
-        return "\n".join(lines)
-    assert command == "reduce"
-    lines = [
-        f"status: {p['status']}",
-        f"independent rows: {_ones(p['independent_rows'])}",
-        f"independent columns: {_ones(p['independent_cols'])}",
-    ]
-    lines += [f"eta for column {e['column']}: {' '.join(e['coefficients'])}" for e in p["eta"]]
-    lines += [f"xi for row {x['row']}: {' '.join(x['coefficients'])}" for x in p["xi"]]
-    lines += [f"row {r['row']} consistency: {'ok' if r['consistent'] else 'VIOLATED'}" for r in p["row_consistency"]]
-    return "\n".join(lines)
 
 
 def _check_equiv(a, a2, equivalent: bool, alphas: list[Fraction] | None, code: int) -> str | None:
@@ -161,24 +117,12 @@ def _check_equiv(a, a2, equivalent: bool, alphas: list[Fraction] | None, code: i
 
 
 def _judge(command: str, flags: tuple, a, a2, s: System, out: str, code: int) -> str | None:
-    degenerate = any(all(e is None for e in col) for col in zip(*a))
-    if "--json" in flags:
-        doc = json.loads(out)
-        if doc["exit_code"] != code:
-            return "JSON exit_code differs from the exit code"
-        p = doc["payload"]
-    if command == "normalize" and degenerate:
-        error = p.get("error", "") if "--json" in flags else out
-        return None if code == 2 and "degenerate column" in error else f"exit {code}: {out!r}"
+    if command == "normalize" and any(all(e is None for e in col) for col in zip(*a)):
+        return None if code == 2 and "degenerate column" in out else f"exit {code}: {out!r}"
     if command == "check-equiv":
-        if "--json" in flags:
-            alphas = None if p["alpha"] is None else [Fraction(t) for t in p["alpha"]]
-            return _check_equiv(a, a2, p["equivalent"], alphas, code)
         lines = out.splitlines()
         alphas = [Fraction(t) for t in lines[1][len("alpha = ("):-1].split(", ")] if len(lines) > 1 else None
         return _check_equiv(a, a2, lines[0] == "equivalent: yes", alphas, code)
-    if "--json" in flags and command != "solve":
-        out = _as_checker_text(command, p)
     return checker.check_call(command, flags, a, s, out, code)
 
 
@@ -188,7 +132,7 @@ def test_every_report_passes_the_independent_checker(tmp_path):
         a, b, a2 = _system(k)
         s = System(a, b)
         paths = {}
-        for name, text in (("a", _text(a)), ("b", _text([[e] for e in b])), ("a2", _text(a2))):
+        for name, text in (("a", grid_text(a)), ("b", grid_text([[e] for e in b])), ("a2", grid_text(a2))):
             paths[name] = str(tmp_path / f"{name}{k}.txt")
             pathlib.Path(paths[name]).write_text(text)
         m, n = len(a), len(a[0])
@@ -209,14 +153,21 @@ def test_every_report_passes_the_independent_checker(tmp_path):
             ("reduce", [B]),
             ("check-equiv", [paths["a2"]]),
         ):
-            for fmt in ([], ["--json"]):
-                argv = [command, A, *extra, *fmt]
-                out, code = _run(argv)
-                flags = tuple(x for x in extra + fmt if x.startswith("--") and x != "--scan-order")
-                verdict = _judge(command, flags, a, a2, s, out, code)
-                assert verdict is None, (k, argv, verdict, out)
-                if command == "colrank" and not fmt:
-                    seen["dependent"] += "dependent column" in out
+            argv = [command, A, *extra]
+            out, code = _run(argv)
+            flags = tuple(x for x in extra if x.startswith("--") and x != "--scan-order")
+            verdict = _judge(command, flags, a, a2, s, out, code)
+            assert verdict is None, (k, argv, verdict, out)
+            # the JSON report of the same call renders to the text report judged above
+            doc_text, json_code = _run(argv + ["--json"])
+            doc = json.loads(doc_text)
+            assert json_code == code == doc["exit_code"], (k, argv)
+            assert cli.render_text(cli.Report(**doc)) + "\n" == out, (k, argv)
+            if command == "solve":
+                verdict = checker.check_call(command, (*flags, "--json"), a, s, doc_text, json_code)
+                assert verdict is None, (k, argv, verdict, doc_text)
+            if command == "colrank":
+                seen["dependent"] += "dependent column" in out
         seen["solvable" if s.solvable else "unsolvable"] += 1
         seen["degenerate"] += any(all(e is None for e in col) for col in zip(*a))
         seen["big"] += any(e is not None and e.denominator > 10**18 for r in a for e in r)
