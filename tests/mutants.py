@@ -104,6 +104,51 @@ MUTANTS = (
         "",
         ("tests/test_scalar.py",),
     ),
+    # the max-plus product, the residuation and the oracle's row test
+    Mutant(
+        "row-maxima-keeps-least-term",
+        "src/tropsolve/matrix.py",
+        "if best_d is None or pn * best_d > best_n * pd:",
+        "if best_d is None or pn * best_d < best_n * pd:",
+        ("tests/test_matrix.py",),
+    ),
+    Mutant(
+        "row-maxima-drops-last-term",
+        "src/tropsolve/matrix.py",
+        "for ap, xp in zip(r, x_pairs):",
+        "for ap, xp in zip(r[:-1], x_pairs):",
+        ("tests/test_matrix.py",),
+    ),
+    # only the last row attaining the least slack is kept in the mask
+    Mutant(
+        "residuate-keeps-last-attaining-row",
+        "src/tropsolve/solver.py",
+        "if least_d is None or sn * least_d < least_n * sd:",
+        "if least_d is None or sn * least_d <= least_n * sd:",
+        ("tests/test_solver.py",),
+    ),
+    # a row whose terms all fall short of b_i passes
+    Mutant(
+        "satisfies-accepts-row-below-b",
+        "src/tropsolve/oracle.py",
+        "default=-1) != 0:",
+        "default=-1) > 0:",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "check-equivalence-all-inf-column-alpha-1",
+        "src/tropsolve/solver.py",
+        "alphas.append(Fraction(0))",
+        "alphas.append(Fraction(1))",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "greedy-tie-break-to-highest-column",
+        "src/tropsolve/freedom.py",
+        "min(col for col, c in freq.items() if c == best)",
+        "max(col for col, c in freq.items() if c == best)",
+        ("tests/test_freedom.py",),
+    ),
     Mutant(
         "normalize-divides-by-gcd-1",
         "src/tropsolve/normalize.py",

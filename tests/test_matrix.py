@@ -71,6 +71,9 @@ def test_mat_vec_known_product():
     )
     x = TropVector([-63, -25, 30, 4, 74])
     assert mat_vec(a, x) == TropVector([102, 78, 76, 160])
+    # only the last column attains each row's maximum
+    x = TropVector([-63, -25, 30, 4, 200])
+    assert mat_vec(a, x) == TropVector([200, 199, 202, 195])
 
 
 def test_column_combination_reproduces_third_column():
@@ -333,7 +336,7 @@ def _distinct_tokens_file(bad: str, at: int) -> str:
 
 
 @pytest.mark.parametrize("bad,at", [("1/2/3", 290), ("7/0", 40)])
-def test_rejected_token_keeps_file_without_decimals_away_from_parse_pair(bad, at):
+def test_rejected_token_in_last_chunk_gives_token_by_token_error(bad, at):
     # 300 distinct tokens make two grammar chunks; a rejected token in the
     # last one, malformed or with a zero denominator, gives the file's error
     # with the message, line and column that token-by-token reading gives

@@ -23,6 +23,11 @@ of both matrices, and its alpha moves with the columns; `dof` keeps its
 degrees of freedom and its leading and free columns under a row
 permutation, since the singleton step takes the same columns in any row
 order and the greedy step counts and breaks ties by column alone.
+`reduce`'s independent rows and columns, reduced system, eta, xi and row
+consistency are renamed as a whole, since its scans find the same
+extremal rows and columns; its two degree-of-freedom figures stay under
+a row permutation. A column permutation can move d_f, but `dof --exact`
+keeps its least cover tau, and d_f <= n - tau holds on each copy.
 
 Each expected payload is derived from the other run's payload with plain
 `Fraction` arithmetic and the transform; the inputs are written with it
@@ -293,3 +298,64 @@ def test_normalize_check_equiv_and_dof_follow_permutations(tmp_path):
                     assert got["witness_rows"] == sorted(r[i - 1] + 1 for i in want["witness_rows"]), k
     # normalize accepts a good share of the systems, and check-equiv sees both verdicts
     assert normalized >= 60 and min(verdicts.values()) >= 30 and solvable >= 20, (normalized, verdicts, solvable)
+
+
+def _renamed_reduce(p: dict, rows: list[int], cols: list[int]) -> dict:
+    """The reduce payload `p` with row i moved to rows[i] and column j to cols[j], less its two dof figures."""
+
+    def renamed(indices, names):
+        # the renamed indices, ascending, and where each old position goes among them
+        new = sorted(names[i - 1] + 1 for i in indices)
+        return new, [new.index(names[i - 1] + 1) for i in indices]
+
+    def entries(items, key, names, at):
+        out = ({key: names[e[key] - 1] + 1, "coefficients": _moved(e["coefficients"], at)} for e in items)
+        return sorted(out, key=lambda e: e[key])
+
+    independent_rows, at_row = renamed(p["independent_rows"], rows)
+    independent_cols, at_col = renamed(p["independent_cols"], cols)
+    return {
+        "status": p["status"],
+        "independent_rows": independent_rows,
+        "independent_cols": independent_cols,
+        "a_bar": _permuted(p["a_bar"], at_row, at_col),
+        "b_bar": _moved(p["b_bar"], at_row),
+        "eta": entries(p["eta"], "column", cols, at_col),
+        "xi": entries(p["xi"], "row", rows, at_row),
+        "row_consistency": sorted(
+            ({"row": rows[e["row"] - 1] + 1, "consistent": e["consistent"]} for e in p["row_consistency"]),
+            key=lambda e: e["row"],
+        ),
+    }
+
+
+def test_reduce_and_exact_dof_follow_permutations(tmp_path):
+    rng = random.Random(63)
+    dependences, solvable = 0, 0
+    for k in range(40):
+        a, b = _unscaled_system(rng, k)
+        m, n = len(a), len(a[0])
+        same_rows, same_cols = list(range(m)), list(range(n))
+        files = _files(tmp_path / f"r{k}", a, b)
+        reduced, exact = run(["reduce", *files]), run(["dof", *files, "--exact"])
+        dof_figures = (reduced.payload["dof_via_reduction"], reduced.payload["dof_direct"])
+        for r, c in ((rng.sample(range(m), m), same_cols), (same_rows, rng.sample(range(n), n))):
+            moved = _files(tmp_path / f"r{k}_moved", _permuted(a, r, c), _permuted(b, r, [0]))
+            got = run(["reduce", *moved])
+            assert got.exit_code == reduced.exit_code, (k, r, c)
+            figures = (got.payload.pop("dof_via_reduction"), got.payload.pop("dof_direct"))
+            assert got.payload == _renamed_reduce(reduced.payload, r, c), (k, r, c)
+            if c is same_cols:
+                assert figures == dof_figures, k
+                continue
+            # a column permutation keeps the least cover tau, but not d_f
+            got, want = run(["dof", *moved, "--exact"]).payload, exact.payload
+            if want["status"] == "solvable":
+                assert got["exact"]["min_size"] == want["exact"]["min_size"], k
+                assert all(p["degrees_of_freedom"] <= n - p["exact"]["min_size"] for p in (got, want)), k
+                solvable += 1
+            else:
+                assert got == want, k  # the witness rows stay where they are
+        dependences += len(reduced.payload["eta"]) + len(reduced.payload["xi"])
+    # each system has a dependent column and row, and dof --exact meets solvable systems
+    assert dependences >= 2 * 40 and solvable >= 10, (dependences, solvable)
