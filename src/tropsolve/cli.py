@@ -28,7 +28,7 @@ from .normalize import normalize, normalized_solution
 from .oracle import EXHAUSTIVE_MAX_SIDE, exhaustive_solvable, principal_solution, satisfies
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
-from .scalar import format_pair, format_scalar
+from .scalar import format_pairs, format_scalar
 from .solver import Solvable, solve, check_equivalence
 
 __all__ = ["Report", "run", "main"]
@@ -53,9 +53,9 @@ def _ones(indices) -> list[int]:
     return [i + 1 for i in sorted(indices)]
 
 
-def _tokens(pairs, bottom: str = "-inf") -> list[str]:
-    """Each stored pair's token, and `bottom` for -inf."""
-    return [bottom if p is None else format_pair(*p) for p in pairs]
+def _scalars(values) -> list[str]:
+    """Each scalar's token, and -inf for None, in one `format_pairs` batch."""
+    return format_pairs([None if v is None else (v.numerator, v.denominator) for v in values])
 
 
 def _listed(items, sep: str = ", ") -> str:
@@ -81,12 +81,12 @@ def _grid_lines(rows: list[list[str]], boxed: list[list[int]] | None = None) -> 
 def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     res = normalize(a, b)
     payload = {
-        "a_tilde": [_tokens(r) for r in res.a_tilde],
-        "col_means": [format_scalar(f) for f in res.col_means],
-        "b_tilde": _tokens(res.b_tilde.pairs()),
+        "a_tilde": [format_pairs(r) for r in res.a_tilde],
+        "col_means": _scalars(res.col_means),
+        "b_tilde": format_pairs(res.b_tilde.pairs()),
         "b_mean": format_scalar(res.b_mean),
-        "q": [_tokens(r, "+inf-") for r in res.q],
-        "column_minima": _tokens(res.column_minima.pairs()),
+        "q": [format_pairs(r, "+inf-") for r in res.q],
+        "column_minima": format_pairs(res.column_minima.pairs()),
         "argmin_rows": [_ones(s) for s in res.argmin_rows],
     }
     return payload, 0
@@ -106,7 +106,7 @@ def _render_normalize(p: dict) -> list[str]:
 def _solution_strings(outcome: Solvable) -> list[str]:
     return [
         "unbounded" if j in outcome.unbounded else t
-        for j, t in enumerate(_tokens(outcome.x_star.pairs()))
+        for j, t in enumerate(format_pairs(outcome.x_star.pairs()))
     ]
 
 
@@ -116,7 +116,7 @@ def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     payload = {
         "status": "solvable" if solvable else "unsolvable",
         "x_star": _solution_strings(outcome) if solvable else None,
-        "y_star": _tokens(normalized_solution(a, b, outcome.x_star).pairs()) if solvable else None,
+        "y_star": format_pairs(normalized_solution(a, b, outcome.x_star).pairs()) if solvable else None,
         "witness_rows": [] if solvable else _ones(outcome.witness_rows),
         "coverage": [_ones(cols) for cols in outcome.coverage],
         "forced_bottom": _ones(outcome.forced_bottom) if solvable else [],
@@ -131,7 +131,7 @@ def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
             exh = exhaustive_solvable(a, b)
             agree = agree and exh == solvable
         payload["check"] = {
-            "principal_solution": _tokens(x0.pairs()),
+            "principal_solution": format_pairs(x0.pairs()),
             "verify": ok,
             "exhaustive": exh,
             "agrees": agree,
@@ -227,7 +227,8 @@ def _rank_payload(report: RankReport) -> dict:
             {
                 "index": d.col + 1,
                 "combination": [
-                    {"index": c + 1, "coefficient": format_scalar(coeff)} for c, coeff in d.combination
+                    {"index": c + 1, "coefficient": t}
+                    for (c, _), t in zip(d.combination, _scalars(x for _, x in d.combination))
                 ],
             }
             for d in report.dependent
@@ -273,14 +274,14 @@ def _cmd_reduce(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
         "status": "solvable" if solvable else "unsolvable",
         "independent_rows": [i + 1 for i in sys_red.indep_rows],
         "independent_cols": [j + 1 for j in sys_red.indep_cols],
-        "a_bar": [_tokens(r) for r in sys_red.a_bar.pair_rows()] if sys_red.indep_cols else None,
-        "b_bar": _tokens(sys_red.b_bar.pairs()) if sys_red.indep_cols else None,
+        "a_bar": [format_pairs(r) for r in sys_red.a_bar.pair_rows()] if sys_red.indep_cols else None,
+        "b_bar": format_pairs(sys_red.b_bar.pairs()) if sys_red.indep_cols else None,
         "eta": [
-            {"column": j + 1, "coefficients": [format_scalar(c) for c in coeffs]}
+            {"column": j + 1, "coefficients": _scalars(coeffs)}
             for j, coeffs in sys_red.eta
         ],
         "xi": [
-            {"row": i + 1, "coefficients": [format_scalar(c) for c in coeffs]}
+            {"row": i + 1, "coefficients": _scalars(coeffs)}
             for i, coeffs in sys_red.xi
         ],
         "row_consistency": [
@@ -318,7 +319,7 @@ def _cmd_check_equiv(args, a: TropMatrix, a2: TropMatrix) -> tuple[dict, int]:
     alphas = check_equivalence(a, a2)
     payload = {
         "equivalent": alphas is not None,
-        "alpha": [format_scalar(al) for al in alphas] if alphas is not None else None,
+        "alpha": _scalars(alphas) if alphas is not None else None,
     }
     return payload, 0 if alphas is not None else 1
 

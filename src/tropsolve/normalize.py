@@ -19,14 +19,14 @@ column minimum.
 Every value of the normalization is a reduced `(numerator, denominator)`
 pair, denominator positive, built on the pairs that A and b store. A mean
 sums integer numerators per distinct denominator, over their lcm, and is
-reduced once. Every difference goes through one routine, `_sub`, which
-subtracts reduced pairs by Knuth's identity: b_mean - mean_j once per
-column, then a~_ij = a_ij - mean_j, q_ij = (b_i - a_ij) - (b_mean - mean_j),
-y*_j = x*_j - (b_mean - mean_j) and b~_i = b_i - b_mean. Each per-cell gcd
-so has a short denominator as one operand. A~ and Q are grids of pairs and
-None; `Fraction(*p)` gives a cell's value. b~ and the column minima are
-vectors, and the only `Fraction`s built are the public `col_means` and
-`b_mean`.
+reduced once. A difference of reduced pairs goes through one routine,
+`_sub`, Knuth's identity: b_mean - mean_j once per column, then
+a~_ij = a_ij - mean_j, y*_j = x*_j - (b_mean - mean_j) and b~_i = b_i - b_mean.
+`_q_row` takes each q_ij = (b_i - a_ij) - (b_mean - mean_j) in one exact step,
+b_i - a_ij left unreduced. Each per-cell gcd so has a short denominator as
+one operand. A~ and Q are grids of pairs and None; `Fraction(*p)` gives a
+cell's value. b~ and the column minima are vectors, and the only
+`Fraction`s built are the public `col_means` and `b_mean`.
 The report is refused before A~ and Q are built when a mean or minimum has
 more than `MAX_MEAN_DIGITS` digits: a bound of this module's own, the same
 under every interpreter setting.
@@ -89,7 +89,7 @@ def _sub(xs: Iterable[Pair | None], ys: Iterable[Pair | None]) -> list[Pair | No
     p/q - r/s by Knuth's identity (TAOCP vol. 2, 4.5.1): g = gcd(q, s); if
     g > 1, t = p*(s/g) - r*(q/g) and g2 = gcd(t, g) reduce it. Both gcds
     take the shorter denominator, or a divisor of it, as one operand, so a
-    short entry less a long mean costs only short gcds.
+    short entry less a long mean costs only short gcds. Q's cells take `_q_row`.
     """
     out = []
     for x, y in zip(xs, ys):
@@ -105,6 +105,30 @@ def _sub(xs: Iterable[Pair | None], ys: Iterable[Pair | None]) -> list[Pair | No
             g2 = gcd(t, g)
             out.append((t, q // g * s) if g2 == 1 else (t // g2, q // g * (s // g2)))
     return out
+
+
+def _q_row(bi: Pair, row: Iterable[Pair | None], shifts: list[Pair]) -> tuple[Pair | None, ...]:
+    """Row i of Q: q_ij = (b_i - a_ij) - s_j, s_j = r/s = b_mean - mean_j, each reduced in one exact step.
+
+    b_i - a_ij stays unreduced as p/q, q = db*da; g = gcd(q, s), t = p*(s/g) - r*(q/g)
+    and q_ij = t / (q*(s/g)). A prime of s/g dividing t would divide r*(q/g), yet
+    gcd(r, s) = gcd(q/g, s/g) = 1; so G = gcd(t, q) is all t shares with the
+    denominator (Knuth's gcd(t, g) is not, as p/q is unreduced), and both gcds take
+    the short q as one operand. b_i and every shift are finite.
+    """
+    nb, db = bi
+    out = []
+    for x, (r, s) in zip(row, shifts):
+        if x is None:
+            out.append(None)
+            continue
+        na, da = x
+        p, q = nb * da - na * db, db * da
+        g = gcd(q, s)
+        t = p * (s // g) - r * (q // g)
+        G = gcd(t, q)
+        out.append((t // G, q // g * s // G))
+    return tuple(out)
 
 
 def _shift(
@@ -156,7 +180,7 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         col_means=tuple([Fraction(*m) for m in means]),
         b_tilde=TropVector._of(tuple(_sub(b.pairs(), repeat(b_mean)))),
         b_mean=Fraction(*b_mean),
-        q=tuple([tuple(_sub(_sub(repeat(bi), r), shifts)) for bi, r in zip(b.pairs(), a.pair_rows())]),
+        q=tuple([_q_row(bi, r, shifts) for bi, r in zip(b.pairs(), a.pair_rows())]),
         column_minima=TropVector._of(tuple(y_star)),
         argmin_rows=tuple([frozenset(rows) for rows in argmins]),
     )

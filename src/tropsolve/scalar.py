@@ -27,7 +27,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 
@@ -158,17 +158,21 @@ def _ints(digits: str) -> list[int]:
         return list(map(int, digits.split(",")))
 
 
-def format_pair(n: int, d: int) -> str:
-    """Canonical token for the reduced fraction n/d, d > 0, in full: the one token rule.
+def format_pairs(pairs: Sequence[Pair | None], bottom: str = "-inf") -> list[str]:
+    """The token of each reduced pair n/d, d > 0, in full, and `bottom` for None: the one token rule.
 
-    Past Python's int/str digit limit the digits come from `Decimal`, which
-    converts any int exactly and has no such limit.
+    A pair is written `n` when d == 1 and `n/d` otherwise. A batch with a part past Python's
+    int/str digit limit is written again on `Decimal`s, which convert any int exactly.
     """
     try:
-        return str(n) if d == 1 else f"{n}/{d}"
+        return [bottom if p is None else str(p[0]) if p[1] == 1 else f"{p[0]}/{p[1]}" for p in pairs]
     except ValueError:
-        n, d = Decimal(n), Decimal(d)
-        return str(n) if d == 1 else f"{n}/{d}"
+        return format_pairs([None if p is None else (Decimal(p[0]), Decimal(p[1])) for p in pairs], bottom)
+
+
+def format_pair(n: int, d: int) -> str:
+    """Canonical token for the reduced fraction n/d, d > 0, in full, by `format_pairs`."""
+    return format_pairs(((n, d),))[0]
 
 
 def format_scalar(s: Scalar) -> str:

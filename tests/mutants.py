@@ -13,7 +13,7 @@ Run from anywhere, with pytest and hypothesis installed:
 The tool copies the repository to a temporary directory, applies one
 mutant at a time, runs that mutant's test files there with `pytest -x`,
 and prints `killed` or `survived` for each; equivalent mutants are listed,
-not run. It exits with 1 when a mutant that must die survives or the
+not run. The last line gives the whole catalogue's run time. It exits with 1 when a mutant that must die survives or the
 control dies. pytest does not collect this file; `tests/test_mutants.py`
 checks in Tier-1 that every old text still occurs exactly once.
 """
@@ -73,6 +73,30 @@ MUTANTS = (
         "out.append((t, q // g * s) if g2 == 1 else (t // g2, q // g * (s // g2)))",
         "out.append(reduced((t, q // g * s)))",
         ("tests/test_normalize.py",),
+    ),
+    # Q's one-step cell: Knuth's gcd(t, g) misses a factor of the unreduced
+    # b_i - a_ij; the full operands give the same values over long gcds
+    Mutant(
+        "normalize-q-reduced-by-gcd-with-g",
+        "src/tropsolve/normalize.py",
+        "        G = gcd(t, q)\n",
+        "        G = gcd(t, g)\n",
+        ("tests/test_normalize.py",),
+    ),
+    Mutant(
+        "normalize-q-full-operand-gcd",
+        "src/tropsolve/normalize.py",
+        "out.append((t // G, q // g * s // G))",
+        "out.append(reduced((t, q // g * s)))",
+        ("tests/test_normalize.py",),
+    ),
+    # a report row with a part past the int/str digit limit raises instead of printing
+    Mutant(
+        "format-pairs-digit-limit-fallback-deleted",
+        "src/tropsolve/scalar.py",
+        "return format_pairs([None if p is None else (Decimal(p[0]), Decimal(p[1])) for p in pairs], bottom)",
+        "raise",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "mask-bits-past-63-dropped",
@@ -194,7 +218,7 @@ def killed(mutant: Mutant, tree: Path) -> bool:
 
 
 def main() -> int:
-    wrong = 0
+    wrong, start_all = 0, time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache"))
@@ -208,6 +232,7 @@ def main() -> int:
             wrong += bad
             verdict = "killed" if dead else "survived"
             print(f"{m.name}: {verdict}{' (WRONG)' if bad else ''} in {time.perf_counter() - start:.1f} s", flush=True)
+    print(f"catalogue of {len(MUTANTS)} mutants: {wrong} wrong, in {time.perf_counter() - start_all:.1f} s")
     return 1 if wrong else 0
 
 

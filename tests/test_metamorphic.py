@@ -29,6 +29,14 @@ extremal rows and columns; its two degree-of-freedom figures stay under
 a row permutation. A column permutation can move d_f, but `dof --exact`
 keeps its least cover tau, and d_f <= n - tau holds on each copy.
 
+Shifting column j of A by alpha_j and b by beta moves x*_j by
+beta - alpha_j and keeps the rows attaining it, so `dof`'s report stays.
+Column j is the max-combination of columns l with coefficients eta_jl
+exactly when the shifted column is, with eta_jl + alpha_j - alpha_l; every
+row moves by the same alphas, so a row's coefficients stay. So the scans
+keep their verdicts, `rowrank` its whole report and `reduce` its xi and
+row consistency, while its reduced matrix and b move with their columns.
+
 Each expected payload is derived from the other run's payload with plain
 `Fraction` arithmetic and the transform; the inputs are written with it
 too, b = A x0 by `helpers.row_max`.
@@ -359,3 +367,63 @@ def test_reduce_and_exact_dof_follow_permutations(tmp_path):
         dependences += len(reduced.payload["eta"]) + len(reduced.payload["xi"])
     # each system has a dependent column and row, and dof --exact meets solvable systems
     assert dependences >= 2 * 40 and solvable >= 10, (dependences, solvable)
+
+
+def _plus(token: str, delta: Fraction) -> str:
+    """A value token moved by delta; -inf stays."""
+    return token if token == "-inf" else str(Fraction(token) + delta)
+
+
+def _shifted_reduce(p: dict, alphas: list[Fraction], beta: Fraction) -> dict:
+    """The reduce payload `p` with a_bar's column l moved by alpha_l, b_bar by beta and eta_jl by alpha_j - alpha_l."""
+    if p["a_bar"] is None:
+        return p
+    cols = [alphas[j - 1] for j in p["independent_cols"]]
+    return {
+        **p,
+        "a_bar": [[_plus(t, s) for t, s in zip(r, cols)] for r in p["a_bar"]],
+        "b_bar": [_plus(t, beta) for t in p["b_bar"]],
+        "eta": [
+            {**e, "coefficients": [_plus(t, alphas[e["column"] - 1] - s) for t, s in zip(e["coefficients"], cols)]}
+            for e in p["eta"]
+        ],
+    }
+
+
+def _shifted_colrank(p: dict, alphas: list[Fraction]) -> dict:
+    """The colrank payload `p` with the coefficient of column l in column j's combination moved by alpha_j - alpha_l."""
+
+    def moved(j, c):
+        return {**c, "coefficient": _plus(c["coefficient"], alphas[j - 1] - alphas[c["index"] - 1])}
+
+    dependent = [{**d, "combination": [moved(d["index"], c) for c in d["combination"]]} for d in p["dependent"]]
+    return {**p, "dependent": dependent}
+
+
+def test_column_and_b_shifts_move_only_the_values_they_shift(tmp_path):
+    # the shift relations of the module docstring, with denominators 7 and 11
+    # that A's values never have
+    rng = random.Random(64)
+    solvable, etas = 0, 0
+    for k in range(40):
+        a, b = _unscaled_system(rng, k)
+        alphas = [Fraction(rng.randint(-60, 60), 7) for _ in a[0]]
+        beta = Fraction(rng.randint(-60, 60), 11)
+        a2 = [[None if e is None else e + s for e, s in zip(r, alphas)] for r in a]
+        b2 = [[None if e is None else e + beta] for e, in b]
+        files, shifted = _files(tmp_path / f"h{k}", a, b), _files(tmp_path / f"h{k}_shifted", a2, b2)
+        reports = {}
+        for command, inputs, moved in (
+            ("dof", 2, lambda p: p),
+            ("reduce", 2, lambda p: _shifted_reduce(p, alphas, beta)),
+            ("colrank", 1, lambda p: _shifted_colrank(p, alphas)),
+            ("rowrank", 1, lambda p: p),
+        ):
+            want, got = run([command, *files[:inputs]]), run([command, *shifted[:inputs]])
+            assert got.exit_code == want.exit_code, (k, command)
+            assert got.payload == moved(want.payload), (k, command)
+            reports[command] = want
+        solvable += reports["dof"].exit_code == 0
+        etas += len(reports["reduce"].payload["eta"])
+    # solvable and unsolvable systems both occur, and reduce finds a dependent column in each
+    assert 10 <= solvable <= 30 and etas >= 40, (solvable, etas)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from tropsolve import (
-    BOTTOM,
     DegenerateColumnError,
     RegularityError,
     SizeBoundError,
@@ -177,26 +176,22 @@ def test_back_transformed_minima_equal_direct_residuation():
 
 
 def test_q_invariant_under_equivalence_shifts():
+    # column j of A shifted by alpha_j and b by beta, with denominators 7 and
+    # 11 that A's values never have: A~, b~, Q, its minima and argmin rows stay
+    # pair for pair, each column mean moves by its alpha_j and b's mean by beta
     rng = random.Random(13)
     for _ in range(100):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(rng, m, n, bottom_p=0.2, regular_cols=True)
         b = rand_finite_vector(rng, m)
-        alphas = [rand_finite_vector(rng, 1)[0] for _ in range(n)]
-        beta = rand_finite_vector(rng, 1)[0]
-        a2 = TropMatrix(
-            [
-                [
-                    BOTTOM
-                    if a.entry(i, j) is None
-                    else a.entry(i, j) + alphas[j]
-                    for j in range(n)
-                ]
-                for i in range(m)
-            ]
-        )
+        alphas = [F(rng.randint(-60, 60), 7) for _ in range(n)]
+        beta = F(rng.randint(-60, 60), 11)
+        a2 = TropMatrix([[None if e is None else e + s for e, s in zip(r, alphas)] for r in a.row_tuples()])
         b2 = TropVector([e + beta for e in b])
-        assert normalize(a, b).q == normalize(a2, b2).q
+        res, shifted = normalize(a, b), normalize(a2, b2)
+        assert shifted._replace(col_means=None, b_mean=None) == res._replace(col_means=None, b_mean=None)
+        assert list(shifted.col_means) == [c + s for c, s in zip(res.col_means, alphas)]
+        assert shifted.b_mean == res.b_mean + beta
 
 
 def _prime_system(rng: random.Random, m: int, n: int) -> tuple[TropMatrix, TropVector]:
@@ -370,12 +365,13 @@ def test_normalize_refuses_mean_past_digit_limit(monkeypatch):
     with pytest.raises(SizeBoundError):
         normalize(TropMatrix([[Fraction(1, 10**4300)]]), TropVector([0]))
     assert normalize(TropMatrix([[Fraction(1, 10**4300 - 1)]]), TropVector([0])).column_minima == TropVector([0])
-    # `_sub` builds A~ and Q a row per call, and before the refusal forms only
-    # b_mean - mean_j and y*, one call each; a grid row built before the
-    # refusal adds a call
+    # `_sub` builds A~ and `_q_row` builds Q a row per call; before the refusal
+    # only `_sub` runs, forming b_mean - mean_j and y*, one call each; a grid
+    # row built before the refusal adds a call
     calls = []
     module = importlib.import_module("tropsolve.normalize")
-    monkeypatch.setattr(module, "_sub", lambda *args, sub=module._sub: calls.append(args) or sub(*args))
+    for name in ("_sub", "_q_row"):
+        monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name): calls.append(args) or f(*args))
     with pytest.raises(SizeBoundError):
         normalize(a, b)
     assert len(calls) == 2

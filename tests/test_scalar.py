@@ -25,7 +25,7 @@ from tropsolve import (
     reduce_system,
     solve,
 )
-from tropsolve.scalar import MAX_DIGITS, parse_pairs
+from tropsolve.scalar import MAX_DIGITS, format_pairs, parse_pairs
 
 from helpers import is_reduced_pair, product, read_token, trop_add, trop_mul
 
@@ -193,6 +193,25 @@ def test_format_pair_past_digit_limit():
     long = "1" + "0" * 4999 + "1"
     assert format_pair(10**5000 + 1, 1) == long
     assert format_pair(1, 10**5000 + 1) == "1/" + long
+
+
+def test_format_pairs_writes_each_row_as_format_pair_writes_its_cells():
+    # rows mixing -inf, integers and negative fractions; a value past the
+    # int/str digit limit sends its whole row through the Decimal path
+    long = 10**5000 + 7
+    rows = [
+        [None, (0, 1), (-3, 1), (7, 2), (-5, 12)],
+        [(-1, 3), None, (long, 1), (12, 1), (-7, 9)],
+        [(4, 1), (-long, 3 * 10**4999 + 1), None, (-2, 5), (1, 1)],
+    ]
+    want = [
+        ["-inf", "0", "-3", "7/2", "-5/12"],
+        ["-1/3", "-inf", _LONG, "12", "-7/9"],
+        ["4", f"-{_LONG}/{_LONG_DEN}", "-inf", "-2/5", "1"],
+    ]
+    for row, tokens in zip(rows, want):
+        assert format_pairs(row) == tokens == [format_scalar(None if p is None else Fraction(*p)) for p in row]
+        assert format_pairs(row, "+inf-") == ["+inf-" if p is None else format_pair(*p) for p in row]
 
 
 @pytest.mark.parametrize(
