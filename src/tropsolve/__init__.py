@@ -25,7 +25,7 @@ from .matrix import (
     parse_vector,
     submatrix,
 )
-from .normalize import NormalizationResult, column_mean, normalize, normalized_solution
+from .normalize import NormalizationResult, normalize, normalized_solution
 from .oracle import exhaustive_solvable, principal_solution
 from .rank import Dependence, RankReport, colrank, rowrank
 from .reduce import ReducedSystem, dof_via_reduction, expand_solution, reduce_system
@@ -44,4 +44,4 @@ from .solver import (
     solve,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

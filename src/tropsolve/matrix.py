@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, ParseError
-from .scalar import Pair, PairGrid, Scalar, as_scalar, format_pair, malformed, parse_pairs, reduced
+from .scalar import Pair, PairGrid, Scalar, as_scalar, format_pairs, malformed, parse_pairs, reduced
 
 __all__ = [
     "TropMatrix",
@@ -99,7 +99,7 @@ class TropVector(_Stored):
         return self._pairs
 
     def __repr__(self) -> str:
-        return "TropVector(" + ", ".join("-inf" if p is None else format_pair(*p) for p in self._pairs) + ")"
+        return "TropVector(" + ", ".join(format_pairs(self._pairs)) + ")"
 
 
 class TropMatrix(_Stored):

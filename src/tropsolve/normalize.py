@@ -41,10 +41,10 @@ from typing import Iterable, NamedTuple
 
 from .errors import DegenerateColumnError, RegularityError, SizeBoundError
 from .matrix import TropMatrix, TropVector, is_regular
-from .scalar import Pair, PairGrid, Scalar, reduced
+from .scalar import Pair, PairGrid, reduced
 from .solver import solve
 
-__all__ = ["NormalizationResult", "column_mean", "normalize", "normalized_solution"]
+__all__ = ["NormalizationResult", "normalize", "normalized_solution"]
 
 # the most digits a column mean, the mean of b or a column minimum may have,
 # since the A~ and Q grids over longer means run to megabytes
@@ -61,15 +61,6 @@ class NormalizationResult(NamedTuple):
     q: PairGrid
     column_minima: TropVector
     argmin_rows: tuple[frozenset[int], ...]
-
-
-def column_mean(col: Iterable[Scalar]) -> Fraction:
-    """Classical mean of the finite entries of a column.
-
-    The denominator is the number of finite entries, so -inf positions do
-    not participate at all.
-    """
-    return Fraction(*_mean([e.as_integer_ratio() for e in col if e is not None]))
 
 
 def _mean(pairs: list[Pair]) -> Pair:
@@ -103,7 +94,7 @@ def _sub(xs: Iterable[Pair | None], ys: Iterable[Pair | None]) -> list[Pair | No
         else:
             t = p * (s // g) - r * (q // g)
             g2 = gcd(t, g)
-            out.append((t, q // g * s) if g2 == 1 else (t // g2, q // g * (s // g2)))
+            out.append((t // g2, q // g * (s // g2)))
     return out
 
 

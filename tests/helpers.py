@@ -13,6 +13,9 @@ Every other reference here (`product`, `solves`, `max_combination`,
 `principal_reference`, `dependence_oracle`) is written on these two, and
 every generator plants b = A x0 with `product`. A test that needs the
 product or a residuation calls them; it does not write its own.
+`mean`, the sum of a column's finite entries over their count, is the
+one reference mean: it checks `normalize`'s means, and through them A~,
+b~, Q and every y*.
 
 `read_token` reads one scalar token by the README grammar, character by
 character, with no regular expression and nothing from
@@ -293,21 +296,22 @@ def fraction_grid(grid) -> tuple[tuple[Fraction | None, ...], ...]:
     return tuple(tuple(None if p is None else Fraction(*p) for p in row) for row in grid)
 
 
+def mean(entries) -> Fraction:
+    """The paper's column mean: the sum of the finite entries over their count; -inf (None) entries take no part."""
+    finite = [e for e in entries if e is not None]
+    return sum(finite, Fraction(0)) / len(finite)
+
+
 def normalize_reference(a: TropMatrix, b: TropVector) -> NormalizationResult:
     """Plain-`Fraction` reference for `normalize`, cell by cell as the paper defines it.
 
-    Each mean is the sum of the finite entries over their count; then
+    Each mean is `mean` of a column or of b; then
     a~_ij = a_ij - mean_j, b~_i = b_i - b_mean and q_ij = b~_i - a~_ij.
     Shares no arithmetic with `normalize`, which works on integer pairs.
     A~ and Q are grids of `Fraction`s and None, to compare with
     `fraction_grid` of `normalize`'s pair grids.
     Expects a regular b and a finite entry in every column.
     """
-
-    def mean(entries) -> Fraction:
-        finite = [e for e in entries if e is not None]
-        return sum(finite, Fraction(0)) / len(finite)
-
     means = [mean(col) for col in zip(*a.row_tuples())]
     b_mean = mean(b)
     a_tilde = tuple(tuple(None if e is None else e - m for e, m in zip(r, means)) for r in a.row_tuples())

@@ -66,11 +66,11 @@ MUTANTS = (
         "for k in sorted(discovery + untested):",
         ("tests/test_rank.py",),
     ),
-    # the same values, each A~ and Q cell reduced by the gcd of its full long operands
+    # the same values, each A~, b~ and y* value reduced by the gcd of its full long operands
     Mutant(
         "normalize-full-operand-gcd",
         "src/tropsolve/normalize.py",
-        "out.append((t, q // g * s) if g2 == 1 else (t // g2, q // g * (s // g2)))",
+        "out.append((t // g2, q // g * (s // g2)))",
         "out.append(reduced((t, q // g * s)))",
         ("tests/test_normalize.py",),
     ),
@@ -88,6 +88,15 @@ MUTANTS = (
         "src/tropsolve/normalize.py",
         "out.append((t // G, q // g * s // G))",
         "out.append(reduced((t, q // g * s)))",
+        ("tests/test_normalize.py",),
+    ),
+    # the one column mean counts a -inf entry as 0, so its column's mean and every
+    # A~ and Q cell of it shift
+    Mutant(
+        "normalize-mean-counts-inf-as-0",
+        "src/tropsolve/normalize.py",
+        "_mean([p for p in col if p is not None])",
+        "_mean([(0, 1) if p is None else p for p in col])",
         ("tests/test_normalize.py",),
     ),
     # a report row with a part past the int/str digit limit raises instead of printing
@@ -172,13 +181,6 @@ MUTANTS = (
         "min(col for col, c in freq.items() if c == best)",
         "max(col for col, c in freq.items() if c == best)",
         ("tests/test_freedom.py",),
-    ),
-    Mutant(
-        "normalize-divides-by-gcd-1",
-        "src/tropsolve/normalize.py",
-        "out.append((t, q // g * s) if g2 == 1 else (t // g2, q // g * (s // g2)))",
-        "out.append((t // g2, q // g * (s // g2)))",
-        equivalent="dividing by a gcd of 1 changes no value, and no gcd call is added or dropped",
     ),
     Mutant(
         "parse-divides-by-gcd-1",

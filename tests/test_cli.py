@@ -20,7 +20,7 @@ from tropsolve import TropMatrix, TropVector, cli, parse_matrix, parse_vector, p
 from tropsolve.cli import main, render_json, render_text, run
 from tropsolve.oracle import satisfies
 
-from helpers import format_matrix, format_vector, prime_value, product
+from helpers import grid_text, mean, prime_value, product
 
 
 def path(data_dir, name):
@@ -407,9 +407,6 @@ def test_solve_y_star_past_digit_limit_keeps_verdict(tmp_path, capsys):
     assert report.payload["x_star"] == ["0", "0"]
     assert report.payload["coverage"] == [[1] if i % 2 == 0 else [2] for i in range(120)]
     # the reference: y*_j = x*_j + mean_j - b_mean on plain Fractions
-    def mean(col):
-        return sum(col, Fraction(0)) / len(col)
-
     b_mean = mean([Fraction(1, d) if i % 2 == 0 else Fraction(1) for i, d in enumerate(ds)])
     expected = [mean([Fraction(1, d) for d in ds]) - b_mean, mean([Fraction(i % 2) for i in range(120)]) - b_mean]
     tokens = report.payload["y_star"]
@@ -641,8 +638,8 @@ def test_fraction_constructions_per_call(tmp_path, monkeypatch, capsys):
     rng = random.Random(5)
     a = TropMatrix([[None if rng.random() < 0.1 else prime_value(rng) for _ in range(100)] for _ in range(100)])
     b = product(a, TropVector(prime_value(rng) for _ in range(100)))  # planted: solvable and regular
-    (tmp_path / "a.mat").write_text(format_matrix(a))
-    (tmp_path / "b.vec").write_text(format_vector(b))
+    (tmp_path / "a.mat").write_text(grid_text(a.row_tuples()))
+    (tmp_path / "b.vec").write_text(grid_text([e] for e in b))
     built = 0
 
     def counting(cls, *args, **kwargs):

@@ -136,6 +136,7 @@ def test_shapes_validated():
     assert TropVector([1, 2]) != (Fraction(1), Fraction(2))
     assert TropMatrix([[1, 2]]) != [[Fraction(1), Fraction(2)]]
     assert repr(TropVector([Fraction(5, 2), None])) == "TropVector(5/2, -inf)"
+    assert repr(TropMatrix([[1, None, 2], [3, 4, 5]])) == "TropMatrix(2x3)"
     with pytest.raises(DimensionError):
         mat_vec(TropMatrix([[1, 2]]), TropVector([1]))
     # empty shapes are values; a matrix with no rows has no columns

@@ -12,7 +12,6 @@ from tropsolve import (
     Solvable,
     TropMatrix,
     TropVector,
-    column_mean,
     normalize,
     normalized_solution,
     solve,
@@ -22,6 +21,7 @@ from helpers import (
     PRIMES,
     fraction_grid,
     is_reduced_pair,
+    mean,
     normalize_reference,
     prime_value,
     principal_reference,
@@ -35,17 +35,6 @@ from helpers import (
 )
 
 F = Fraction
-
-
-def test_column_mean_golden():
-    assert column_mean(TropVector([165, 141, 137, -243])) == F(50)
-    assert column_mean(TropVector([7, 7, 7])) == F(7)
-    assert column_mean(TropVector([10, None, 20])) == F(15)
-
-
-def test_column_mean_degenerate():
-    with pytest.raises(DegenerateColumnError):
-        column_mean(TropVector([None, None]))
 
 
 def test_normalize_solvable_4x5(solvable_4x5):
@@ -328,10 +317,6 @@ def test_normalize_gcd_operands_stay_pair_sized(monkeypatch):
 def test_normalized_solution_on_systems_normalize_refuses():
     # Y* where b holds -inf or a column is all -inf, against the plain-Fraction
     # y*_j = x*_j + mean_j - b_mean, means over finite entries, -inf where x*_j is
-    def mean(entries) -> F:
-        finite = [e for e in entries if e is not None]
-        return sum(finite, F(0)) / len(finite)
-
     rng = random.Random(16)
     finite_y = 0
     for _ in range(300):

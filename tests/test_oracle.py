@@ -181,6 +181,7 @@ def test_references_share_no_kernel(monkeypatch):
         "is_reduced_pair": lambda: helpers.is_reduced_pair((1, 2)),
         "read_token": lambda: helpers.read_token("-007.250"),
         "fraction_grid": lambda: helpers.fraction_grid(a.pair_rows()),
+        "mean": lambda: helpers.mean(cols[0]),
         "normalize_reference": lambda: helpers.normalize_reference(a, b),
         "perturbed": lambda: helpers.perturbed(helpers.product)(a, x0),
         "planted_instance": lambda: helpers.planted_instance(rng),
