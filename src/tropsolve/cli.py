@@ -21,7 +21,7 @@ import re
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import TropicalError
+from .errors import TropicalError, UnsolvableSystemError
 from .freedom import degrees_of_freedom, minimal_leading_oracle
 from .matrix import TropMatrix, TropVector, parse_matrix, parse_vector
 from .normalize import normalize, normalized_solution
@@ -268,7 +268,10 @@ def _cmd_reduce(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     solvable = isinstance(outcome, Solvable)
     dof_reduced = dof_direct = None
     if solvable:
-        dof_reduced = dof_via_reduction(a, b)
+        try:
+            dof_reduced = dof_via_reduction(a, b)
+        except UnsolvableSystemError:
+            raise AssertionError("internal error: reduced system unsolvable while full system solvable") from None
         dof_direct = degrees_of_freedom(outcome).d_f
     payload = {
         "status": "solvable" if solvable else "unsolvable",

@@ -11,10 +11,12 @@ the target t gets the coefficient min_i (t_i - k_i) over the finite k_i,
 attained in a set of rows; a finite k_i against t_i = -inf makes the
 coefficient -inf and the set empty. Coefficient and rows depend on k and
 t alone, so the scan memoises `residuate` per pair, with the rows as an
-int bitmask. The target is dependent iff the OR of its working vectors'
-masks equals the mask of its finite entries. An OR does not depend on
-the order of its terms, so the order in which a test visits its working
-vectors changes no verdict, and two rules skip residuations:
+int bitmask, in a table keyed by the one int k * n + t. A target is
+tested once, so its test stores each result without a lookup. The
+target is dependent iff the OR of its working vectors' masks equals the
+mask of its finite entries. An OR does not depend on the order of its
+terms, so the order in which a test visits its working vectors changes
+no verdict, and two rules skip residuations:
 
 - a pattern miss, k finite in a row where t is -inf, is read from the
   two support masks and gives (0, None) without calling `residuate`
@@ -110,14 +112,14 @@ def _scan(
     bottom = [j for j in range(n) if not support[j]]
     trace: list[tuple[int, str]] = [(j, "dependent") for j in bottom]
 
-    table: dict[tuple[int, int], tuple[int, Pair | None]] = {}  # (k, t) -> residuate; k is never all -inf
+    table: dict[int, tuple[int, Pair | None]] = {}  # k * n + t -> residuate; k is never all -inf
 
     def residual(k: int, t: int) -> tuple[int, Pair | None]:
         if support[k] & ~support[t]:  # a finite k_i meets t_i = -inf: residuate's (0, None)
             return 0, None
-        hit = table.get((k, t))
+        hit = table.get(k * n + t)
         if hit is None:
-            hit = table[(k, t)] = residuate(pairs[k], pairs[t])
+            hit = table[k * n + t] = residuate(pairs[k], pairs[t])
         return hit
 
     untested = [j for j in range(n) if support[j]]  # index order
@@ -127,11 +129,13 @@ def _scan(
         if not support[target]:
             continue
         untested.remove(target)
-        goal, covered = support[target], 0
+        goal, covered, target_pairs = support[target], 0, pairs[target]
         for k in chain(discovery, untested):  # the working set: the known independents first
             if support[k] & ~goal:  # a pattern miss adds no row; `residual` would give (0, None)
                 continue
-            covered |= residual(k, target)[0]
+            # the first residuation of this pair: the target is tested once
+            hit = table[k * n + target] = residuate(pairs[k], target_pairs)
+            covered |= hit[0]
             if covered == goal:
                 break
         if covered == goal:

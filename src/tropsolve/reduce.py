@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
-from .matrix import TropMatrix, TropVector, mat_vec, submatrix
+from .matrix import TropMatrix, TropVector, mat_vec, row_maxima, submatrix
 from .rank import _scan, colrank
 from .scalar import Pair, Scalar, reduced
 from .solver import Solvable, residuate, solve
@@ -97,9 +97,11 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     a_bar = submatrix(a, indep_rows, indep_cols)
     b_pairs = b.pairs()
     b_bar = TropVector._of(tuple([b_pairs[i] for i in indep_rows]))
-    # a dependent row's b entry against the same max-combination of b_bar (-inf when b_bar is empty)
-    rhs = mat_vec(TropMatrix([c for _, c in xi]), b_bar).pairs() if xi else ()
-    consistency = tuple((dep_row, p == b_pairs[dep_row]) for (dep_row, _), p in zip(xi, rhs))
+    # a dependent row's b entry against the same max-combination of b_bar (-inf when b_bar is empty),
+    # by the one product loop on the coefficients' pairs, each maximum reduced once as `mat_vec` does
+    coeff_pairs = [[None if c is None else (c.numerator, c.denominator) for c in coeffs] for _, coeffs in xi]
+    rhs = row_maxima(coeff_pairs, b_bar.pairs())
+    consistency = tuple((dep_row, reduced(p) == b_pairs[dep_row]) for (dep_row, _), p in zip(xi, rhs))
 
     return ReducedSystem(
         indep_rows=indep_rows,
@@ -146,13 +148,11 @@ def dof_via_reduction(a: TropMatrix, b: TropVector) -> int:
     The reduced system has the independent columns as its unknowns, so this
     is `degrees_of_freedom` of its `solve` outcome, which is 0 for the
     empty reduction of an all -inf A. Raises `UnsolvableSystemError` when
-    A x = b is unsolvable.
+    A x = b is unsolvable, which is when a dependent row's equation fails
+    or the reduced system is unsolvable (the module docstring).
     """
-    full = solve(a, b)
-    if not isinstance(full, Solvable):
-        raise UnsolvableSystemError("system unsolvable: degrees of freedom undefined")
     sys = reduce_system(a, b)
-    reduced = solve(sys.a_bar, sys.b_bar)
+    reduced = solve(sys.a_bar, sys.b_bar) if sys.consistent() else None
     if not isinstance(reduced, Solvable):
-        raise AssertionError("internal error: reduced system unsolvable while full system solvable")
+        raise UnsolvableSystemError("system unsolvable: degrees of freedom undefined")
     return degrees_of_freedom(reduced).d_f

@@ -12,8 +12,11 @@ Run from anywhere, with pytest and hypothesis installed:
 
 The tool copies the repository to a temporary directory, applies one
 mutant at a time, runs that mutant's test files there with `pytest -x`,
-and prints `killed` or `survived` for each; equivalent mutants are listed,
-not run. The last line gives the whole catalogue's run time. It exits with 1 when a mutant that must die survives or the
+and prints `killed` or `survived` for each, with its run time; equivalent
+mutants are listed, not run. A run past `TIMEOUT_S` has its whole process
+group killed and counts as killed, printed `hung`: a mutant that loops
+for ever must not hold the run. The last line gives the whole catalogue's
+run time. It exits with 1 when a mutant that must die survives or the
 control dies. pytest does not collect this file; `tests/test_mutants.py`
 checks in Tier-1 that every old text still occurs exactly once.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,6 +34,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# seconds one mutant's pytest run may take: the slowest entry that ends, the
+# control, takes 5-9 s on a shared 2-CPU host. A hung run grows by about
+# 20 MB a second, so the bound also caps its memory near 600 MB
+TIMEOUT_S = 30
 
 
 class Mutant(NamedTuple):
@@ -48,7 +56,7 @@ MUTANTS = (
     Mutant(
         "scan-memo-deleted",
         "src/tropsolve/rank.py",
-        "        hit = table.get((k, t))\n",
+        "        hit = table.get(k * n + t)\n",
         "        hit = None\n",
         ("tests/test_rank.py",),
     ),
@@ -129,6 +137,15 @@ MUTANTS = (
         'row_scan = _scan(cut, None, "rows")',
         ("tests/test_reduce.py",),
     ),
+    # without the row consistency, an unsolvable A x = b whose reduced system
+    # is solvable gets a degrees-of-freedom figure instead of the refusal
+    Mutant(
+        "dof-via-reduction-skips-row-consistency",
+        "src/tropsolve/reduce.py",
+        "solve(sys.a_bar, sys.b_bar) if sys.consistent() else None",
+        "solve(sys.a_bar, sys.b_bar)",
+        ("tests/test_reduce.py",),
+    ),
     # "1 2" joined with "7" reads as three grammar tokens, and `_ints` then raises
     Mutant(
         "parse-space-count-check-deleted",
@@ -182,6 +199,45 @@ MUTANTS = (
         "max(col for col, c in freq.items() if c == best)",
         ("tests/test_freedom.py",),
     ),
+    # a chosen column removes the rows it does not cover, so the greedy loop
+    # soon meets rows that all hold its column and never ends: killed as `hung`
+    Mutant(
+        "greedy-removes-uncovered-rows",
+        "src/tropsolve/freedom.py",
+        "if col in sets[r]",
+        "if col not in sets[r]",
+        ("tests/test_freedom.py",),
+    ),
+    Mutant(
+        "exact-cover-refuses-its-bound",
+        "src/tropsolve/freedom.py",
+        "if n > EXACT_COVER_MAX_COLS:",
+        "if n >= EXACT_COVER_MAX_COLS:",
+        ("tests/test_cli.py",),
+    ),
+    # two matrices that differ in one dimension only pass, and zip cuts the longer short
+    Mutant(
+        "check-equivalence-shape-needs-both-dimensions",
+        "src/tropsolve/solver.py",
+        "if a.rows != a2.rows or a.cols != a2.cols:",
+        "if a.rows != a2.rows and a.cols != a2.cols:",
+        ("tests/test_cli.py",),
+    ),
+    # an exhaustive verdict that agrees hides a verifier that does not
+    Mutant(
+        "solve-check-exhaustive-overrides-disagreement",
+        "src/tropsolve/cli.py",
+        "agree = agree and exh == solvable",
+        "agree = agree or exh == solvable",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "principal-solution-keeps-last-least-row",
+        "src/tropsolve/oracle.py",
+        "if least_d is None or cn * least_d < least_n * cd:",
+        "if least_d is None or cn * least_d <= least_n * cd:",
+        equivalent="it keeps a later row of the same least value, and only that value is returned",
+    ),
     Mutant(
         "parse-divides-by-gcd-1",
         "src/tropsolve/scalar.py",
@@ -200,23 +256,33 @@ MUTANTS = (
 )
 
 
-def killed(mutant: Mutant, tree: Path) -> bool:
-    """Whether the mutant's test files fail on `tree` with the mutant applied; the file is restored after."""
+def verdict(mutant: Mutant, tree: Path) -> str:
+    """`killed`, `survived` or `hung`: the mutant's test files run on `tree` with the mutant applied.
+
+    The file is restored after. pytest runs in a session of its own, so that
+    past `TIMEOUT_S` its whole process group is killed.
+    """
     path = tree / mutant.file
     original = path.read_text()
     path.write_text(original.replace(mutant.old, mutant.new, 1))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])),
            "PYTHONDONTWRITEBYTECODE": "1"}  # no stale bytecode of an earlier mutant of the same file
     try:
-        done = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
         )
+        try:
+            code = proc.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "hung"
     finally:
         path.write_text(original)
-    if done.returncode not in (0, 1, 2):  # 1: a test failed; 2: a collection error
-        raise RuntimeError(f"{mutant.name}: pytest exited with {done.returncode}")
-    return done.returncode != 0
+    if code not in (0, 1, 2):  # 1: a test failed; 2: a collection error
+        raise RuntimeError(f"{mutant.name}: pytest exited with {code}")
+    return "killed" if code else "survived"
 
 
 def main() -> int:
@@ -229,11 +295,10 @@ def main() -> int:
                 print(f"{m.name}: equivalent: {m.equivalent}", flush=True)
                 continue
             start = time.perf_counter()
-            dead = killed(m, tree)
-            bad = dead == m.control
+            got = verdict(m, tree)
+            bad = (got != "survived") == m.control
             wrong += bad
-            verdict = "killed" if dead else "survived"
-            print(f"{m.name}: {verdict}{' (WRONG)' if bad else ''} in {time.perf_counter() - start:.1f} s", flush=True)
+            print(f"{m.name}: {got}{' (WRONG)' if bad else ''} in {time.perf_counter() - start:.1f} s", flush=True)
     print(f"catalogue of {len(MUTANTS)} mutants: {wrong} wrong, in {time.perf_counter() - start_all:.1f} s")
     return 1 if wrong else 0
 

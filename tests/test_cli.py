@@ -16,8 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropsolve
-from tropsolve import TropMatrix, TropVector, cli, parse_matrix, parse_vector, principal_solution
+from tropsolve import TropMatrix, TropVector, cli, parse_matrix, parse_vector, principal_solution, reduce_system, solve
+from tropsolve import reduce as reduction
 from tropsolve.cli import main, render_json, render_text, run
+from tropsolve.errors import UnsolvableSystemError
+from tropsolve.freedom import EXACT_COVER_MAX_COLS
 from tropsolve.oracle import satisfies
 
 from helpers import grid_text, mean, prime_value, product
@@ -107,6 +110,21 @@ def test_solve_check_compares_x_star_when_unsolvable(data_dir, monkeypatch):
     assert report.payload["check"]["verify"] is False
     assert report.payload["check"]["agrees"] is False
     assert "oracle check: DISAGREES" in render_text(report)
+
+
+def test_solve_check_reports_a_wrong_verifier(tmp_path, monkeypatch):
+    # on systems small enough for the exhaustive oracle, which still agrees with
+    # the solver, a `satisfies` with the wrong verdict alone makes the check disagree
+    monkeypatch.setattr(cli, "satisfies", lambda *args: not satisfies(*args))
+    for b, code in (("0\n0\n", 0), ("0\n1\n", 1)):
+        (tmp_path / "a.mat").write_text("0 0\n0 0\n")
+        (tmp_path / "b.vec").write_text(b)
+        report = run(["solve", str(tmp_path / "a.mat"), str(tmp_path / "b.vec"), "--check"])
+        assert report.exit_code == code
+        check = report.payload["check"]
+        assert check["exhaustive"] is (code == 0) and check["verify"] is (code == 1)
+        assert check["agrees"] is False
+        assert "oracle check: DISAGREES" in render_text(report)
 
 
 def test_text_and_json_carry_identical_data(data_dir):
@@ -199,6 +217,21 @@ def test_dof_exact_empty_cover_prints_dash(tmp_path, capsys):
     (tmp_path / "b.vec").write_text("-inf\n")
     assert main(["dof", str(tmp_path / "a.mat"), str(tmp_path / "b.vec"), "--exact"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "exact minimum cover: 0 columns {-}"
+
+
+def test_dof_exact_at_its_column_bound(tmp_path):
+    # a 1 x n all-0 A with b = (0) has a minimum cover of one column, so at the
+    # bound the enumeration stops at once; one column more is refused
+    assert EXACT_COVER_MAX_COLS == 20
+    (tmp_path / "b.vec").write_text("0\n")
+    (tmp_path / "a.mat").write_text("0 " * 20 + "\n")
+    report = run(["dof", str(tmp_path / "a.mat"), str(tmp_path / "b.vec"), "--exact"])
+    assert report.exit_code == 0
+    assert report.payload["exact"] == {"min_size": 1, "witness": [1]}
+    (tmp_path / "a.mat").write_text("0 " * 21 + "\n")
+    report = run(["dof", str(tmp_path / "a.mat"), str(tmp_path / "b.vec"), "--exact"])
+    assert report.exit_code == 2
+    assert report.payload == {"error": "exhaustive cover search limited to 20 columns, got 21"}
 
 
 def test_normalize_irregular_b_exit_2(tmp_path):
@@ -310,6 +343,39 @@ def test_reduce_report(data_dir, tmp_path):
     # the two figures disagree here and both are reported as-is
     assert p["dof_via_reduction"] == 0
     assert p["dof_direct"] == 1
+
+
+def test_reduce_solves_the_full_system_once(data_dir, tmp_path, monkeypatch):
+    # a solvable `reduce` call solves A x = b once; dof_via_reduction reads
+    # solvability from the reduction and solves only the reduced system
+    a = parse_matrix((data_dir / "rank_3x3.mat").read_text())
+    b = product(a, TropVector([0, 0, 0]))
+    (tmp_path / "a.mat").write_text(grid_text(a.row_tuples()))
+    (tmp_path / "b.vec").write_text(grid_text([e] for e in b))
+    solved = []
+
+    def counted(x, y):
+        solved.append((x, y))
+        return solve(x, y)
+
+    monkeypatch.setattr(cli, "solve", counted)
+    monkeypatch.setattr(reduction, "solve", counted)
+    assert run(["reduce", str(tmp_path / "a.mat"), str(tmp_path / "b.vec")]).exit_code == 0
+    reduced = reduce_system(a, b)
+    assert reduced.a_bar != a
+    assert solved == [(a, b), (reduced.a_bar, reduced.b_bar)]
+
+
+def test_reduce_refuses_a_reduction_that_disagrees(data_dir, monkeypatch):
+    # the full system is solvable, so a reduction that calls it unsolvable is
+    # an internal error, not the exit-2 refusal of an UnsolvableSystemError
+    def unsolvable(a, b):
+        raise UnsolvableSystemError("system unsolvable: degrees of freedom undefined")
+
+    monkeypatch.setattr(cli, "dof_via_reduction", unsolvable)
+    args = ["reduce", path(data_dir, "solvable_4x5.mat"), path(data_dir, "solvable_4x5_b.vec")]
+    with pytest.raises(AssertionError, match="reduced system unsolvable while full system solvable"):
+        run(args)
 
 
 def test_check_equiv(data_dir, tmp_path):
@@ -456,9 +522,17 @@ def test_exit_code_contract_on_arbitrary_bytes(matrix, vector):
         pytest.param(command, "solvable_4x5_b.vec", "matrix has 3 rows but vector has 4 entries", id=command)
         for command in ("normalize", "solve", "dof", "reduce")
     ]
-    + [pytest.param("check-equiv", "rank_4x5.mat", "shapes differ: 3x3 vs 4x5", id="check-equiv")],
+    + [pytest.param("check-equiv", "rank_4x5.mat", "shapes differ: 3x3 vs 4x5", id="check-equiv")]
+    # one dimension equal: the other alone refuses the pair, before zip can cut it short
+    + [
+        pytest.param("check-equiv", "0 0 0 0\n" * 3, "shapes differ: 3x3 vs 3x4", id="check-equiv-cols"),
+        pytest.param("check-equiv", "0 0 0\n" * 4, "shapes differ: 3x3 vs 4x3", id="check-equiv-rows"),
+    ],
 )
-def test_shape_mismatch_exit_2(data_dir, command, second, message):
+def test_shape_mismatch_exit_2(data_dir, tmp_path, command, second, message):
+    if "\n" in second:  # a matrix's text, not a data file
+        (tmp_path / "a2.mat").write_text(second)
+        second = tmp_path / "a2.mat"
     report = run([command, path(data_dir, "rank_3x3.mat"), path(data_dir, second)])
     assert report.exit_code == 2
     assert report.payload == {"error": message}

@@ -151,6 +151,12 @@ def test_dof_via_reduction_requires_solvable():
     b = TropVector([0, 1])
     with pytest.raises(UnsolvableSystemError):
         dof_via_reduction(a, b)
+    assert not reduce_system(a, b).consistent()  # row 2 = row 1, but b_2 != b_1
+    # no dependent row, so every row holds, and the reduced system is A x = b itself
+    a, b = TropMatrix([[0, 1], [1, 0]]), TropVector([0, 5])
+    assert reduce_system(a, b).consistent() and not isinstance(solve(a, b), Solvable)
+    with pytest.raises(UnsolvableSystemError):
+        dof_via_reduction(a, b)
 
 
 def test_full_and_reduced_solvability_coincide_random():
