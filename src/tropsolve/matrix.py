@@ -11,10 +11,10 @@ kernels, `row`, `column` and `submatrix` use; the public constructors
 coerce every entry with `as_scalar` and check the shape.
 Indexing is 0-based throughout the library, and an index out of range
 raises `IndexError`, a negative one too; only rendered reports use
-1-based indices. `row_maxima` is the one max-plus product loop: it works
-on pairs and returns each row's maximum unreduced. `mat_vec`, which every
-solve's self-check runs, reduces its output once; the rank scan's
-self-check calls `row_maxima` on pairs directly.
+1-based indices. `row_maxima` is the one max-plus product loop: it
+compares unreduced pairs and returns each row's maximum reduced once.
+`mat_vec`, which every solve's self-check runs, wraps its list in a
+vector; the rank scan's self-check calls it on pairs directly.
 `parse_matrix` and `parse_vector` hand a file's distinct token texts to
 `scalar.parse_pairs` in one batch and build each row by lookup, so the
 cells that spell one token share its value; nothing is cached across
@@ -156,11 +156,11 @@ def mat_vec(a: TropMatrix, x: TropVector) -> TropVector:
     """Apply a matrix to a column vector under max-plus."""
     if a.cols != len(x):
         raise DimensionError(f"matrix has {a.cols} columns but vector has {len(x)} entries")
-    return TropVector._of(tuple([reduced(p) for p in row_maxima(a.pair_rows(), x.pairs())]))
+    return TropVector._of(tuple(row_maxima(a.pair_rows(), x.pairs())))
 
 
 def row_maxima(rows: Iterable[Sequence[Pair | None]], x_pairs: Sequence[Pair | None]) -> list[Pair | None]:
-    """Per row of pairs, the greatest a_ik + x_k as an unreduced pair (num, den > 0); None if every term is -inf.
+    """Per row of pairs, the greatest a_ik + x_k as a reduced pair (num, den > 0); None if every term is -inf.
 
     The one max-plus product loop: `mat_vec` and the rank scan's self-check
     both run it.
@@ -176,7 +176,7 @@ def row_maxima(rows: Iterable[Sequence[Pair | None]], x_pairs: Sequence[Pair | N
             pn, pd = na * dx + nx * da, da * dx
             if best_d is None or pn * best_d > best_n * pd:
                 best_n, best_d = pn, pd
-        out.append(None if best_d is None else (best_n, best_d))
+        out.append(None if best_d is None else reduced((best_n, best_d)))
     return out
 
 

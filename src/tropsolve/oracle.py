@@ -2,8 +2,8 @@
 
 Every production path (`solve`, and through it `normalize`'s column
 minima; the rank scan; `reduce`; `check_equivalence`) runs on the
-integer-pair kernels `solver.residuate` and `matrix.mat_vec`, and
-reduces its results with `scalar.reduced`. Nothing here shares their
+integer-pair kernels `solver.residuate` and `matrix.row_maxima`, which
+return their results reduced by `scalar.reduced`. Nothing here shares their
 code, and nothing is imported from `solver`: the principal solution is
 the direct residuation formula written out again on the integer pairs
 that A and b store, each result reduced by `Fraction`; `satisfies`

@@ -29,8 +29,8 @@ Every finally independent vector is in the working set at every test,
 so a dependent vector's maximal combination over the final independent
 set is read from the same table. The self-check runs the one max-plus
 product loop, `matrix.row_maxima`, on the basis vectors and the table's
-unreduced coefficient pairs, and compares each entry with the target's
-pair by cross-multiplication, -inf pattern included. Only the reported
+coefficient pairs, and compares the reduced pairs it returns with the
+target's stored pairs by `==`, -inf pattern included. Only the reported
 coefficients become `Fraction`s. `reduce` runs the row scan on the rows
 cut to A's independent columns, where every test gives the verdict and
 the coefficients it gives on whole rows; its self-check still runs on
@@ -152,11 +152,8 @@ def _scan(
         span = list(zip(*(whole[k] for k in basis)))  # one row per entry, one column per basis vector
         for j in dependents:
             coeffs = [residual(k, j)[1] for k in basis]
-            # the combination must give the target's -inf pattern and, by cross-multiplication, its values
-            if not all(
-                got is want if got is None or want is None else got[0] * want[1] == want[0] * got[1]
-                for got, want in zip(row_maxima(span, coeffs), whole[j])
-            ):
+            # the combination must give the target's pairs, -inf pattern included: both sides are reduced
+            if row_maxima(span, coeffs) != list(whole[j]):
                 raise AssertionError("internal error: dependent column not spanned by the independent set")
             combinations[j] = tuple((k, Fraction(*c)) for k, c in zip(basis, coeffs) if c is not None)
 

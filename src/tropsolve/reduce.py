@@ -43,7 +43,7 @@ from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, mat_vec, row_maxima, submatrix
 from .rank import _scan, colrank
-from .scalar import Pair, Scalar, reduced
+from .scalar import Pair, Scalar
 from .solver import Solvable, residuate, solve
 
 __all__ = ["ReducedSystem", "reduce_system", "expand_solution", "dof_via_reduction"]
@@ -98,10 +98,10 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     b_pairs = b.pairs()
     b_bar = TropVector._of(tuple([b_pairs[i] for i in indep_rows]))
     # a dependent row's b entry against the same max-combination of b_bar (-inf when b_bar is empty),
-    # by the one product loop on the coefficients' pairs, each maximum reduced once as `mat_vec` does
+    # by the one product loop on the coefficients' pairs
     coeff_pairs = [[None if c is None else (c.numerator, c.denominator) for c in coeffs] for _, coeffs in xi]
     rhs = row_maxima(coeff_pairs, b_bar.pairs())
-    consistency = tuple((dep_row, reduced(p) == b_pairs[dep_row]) for (dep_row, _), p in zip(xi, rhs))
+    consistency = tuple((dep_row, p == b_pairs[dep_row]) for (dep_row, _), p in zip(xi, rhs))
 
     return ReducedSystem(
         indep_rows=indep_rows,
@@ -137,8 +137,8 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
         x[c] = p
     for dep_col, coeffs in sys.eta:
         res = residuate(TropVector(coeffs).pairs(), y_pairs)
-        if res is not None and res[1] is not None:
-            x[dep_col] = reduced(res[1])
+        if res is not None:
+            x[dep_col] = res[1]
     return TropVector._of(tuple(x))
 
 

@@ -13,10 +13,10 @@ Vectors and matrices store, and the library's kernels compute on, exact
 `(numerator, denominator)` integer pairs instead (`Pair`). `parse_pairs`
 reads a file's distinct tokens in one batch: one grammar check over all
 of them before any digit is converted, then one integer pass and one
-gcd pass; it leaves out each token it rejects. A computed pair's
-denominator stays positive and is not always reduced, so p/q < r/s is
-decided by p*s < r*q, and each stored result is reduced once by
-`reduced`, or not at all where only a comparison needs it.
+gcd pass; it leaves out each token it rejects. Inside a kernel a
+pair's denominator stays positive and is not always reduced, so p/q <
+r/s is decided by p*s < r*q; each pair a kernel returns is reduced once
+(by `reduced` or `normalize`'s gcds), so its callers compare with `==`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ Scalar = Fraction | None
 
 BOTTOM: Scalar = None
 
-# A finite scalar as (numerator, denominator), denominator > 0, not always reduced.
+# A finite scalar as (numerator, denominator), denominator > 0; reduced once stored or returned.
 Pair = tuple[int, int]
 
 # Rows of pairs, None for -inf.

@@ -13,11 +13,11 @@ the rank scan, `reduce.expand_solution` and `check_equivalence`.
 It runs on the integer pairs that matrices and vectors store
 (`TropMatrix.pair_rows`, `TropVector.pairs`): each slack t_i - k_i is the
 unreduced (n_t*d_k - n_k*d_t, d_t*d_k), slacks are compared by
-cross-multiplication, and no common denominator is formed. It has three
-outcomes: k has no finite entry (None; `solve` calls such a column
-unbounded), a finite k_i meets t_i = -inf (no slack; the coefficient is
-forced to -inf), or the least slack with its attaining rows as an int
-bitmask, which `mask_rows` lists.
+cross-multiplication with no common denominator, and only the least is
+reduced, once, for the callers to store. It has three outcomes: k has no
+finite entry (None; `solve` calls such a column unbounded), a finite k_i
+meets t_i = -inf (no slack; the coefficient is forced to -inf), or the
+least slack with its rows as an int bitmask, which `mask_rows` lists.
 """
 
 from __future__ import annotations
@@ -78,10 +78,9 @@ def residuate(k_pairs: Sequence[Pair | None], t_pairs: Sequence[Pair | None]) ->
 
     Returns None when k has no finite entry, (0, None) when a finite k_i
     meets t_i = -inf, and otherwise (mask, (num, den)): the attaining rows
-    as an int bitmask and the slack as an unreduced pair with den > 0.
+    as an int bitmask and the slack as a reduced pair with den > 0.
     """
-    least_n = least_d = None
-    mask = 0
+    least_n, least_d, mask = 1, 0, 0  # 1/0 stands for +inf: every slack n/d, d > 0, is below it
     for i, kp in enumerate(k_pairs):
         if kp is None:
             continue
@@ -91,11 +90,12 @@ def residuate(k_pairs: Sequence[Pair | None], t_pairs: Sequence[Pair | None]) ->
         nk, dk = kp
         nt, dt = tp
         sn, sd = nt * dk - nk * dt, dt * dk
-        if least_d is None or sn * least_d < least_n * sd:
+        lhs, rhs = sn * least_d, least_n * sd
+        if lhs < rhs:
             least_n, least_d, mask = sn, sd, 1 << i
-        elif sn * least_d == least_n * sd:
+        elif lhs == rhs:
             mask |= 1 << i
-    return None if least_d is None else (mask, (least_n, least_d))
+    return (mask, reduced((least_n, least_d))) if least_d else None
 
 
 def mask_rows(mask: int) -> list[int]:
@@ -137,7 +137,7 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
         if least is None:
             forced.add(j)
             continue
-        x_pairs[j] = reduced(least)
+        x_pairs[j] = least
         for i in mask_rows(mask):
             coverage[i].append(j)
 

@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import pathlib
 
 import pytest
@@ -5,6 +7,27 @@ import pytest
 from tropsolve import TropMatrix, TropVector, parse_matrix, parse_vector
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# seconds one test may run before the whole run ends with its stack printed:
+# over 20 times the slowest test (3.1 s on a shared 2-CPU host), far below a
+# CI job's limit
+PER_TEST_S = 90
+
+# the terminal's stderr, duplicated before any test's output is captured;
+# a capture file would be lost when the hang guard exits the process
+STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[STDERR] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard(request):
+    """End the run, printing every thread's stack, if a test runs past `PER_TEST_S`."""
+    faulthandler.dump_traceback_later(PER_TEST_S, exit=True, file=request.config.stash[STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def load_matrix(name: str) -> TropMatrix:

@@ -173,9 +173,24 @@ MUTANTS = (
     Mutant(
         "residuate-keeps-last-attaining-row",
         "src/tropsolve/solver.py",
-        "if least_d is None or sn * least_d < least_n * sd:",
-        "if least_d is None or sn * least_d <= least_n * sd:",
+        "if lhs < rhs:",
+        "if lhs <= rhs:",
         ("tests/test_solver.py",),
+    ),
+    # the two kernels return their results reduced, so that callers compare them with `==`
+    Mutant(
+        "residuate-returns-unreduced",
+        "src/tropsolve/solver.py",
+        "(mask, reduced((least_n, least_d)))",
+        "(mask, (least_n, least_d))",
+        ("tests/test_solver.py", "tests/test_reduce.py", "tests/test_exhaustive.py"),
+    ),
+    Mutant(
+        "row-maxima-returns-unreduced",
+        "src/tropsolve/matrix.py",
+        "reduced((best_n, best_d))",
+        "(best_n, best_d)",
+        ("tests/test_matrix.py", "tests/test_rank.py", "tests/test_exhaustive.py"),
     ),
     # a row whose terms all fall short of b_i passes
     Mutant(

@@ -36,10 +36,12 @@ from tropsolve import (
     submatrix,
 )
 
+from tropsolve.matrix import row_maxima
 from tropsolve.oracle import satisfies
 from tropsolve.scalar import as_scalar, format_scalar, parse_pairs
 
 from helpers import (
+    PRIMES,
     format_matrix,
     format_vector,
     is_reduced_pair,
@@ -47,9 +49,11 @@ from helpers import (
     prime_value,
     rand_matrix,
     read_token,
+    row_max,
     scalar_mul,
     solves,
     transpose,
+    wide_value,
 )
 
 
@@ -74,6 +78,27 @@ def test_mat_vec_known_product():
     # only the last column attains each row's maximum
     x = TropVector([-63, -25, 30, 4, 200])
     assert mat_vec(a, x) == TropVector([200, 199, 202, 195])
+
+
+def test_row_maxima_returns_each_maximum_reduced():
+    # the product loop compares unreduced sums and reduces each row's maximum
+    # once, so that `mat_vec` and the rank scan's self-check take its pairs as they
+    # are; two entries over one prime p give a sum over p*p, and two 100-digit
+    # ones often a common factor
+    rng = random.Random(64)
+
+    def draw(n, p):
+        return [None if rng.random() < 0.3 else prime_value(rng, p) if p else wide_value(rng) for _ in range(n)]
+
+    finite = 0
+    for k in range(300):
+        m, n, p = rng.randint(1, 5), rng.randint(1, 5), rng.choice(PRIMES) if k % 2 else None
+        rows, x = [draw(n, p) for _ in range(m)], draw(n, p)
+        got = row_maxima(TropMatrix(rows).pair_rows(), TropVector(x).pairs())
+        assert all(map(is_reduced_pair, got))
+        assert [None if g is None else Fraction(*g) for g in got] == [row_max(r, x) for r in rows]
+        finite += sum(g is not None for g in got)
+    assert finite >= 500
 
 
 def test_column_combination_reproduces_third_column():

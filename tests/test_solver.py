@@ -22,11 +22,14 @@ from tropsolve import (
 from tropsolve.oracle import satisfies
 
 from helpers import (
+    PRIMES,
     arbitrary_instance,
     fraction_grid,
     from_columns,
+    is_reduced_pair,
     map_equivalent_solution,
     perturbed,
+    prime_value,
     principal_reference,
     product,
     q_column_minima,
@@ -35,6 +38,7 @@ from helpers import (
     residuation,
     solvable_instance,
     solves,
+    wide_value,
 )
 
 
@@ -165,6 +169,31 @@ def test_solver_matches_residuation_oracle():
         x = principal_reference(a, b)
         assert x == out.x_star
         assert satisfies(a, x, b) == isinstance(out, Solvable)
+
+
+def test_residuate_returns_its_least_slack_reduced():
+    # the kernel compares unreduced slacks and reduces only the least, so that
+    # its callers store and compare what it returns as it is; two entries over
+    # one prime p give a slack over p*p, and two 100-digit ones often a common factor
+    rng = random.Random(27)
+
+    def draw(n, p, bottom_p):
+        return [None if rng.random() < bottom_p else prime_value(rng, p) if p else wide_value(rng) for _ in range(n)]
+
+    seen = {"unbounded": 0, "forced": 0, "finite": 0}
+    for k in range(400):
+        n, p = rng.randint(1, 6), rng.choice(PRIMES) if k % 2 else None
+        kv, tv = draw(n, p, 0.3), draw(n, p, 0.1)
+        got, want = solver.residuate(TropVector(kv).pairs(), TropVector(tv).pairs()), residuation(kv, tv)
+        if want is None:
+            assert got is None
+            seen["unbounded"] += 1
+            continue
+        mask, slack = got
+        assert is_reduced_pair(slack)
+        assert (None if slack is None else Fraction(*slack), frozenset(solver.mask_rows(mask))) == want
+        seen["forced" if slack is None else "finite"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_solve_matches_normalize_column_minima():
