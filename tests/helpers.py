@@ -15,7 +15,8 @@ every generator plants b = A x0 with `product`. A test that needs the
 product or a residuation calls them; it does not write its own.
 `mean`, the sum of a column's finite entries over their count, is the
 one reference mean: it checks `normalize`'s means, and through them A~,
-b~, Q and every y*.
+b~, Q and every y*. `column_shifts`, each column's one difference
+a2_ij - a_ij, is the reference for `check_equivalence`.
 
 `read_token` reads one scalar token by the README grammar, character by
 character, with no regular expression and nothing from
@@ -272,6 +273,25 @@ def dependence_oracle(cols: list[Sequence[Scalar]], target: Sequence[Scalar]) ->
         return [] if all(e is None for e in target) else None
     lambdas = list(principal_reference(from_columns(cols), target))
     return lambdas if max_combination(cols, lambdas) == TropVector(target) else None
+
+
+def column_shifts(rows: Sequence[Sequence[Scalar]], rows2: Sequence[Sequence[Scalar]]) -> list[Fraction] | None:
+    """Per-column shifts alpha_j with a2_ij = a_ij + alpha_j, by plain `Fraction` subtraction, or None.
+
+    Plain-`Fraction` reference for `check_equivalence`, on two same-shape
+    grids of numbers and None: each column pair must have the same -inf
+    pattern and one finite difference a2_ij - a_ij; an all -inf column
+    gets 0.
+    """
+    alphas = []
+    for col, col2 in zip(zip(*rows), zip(*rows2)):
+        if [e is None for e in col] != [e is None for e in col2]:
+            return None
+        shifts = {e2 - e for e, e2 in zip(col, col2) if e is not None}
+        if len(shifts) > 1:
+            return None
+        alphas.append(shifts.pop() if shifts else Fraction(0))
+    return alphas
 
 
 def q_column_minima(q) -> tuple[list[Fraction], list[frozenset[int]]]:

@@ -51,7 +51,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the rank scan's three rules; each raises the scan's residuate calls
+    # the rank scan's four rules; each raises the scan's residuate calls
     # and fails its own work-count test in tests/test_rank.py
     Mutant(
         "scan-memo-deleted",
@@ -73,6 +73,15 @@ MUTANTS = (
         "for k in chain(discovery, untested):",
         "for k in sorted(discovery + untested):",
         ("tests/test_rank.py",),
+    ),
+    # the same verdicts, since `residuate` gives a pattern miss (0, None) too,
+    # but every miss then calls it and stores an entry
+    Mutant(
+        "scan-pattern-miss-pretest-deleted",
+        "src/tropsolve/rank.py",
+        "if support[k] & ~support[t]:",
+        "if False:",
+        ("tests/test_rank.py", "tests/test_reduce.py"),
     ),
     # the same values, each A~, b~ and y* value reduced by the gcd of its full long operands
     Mutant(
@@ -236,7 +245,7 @@ MUTANTS = (
         "src/tropsolve/solver.py",
         "if a.rows != a2.rows or a.cols != a2.cols:",
         "if a.rows != a2.rows and a.cols != a2.cols:",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py", "tests/test_exhaustive.py"),
     ),
     # an exhaustive verdict that agrees hides a verifier that does not
     Mutant(
@@ -271,11 +280,11 @@ MUTANTS = (
 )
 
 
-def verdict(mutant: Mutant, tree: Path) -> str:
+def verdict(mutant: Mutant, tree: Path, timeout: float = TIMEOUT_S) -> str:
     """`killed`, `survived` or `hung`: the mutant's test files run on `tree` with the mutant applied.
 
     The file is restored after. pytest runs in a session of its own, so that
-    past `TIMEOUT_S` its whole process group is killed.
+    past `timeout` seconds its whole process group is killed.
     """
     path = tree / mutant.file
     original = path.read_text()
@@ -288,7 +297,7 @@ def verdict(mutant: Mutant, tree: Path) -> str:
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
         )
         try:
-            code = proc.wait(timeout=TIMEOUT_S)
+            code = proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()

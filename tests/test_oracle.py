@@ -182,6 +182,7 @@ def test_references_share_no_kernel(monkeypatch):
         "read_token": lambda: helpers.read_token("-007.250"),
         "fraction_grid": lambda: helpers.fraction_grid(a.pair_rows()),
         "mean": lambda: helpers.mean(cols[0]),
+        "column_shifts": lambda: helpers.column_shifts(a.row_tuples(), helpers.scalar_mul(Fraction(2), a).row_tuples()),
         "normalize_reference": lambda: helpers.normalize_reference(a, b),
         "perturbed": lambda: helpers.perturbed(helpers.product)(a, x0),
         "planted_instance": lambda: helpers.planted_instance(rng),
@@ -193,6 +194,7 @@ def test_references_share_no_kernel(monkeypatch):
     assert got["solves"] and helpers.solves(a, got["principal_reference"], b)
     assert got["dependence_oracle"] is not None and got["perturbed"] != b
     assert got["read_token"] == (-29, 4)
+    assert got["column_shifts"] == [Fraction(2)] * a.cols
 
 
 def test_principal_solution_operands_stay_pair_sized(monkeypatch):

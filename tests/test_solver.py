@@ -24,6 +24,7 @@ from tropsolve.oracle import satisfies
 from helpers import (
     PRIMES,
     arbitrary_instance,
+    column_shifts,
     fraction_grid,
     from_columns,
     is_reduced_pair,
@@ -260,19 +261,6 @@ def test_check_equivalence_rejects_bottom_pattern_change():
     assert check_equivalence(no_cols, no_cols) is not None
 
 
-def _shifts_reference(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
-    """Per-column shifts a2_ij - a_ij by plain `Fraction` subtraction, or None."""
-    alphas = []
-    for col, col2 in zip(zip(*a.row_tuples()), zip(*a2.row_tuples())):
-        if [e is None for e in col] != [e is None for e in col2]:
-            return None
-        shifts = {e2 - e for e, e2 in zip(col, col2) if e is not None}
-        if len(shifts) > 1:
-            return None
-        alphas.append(shifts.pop() if shifts else Fraction(0))
-    return alphas
-
-
 def test_check_equivalence_tall_long_denominators():
     # every change sits in a row at index 64 or later, past a 64-bit row mask
     rng = random.Random(31)
@@ -295,7 +283,7 @@ def test_check_equivalence_tall_long_denominators():
 
         expected = [Fraction(0) if c == empty else al for c, al in enumerate(alphas)]
         a2 = from_columns(shifted)
-        assert check_equivalence(a, a2) == _shifts_reference(a, a2) == expected
+        assert check_equivalence(a, a2) == column_shifts(a.row_tuples(), a2.row_tuples()) == expected
 
         changed = []
         for sign in (1, -1):
@@ -308,7 +296,7 @@ def test_check_equivalence_tall_long_denominators():
             changed.append(pattern)
         for cols2 in changed:
             a2 = from_columns(cols2)
-            assert _shifts_reference(a, a2) is None
+            assert column_shifts(a.row_tuples(), a2.row_tuples()) is None
             assert check_equivalence(a, a2) is None
 
 
