@@ -280,11 +280,11 @@ def _cmd_reduce(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
         "a_bar": [format_pairs(r) for r in sys_red.a_bar.pair_rows()] if sys_red.indep_cols else None,
         "b_bar": format_pairs(sys_red.b_bar.pairs()) if sys_red.indep_cols else None,
         "eta": [
-            {"column": j + 1, "coefficients": _scalars(coeffs)}
+            {"column": j + 1, "coefficients": format_pairs(coeffs.pairs())}
             for j, coeffs in sys_red.eta
         ],
         "xi": [
-            {"row": i + 1, "coefficients": _scalars(coeffs)}
+            {"row": i + 1, "coefficients": format_pairs(coeffs.pairs())}
             for i, coeffs in sys_red.xi
         ],
         "row_consistency": [

@@ -43,29 +43,27 @@ from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, mat_vec, row_maxima, submatrix
 from .rank import _scan, colrank
-from .scalar import Pair, Scalar
+from .scalar import Pair
 from .solver import Solvable, residuate, solve
 
 __all__ = ["ReducedSystem", "reduce_system", "expand_solution", "dof_via_reduction"]
-
-CoeffRow = tuple[Scalar, ...]
 
 
 class ReducedSystem(NamedTuple):
     """Reduction data for one system.
 
-    `eta` maps each dependent column (pairs, ascending) to coefficients
-    aligned with `indep_cols`; `xi` does the same for dependent rows and
-    `indep_rows`. An entirely -inf matrix has rank 0: `a_bar` is 0x0 and
-    `b_bar` empty, a system that is solvable, with no unknowns.
+    `eta` pairs each dependent column (ascending) with its coefficients,
+    a vector aligned with `indep_cols`; `xi` does the same for dependent
+    rows and `indep_rows`. An entirely -inf matrix has rank 0: `a_bar` is
+    0x0 and `b_bar` empty, a system that is solvable, with no unknowns.
     """
 
     indep_rows: tuple[int, ...]  # ascending original indices
     indep_cols: tuple[int, ...]
     a_bar: TropMatrix
     b_bar: TropVector
-    eta: tuple[tuple[int, CoeffRow], ...]
-    xi: tuple[tuple[int, CoeffRow], ...]
+    eta: tuple[tuple[int, TropVector], ...]
+    xi: tuple[tuple[int, TropVector], ...]
     row_consistency: tuple[tuple[int, bool], ...]
 
     @property
@@ -89,18 +87,16 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     row_scan = _scan(cut, None, "rows", rows)
     indep_rows = tuple(sorted(row_scan.independent))
 
-    # a combination keys each finite coefficient by its independent index; a missing one is -inf;
-    # lists first: a tuple built from an iterator grows by resizing (peak RSS)
-    eta = tuple([(dep.col, tuple([*map(dict(dep.combination).get, indep_cols)])) for dep in col_scan.dependent])
-    xi = tuple([(dep.col, tuple([*map(dict(dep.combination).get, indep_rows)])) for dep in row_scan.dependent])
+    # a combination keys each finite coefficient by its independent index; a missing one is -inf
+    eta = tuple([(dep.col, TropVector(map(dict(dep.combination).get, indep_cols))) for dep in col_scan.dependent])
+    xi = tuple([(dep.col, TropVector(map(dict(dep.combination).get, indep_rows))) for dep in row_scan.dependent])
 
     a_bar = submatrix(a, indep_rows, indep_cols)
     b_pairs = b.pairs()
     b_bar = TropVector._of(tuple([b_pairs[i] for i in indep_rows]))
     # a dependent row's b entry against the same max-combination of b_bar (-inf when b_bar is empty),
     # by the one product loop on the coefficients' pairs
-    coeff_pairs = [[None if c is None else (c.numerator, c.denominator) for c in coeffs] for _, coeffs in xi]
-    rhs = row_maxima(coeff_pairs, b_bar.pairs())
+    rhs = row_maxima([coeffs.pairs() for _, coeffs in xi], b_bar.pairs())
     consistency = tuple((dep_row, p == b_pairs[dep_row]) for (dep_row, _), p in zip(xi, rhs))
 
     return ReducedSystem(
@@ -136,7 +132,7 @@ def expand_solution(reduced_y: TropVector, sys: ReducedSystem) -> TropVector:
     for c, p in zip(sys.indep_cols, y_pairs):
         x[c] = p
     for dep_col, coeffs in sys.eta:
-        res = residuate(TropVector(coeffs).pairs(), y_pairs)
+        res = residuate(coeffs.pairs(), y_pairs)
         if res is not None:
             x[dep_col] = res[1]
     return TropVector._of(tuple(x))

@@ -201,6 +201,21 @@ MUTANTS = (
         "(best_n, best_d)",
         ("tests/test_matrix.py", "tests/test_rank.py", "tests/test_exhaustive.py"),
     ),
+    Mutant(
+        "row-maxima-keeps-later-equal-term",
+        "src/tropsolve/matrix.py",
+        "if best_d is None or pn * best_d > best_n * pd:",
+        "if best_d is None or pn * best_d >= best_n * pd:",
+        equivalent="it keeps a later term of the same value, and only that value is returned",
+    ),
+    # a dependent column whose least slack one row attains is left at -inf
+    Mutant(
+        "expand-keeps-only-tied-coefficients",
+        "src/tropsolve/reduce.py",
+        "        if res is not None:\n",
+        "        if res is not None and res[0] & (res[0] - 1):\n",
+        ("tests/test_reduce.py", "tests/test_acceptance.py", "tests/test_exhaustive.py"),
+    ),
     # a row whose terms all fall short of b_i passes
     Mutant(
         "satisfies-accepts-row-below-b",

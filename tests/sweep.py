@@ -5,7 +5,9 @@ file:
 
 - one comparison flips: `<` and `<=`, `>` and `>=`, `==` and `!=`, `is`
   and `is not`, `in` and `not in`;
-- one boolean operator swaps: `and` becomes `or`, `or` becomes `and`.
+- one boolean operator swaps: `and` becomes `or`, `or` becomes `and`;
+- one call's name swaps: `min(...)` becomes `max(...)`, `max(...)` becomes
+  `min(...)`.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -13,9 +15,9 @@ Run from anywhere, with pytest and hypothesis installed:
     python tests/sweep.py --dry-run  # build every mutant, print the count
 
 A mutant is built by editing the operator's text between its operands,
-and must parse to the source's syntax tree with that one operator
-changed; the dry run also checks that it compiles and differs from the
-source, and exits with 1 if any mutant does not.
+or the called name, and must parse to the source's syntax tree with that
+one operator or name changed; the dry run also checks that it compiles
+and differs from the source, and exits with 1 if any mutant does not.
 
 A full run copies the repository to a temporary directory and runs the
 whole of Tier-1 there once unmutated: it must pass, and twice its run
@@ -62,6 +64,7 @@ TEXT = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in", ast.And: "and", ast.Or: "or",
 }
+NAMES = {"min": "max", "max": "min"}  # a called name that swaps
 
 
 class Site(NamedTuple):
@@ -79,6 +82,16 @@ def _pattern(op: type) -> re.Pattern:
     return re.compile(re.escape(text.encode()))
 
 
+def _swap(node: ast.AST, i: int | None) -> None:
+    """Swap, in place, the called name of a `min`/`max` call, a boolean operator, or comparison i."""
+    if isinstance(node, ast.Call):
+        node.func.id = NAMES[node.func.id]
+    elif i is None:
+        node.op = SWAPS[type(node.op)]()
+    else:
+        node.ops[i] = SWAPS[type(node.ops[i])]()
+
+
 def _sites(path: Path) -> list[Site]:
     """Every one-operator mutant of the file at `path`, each checked against the tree it must parse to."""
     source = path.read_text()
@@ -91,34 +104,36 @@ def _sites(path: Path) -> list[Site]:
     def offset(line: int, col: int) -> int:
         return starts[line - 1] + col
 
+    def between(left: ast.AST, right: ast.AST, op: type) -> tuple[int, int, bytes]:
+        """The byte span of `op`'s text between two operands, and the text it swaps to."""
+        lo, hi = offset(left.end_lineno, left.end_col_offset), offset(right.lineno, right.col_offset)
+        found = _pattern(op).search(data, lo, hi)
+        if found is None:
+            raise RuntimeError(f"{path.name}:{left.end_lineno}: no {TEXT[op]!r} between the operands")
+        return found.start(), found.end(), TEXT[SWAPS[op]].encode()
+
     out = []
     for index, node in enumerate(ast.walk(tree)):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            edits = [([(operands[i], operands[i + 1])], i) for i in range(len(node.ops))]
+            edits = [([between(operands[i], operands[i + 1], type(op))], i) for i, op in enumerate(node.ops)]
         elif isinstance(node, ast.BoolOp):  # every keyword of the one node flips with its op
-            edits = [(list(zip(node.values, node.values[1:])), None)]
+            edits = [([between(l, r, type(node.op)) for l, r in zip(node.values, node.values[1:])], None)]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in NAMES:
+            f = node.func
+            edits = [([(offset(f.lineno, f.col_offset), offset(f.end_lineno, f.end_col_offset), NAMES[f.id].encode())], None)]
         else:
             continue
-        for gaps, i in edits:
-            op = type(node.op if i is None else node.ops[i])
+        for spans, i in edits:
             mutated = data
-            for left, right in reversed(gaps):  # the later gaps first, so earlier offsets hold
-                lo, hi = offset(left.end_lineno, left.end_col_offset), offset(right.lineno, right.col_offset)
-                found = _pattern(op).search(mutated, lo, hi)
-                if found is None:
-                    raise RuntimeError(f"{path.name}:{left.end_lineno}: no {TEXT[op]!r} between the operands")
-                mutated = mutated[: found.start()] + TEXT[SWAPS[op]].encode() + mutated[found.end() :]
-            line = bisect_right(starts, found.start())  # the first gap's operator
+            for lo, hi, text in reversed(spans):  # the later spans first, so earlier offsets hold
+                mutated = mutated[:lo] + text + mutated[hi:]
+            line = bisect_right(starts, spans[0][0])  # the first span's line
             expected = copy.deepcopy(tree)
-            twin = next(islice(ast.walk(expected), index, None))  # `node` in the copy
-            if i is None:
-                twin.op = SWAPS[op]()
-            else:
-                twin.ops[i] = SWAPS[op]()
+            _swap(next(islice(ast.walk(expected), index, None)), i)  # `node` in the copy
             new_source = mutated.decode()
             if ast.dump(ast.parse(new_source)) != ast.dump(expected):
-                raise RuntimeError(f"{path.name}:{node.lineno}: the edit does not change only {TEXT[op]!r}")
+                raise RuntimeError(f"{path.name}:{node.lineno}: the edit changes more than one operator or name")
             old_line = source.splitlines()[line - 1].strip()
             new_line = new_source.splitlines()[line - 1].strip()
             out.append(Site(str(path.relative_to(ROOT)), line, old_line, new_line, new_source))

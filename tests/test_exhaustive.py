@@ -13,13 +13,15 @@ budget of 3 s of Tier-1 on a shared 2-CPU host.
 Each matrix's `colrank` and `rowrank` are checked once against
 `helpers.dependence_oracle`. Each system's `solve` is checked against
 `helpers.residuation` and the test of `helpers.solves`, A x* = b by
-`helpers.product`; `reduce_system`'s rows against `rowrank`, its row
-consistency against the max-combination of b's kept entries by
-`helpers.row_max`, and its solvability against `solve`'s by the theorem
-in `reduce`. Every pair in every result must be reduced. Each matrix's
-`check_equivalence` with A + alpha, alpha_j cycling through 0, 1/2 and
--1, must give alpha, with 0 for an all -inf column; with A with its
-first finite cell moved by 1, it must give `helpers.column_shifts`. The
+`helpers.product`; `reduce_system`'s columns and eta against `colrank`,
+its rows and xi against `rowrank`, its row consistency against the
+max-combination of b's kept entries by `helpers.row_max`, its
+solvability against `solve`'s by the theorem in `reduce`, and on every
+solvable system `expand_solution` of the reduced x* against the full x*.
+Every pair in every result, eta and xi rows too, must be reduced. Each
+matrix's `check_equivalence` with A + alpha, alpha_j cycling through 0,
+1/2 and -1, must give alpha, with 0 for an all -inf column; with A with
+its first finite cell moved by 1, it must give `helpers.column_shifts`. The
 references run on plain ints and `Fraction`s. A walk meets each pair of
 a column and b, and each A with each x*, many times: it computes each
 such residuation and product once.
@@ -45,6 +47,7 @@ from tropsolve import (
     TropVector,
     check_equivalence,
     colrank,
+    expand_solution,
     normalize,
     reduce_system,
     rowrank,
@@ -74,8 +77,8 @@ def check_scan(report, vectors: list) -> None:
         assert dep.combination == tuple((l, c) for l, c in zip(basis, lam) if c is not None)
 
 
-def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, products: dict) -> bool:
-    """`solve(a, b)` against `residuation` of each column (`per_col`) and A x* = b; True when solvable.
+def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, products: dict) -> TropVector | None:
+    """`solve(a, b)` against `residuation` of each column (`per_col`) and A x* = b; x* when solvable, else None.
 
     `products` holds A x by `helpers.product` for each x already met with this A.
     """
@@ -94,19 +97,34 @@ def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, produ
         assert out.forced_bottom == {j for j, r in enumerate(per_col) if r is not None and r[0] is None}
     else:
         assert out.witness_rows == tuple(i for i, c in enumerate(out.coverage) if b[i] is not None and not c)
-    return solvable
+    return x if solvable else None
 
 
-def check_reduce(a: TropMatrix, b: tuple, b_vec: TropVector, solvable: bool, row_scan) -> None:
-    """`reduce_system(a, b)`'s rows against `row_scan`, its row consistency, and its solvability by the theorem in `reduce`."""
+def coefficient_rows(scan) -> tuple:
+    """A scan's basis, ascending, and each dependent's coefficients over it as a vector, -inf where it has none."""
+    basis = tuple(sorted(scan.independent))
+    return basis, tuple((d.col, TropVector(map(dict(d.combination).get, basis))) for d in scan.dependent)
+
+
+def check_reduce(a: TropMatrix, b: tuple, b_vec: TropVector, x_star: TropVector | None, want: tuple) -> None:
+    """`reduce_system(a, b)` against the scans and `solve`'s x* (None when unsolvable).
+
+    Its columns with eta and its rows with xi against `want`, the
+    `coefficient_rows` of `colrank` and `rowrank`; its row consistency;
+    its solvability by the theorem in `reduce`; and the expansion of the
+    reduced x*, which is the full x*.
+    """
     sys = reduce_system(a, b_vec)
-    assert sys.indep_rows == tuple(sorted(row_scan.independent))
-    assert sys.xi == tuple((d.col, tuple(map(dict(d.combination).get, sys.indep_rows))) for d in row_scan.dependent)
+    assert ((sys.indep_cols, sys.eta), (sys.indep_rows, sys.xi)) == want
+    assert all(is_reduced_pair(p) for _, coeffs in sys.eta + sys.xi for p in coeffs.pairs())
     kept = [b[i] for i in sys.indep_rows]
     assert sys.row_consistency == tuple((i, row_max(coeffs, kept) == b[i]) for i, coeffs in sys.xi)
     assert all(map(is_reduced_pair, sys.b_bar.pairs()))
     assert all(is_reduced_pair(p) for r in sys.a_bar.pair_rows() for p in r)
-    assert solvable == (sys.consistent() and isinstance(solve(sys.a_bar, sys.b_bar), Solvable))
+    reduced = sys.consistent() and solve(sys.a_bar, sys.b_bar)
+    assert (x_star is not None) == isinstance(reduced, Solvable)
+    if x_star is not None:
+        assert expand_solution(reduced.x_star, sys) == x_star, (a, b_vec)
 
 
 def check_shifts(a: TropMatrix, rows: list, cols: list) -> None:
@@ -134,14 +152,15 @@ def test_every_tiny_system(shape, values):
         cols = list(zip(*rows))
         a = TropMatrix(rows)
         check_shifts(a, rows, cols)
-        check_scan(colrank(a), cols)
-        row_scan = rowrank(a)
+        col_scan, row_scan = colrank(a), rowrank(a)
+        check_scan(col_scan, cols)
         check_scan(row_scan, rows)
+        want = (coefficient_rows(col_scan), coefficient_rows(row_scan))
         products = {}
         for b, b_vec in rhs:
-            solvable = check_solve(a, b, b_vec, [slacks[col, b] for col in cols], products)
-            check_reduce(a, b, b_vec, solvable, row_scan)
-            seen[solvable] += 1
+            x_star = check_solve(a, b, b_vec, [slacks[col, b] for col in cols], products)
+            check_reduce(a, b, b_vec, x_star, want)
+            seen[x_star is not None] += 1
     assert sum(seen.values()) == len(values) ** (m * n + m)
     assert seen[True] and (seen[False] or m == 0)
 

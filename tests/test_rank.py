@@ -469,9 +469,9 @@ def test_scan_tries_the_known_independents_first(monkeypatch):
 
 
 def _coefficient_rows(report: RankReport) -> tuple:
-    """`reduce`'s form of a report's dependences: per dependent, one coefficient per basis index (None for -inf)."""
+    """`reduce`'s form of a report's dependences: per dependent, a vector of one coefficient per basis index (-inf where it has none)."""
     basis = sorted(report.independent)
-    return tuple((d.col, tuple(dict(d.combination).get(k) for k in basis)) for d in report.dependent)
+    return tuple((d.col, TropVector(dict(d.combination).get(k) for k in basis)) for d in report.dependent)
 
 
 def test_north_star_size_scans_match_oracle_replay():

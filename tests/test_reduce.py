@@ -62,8 +62,8 @@ def test_reduce_3x3_with_dependent_column_and_row(rank_3x3):
     sys = reduce_system(rank_3x3, b)
     assert sys.indep_cols == (0, 1)
     assert sys.indep_rows == (1, 2)
-    assert sys.eta == ((2, (Fraction(2), Fraction(-2))),)
-    assert sys.xi == ((0, (Fraction(6), Fraction(-1))),)
+    assert sys.eta == ((2, TropVector((Fraction(2), Fraction(-2)))),)
+    assert sys.xi == ((0, TropVector((Fraction(6), Fraction(-1)))),)
     assert sys.row_consistency == ((0, True),)
     assert sys.a_bar == TropMatrix([[-5, 0], [4, 1]])
     assert sys.b_bar == TropVector([b[1], b[2]])
@@ -241,7 +241,7 @@ def test_degenerate_all_bottom_matrix():
     sys = reduce_system(a, b)
     assert sys.a_bar == TropMatrix([]) and sys.b_bar == TropVector([])
     assert not sys.consistent()
-    assert all(coeffs == () for _, coeffs in sys.eta)
+    assert all(coeffs == TropVector(()) for _, coeffs in sys.eta)
     assert not isinstance(solve(a, b), Solvable)
 
 
@@ -297,7 +297,7 @@ def test_row_scan_on_independent_columns_matches_rowrank():
         report = rowrank(a)
         basis = sorted(report.independent)
         assert sys.indep_rows == tuple(basis), a
-        assert sys.xi == tuple((d.col, tuple(dict(d.combination).get(k) for k in basis)) for d in report.dependent), a
+        assert sys.xi == tuple((d.col, TropVector(dict(d.combination).get(k) for k in basis)) for d in report.dependent), a
         check_reconstruction(a, sys)
         cut += len(sys.indep_cols) < a.cols
     assert cut >= 40
