@@ -44,4 +44,4 @@ from .solver import (
     solve,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

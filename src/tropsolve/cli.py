@@ -219,6 +219,7 @@ def _parse_scan_order(text: str | None, size: int) -> list[int] | None:
 
 
 def _rank_payload(report: RankReport) -> dict:
+    basis = sorted(report.independent)
     return {
         "axis": report.axis,
         "rank": report.rank,
@@ -228,7 +229,8 @@ def _rank_payload(report: RankReport) -> dict:
                 "index": d.col + 1,
                 "combination": [
                     {"index": c + 1, "coefficient": t}
-                    for (c, _), t in zip(d.combination, _scalars(x for _, x in d.combination))
+                    for c, t in zip(basis, format_pairs(d.coefficients.pairs()))
+                    if t != "-inf"
                 ],
             }
             for d in report.dependent

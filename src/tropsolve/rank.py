@@ -29,8 +29,8 @@ so a dependent vector's maximal combination over the final independent
 set is read from the same table. The self-check runs the one max-plus
 product loop, `matrix.row_maxima`, on the basis vectors and the table's
 coefficient pairs, and compares the reduced pairs it returns with the
-target's stored pairs by `==`, -inf pattern included. Only the reported
-coefficients become `Fraction`s. `reduce` runs the row scan on the rows
+target's stored pairs by `==`, -inf pattern included; the report holds
+those verified pairs as they are. `reduce` runs the row scan on the rows
 cut to A's independent columns, where every test gives the verdict and
 the coefficients it gives on whole rows; its self-check still runs on
 the whole rows.
@@ -41,11 +41,10 @@ their own, which share no code with `residuate` or `row_maxima`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .matrix import TropMatrix, row_maxima
+from .matrix import TropMatrix, TropVector, row_maxima
 from .scalar import Pair
 from .solver import residuate, support_mask
 
@@ -56,7 +55,7 @@ class Dependence(NamedTuple):
     """A column reproduced exactly as max over (independent column + coefficient)."""
 
     col: int
-    combination: tuple[tuple[int, Fraction], ...]  # (index, finite coefficient)
+    coefficients: TropVector  # aligned with the sorted independent indices; -inf where one takes no part
 
 
 class RankReport(NamedTuple):
@@ -73,7 +72,7 @@ def colrank(a: TropMatrix, scan_order: Sequence[int] | None = None) -> RankRepor
     `scan_order` gives the order in which columns are tested (0-based,
     a permutation of all columns); the default tests the last column
     first, down to the first. Columns with no finite entry are removed
-    up front as dependent with an empty combination.
+    up front as dependent, with all -inf coefficients.
 
     Each recorded dependence combines the final independent columns with
     the maximal coefficients, so it reproduces the column exactly.
@@ -141,7 +140,7 @@ def _scan(
             discovery.append(target)
 
     basis = sorted(discovery)
-    combinations = {j: () for j in bottom}
+    combinations = dict.fromkeys(bottom, TropVector._of((None,) * len(basis)))
     if dependents:
         whole = pairs if whole is None else whole
         span = list(zip(*(whole[k] for k in basis)))  # one row per entry, one column per basis vector
@@ -150,7 +149,7 @@ def _scan(
             # the combination must give the target's pairs, -inf pattern included: both sides are reduced
             if row_maxima(span, coeffs) != list(whole[j]):
                 raise AssertionError("internal error: dependent column not spanned by the independent set")
-            combinations[j] = tuple((k, Fraction(*c)) for k, c in zip(basis, coeffs) if c is not None)
+            combinations[j] = TropVector._of(tuple(coeffs))
 
     return RankReport(
         axis=axis,

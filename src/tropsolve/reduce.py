@@ -42,7 +42,7 @@ from typing import NamedTuple
 from .errors import DimensionError, UnsolvableSystemError
 from .freedom import degrees_of_freedom
 from .matrix import TropMatrix, TropVector, mat_vec, row_maxima, submatrix
-from .rank import _scan, colrank
+from .rank import Dependence, _scan, colrank
 from .scalar import Pair
 from .solver import Solvable, residuate, solve
 
@@ -52,18 +52,19 @@ __all__ = ["ReducedSystem", "reduce_system", "expand_solution", "dof_via_reducti
 class ReducedSystem(NamedTuple):
     """Reduction data for one system.
 
-    `eta` pairs each dependent column (ascending) with its coefficients,
-    a vector aligned with `indep_cols`; `xi` does the same for dependent
-    rows and `indep_rows`. An entirely -inf matrix has rank 0: `a_bar` is
-    0x0 and `b_bar` empty, a system that is solvable, with no unknowns.
+    `eta` is the column scan's `Dependence` records: each dependent column
+    (ascending) with its coefficients, a vector aligned with `indep_cols`;
+    `xi` is the row scan's, for dependent rows and `indep_rows`. An entirely
+    -inf matrix has rank 0: `a_bar` is 0x0 and `b_bar` empty, a system that
+    is solvable, with no unknowns.
     """
 
     indep_rows: tuple[int, ...]  # ascending original indices
     indep_cols: tuple[int, ...]
     a_bar: TropMatrix
     b_bar: TropVector
-    eta: tuple[tuple[int, TropVector], ...]
-    xi: tuple[tuple[int, TropVector], ...]
+    eta: tuple[Dependence, ...]
+    xi: tuple[Dependence, ...]
     row_consistency: tuple[tuple[int, bool], ...]
 
     @property
@@ -87,9 +88,7 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     row_scan = _scan(cut, None, "rows", rows)
     indep_rows = tuple(sorted(row_scan.independent))
 
-    # a combination keys each finite coefficient by its independent index; a missing one is -inf
-    eta = tuple([(dep.col, TropVector(map(dict(dep.combination).get, indep_cols))) for dep in col_scan.dependent])
-    xi = tuple([(dep.col, TropVector(map(dict(dep.combination).get, indep_rows))) for dep in row_scan.dependent])
+    eta, xi = col_scan.dependent, row_scan.dependent
 
     a_bar = submatrix(a, indep_rows, indep_cols)
     b_pairs = b.pairs()

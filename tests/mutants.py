@@ -83,6 +83,23 @@ MUTANTS = (
         "if False:",
         ("tests/test_rank.py", "tests/test_reduce.py"),
     ),
+    # a dependence reports the vector its self-check verified, aligned with the sorted basis:
+    # reversed, it still passes the self-check but lies; an all -inf vector's is empty, which
+    # tests/test_reduce.py cannot tell, as it compares `reduce`'s xi with `rowrank`'s own report
+    Mutant(
+        "dependence-coefficients-reversed",
+        "src/tropsolve/rank.py",
+        "TropVector._of(tuple(coeffs))",
+        "TropVector._of(tuple(coeffs[::-1]))",
+        ("tests/test_rank.py", "tests/test_exhaustive.py", "tests/test_cli_golden.py"),
+    ),
+    Mutant(
+        "bottom-dependence-has-no-coefficients",
+        "src/tropsolve/rank.py",
+        "(None,) * len(basis)",
+        "()",
+        ("tests/test_rank.py", "tests/test_exhaustive.py", "tests/test_cli_golden.py"),
+    ),
     # the same values, each A~, b~ and y* value reduced by the gcd of its full long operands
     Mutant(
         "normalize-full-operand-gcd",

@@ -117,7 +117,7 @@ def test_criterion_4_golden_rank(rank_4x5, rank_3x3):
             (0, "dependent"),
         )
         and three.rank == 2
-        and dep3.combination == ((0, Fraction(2)), (1, Fraction(-2)))
+        and dep3.coefficients == TropVector([2, -2])  # over columns 0 and 1
     )
     report("4 (golden rank: scan trace, colrank, combination)", ok)
 
@@ -126,11 +126,11 @@ def test_criterion_4_rowrank_claim(rank_3x3):
     # the inherited claim of row rank 3 does not hold: the scan certifies row
     # rank 2, since row 0 = max(row 1 + 6, row 2 - 1) exactly
     scan = rowrank(rank_3x3)
-    combination = ((1, Fraction(6)), (2, Fraction(-1)))
+    combination = TropVector([6, -1])  # over rows 1 and 2
     ok = (
         scan.rank == 2
         and scan.independent == (2, 1)
-        and [(d.col, d.combination) for d in scan.dependent] == [(0, combination)]
+        and [(d.col, d.coefficients) for d in scan.dependent] == [(0, combination)]
         and max_combination([rank_3x3.row(1), rank_3x3.row(2)], [Fraction(6), Fraction(-1)]) == rank_3x3.row(0)
     )
     report("4 (rowrank = 2, row 0 = max(row 1 + 6, row 2 - 1))", ok)

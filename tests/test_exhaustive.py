@@ -74,7 +74,8 @@ def check_scan(report, vectors: list) -> None:
     for dep in report.dependent:  # each dependence is the maximal combination over the basis
         lam = dependence_oracle([vectors[l] for l in basis], vectors[dep.col])
         assert lam is not None
-        assert dep.combination == tuple((l, c) for l, c in zip(basis, lam) if c is not None)
+        assert len(dep.coefficients) == len(basis) and all(map(is_reduced_pair, dep.coefficients.pairs()))
+        assert dep.coefficients == TropVector(lam)
 
 
 def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, products: dict) -> TropVector | None:
@@ -100,17 +101,11 @@ def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, produ
     return x if solvable else None
 
 
-def coefficient_rows(scan) -> tuple:
-    """A scan's basis, ascending, and each dependent's coefficients over it as a vector, -inf where it has none."""
-    basis = tuple(sorted(scan.independent))
-    return basis, tuple((d.col, TropVector(map(dict(d.combination).get, basis))) for d in scan.dependent)
-
-
 def check_reduce(a: TropMatrix, b: tuple, b_vec: TropVector, x_star: TropVector | None, want: tuple) -> None:
     """`reduce_system(a, b)` against the scans and `solve`'s x* (None when unsolvable).
 
-    Its columns with eta and its rows with xi against `want`, the
-    `coefficient_rows` of `colrank` and `rowrank`; its row consistency;
+    Its columns with eta and its rows with xi against `want`, the sorted
+    basis and dependences of `colrank` and `rowrank`; its row consistency;
     its solvability by the theorem in `reduce`; and the expansion of the
     reduced x*, which is the full x*.
     """
@@ -155,7 +150,7 @@ def test_every_tiny_system(shape, values):
         col_scan, row_scan = colrank(a), rowrank(a)
         check_scan(col_scan, cols)
         check_scan(row_scan, rows)
-        want = (coefficient_rows(col_scan), coefficient_rows(row_scan))
+        want = tuple((tuple(sorted(s.independent)), s.dependent) for s in (col_scan, row_scan))
         products = {}
         for b, b_vec in rhs:
             x_star = check_solve(a, b, b_vec, [slacks[col, b] for col in cols], products)

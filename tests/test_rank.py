@@ -33,12 +33,11 @@ from helpers import (
 )
 
 
-def reproduces(a: TropMatrix, dep) -> bool:
-    cols = [a.column(c) for c, _ in dep.combination]
-    coeffs = [k for _, k in dep.combination]
+def reproduces(a: TropMatrix, report: RankReport, dep) -> bool:
+    cols = [a.column(c) for c in sorted(report.independent)]
     if not cols:
         return all(e is None for e in a.column(dep.col))
-    return max_combination(cols, coeffs) == a.column(dep.col)
+    return max_combination(cols, list(dep.coefficients)) == a.column(dep.col)
 
 
 def test_colrank_scan_4x5(rank_4x5):
@@ -54,7 +53,7 @@ def test_colrank_scan_4x5(rank_4x5):
     )
     assert [d.col for d in report.dependent] == [0, 2, 4]
     for dep in report.dependent:
-        assert reproduces(rank_4x5, dep)
+        assert reproduces(rank_4x5, report, dep)
 
 
 def test_dependence_subsystem_grid_4x5(rank_4x5):
@@ -77,8 +76,8 @@ def test_colrank_3x3_with_combination(rank_3x3):
     report = colrank(rank_3x3)
     assert report.rank == 2
     dep = next(d for d in report.dependent if d.col == 2)
-    assert dep.combination == ((0, Fraction(2)), (1, Fraction(-2)))
-    assert reproduces(rank_3x3, dep)
+    assert dep.coefficients == TropVector([2, -2])  # over columns 0 and 1
+    assert reproduces(rank_3x3, report, dep)
 
 
 def test_rowrank_3x3_scan_finds_row_dependence(rank_3x3):
@@ -88,7 +87,7 @@ def test_rowrank_3x3_scan_finds_row_dependence(rank_3x3):
     assert report.axis == "rows"
     assert report.rank == 2
     dep = next(d for d in report.dependent if d.col == 0)
-    assert dep.combination == ((1, Fraction(6)), (2, Fraction(-1)))
+    assert dep.coefficients == TropVector([6, -1])  # over rows 1 and 2
     t = transpose(rank_3x3)
     assert max_combination(
         [t.column(1), t.column(2)], [Fraction(6), Fraction(-1)]
@@ -155,7 +154,7 @@ def test_all_bottom_columns_dependent_on_empty_combination():
     assert report.rank == 1
     assert report.independent == (1,)
     dep = report.dependent[0]
-    assert dep.col == 0 and dep.combination == ()
+    assert dep.col == 0 and dep.coefficients == TropVector([None])  # over column 1
     assert report.scan_trace[0] == (0, "dependent")
 
 
@@ -210,7 +209,7 @@ def test_dependence_reconstruction_random():
         report = colrank(a)
         assert report.rank == len(report.independent)
         for dep in report.dependent:
-            assert reproduces(a, dep)
+            assert reproduces(a, report, dep)
         assert {d.col for d in report.dependent} | set(report.independent) == set(range(n))
 
 
@@ -240,8 +239,8 @@ def test_scan_coefficients_match_oracle_on_final_basis():
             for dep in report.dependent:
                 lam = dependence_oracle([vecs[k] for k in basis], vecs[dep.col])
                 assert lam is not None
-                assert dep.combination == tuple((k, c) for k, c in zip(basis, lam) if c is not None)
-                nonempty += bool(dep.combination)
+                assert dep.coefficients == TropVector(lam)
+                nonempty += any(c is not None for c in dep.coefficients.pairs())
     assert nonempty >= 500
 
 
@@ -307,7 +306,7 @@ def oracle_scan(vecs: list[TropVector], order: list[int] | None, axis: str) -> R
     for j in sorted(j for j, verdict in trace if verdict == "dependent"):
         lam = dependence_oracle([vecs[k] for k in surviving], vecs[j])
         assert lam is not None
-        dependent.append(Dependence(j, tuple((k, c) for k, c in zip(surviving, lam) if c is not None)))
+        dependent.append(Dependence(j, TropVector(lam)))  # over `surviving`, now the basis in index order
     return RankReport(axis, tuple(independent), tuple(dependent), len(independent), tuple(trace))
 
 
@@ -468,12 +467,6 @@ def test_scan_tries_the_known_independents_first(monkeypatch):
                 discovery.append(target)
 
 
-def _coefficient_rows(report: RankReport) -> tuple:
-    """`reduce`'s form of a report's dependences: per dependent, a vector of one coefficient per basis index (-inf where it has none)."""
-    basis = sorted(report.independent)
-    return tuple((d.col, TropVector(dict(d.combination).get(k) for k in basis)) for d in report.dependent)
-
-
 def test_north_star_size_scans_match_oracle_replay():
     # colrank, rowrank and reduce at the 30 x 30 size the benchmark targets:
     # prime denominators, 10% -inf, and 8 planted dependent columns and rows
@@ -502,5 +495,5 @@ def test_north_star_size_scans_match_oracle_replay():
     red = reduce_system(a, b)
     assert red.indep_cols == tuple(sorted(want_cols.independent))
     assert red.indep_rows == tuple(sorted(want_rows.independent))
-    assert (red.eta, red.xi) == (_coefficient_rows(want_cols), _coefficient_rows(want_rows))
+    assert (red.eta, red.xi) == (want_cols.dependent, want_rows.dependent)
     assert red.consistent()

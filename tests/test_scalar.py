@@ -92,7 +92,7 @@ def test_results_are_exact_fractions(text, data):
         assert _exact([res.b_mean])
         assert _exact(normalized_solution(a, b, solve(a, b).x_star))
     for dep in colrank(a).dependent:
-        assert _exact(c for _, c in dep.combination)
+        assert _exact(dep.coefficients)
 
 
 @given(
