@@ -34,7 +34,6 @@ from .scalar import (
     Scalar,
     as_scalar,
     format_pair,
-    format_scalar,
 )
 from .solver import (
     Solvable,
@@ -44,4 +43,4 @@ from .solver import (
     solve,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

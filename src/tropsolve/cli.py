@@ -28,7 +28,7 @@ from .normalize import normalize, normalized_solution
 from .oracle import EXHAUSTIVE_MAX_SIDE, exhaustive_solvable, principal_solution, satisfies
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
-from .scalar import format_pairs, format_scalar
+from .scalar import format_pair, format_pairs
 from .solver import Solvable, solve, check_equivalence
 
 __all__ = ["Report", "run", "main"]
@@ -51,11 +51,6 @@ def _load(name: str, path: str, parse: Callable[[str], object]) -> tuple[dict, o
 
 def _ones(indices) -> list[int]:
     return [i + 1 for i in sorted(indices)]
-
-
-def _scalars(values) -> list[str]:
-    """Each scalar's token, and -inf for None, in one `format_pairs` batch."""
-    return format_pairs([None if v is None else (v.numerator, v.denominator) for v in values])
 
 
 def _listed(items, sep: str = ", ") -> str:
@@ -82,9 +77,9 @@ def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     res = normalize(a, b)
     payload = {
         "a_tilde": [format_pairs(r) for r in res.a_tilde],
-        "col_means": _scalars(res.col_means),
+        "col_means": format_pairs(res.col_means.pairs()),
         "b_tilde": format_pairs(res.b_tilde.pairs()),
-        "b_mean": format_scalar(res.b_mean),
+        "b_mean": format_pair(*res.b_mean),
         "q": [format_pairs(r, "+inf-") for r in res.q],
         "column_minima": format_pairs(res.column_minima.pairs()),
         "argmin_rows": [_ones(s) for s in res.argmin_rows],
@@ -324,7 +319,7 @@ def _cmd_check_equiv(args, a: TropMatrix, a2: TropMatrix) -> tuple[dict, int]:
     alphas = check_equivalence(a, a2)
     payload = {
         "equivalent": alphas is not None,
-        "alpha": _scalars(alphas) if alphas is not None else None,
+        "alpha": format_pairs(alphas.pairs()) if alphas is not None else None,
     }
     return payload, 0 if alphas is not None else 1
 

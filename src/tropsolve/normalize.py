@@ -25,8 +25,8 @@ a~_ij = a_ij - mean_j, y*_j = x*_j - (b_mean - mean_j) and b~_i = b_i - b_mean.
 `_q_row` takes each q_ij = (b_i - a_ij) - (b_mean - mean_j) in one exact step,
 b_i - a_ij left unreduced. Each per-cell gcd so has a short denominator as
 one operand. A~ and Q are grids of pairs and None; `Fraction(*p)` gives a
-cell's value. b~ and the column minima are vectors, and the only
-`Fraction`s built are the public `col_means` and `b_mean`.
+cell's value. The column means, b~ and the column minima are vectors, and
+b_mean is a pair like each grid cell: the module builds no `Fraction`.
 The report is refused before A~ and Q are built when a mean or minimum has
 more than `MAX_MEAN_DIGITS` digits: a bound of this module's own, the same
 under every interpreter setting.
@@ -34,7 +34,6 @@ under every interpreter setting.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
@@ -55,9 +54,9 @@ class NormalizationResult(NamedTuple):
     """Normalized system data: A~, column means, b~, mean of b, Q and its column minima."""
 
     a_tilde: PairGrid  # reduced pairs; None marks a -inf matrix entry (rendered as -inf in A~ and +inf- in Q)
-    col_means: tuple[Fraction, ...]
+    col_means: TropVector
     b_tilde: TropVector
-    b_mean: Fraction
+    b_mean: Pair
     q: PairGrid
     column_minima: TropVector
     argmin_rows: tuple[frozenset[int], ...]
@@ -168,9 +167,9 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
             argmins[j].append(i)
     return NormalizationResult(
         a_tilde=tuple([tuple(_sub(r, means)) for r in a.pair_rows()]),
-        col_means=tuple([Fraction(*m) for m in means]),
+        col_means=TropVector._of(tuple(means)),
         b_tilde=TropVector._of(tuple(_sub(b.pairs(), repeat(b_mean)))),
-        b_mean=Fraction(*b_mean),
+        b_mean=b_mean,
         q=tuple([_q_row(bi, r, shifts) for bi, r in zip(b.pairs(), a.pair_rows())]),
         column_minima=TropVector._of(tuple(y_star)),
         argmin_rows=tuple([frozenset(rows) for rows in argmins]),

@@ -38,7 +38,6 @@ __all__ = [
     "reduced",
     "parse_pairs",
     "format_pair",
-    "format_scalar",
 ]
 
 # A max-plus scalar: a finite exact rational, or None for -inf.
@@ -173,8 +172,3 @@ def format_pairs(pairs: Sequence[Pair | None], bottom: str = "-inf") -> list[str
 def format_pair(n: int, d: int) -> str:
     """Canonical token for the reduced fraction n/d, d > 0, in full, by `format_pairs`."""
     return format_pairs(((n, d),))[0]
-
-
-def format_scalar(s: Scalar) -> str:
-    """Canonical token for a scalar, in full; `as_scalar` reads it back."""
-    return "-inf" if s is None else format_pair(s.numerator, s.denominator)

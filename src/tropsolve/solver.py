@@ -22,7 +22,6 @@ least slack with its rows as an int bitmask, which `mask_rows` lists.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionError
@@ -151,27 +150,27 @@ def solve(a: TropMatrix, b: TropVector) -> SolveOutcome:
     return Solvable(x_star, cov, frozenset(forced), frozenset(unbounded))
 
 
-def check_equivalence(a: TropMatrix, a2: TropMatrix) -> list[Fraction] | None:
-    """Recover per-column finite shifts alpha_j with a2_j = a_j + alpha_j.
+def check_equivalence(a: TropMatrix, a2: TropMatrix) -> TropVector | None:
+    """Recover per-column finite shifts alpha_j with a2_j = a_j + alpha_j, as a vector.
 
     Returns None when no such shifts exist: the -inf patterns differ, or
     some column is not shifted by a constant. Columns that are entirely
     -inf in both matrices get alpha_j = 0. Two matrices with no column
-    give `[]`, a positive verdict although falsy, so test `is not None`.
+    give an empty vector, a positive verdict although falsy, so test
+    `is not None`.
     """
     if a.rows != a2.rows or a.cols != a2.cols:
         raise DimensionError(f"shapes differ: {a.rows}x{a.cols} vs {a2.rows}x{a2.cols}")
-    alphas: list[Fraction] = []
+    alphas: list[Pair] = []
     for col, col2 in zip(zip(*a.pair_rows()), zip(*a2.pair_rows())):
         support = support_mask(col)
         if support != support_mask(col2):
             return None
         res = residuate(col, col2)
         if res is None:  # an all -inf column pair
-            alphas.append(Fraction(0))
+            alphas.append((0, 1))
         elif res[0] == support:  # every finite row attains the least slack a2_ij - a_ij
-            alphas.append(Fraction(*res[1]))
+            alphas.append(res[1])
         else:
             return None
-    return alphas
-
+    return TropVector._of(tuple(alphas))

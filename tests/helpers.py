@@ -38,8 +38,8 @@ from tropsolve import (
     Scalar,
     TropMatrix,
     TropVector,
-    format_scalar,
 )
+from tropsolve.scalar import format_pairs
 
 
 def trop_add(a: Scalar, b: Scalar) -> Scalar:
@@ -92,12 +92,12 @@ def solves(a: TropMatrix, x: TropVector, b: TropVector) -> bool:
 
 def format_matrix(a: TropMatrix) -> str:
     """The matrix file of `a`: one row per line, each entry's canonical token."""
-    return "\n".join(" ".join(map(format_scalar, r)) for r in a.row_tuples()) + "\n"
+    return "\n".join(" ".join(format_pairs(r)) for r in a.pair_rows()) + "\n"
 
 
 def format_vector(v: TropVector) -> str:
     """The vector file of `v`: one canonical token per line."""
-    return "\n".join(map(format_scalar, v)) + "\n"
+    return "\n".join(format_pairs(v.pairs())) + "\n"
 
 
 def grid_text(rows) -> str:
@@ -275,8 +275,8 @@ def dependence_oracle(cols: list[Sequence[Scalar]], target: Sequence[Scalar]) ->
     return lambdas if max_combination(cols, lambdas) == TropVector(target) else None
 
 
-def column_shifts(rows: Sequence[Sequence[Scalar]], rows2: Sequence[Sequence[Scalar]]) -> list[Fraction] | None:
-    """Per-column shifts alpha_j with a2_ij = a_ij + alpha_j, by plain `Fraction` subtraction, or None.
+def column_shifts(rows: Sequence[Sequence[Scalar]], rows2: Sequence[Sequence[Scalar]]) -> TropVector | None:
+    """Per-column shifts alpha_j with a2_ij = a_ij + alpha_j, by plain `Fraction` subtraction, as a vector, or None.
 
     Plain-`Fraction` reference for `check_equivalence`, on two same-shape
     grids of numbers and None: each column pair must have the same -inf
@@ -291,7 +291,7 @@ def column_shifts(rows: Sequence[Sequence[Scalar]], rows2: Sequence[Sequence[Sca
         if len(shifts) > 1:
             return None
         alphas.append(shifts.pop() if shifts else Fraction(0))
-    return alphas
+    return TropVector(alphas)
 
 
 def q_column_minima(q) -> tuple[list[Fraction], list[frozenset[int]]]:
@@ -330,6 +330,7 @@ def normalize_reference(a: TropMatrix, b: TropVector) -> NormalizationResult:
     Shares no arithmetic with `normalize`, which works on integer pairs.
     A~ and Q are grids of `Fraction`s and None, to compare with
     `fraction_grid` of `normalize`'s pair grids.
+    The means are a vector and b_mean a pair, as `normalize` returns them.
     Expects a regular b and a finite entry in every column.
     """
     means = [mean(col) for col in zip(*a.row_tuples())]
@@ -340,9 +341,9 @@ def normalize_reference(a: TropMatrix, b: TropVector) -> NormalizationResult:
     minima, argmins = q_column_minima(q)
     return NormalizationResult(
         a_tilde=a_tilde,
-        col_means=tuple(means),
+        col_means=TropVector(means),
         b_tilde=TropVector(b_tilde),
-        b_mean=b_mean,
+        b_mean=b_mean.as_integer_ratio(),
         q=q,
         column_minima=TropVector(minima),
         argmin_rows=tuple(argmins),

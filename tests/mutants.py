@@ -85,7 +85,7 @@ MUTANTS = (
     ),
     # a dependence reports the vector its self-check verified, aligned with the sorted basis:
     # reversed, it still passes the self-check but lies; an all -inf vector's is empty, which
-    # tests/test_reduce.py cannot tell, as it compares `reduce`'s xi with `rowrank`'s own report
+    # tests/test_reduce.py tells by the length of every eta and xi vector
     Mutant(
         "dependence-coefficients-reversed",
         "src/tropsolve/rank.py",
@@ -98,7 +98,7 @@ MUTANTS = (
         "src/tropsolve/rank.py",
         "(None,) * len(basis)",
         "()",
-        ("tests/test_rank.py", "tests/test_exhaustive.py", "tests/test_cli_golden.py"),
+        ("tests/test_rank.py", "tests/test_exhaustive.py", "tests/test_cli_golden.py", "tests/test_reduce.py"),
     ),
     # the same values, each A~, b~ and y* value reduced by the gcd of its full long operands
     Mutant(
@@ -244,8 +244,8 @@ MUTANTS = (
     Mutant(
         "check-equivalence-all-inf-column-alpha-1",
         "src/tropsolve/solver.py",
-        "alphas.append(Fraction(0))",
-        "alphas.append(Fraction(1))",
+        "alphas.append((0, 1))",
+        "alphas.append((1, 1))",
         ("tests/test_solver.py",),
     ),
     Mutant(

@@ -701,10 +701,14 @@ def test_closed_stdout_keeps_the_verdict(tmp_path):
 
 # `Fraction.__new__` calls of one in-process call on the 100x100 system below
 # (0.12.0 built 601, 701, 701, 300 and 8020; 0.13.0 built 401, 501, 601, 0
-# and 0): `normalize` computes on pairs, so `solve` and its Y* build none,
-# `solve --check` builds 100 in its oracle line, and `normalize` builds only
-# its public `col_means` and `b_mean`
-FRACTIONS_PER_CALL = {"solve": 0, "solve --check": 100, "normalize": 101, "dof": 0, "reduce": 0}
+# and 0; 0.17.0 built 0, 100, 101, 0 and 0): every library result is stored
+# on pairs, so only `solve --check` builds Fractions, 100 in its oracle line.
+# `check-equiv` reads A twice; `colrank` and `rowrank` read A alone
+FRACTIONS_PER_CALL = {
+    "solve": 0, "solve --check": 100, "normalize": 0, "dof": 0, "reduce": 0,
+    "check-equiv": 0, "colrank": 0, "rowrank": 0,
+}
+_INPUTS = {"check-equiv": ("a.mat", "a.mat"), "colrank": ("a.mat",), "rowrank": ("a.mat",)}
 
 
 def test_fraction_constructions_per_call(tmp_path, monkeypatch, capsys):
@@ -727,7 +731,7 @@ def test_fraction_constructions_per_call(tmp_path, monkeypatch, capsys):
     for command in FRACTIONS_PER_CALL:
         name, *flags = command.split()
         built = 0
-        assert main([name, str(tmp_path / "a.mat"), str(tmp_path / "b.vec"), *flags]) == 0
+        assert main([name, *(str(tmp_path / f) for f in _INPUTS.get(name, ("a.mat", "b.vec"))), *flags]) == 0
         counts[command] = built
     capsys.readouterr()
     assert all(counts[c] <= limit for c, limit in FRACTIONS_PER_CALL.items()), counts

@@ -126,7 +126,7 @@ def check_shifts(a: TropMatrix, rows: list, cols: list) -> None:
     """`check_equivalence` of A with A + alpha, which gives alpha, and with A with its first finite cell moved by 1."""
     alpha = [SHIFTS[j % 3] for j in range(len(cols))]
     shifted = TropMatrix([[None if e is None else e + al for e, al in zip(r, alpha)] for r in rows])
-    assert check_equivalence(a, shifted) == [al if any(e is not None for e in col) else 0 for al, col in zip(alpha, cols)]
+    assert check_equivalence(a, shifted) == TropVector([al if any(e is not None for e in col) else 0 for al, col in zip(alpha, cols)])
     finite = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if e is not None]
     if finite:
         i, j = finite[0]

@@ -9,8 +9,12 @@ from tropsolve import (
     TropMatrix,
     TropVector,
     UnsolvableSystemError,
+    degrees_of_freedom,
     dof_via_reduction,
     expand_solution,
+    minimal_leading_oracle,
+    parse_matrix,
+    parse_vector,
     reduce_system,
     rowrank,
     solve,
@@ -31,11 +35,16 @@ from helpers import (
     rand_fraction,
     rand_matrix,
     residuation,
+    solves,
     with_bottoms,
 )
 
 
 def check_reconstruction(a: TropMatrix, sys) -> None:
+    # each coefficient vector is aligned with its basis, an all -inf target's too;
+    # the combinations below cannot see a short one, as a missing term reads -inf
+    assert all(len(coeffs) == len(sys.indep_cols) for _, coeffs in sys.eta)
+    assert all(len(coeffs) == len(sys.indep_rows) for _, coeffs in sys.xi)
     if not sys.indep_cols:  # the empty combination of an all -inf A
         assert all(e is None for r in a.row_tuples() for e in r) and not sys.indep_rows
         return
@@ -193,6 +202,53 @@ def test_full_and_reduced_solvability_coincide_random():
         assert satisfies(a, x, b)
         assert x == full.x_star
     assert solvable[False] >= 100 and solvable[True] >= 100 and finite_x_with_bottom_b >= 40
+
+
+def _cover_on_least_reduced_cover(a: TropMatrix, b: TropVector, full: Solvable, sys) -> TropVector:
+    """x*_j on a least cover of the reduced system, mapped to A's columns, and -inf elsewhere."""
+    _, witness = minimal_leading_oracle(solve(sys.a_bar, sys.b_bar))
+    chosen = {sys.indep_cols[k] for k in witness}
+    return TropVector([e if j in chosen else None for j, e in enumerate(full.x_star)])
+
+
+def test_greedy_dof_breaks_the_reduction_bound_on_4x5():
+    # the smallest system found where dof_direct >= dof_via_reduction + (n - k) fails
+    # for the greedy counts; the least covers keep tau_full <= tau_red
+    a = parse_matrix("2 1 -1 -1 2\n-inf 1 -1 1 -1\n-inf -1 1/2 -inf 1/2\n2 2 -1 2 -1\n")
+    b = parse_vector("4 3 5/2 4")
+    sys, full = reduce_system(a, b), solve(a, b)
+    n, k = a.cols, len(sys.indep_cols)
+    assert k == 4 and isinstance(full, Solvable)
+    dof_direct, dof_reduced = degrees_of_freedom(full).d_f, dof_via_reduction(a, b)
+    assert dof_direct == dof_reduced == 2
+    assert dof_direct < dof_reduced + (n - k)
+    tau_full, witness = minimal_leading_oracle(full)
+    tau_red, _ = minimal_leading_oracle(solve(sys.a_bar, sys.b_bar))
+    assert (tau_full, witness, tau_red) == (2, (1, 4), 2)
+    assert n - tau_full >= (k - tau_red) + (n - k)
+    assert solves(a, _cover_on_least_reduced_cover(a, b, full, sys), b)
+
+
+def test_least_covers_do_not_grow_under_reduction():
+    # tau_full <= tau_red: x* on a least cover of the reduced system, -inf elsewhere, solves A x = b
+    rng = random.Random(52)
+    instances = [planted_instance(rng) for _ in range(300)]  # half of them plant b = A x0
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = rand_matrix(rng, m, n, bottom_p=rng.choice((0, 0.25)))
+        instances.append((a, product(a, rand_finite_vector(rng, n))))  # solvable, -inf rows of b included
+    solvable = strict = 0
+    for a, b in instances:
+        full = solve(a, b)
+        if not isinstance(full, Solvable):
+            continue
+        solvable += 1
+        sys = reduce_system(a, b)
+        tau_full, tau_red = minimal_leading_oracle(full)[0], minimal_leading_oracle(solve(sys.a_bar, sys.b_bar))[0]
+        assert tau_full <= tau_red, (a, b)
+        strict += tau_full < tau_red
+        assert solves(a, _cover_on_least_reduced_cover(a, b, full, sys), b), (a, b)
+    assert solvable >= 250 and strict >= 10, (solvable, strict)
 
 
 def test_reduce_shape_check(rank_3x3):

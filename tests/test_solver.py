@@ -233,15 +233,15 @@ def test_support_mask_and_mask_rows_are_inverse():
 
 def test_check_equivalence_identity_and_shift():
     a = TropMatrix([[3, 6, 5], [-5, 0, -2], [4, 1, 6]])
-    assert check_equivalence(a, a) == [Fraction(0)] * 3
+    assert check_equivalence(a, a) == TropVector([Fraction(0)] * 3)
     shifted = TropMatrix(
         [[3, 11, 5], [-5, 5, -2], [4, 6, 6]]
     )  # column 2 shifted by 5
-    assert check_equivalence(a, shifted) == [
+    assert check_equivalence(a, shifted) == TropVector([
         Fraction(0),
         Fraction(5),
         Fraction(0),
-    ]
+    ])
 
 
 def test_check_equivalence_rejects_perturbation():
@@ -254,10 +254,10 @@ def test_check_equivalence_rejects_bottom_pattern_change():
     a = TropMatrix([[3, None], [-5, 0]])
     other = TropMatrix([[3, 1], [-5, 0]])
     assert check_equivalence(a, other) is None
-    assert check_equivalence(a, a) == [Fraction(0), Fraction(0)]
-    # no column: the empty list of shifts is a positive verdict
+    assert check_equivalence(a, a) == TropVector([Fraction(0), Fraction(0)])
+    # no column: the empty vector of shifts is a positive verdict
     no_cols = TropMatrix([[], []])
-    assert check_equivalence(no_cols, no_cols) == []
+    assert check_equivalence(no_cols, no_cols) == TropVector([])
     assert check_equivalence(no_cols, no_cols) is not None
 
 
@@ -283,7 +283,7 @@ def test_check_equivalence_tall_long_denominators():
 
         expected = [Fraction(0) if c == empty else al for c, al in enumerate(alphas)]
         a2 = from_columns(shifted)
-        assert check_equivalence(a, a2) == column_shifts(a.row_tuples(), a2.row_tuples()) == expected
+        assert check_equivalence(a, a2) == column_shifts(a.row_tuples(), a2.row_tuples()) == TropVector(expected)
 
         changed = []
         for sign in (1, -1):
