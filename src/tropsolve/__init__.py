@@ -43,4 +43,4 @@ from .solver import (
     solve,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

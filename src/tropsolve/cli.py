@@ -76,7 +76,7 @@ def _grid_lines(rows: list[list[str]], boxed: list[list[int]] | None = None) -> 
 def _cmd_normalize(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     res = normalize(a, b)
     payload = {
-        "a_tilde": [format_pairs(r) for r in res.a_tilde],
+        "a_tilde": [format_pairs(r) for r in res.a_tilde.pair_rows()],
         "col_means": format_pairs(res.col_means.pairs()),
         "b_tilde": format_pairs(res.b_tilde.pairs()),
         "b_mean": format_pair(*res.b_mean),

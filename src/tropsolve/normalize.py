@@ -24,9 +24,10 @@ reduced once. A difference of reduced pairs goes through one routine,
 a~_ij = a_ij - mean_j, y*_j = x*_j - (b_mean - mean_j) and b~_i = b_i - b_mean.
 `_q_row` takes each q_ij = (b_i - a_ij) - (b_mean - mean_j) in one exact step,
 b_i - a_ij left unreduced. Each per-cell gcd so has a short denominator as
-one operand. A~ and Q are grids of pairs and None; `Fraction(*p)` gives a
-cell's value. The column means, b~ and the column minima are vectors, and
-b_mean is a pair like each grid cell: the module builds no `Fraction`.
+one operand. A~ is a `TropMatrix`, so (A~, b~) goes straight into `solve`;
+Q is a grid of pairs and None, since its None is +inf, not -inf. The column
+means, b~ and the column minima are vectors, and b_mean is a pair like each
+Q cell: the module builds no `Fraction`.
 The report is refused before A~ and Q are built when a mean or minimum has
 more than `MAX_MEAN_DIGITS` digits: a bound of this module's own, the same
 under every interpreter setting.
@@ -46,26 +47,24 @@ from .solver import solve
 __all__ = ["NormalizationResult", "normalize", "normalized_solution"]
 
 # the most digits a column mean, the mean of b or a column minimum may have,
-# since the A~ and Q grids over longer means run to megabytes
+# since A~ and Q over longer means run to megabytes
 MAX_MEAN_DIGITS = 4300
 _MEAN_BOUND = 10**MAX_MEAN_DIGITS
 
 class NormalizationResult(NamedTuple):
     """Normalized system data: A~, column means, b~, mean of b, Q and its column minima."""
 
-    a_tilde: PairGrid  # reduced pairs; None marks a -inf matrix entry (rendered as -inf in A~ and +inf- in Q)
+    a_tilde: TropMatrix
     col_means: TropVector
     b_tilde: TropVector
     b_mean: Pair
-    q: PairGrid
+    q: PairGrid  # reduced pairs; None marks a -inf a_ij, where q_ij = +inf (rendered +inf-)
     column_minima: TropVector
     argmin_rows: tuple[frozenset[int], ...]
 
 
 def _mean(pairs: list[Pair]) -> Pair:
-    """The reduced mean of finite pairs: numerators summed per distinct denominator, those sums once over their lcm."""
-    if not pairs:
-        raise DegenerateColumnError("degenerate column: every entry is -inf")
+    """The reduced mean of non-empty finite pairs: numerators summed per distinct denominator, the sums over their lcm."""
     sums: dict[int, int] = {}
     for n, d in pairs:
         sums[d] = sums.get(d, 0) + n
@@ -166,7 +165,7 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
         for j in cols:
             argmins[j].append(i)
     return NormalizationResult(
-        a_tilde=tuple([tuple(_sub(r, means)) for r in a.pair_rows()]),
+        a_tilde=TropMatrix._of(tuple([tuple(_sub(r, means)) for r in a.pair_rows()])),
         col_means=TropVector._of(tuple(means)),
         b_tilde=TropVector._of(tuple(_sub(b.pairs(), repeat(b_mean)))),
         b_mean=b_mean,
@@ -177,9 +176,10 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
 
 
 def normalized_solution(a: TropMatrix, b: TropVector, x_star: TropVector) -> TropVector:
-    """Shift a solution of A x = b to normalized coordinates: y*_j = x*_j + mean_j - b_mean.
+    """Shift `solve`'s x* of A x = b to normalized coordinates: y*_j = x*_j + mean_j - b_mean.
 
-    Both means are over finite entries, and y*_j is -inf where x*_j is.
+    Both means are over finite entries, and y*_j is -inf where x*_j is; x*
+    is finite only on columns with a finite entry, as `_shift` needs.
     For `solve`'s x* of a system `normalize` accepts, y* is Q's column
     minima.
     """

@@ -84,7 +84,7 @@ def reduce_system(a: TropMatrix, b: TropVector) -> ReducedSystem:
     indep_cols = tuple(sorted(col_scan.independent))
     rows = a.pair_rows()
     # rowrank(a), on the rows cut to the independent columns (see the module docstring)
-    cut = rows if len(indep_cols) == a.cols else [[r[c] for c in indep_cols] for r in rows]
+    cut = [[r[c] for c in indep_cols] for r in rows]
     row_scan = _scan(cut, None, "rows", rows)
     indep_rows = tuple(sorted(row_scan.independent))
 

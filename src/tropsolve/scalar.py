@@ -69,10 +69,8 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot build a tropical scalar from {type(x).__name__}")
 
 
-def reduced(p: Pair | None) -> Pair | None:
-    """A computed pair in lowest terms, its denominator kept positive; None stays None."""
-    if p is None:
-        return None
+def reduced(p: Pair) -> Pair:
+    """A computed pair in lowest terms, its denominator kept positive."""
     g = gcd(*p)
     return p if g == 1 else (p[0] // g, p[1] // g)
 

@@ -312,7 +312,7 @@ def is_reduced_pair(p) -> bool:
 
 
 def fraction_grid(grid) -> tuple[tuple[Fraction | None, ...], ...]:
-    """A grid of (numerator, denominator) pairs and None, as `Fraction`s and None."""
+    """A grid of (numerator, denominator) pairs and None, as `Fraction`s and None: `normalize`'s Q."""
     return tuple(tuple(None if p is None else Fraction(*p) for p in row) for row in grid)
 
 
@@ -322,25 +322,33 @@ def mean(entries) -> Fraction:
     return sum(finite, Fraction(0)) / len(finite)
 
 
-def normalize_reference(a: TropMatrix, b: TropVector) -> NormalizationResult:
+def normalized_columns(a: TropMatrix) -> tuple[list[Fraction], list[list[Fraction | None]]]:
+    """The column means of `a` by `mean`, and the rows of A~, a~_ij = a_ij - mean_j: what b does not move."""
+    means = [mean(col) for col in zip(*a.row_tuples())]
+    return means, [[None if e is None else e - m for e, m in zip(r, means)] for r in a.row_tuples()]
+
+
+def normalize_reference(a: TropMatrix, b: TropVector, columns=None, b_mean=None) -> NormalizationResult:
     """Plain-`Fraction` reference for `normalize`, cell by cell as the paper defines it.
 
     Each mean is `mean` of a column or of b; then
     a~_ij = a_ij - mean_j, b~_i = b_i - b_mean and q_ij = b~_i - a~_ij.
     Shares no arithmetic with `normalize`, which works on integer pairs.
-    A~ and Q are grids of `Fraction`s and None, to compare with
-    `fraction_grid` of `normalize`'s pair grids.
+    A~ is a `TropMatrix` and Q a grid of `Fraction`s and None, to compare
+    with `fraction_grid` of `normalize`'s pair grid Q.
     The means are a vector and b_mean a pair, as `normalize` returns them.
-    Expects a regular b and a finite entry in every column.
+    Expects a regular b and a finite entry in every column. A walk that
+    meets each A and each b many times passes `normalized_columns(a)` as
+    `columns` and `mean(b)` as `b_mean`, to take each once.
     """
-    means = [mean(col) for col in zip(*a.row_tuples())]
-    b_mean = mean(b)
-    a_tilde = tuple(tuple(None if e is None else e - m for e, m in zip(r, means)) for r in a.row_tuples())
+    means, a_tilde = columns or normalized_columns(a)
+    if b_mean is None:
+        b_mean = mean(b)
     b_tilde = [e - b_mean for e in b]
     q = tuple(tuple(None if e is None else bt - e for e in r) for bt, r in zip(b_tilde, a_tilde))
     minima, argmins = q_column_minima(q)
     return NormalizationResult(
-        a_tilde=a_tilde,
+        a_tilde=TropMatrix(a_tilde),
         col_means=TropVector(means),
         b_tilde=TropVector(b_tilde),
         b_mean=b_mean.as_integer_ratio(),

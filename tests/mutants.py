@@ -108,6 +108,15 @@ MUTANTS = (
         "out.append(reduced((t, q // g * s)))",
         ("tests/test_normalize.py",),
     ),
+    # a difference whose shared denominator factor cancels stays unreduced:
+    # the walk's halves meet 1/2 - 1/2, which A~ then holds as 0/2
+    Mutant(
+        "normalize-difference-skips-second-gcd",
+        "src/tropsolve/normalize.py",
+        "            g2 = gcd(t, g)\n",
+        "            g2 = 1\n",
+        ("tests/test_normalize.py", "tests/test_exhaustive.py"),
+    ),
     # Q's one-step cell: Knuth's gcd(t, g) misses a factor of the unreduced
     # b_i - a_ij; the full operands give the same values over long gcds
     Mutant(

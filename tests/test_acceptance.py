@@ -35,7 +35,6 @@ from helpers import (
     arbitrary_instance,
     format_matrix,
     format_vector,
-    fraction_grid,
     from_columns,
     map_equivalent_solution,
     max_combination,
@@ -240,7 +239,7 @@ def test_criterion_9_normalization_zero_sum():
         a = rand_matrix(rng, m, n, bottom_p=0.25, regular_cols=True)
         b = rand_finite_vector(rng, m)
         res = normalize(a, b)
-        for col in zip(*fraction_grid(res.a_tilde)):
+        for col in zip(*res.a_tilde.row_tuples()):
             if sum((e for e in col if e is not None), Fraction(0)) != 0:
                 failures += 1
                 break

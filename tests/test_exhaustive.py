@@ -8,7 +8,7 @@ has no columns: 0x0, 1x0, 1x1, 1x2, 2x0, 2x1, 2x2) and at 2x3 and 3x2,
 and slacks of two halves are unreduced until they return (1/2 - 1/2 is
 0/4). That is 27 460 systems on 1 602 matrices. The 2x2 shape with
 halves (4 096 systems more) would add about 0.4 s, past the walk's
-budget of 3 s of Tier-1 on a shared 2-CPU host.
+budget of 4 s of Tier-1 on a shared 2-CPU host.
 
 Each matrix's `colrank` and `rowrank` are checked once against
 `helpers.dependence_oracle`. Each system's `solve` is checked against
@@ -26,6 +26,15 @@ references run on plain ints and `Fraction`s. A walk meets each pair of
 a column and b, and each A with each x*, many times: it computes each
 such residuation and product once.
 
+`normalize` is checked on the 7 945 systems with a regular b and a
+finite entry in every column of A: every field against
+`helpers.normalize_reference`, which takes the column means and A~
+(`helpers.normalized_columns`) once per matrix and b's mean once per b;
+and `solve` of A~ and b~, whose x* must be Q's column minima, whose
+coverage transposed must be the argmin rows and whose verdict must be
+that of `solve` on A and b. Once per such matrix, `check_equivalence` of
+A with A~ must give minus the column means.
+
 The two-input commands' mismatched shapes are walked apart from the
 systems: every b one entry short or long for an A with sides 0-2, and
 every A2 of another shape with sides 0-2, which differs in rows only,
@@ -42,6 +51,7 @@ import pytest
 
 from tropsolve import (
     DimensionError,
+    NormalizationResult,
     Solvable,
     TropMatrix,
     TropVector,
@@ -55,7 +65,19 @@ from tropsolve import (
 )
 from tropsolve.cli import run
 
-from helpers import column_shifts, dependence_oracle, grid_text, is_reduced_pair, product, residuation, row_max
+from helpers import (
+    column_shifts,
+    dependence_oracle,
+    fraction_grid,
+    grid_text,
+    is_reduced_pair,
+    mean,
+    normalize_reference,
+    normalized_columns,
+    product,
+    residuation,
+    row_max,
+)
 
 INTEGERS = (None, 0, 1)
 HALVES = (None, 0, Fraction(1, 2), 1)
@@ -122,6 +144,22 @@ def check_reduce(a: TropMatrix, b: tuple, b_vec: TropVector, x_star: TropVector 
         assert expand_solution(reduced.x_star, sys) == x_star, (a, b_vec)
 
 
+def check_normalize(a: TropMatrix, b_vec: TropVector, columns: tuple, b_mean, solvable: bool) -> NormalizationResult:
+    """`normalize(a, b)` against `normalize_reference` on A's `columns` and b's mean, and `solve` of A~ and b~.
+
+    That solve's x* is Q's column minima, its coverage transposed is the
+    argmin rows, and its verdict is `solvable`, the verdict on A and b.
+    """
+    res = normalize(a, b_vec)
+    assert res._replace(q=fraction_grid(res.q)) == normalize_reference(a, b_vec, columns, b_mean)
+    out = solve(res.a_tilde, res.b_tilde)
+    assert out.x_star == res.column_minima
+    argmins = tuple(frozenset(i for i, c in enumerate(out.coverage) if j in c) for j in range(a.cols))
+    assert argmins == res.argmin_rows
+    assert isinstance(out, Solvable) == solvable
+    return res
+
+
 def check_shifts(a: TropMatrix, rows: list, cols: list) -> None:
     """`check_equivalence` of A with A + alpha, which gives alpha, and with A with its first finite cell moved by 1."""
     alpha = [SHIFTS[j % 3] for j in range(len(cols))]
@@ -140,8 +178,9 @@ def test_every_tiny_system(shape, values):
     m, n = shape
     vectors = list(grids(values, repeat=m))  # every column of A, and every b
     slacks = {(col, b): residuation(col, b) for col in vectors for b in vectors}
-    rhs = [(b, TropVector(b)) for b in vectors]
+    rhs = [(b, TropVector(b), mean(b) if b and None not in b else None) for b in vectors]  # b's mean when regular
     seen = {True: 0, False: 0}
+    normalized = 0
     for cells in grids(values, repeat=m * n):
         rows = [cells[i * n : (i + 1) * n] for i in range(m)]
         cols = list(zip(*rows))
@@ -152,11 +191,21 @@ def test_every_tiny_system(shape, values):
         check_scan(row_scan, rows)
         want = tuple((tuple(sorted(s.independent)), s.dependent) for s in (col_scan, row_scan))
         products = {}
-        for b, b_vec in rhs:
+        # normalize takes a regular b and no all -inf column
+        columns = normalized_columns(a) if all(any(e is not None for e in col) for col in cols) else None
+        res = None
+        for b, b_vec, b_mean in rhs:
             x_star = check_solve(a, b, b_vec, [slacks[col, b] for col in cols], products)
             check_reduce(a, b, b_vec, x_star, want)
+            if columns is not None and b_mean is not None:
+                res = check_normalize(a, b_vec, columns, b_mean, x_star is not None)
+                normalized += 1
             seen[x_star is not None] += 1
+        if res is not None:  # A~ is A shifted by minus the column means
+            assert check_equivalence(a, res.a_tilde) == TropVector([-m for m in res.col_means])
     assert sum(seen.values()) == len(values) ** (m * n + m)
+    # the systems with a regular b and a finite entry in every column; a 0x0 system's b has no mean
+    assert normalized == ((len(values) ** m - 1) ** n * (len(values) - 1) ** m if m else 0)
     assert seen[True] and (seen[False] or m == 0)
 
 

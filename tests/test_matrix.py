@@ -232,7 +232,7 @@ def test_normalize_empty_systems():
     res = normalize(*EMPTY_SYSTEMS["2x0-finite-b"])
     assert res.b_mean == (1, 2)
     assert res.b_tilde == TropVector([Fraction(-1, 2), Fraction(1, 2)])
-    assert res.a_tilde == ((), ())
+    assert res.a_tilde.pair_rows() == ((), ())
     assert res.q == ((), ())
     assert res.col_means == TropVector([])
     assert res.argmin_rows == ()

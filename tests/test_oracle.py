@@ -183,6 +183,7 @@ def test_references_share_no_kernel(monkeypatch):
         "fraction_grid": lambda: helpers.fraction_grid(a.pair_rows()),
         "mean": lambda: helpers.mean(cols[0]),
         "column_shifts": lambda: helpers.column_shifts(a.row_tuples(), helpers.scalar_mul(Fraction(2), a).row_tuples()),
+        "normalized_columns": lambda: helpers.normalized_columns(a),
         "normalize_reference": lambda: helpers.normalize_reference(a, b),
         "perturbed": lambda: helpers.perturbed(helpers.product)(a, x0),
         "planted_instance": lambda: helpers.planted_instance(rng),

@@ -1,4 +1,4 @@
-"""The result records are named tuples, and starting the CLI imports neither `dataclasses` nor `inspect`."""
+"""The result records are named tuples whose matrices are `TropMatrix`es, and starting the CLI imports neither `dataclasses` nor `inspect`."""
 
 import subprocess
 import sys
@@ -15,6 +15,7 @@ from tropsolve import (
     RankReport,
     ReducedSystem,
     Solvable,
+    TropMatrix,
     Unsolvable,
     colrank,
     degrees_of_freedom,
@@ -57,6 +58,25 @@ def test_records_are_named_tuples(records):
     kinds = (Solvable, Unsolvable, RankReport, Dependence, ReducedSystem, NormalizationResult, DofReport, DofStep, Report)
     assert [type(r) for r in records] == list(kinds)
     assert all(isinstance(r, tuple) and r._fields for r in records)
+
+
+def _is_pair_grid(value) -> bool:
+    """True for rows of (numerator, denominator) pairs and None, the form a record must not hold a matrix in."""
+    return isinstance(value, tuple) and any(
+        isinstance(r, tuple) and r and all(p is None or (type(p) is tuple and len(p) == 2) for p in r) for r in value
+    )
+
+
+def test_matrix_fields_are_matrices_and_q_is_the_one_pair_grid(records):
+    # A~ goes into `solve` as `a_bar` does; Q's None is +inf, which a matrix would read as -inf
+    kinds = {}
+    for record in records:
+        for name, value in zip(record._fields, record):
+            if isinstance(value, TropMatrix):
+                kinds[name] = "matrix"
+            elif _is_pair_grid(value):
+                kinds[name] = "grid"
+    assert kinds == {"a_tilde": "matrix", "a_bar": "matrix", "q": "grid"}
 
 
 def test_record_fields_cannot_be_assigned(records):

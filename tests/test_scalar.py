@@ -84,7 +84,7 @@ def test_results_are_exact_fractions(text, data):
     if all(any(e is not None for e in a.column(j)) for j in range(a.cols)):
         b = parse_vector(data.draw(_vector_text(_FINITE_TOKEN, a.rows)))
         res = normalize(a, b)
-        assert all(is_reduced_pair(p) for r in (*res.q, *res.a_tilde) for p in r)
+        assert all(is_reduced_pair(p) for r in (*res.q, *res.a_tilde.pair_rows()) for p in r)
         assert _exact(res.column_minima)
         assert _exact(res.b_tilde)
         assert _exact(res.col_means)
