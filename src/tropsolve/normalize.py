@@ -39,7 +39,7 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from .errors import DegenerateColumnError, RegularityError, SizeBoundError
+from .errors import DegenerateColumnError, DimensionError, RegularityError, SizeBoundError
 from .matrix import TropMatrix, TropVector, is_regular
 from .scalar import Pair, PairGrid, reduced
 from .solver import solve
@@ -120,21 +120,15 @@ def _q_row(bi: Pair, row: Iterable[Pair | None], shifts: list[Pair]) -> tuple[Pa
     return tuple(out)
 
 
-def _shift(
-    a: TropMatrix, b: TropVector, x_star: TropVector
-) -> tuple[Pair | None, list[Pair | None], list[Pair | None], list[Pair | None]]:
-    """The normalization shift: b_mean, each mean_j and b_mean - mean_j, and y* = x* - (b_mean - mean_j).
+def _shift(a: TropMatrix, b: TropVector) -> tuple[Pair | None, list[Pair | None], list[Pair | None]]:
+    """The normalization shift of (A, b): b_mean, each mean_j and b_mean - mean_j.
 
-    mean_j and b_mean - mean_j are None, and so is y*_j, where x*_j is
-    -inf; b_mean is None when b has no finite entry. A finite x*_j implies
-    a finite entry in column j and in b, so no mean is of an empty set.
+    Each mean is over its finite entries, and None where there are none;
+    b_mean - mean_j is None where either mean is.
     """
-    b_finite = [p for p in b.pairs() if p is not None]
-    b_mean = _mean(b_finite) if b_finite else None
-    cols = zip(x_star.pairs(), zip(*a.pair_rows()))
-    means = [None if xp is None else _mean([p for p in col if p is not None]) for xp, col in cols]
-    shifts = _sub(repeat(b_mean), means)
-    return b_mean, means, shifts, _sub(x_star.pairs(), shifts)
+    finite = [[p for p in v if p is not None] for v in (b.pairs(), *zip(*a.pair_rows()))]
+    b_mean, *means = [_mean(f) if f else None for f in finite]
+    return b_mean, means, _sub(repeat(b_mean), means)
 
 
 def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
@@ -149,13 +143,12 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
     outcome = solve(a, b)  # raises the shape error, which is reported before the others
     if not is_regular(b):
         raise RegularityError("b is not regular; preprocess the system to remove -inf equations")
-    # with a regular b, x*_j is -inf exactly where column j has no finite entry
-    if not is_regular(outcome.x_star):
-        j = outcome.x_star.pairs().index(None)
-        raise DegenerateColumnError(f"degenerate column {j + 1}: every entry is -inf")
+    b_mean, means, shifts = _shift(a, b)
+    if None in means:
+        raise DegenerateColumnError(f"degenerate column {means.index(None) + 1}: every entry is -inf")
     if not len(b):
         raise DegenerateColumnError("b has no entry, so it has no mean")
-    b_mean, means, shifts, y_star = _shift(a, b, outcome.x_star)
+    y_star = _sub(outcome.x_star.pairs(), shifts)
     # the means and minima carry the report's longest denominators
     if max(max(abs(n), d) for n, d in (*means, b_mean, *y_star)) >= _MEAN_BOUND:
         raise SizeBoundError(f"a column mean or minimum has more than {MAX_MEAN_DIGITS} digits; "
@@ -176,11 +169,14 @@ def normalize(a: TropMatrix, b: TropVector) -> NormalizationResult:
 
 
 def normalized_solution(a: TropMatrix, b: TropVector, x_star: TropVector) -> TropVector:
-    """Shift `solve`'s x* of A x = b to normalized coordinates: y*_j = x*_j + mean_j - b_mean.
+    """Shift an x of A x = b to normalized coordinates: y*_j = x*_j + mean_j - b_mean.
 
-    Both means are over finite entries, and y*_j is -inf where x*_j is; x*
-    is finite only on columns with a finite entry, as `_shift` needs.
-    For `solve`'s x* of a system `normalize` accepts, y* is Q's column
-    minima.
+    Both means are over finite entries. y*_j is -inf where x*_j is, and
+    where column j or b has no finite entry, since the shift is undefined
+    there. For `solve`'s x* of a system `normalize` accepts, y* is Q's
+    column minima.
     """
-    return TropVector._of(tuple(_shift(a, b, x_star)[3]))
+    if a.cols != len(x_star) or a.rows != len(b):
+        raise DimensionError(f"shapes do not conform: {a.rows}x{a.cols} matrix, x of length {len(x_star)}, "
+                             f"b of length {len(b)}")
+    return TropVector._of(tuple(_sub(x_star.pairs(), _shift(a, b)[2])))

@@ -133,13 +133,21 @@ MUTANTS = (
         "out.append(reduced((t, q // g * s)))",
         ("tests/test_normalize.py",),
     ),
-    # the one column mean counts a -inf entry as 0, so its column's mean and every
-    # A~ and Q cell of it shift
+    # the one mean counts a -inf entry as 0, so b's mean, a column's mean and
+    # every A~ and Q cell of it shift
     Mutant(
         "normalize-mean-counts-inf-as-0",
         "src/tropsolve/normalize.py",
-        "_mean([p for p in col if p is not None])",
-        "_mean([(0, 1) if p is None else p for p in col])",
+        "[p for p in v if p is not None]",
+        "[(0, 1) if p is None else p for p in v]",
+        ("tests/test_normalize.py",),
+    ),
+    # Y* of an x one entry short or long is cut silently to the shorter side
+    Mutant(
+        "normalized-solution-shape-check-deleted",
+        "src/tropsolve/normalize.py",
+        "    if a.cols != len(x_star) or a.rows != len(b):\n",
+        "    if False:\n",
         ("tests/test_normalize.py",),
     ),
     # a report row with a part past the int/str digit limit raises instead of printing

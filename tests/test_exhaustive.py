@@ -7,8 +7,9 @@ has no columns: 0x0, 1x0, 1x1, 1x2, 2x0, 2x1, 2x2) and at 2x3 and 3x2,
 {-inf, 0, 1/2, 1}, 4^(mn + m) systems a shape, where the kernels' sums
 and slacks of two halves are unreduced until they return (1/2 - 1/2 is
 0/4). That is 27 460 systems on 1 602 matrices. The 2x2 shape with
-halves (4 096 systems more) would add about 0.4 s, past the walk's
-budget of 4 s of Tier-1 on a shared 2-CPU host.
+halves (4 096 systems more) would add about 0.4 s to a walk that
+already takes about 5 s of Tier-1 on a shared 2-CPU host, past its
+budget of 4 s.
 
 Each matrix's `colrank` and `rowrank` are checked once against
 `helpers.dependence_oracle`. Each system's `solve` is checked against
@@ -35,11 +36,18 @@ coverage transposed must be the argmin rows and whose verdict must be
 that of `solve` on A and b. Once per such matrix, `check_equivalence` of
 A with A~ must give minus the column means.
 
+`normalized_solution(A, b, x*)` is checked on every system, solvable or
+not, against x*_j + mean_j - b_mean on `Fraction`s by `helpers.mean`,
+-inf where x*_j is -inf or column j or b has no finite entry; once per
+matrix and mean of b, so is an x of zeros, which is finite also on the
+all -inf columns.
+
 The two-input commands' mismatched shapes are walked apart from the
-systems: every b one entry short or long for an A with sides 0-2, and
-every A2 of another shape with sides 0-2, which differs in rows only,
-in columns only or in both, each raising `DimensionError`. The same
-classes then run through `cli.run` on files, whose shapes have sides
+systems: every b one entry short or long for an A with sides 0-2, every
+b or x one entry short or long for `normalized_solution`, and every A2
+of another shape with sides 0-2, which differs in rows only, in columns
+only or in both, each raising `DimensionError`. The same classes then
+run through `cli.run` on files, whose shapes have sides
 1-2: each mismatched pair exits 2 with the shape message, and each
 matched pair with the verdict of `solve` or `check_equivalence`.
 """
@@ -59,6 +67,7 @@ from tropsolve import (
     colrank,
     expand_solution,
     normalize,
+    normalized_solution,
     reduce_system,
     rowrank,
     solve,
@@ -100,8 +109,13 @@ def check_scan(report, vectors: list) -> None:
         assert dep.coefficients == TropVector(lam)
 
 
-def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, products: dict) -> TropVector | None:
-    """`solve(a, b)` against `residuation` of each column (`per_col`) and A x* = b; x* when solvable, else None.
+def finite_mean(entries) -> Fraction | None:
+    """`helpers.mean` of the finite entries, None where there are none."""
+    return mean(entries) if any(e is not None for e in entries) else None
+
+
+def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, products: dict) -> tuple[TropVector, bool]:
+    """`solve(a, b)` against `residuation` of each column (`per_col`) and A x* = b; x* and whether it solves.
 
     `products` holds A x by `helpers.product` for each x already met with this A.
     """
@@ -120,7 +134,22 @@ def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, produ
         assert out.forced_bottom == {j for j, r in enumerate(per_col) if r is not None and r[0] is None}
     else:
         assert out.witness_rows == tuple(i for i, c in enumerate(out.coverage) if b[i] is not None and not c)
-    return x if solvable else None
+    return x, solvable
+
+
+def check_normalized_solution(
+    a: TropMatrix, b_vec: TropVector, x: TropVector, col_means: list, b_mean, shifted: dict
+) -> None:
+    """`normalized_solution(a, b, x)` against x_j + mean_j - b_mean on `Fraction`s, -inf where any of the three is.
+
+    `shifted` holds mean_j - b_mean for each b_mean already met with this
+    A. Vectors compare on their stored pairs, so the result's pairs are
+    reduced.
+    """
+    if b_mean not in shifted:
+        shifted[b_mean] = [None if None in (m, b_mean) else m - b_mean for m in col_means]
+    want = TropVector([None if None in (e, s) else e + s for e, s in zip(x, shifted[b_mean])])
+    assert normalized_solution(a, b_vec, x) == want
 
 
 def check_reduce(a: TropMatrix, b: tuple, b_vec: TropVector, x_star: TropVector | None, want: tuple) -> None:
@@ -178,7 +207,8 @@ def test_every_tiny_system(shape, values):
     m, n = shape
     vectors = list(grids(values, repeat=m))  # every column of A, and every b
     slacks = {(col, b): residuation(col, b) for col in vectors for b in vectors}
-    rhs = [(b, TropVector(b), mean(b) if b and None not in b else None) for b in vectors]  # b's mean when regular
+    rhs = [(b, TropVector(b), finite_mean(b)) for b in vectors]
+    zeros = TropVector([0] * n)  # finite also on the all -inf columns
     seen = {True: 0, False: 0}
     normalized = 0
     for cells in grids(values, repeat=m * n):
@@ -190,17 +220,22 @@ def test_every_tiny_system(shape, values):
         check_scan(col_scan, cols)
         check_scan(row_scan, rows)
         want = tuple((tuple(sorted(s.independent)), s.dependent) for s in (col_scan, row_scan))
-        products = {}
+        products, shifted, zero_means = {}, {}, set()
+        col_means = [finite_mean(col) for col in cols]
         # normalize takes a regular b and no all -inf column
-        columns = normalized_columns(a) if all(any(e is not None for e in col) for col in cols) else None
+        columns = normalized_columns(a) if None not in col_means else None
         res = None
         for b, b_vec, b_mean in rhs:
-            x_star = check_solve(a, b, b_vec, [slacks[col, b] for col in cols], products)
-            check_reduce(a, b, b_vec, x_star, want)
-            if columns is not None and b_mean is not None:
-                res = check_normalize(a, b_vec, columns, b_mean, x_star is not None)
+            x, solvable = check_solve(a, b, b_vec, [slacks[col, b] for col in cols], products)
+            check_reduce(a, b, b_vec, x if solvable else None, want)
+            check_normalized_solution(a, b_vec, x, col_means, b_mean, shifted)
+            if b_mean not in zero_means:  # once per A and b_mean: an x finite also on the all -inf columns
+                zero_means.add(b_mean)
+                check_normalized_solution(a, b_vec, zeros, col_means, b_mean, shifted)
+            if columns is not None and b_mean is not None and None not in b:
+                res = check_normalize(a, b_vec, columns, b_mean, solvable)
                 normalized += 1
-            seen[x_star is not None] += 1
+            seen[solvable] += 1
         if res is not None:  # A~ is A shifted by minus the column means
             assert check_equivalence(a, res.a_tilde) == TropVector([-m for m in res.col_means])
     assert sum(seen.values()) == len(values) ** (m * n + m)
@@ -215,7 +250,7 @@ def cycled(m: int, length: int, start: int = 0) -> list[tuple]:
 
 
 def test_every_mismatched_shape_raises():
-    """Every b one entry short or long for A's sides 0-2, and every A2 of another shape."""
+    """Every b or x one entry short or long for A's sides 0-2, and every A2 of another shape."""
     for m, n in SMALL:
         a = TropMatrix(cycled(m, n))
         for k in (m - 1, m + 1):
@@ -225,6 +260,16 @@ def test_every_mismatched_shape_raises():
             for f in (solve, normalize, reduce_system):
                 with pytest.raises(DimensionError, match=f"^matrix has {m} rows but vector has {k} entries$"):
                     f(a, b)
+            message = f"^shapes do not conform: {m}x{n} matrix, x of length {n}, b of length {k}$"
+            with pytest.raises(DimensionError, match=message):
+                normalized_solution(a, b, TropVector([0] * n))
+        b = TropVector(cycled(1, m)[0])
+        for k in (n - 1, n + 1):
+            if k < 0:
+                continue
+            message = f"^shapes do not conform: {m}x{n} matrix, x of length {k}, b of length {m}$"
+            with pytest.raises(DimensionError, match=message):
+                normalized_solution(a, b, TropVector([0] * k))
     kinds = set()
     for (m, n), (m2, n2) in grids(SMALL, repeat=2):
         if (m, n) != (m2, n2):

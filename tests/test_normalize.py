@@ -7,6 +7,7 @@ import pytest
 
 from tropsolve import (
     DegenerateColumnError,
+    DimensionError,
     RegularityError,
     SizeBoundError,
     Solvable,
@@ -335,6 +336,23 @@ def test_normalized_solution_on_systems_normalize_refuses():
         assert normalized_solution(a, b, x_star) == TropVector(y_ref)
         finite_y += sum(y is not None for y in y_ref)
     assert finite_y >= 100
+
+
+def test_normalized_solution_refuses_an_x_of_the_wrong_length():
+    # an x one entry short or long is refused, not cut to the shorter side
+    a, b = TropMatrix([[1, 2, 3], [4, 5, 6]]), TropVector([1, 2])
+    for k in (2, 4):
+        message = f"^shapes do not conform: 2x3 matrix, x of length {k}, b of length 2$"
+        with pytest.raises(DimensionError, match=message):
+            normalized_solution(a, b, TropVector([0] * k))
+
+
+def test_normalized_solution_is_bottom_where_a_column_has_no_mean():
+    # the shift is a property of (A, b): an x finite on an all -inf column has
+    # no y there; y_1 = 0 + 3/2 - 3/2
+    a, b = TropMatrix([[1, None], [2, None]]), TropVector([1, 2])
+    assert normalized_solution(a, b, TropVector([0, 5])) == TropVector([0, None])
+    assert normalized_solution(a, TropVector([None, None]), TropVector([0, 5])) == TropVector([None, None])
 
 
 def test_normalize_refuses_mean_past_digit_limit(monkeypatch):
