@@ -8,7 +8,9 @@ positive, None for -inf, which the kernels read through
 only when asked. Both classes compare and hash on the stored pairs and
 share one private constructor from pairs, `_of`, which the parsers, the
 kernels, `row`, `column` and `submatrix` use; the public constructors
-coerce every entry with `as_scalar` and check the shape.
+coerce every entry with `as_scalar` and check the shape, and refuse a
+str or bytes-like object given as the entries or as a row, which would
+iterate as characters or ints.
 Indexing is 0-based throughout the library, and an index out of range
 raises `IndexError`, a negative one too; only rendered reports use
 1-based indices. `row_maxima` is the one max-plus product loop: it
@@ -47,6 +49,13 @@ def _pair(e) -> Pair | None:
     return None if s is None else s.as_integer_ratio()
 
 
+def _iterable(entries):
+    """`entries` as given; a str or bytes-like object, which iterates as characters or ints, raises `TypeError`."""
+    if isinstance(entries, (str, bytes, bytearray, memoryview)):
+        raise TypeError(f"entries must be an iterable of scalars, not {type(entries).__name__}")
+    return entries
+
+
 def _scalar(p: Pair | None) -> Scalar:
     return None if p is None else Fraction(*p)
 
@@ -79,7 +88,7 @@ class TropVector(_Stored):
 
     def __init__(self, entries: Iterable):
         # list first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
-        self._pairs = tuple([_pair(e) for e in entries])
+        self._pairs = tuple([_pair(e) for e in _iterable(entries)])
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -109,7 +118,7 @@ class TropMatrix(_Stored):
 
     def __init__(self, rows: Iterable[Iterable]):
         # lists first: tuple(<genexpr>) grows by resizing, stranding tuples in CPython's free lists (peak RSS)
-        self._pairs = tuple([tuple([_pair(e) for e in r]) for r in rows])
+        self._pairs = tuple([tuple([_pair(e) for e in _iterable(r)]) for r in _iterable(rows)])
         if len({len(r) for r in self._pairs}) > 1:
             raise DimensionError("matrix rows must all have the same length")
 

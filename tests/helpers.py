@@ -10,13 +10,16 @@ None for -inf, and share no code with the library's integer-pair kernels:
   x* and coverage, the rank scan and `normalize`'s column minima.
 
 Every other reference here (`product`, `solves`, `max_combination`,
-`principal_reference`, `dependence_oracle`) is written on these two, and
-every generator plants b = A x0 with `product`. A test that needs the
-product or a residuation calls them; it does not write its own.
-`mean`, the sum of a column's finite entries over their count, is the
-one reference mean: it checks `normalize`'s means, and through them A~,
-b~, Q and every y*. `column_shifts`, each column's one difference
-a2_ij - a_ij, is the reference for `check_equivalence`.
+`principal_reference`, `dependence_oracle`, `oracle_scan`) is written on
+these two, and every generator plants b = A x0 with `product`. A test
+that needs the product or a residuation calls them; it does not write
+its own. `oracle_scan`, the scan replayed on `dependence_oracle`, is the
+one scan reference: each check of `colrank`, `rowrank` and
+`reduce_system`'s bases, eta and xi compares whole reports with it.
+`mean`, a column's finite entries summed over their count (None if
+none), is the one reference mean: it checks `normalize`'s means, and
+through them A~, b~, Q and every y*. `column_shifts`, each column's one
+difference a2_ij - a_ij, is the reference for `check_equivalence`.
 
 `read_token` reads one scalar token by the README grammar, character by
 character, with no regular expression and nothing from
@@ -33,8 +36,10 @@ from typing import Sequence
 
 from tropsolve import (
     BOTTOM,
+    Dependence,
     DimensionError,
     NormalizationResult,
+    RankReport,
     Scalar,
     TropMatrix,
     TropVector,
@@ -264,15 +269,52 @@ def principal_reference(a: TropMatrix, b: TropVector) -> TropVector:
 def dependence_oracle(cols: list[Sequence[Scalar]], target: Sequence[Scalar]) -> list[Scalar] | None:
     """The principal solution of [cols] x = target, if its max-combination is the target.
 
-    Plain-`Fraction` reference for the rank scan: `principal_reference`
-    and `max_combination` share no code with `residuate` or `row_maxima`.
-    With no columns, only an all -inf target is the (empty) combination.
-    The vectors are `TropVector`s or sequences of their `Fraction`s and None.
+    Each lambda_k is the `residuation` of column k against the target, as
+    in `principal_reference`. With no columns, only an all -inf target is
+    the (empty) combination. The vectors are `TropVector`s or sequences
+    of their `Fraction`s and None.
     """
+    target = list(target)
     if not cols:
         return [] if all(e is None for e in target) else None
-    lambdas = list(principal_reference(from_columns(cols), target))
-    return lambdas if max_combination(cols, lambdas) == TropVector(target) else None
+    lambdas = [BOTTOM if r is None else r[0] for r in (residuation(col, target) for col in cols)]
+    return lambdas if list(max_combination(cols, lambdas)) == target else None
+
+
+def oracle_scan(vecs: Sequence[Sequence[Scalar]], order: Sequence[int] | None, axis: str) -> RankReport:
+    """The rank scan replayed with `dependence_oracle`: the whole report `colrank` or `rowrank` gives.
+
+    Plain-`Fraction` reference for the scan and for `reduce_system`'s
+    bases, eta and xi. All -inf vectors are dependent up front; then each
+    target, last to first or in `order`, is tested against all its
+    working vectors in index order, and each dependence is the oracle's
+    combination over the final basis, in index order.
+    """
+    vecs = [tuple(v) for v in vecs]  # each vector's Fractions built once, not once per test
+    n = len(vecs)
+    surviving = [j for j in range(n) if any(e is not None for e in vecs[j])]
+    trace = [(j, "dependent") for j in range(n) if j not in surviving]
+    independent = []
+    for target in range(n - 1, -1, -1) if order is None else order:
+        if target not in surviving:
+            continue
+        if dependence_oracle([vecs[j] for j in surviving if j != target], vecs[target]) is None:
+            trace.append((target, "independent"))
+            independent.append(target)
+        else:
+            trace.append((target, "dependent"))
+            surviving.remove(target)
+    dependent = []
+    for j in sorted(j for j, verdict in trace if verdict == "dependent"):
+        lam = dependence_oracle([vecs[k] for k in surviving], vecs[j])
+        assert lam is not None
+        dependent.append(Dependence(j, TropVector(lam)))  # over `surviving`, now the basis in index order
+    return RankReport(axis, tuple(independent), tuple(dependent), len(independent), tuple(trace))
+
+
+def columns_and_rows(a: TropMatrix) -> tuple[list[TropVector], list[TropVector]]:
+    """The columns and the rows of `a`, as vectors: what `oracle_scan` replays `colrank` and `rowrank` on."""
+    return [a.column(j) for j in range(a.cols)], [a.row(i) for i in range(a.rows)]
 
 
 def column_shifts(rows: Sequence[Sequence[Scalar]], rows2: Sequence[Sequence[Scalar]]) -> TropVector | None:
@@ -316,10 +358,10 @@ def fraction_grid(grid) -> tuple[tuple[Fraction | None, ...], ...]:
     return tuple(tuple(None if p is None else Fraction(*p) for p in row) for row in grid)
 
 
-def mean(entries) -> Fraction:
-    """The paper's column mean: the sum of the finite entries over their count; -inf (None) entries take no part."""
+def mean(entries) -> Fraction | None:
+    """The paper's column mean: the sum of the finite (not None) entries over their count; None if there are none."""
     finite = [e for e in entries if e is not None]
-    return sum(finite, Fraction(0)) / len(finite)
+    return sum(finite, Fraction(0)) / len(finite) if finite else None
 
 
 def normalized_columns(a: TropMatrix) -> tuple[list[Fraction], list[list[Fraction | None]]]:

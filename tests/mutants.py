@@ -74,6 +74,15 @@ MUTANTS = (
         "for k in sorted(discovery + untested):",
         ("tests/test_rank.py",),
     ),
+    # the same basis, dependences and trace, with the independent indices
+    # reported sorted instead of in the order the scan found them
+    Mutant(
+        "scan-independents-reported-in-index-order",
+        "src/tropsolve/rank.py",
+        "independent=tuple(discovery),",
+        "independent=tuple(sorted(discovery)),",
+        ("tests/test_exhaustive.py", "tests/test_rank.py"),
+    ),
     # the same verdicts, since `residuate` gives a pattern miss (0, None) too,
     # but every miss then calls it and stores an entry
     Mutant(

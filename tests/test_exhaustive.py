@@ -8,15 +8,16 @@ has no columns: 0x0, 1x0, 1x1, 1x2, 2x0, 2x1, 2x2) and at 2x3 and 3x2,
 and slacks of two halves are unreduced until they return (1/2 - 1/2 is
 0/4). That is 27 460 systems on 1 602 matrices. The 2x2 shape with
 halves (4 096 systems more) would add about 0.4 s to a walk that
-already takes about 5 s of Tier-1 on a shared 2-CPU host, past its
-budget of 4 s.
+already takes 5-6.5 s of Tier-1 on a shared 2-CPU host, past its
+budget of 4 s; its scan checks take about 0.1 s of that.
 
-Each matrix's `colrank` and `rowrank` are checked once against
-`helpers.dependence_oracle`. Each system's `solve` is checked against
+Each matrix's `colrank` and `rowrank` reports are compared whole, trace
+and discovery order included, with `helpers.oracle_scan`, the scan
+replayed on `dependence_oracle`. Each system's `solve` is checked against
 `helpers.residuation` and the test of `helpers.solves`, A x* = b by
-`helpers.product`; `reduce_system`'s columns and eta against `colrank`,
-its rows and xi against `rowrank`, its row consistency against the
-max-combination of b's kept entries by `helpers.row_max`, its
+`helpers.product`; `reduce_system`'s sorted columns and eta, and its
+sorted rows and xi, against those replays, its row consistency against
+the max-combination of b's kept entries by `helpers.row_max`, its
 solvability against `solve`'s by the theorem in `reduce`, and on every
 solvable system `expand_solution` of the reduced x* against the full x*.
 Every pair in every result, eta and xi rows too, must be reduced. Each
@@ -76,13 +77,13 @@ from tropsolve.cli import run
 
 from helpers import (
     column_shifts,
-    dependence_oracle,
     fraction_grid,
     grid_text,
     is_reduced_pair,
     mean,
     normalize_reference,
     normalized_columns,
+    oracle_scan,
     product,
     residuation,
     row_max,
@@ -93,25 +94,6 @@ HALVES = (None, 0, Fraction(1, 2), 1)
 SMALL = [(m, n) for m in range(3) for n in range(3) if m or not n]
 WALKS = [(shape, INTEGERS) for shape in [*SMALL, (2, 3), (3, 2)]] + [(shape, HALVES) for shape in SMALL if shape != (2, 2)]
 SHIFTS = (0, Fraction(1, 2), -1)  # alpha_j = SHIFTS[j % 3]
-
-
-def check_scan(report, vectors: list) -> None:
-    """A dependence scan's report on `vectors` (tuples of numbers and None) against `dependence_oracle`."""
-    basis = sorted(report.independent)
-    assert report.rank == len(basis)
-    assert sorted(basis + [d.col for d in report.dependent]) == list(range(len(vectors)))
-    for k in basis:  # no basis vector is a combination of the others
-        assert dependence_oracle([vectors[l] for l in basis if l != k], vectors[k]) is None
-    for dep in report.dependent:  # each dependence is the maximal combination over the basis
-        lam = dependence_oracle([vectors[l] for l in basis], vectors[dep.col])
-        assert lam is not None
-        assert len(dep.coefficients) == len(basis) and all(map(is_reduced_pair, dep.coefficients.pairs()))
-        assert dep.coefficients == TropVector(lam)
-
-
-def finite_mean(entries) -> Fraction | None:
-    """`helpers.mean` of the finite entries, None where there are none."""
-    return mean(entries) if any(e is not None for e in entries) else None
 
 
 def check_solve(a: TropMatrix, b: tuple, b_vec: TropVector, per_col: list, products: dict) -> tuple[TropVector, bool]:
@@ -156,13 +138,13 @@ def check_reduce(a: TropMatrix, b: tuple, b_vec: TropVector, x_star: TropVector 
     """`reduce_system(a, b)` against the scans and `solve`'s x* (None when unsolvable).
 
     Its columns with eta and its rows with xi against `want`, the sorted
-    basis and dependences of `colrank` and `rowrank`; its row consistency;
+    basis and dependences of `oracle_scan` on A's columns and rows, whose
+    coefficient pairs are reduced; its row consistency;
     its solvability by the theorem in `reduce`; and the expansion of the
     reduced x*, which is the full x*.
     """
     sys = reduce_system(a, b_vec)
     assert ((sys.indep_cols, sys.eta), (sys.indep_rows, sys.xi)) == want
-    assert all(is_reduced_pair(p) for _, coeffs in sys.eta + sys.xi for p in coeffs.pairs())
     kept = [b[i] for i in sys.indep_rows]
     assert sys.row_consistency == tuple((i, row_max(coeffs, kept) == b[i]) for i, coeffs in sys.xi)
     assert all(map(is_reduced_pair, sys.b_bar.pairs()))
@@ -207,7 +189,7 @@ def test_every_tiny_system(shape, values):
     m, n = shape
     vectors = list(grids(values, repeat=m))  # every column of A, and every b
     slacks = {(col, b): residuation(col, b) for col in vectors for b in vectors}
-    rhs = [(b, TropVector(b), finite_mean(b)) for b in vectors]
+    rhs = [(b, TropVector(b), mean(b)) for b in vectors]
     zeros = TropVector([0] * n)  # finite also on the all -inf columns
     seen = {True: 0, False: 0}
     normalized = 0
@@ -216,12 +198,11 @@ def test_every_tiny_system(shape, values):
         cols = list(zip(*rows))
         a = TropMatrix(rows)
         check_shifts(a, rows, cols)
-        col_scan, row_scan = colrank(a), rowrank(a)
-        check_scan(col_scan, cols)
-        check_scan(row_scan, rows)
+        col_scan, row_scan = oracle_scan(cols, None, "columns"), oracle_scan(rows, None, "rows")
+        assert (colrank(a), rowrank(a)) == (col_scan, row_scan)
         want = tuple((tuple(sorted(s.independent)), s.dependent) for s in (col_scan, row_scan))
         products, shifted, zero_means = {}, {}, set()
-        col_means = [finite_mean(col) for col in cols]
+        col_means = [mean(col) for col in cols]
         # normalize takes a regular b and no all -inf column
         columns = normalized_columns(a) if None not in col_means else None
         res = None

@@ -172,6 +172,26 @@ def test_shapes_validated():
         submatrix(TropMatrix([[1, 2]]), [], [0])
 
 
+def test_constructors_refuse_text_given_as_entries():
+    # a str or bytes-like object iterates as characters or ints, never as scalars:
+    # unrefused, "10" would be TropVector(1, 0), b"10" TropVector(49, 48) and
+    # ["10", "23"] a 2x2 matrix
+    for make, entries, kind in (
+        (TropVector, "10", "str"),
+        (TropVector, b"10", "bytes"),
+        (TropVector, bytearray(b"10"), "bytearray"),
+        (TropVector, memoryview(b"10"), "memoryview"),
+        (TropMatrix, "10", "str"),
+        (TropMatrix, ["10", "23"], "str"),
+        (TropMatrix, [[1, 2], b"12"], "bytes"),
+    ):
+        with pytest.raises(TypeError, match=f"^entries must be an iterable of scalars, not {kind}$"):
+            make(entries)
+    # string entries are still scalar tokens
+    assert TropVector(["-inf", "5/2"]) == TropVector([None, Fraction(5, 2)])
+    assert TropMatrix([["1", 2]]) == TropMatrix([[1, 2]])
+
+
 # the 0x0 system, and 2x0 against an all -inf b and a finite one
 EMPTY_SYSTEMS = {
     "0x0": (TropMatrix([]), TropVector([])),

@@ -177,6 +177,8 @@ def test_references_share_no_kernel(monkeypatch):
         "max_combination": lambda: helpers.max_combination(cols, list(x0)),
         "principal_reference": lambda: helpers.principal_reference(a, b),
         "dependence_oracle": lambda: helpers.dependence_oracle(cols, cols[0]),
+        "oracle_scan": lambda: helpers.oracle_scan(cols + cols[:1], None, "columns"),  # a copy of column 0 is dependent
+        "columns_and_rows": lambda: helpers.columns_and_rows(a),
         "q_column_minima": lambda: helpers.q_column_minima(helpers.normalize_reference(a, b).q),
         "is_reduced_pair": lambda: helpers.is_reduced_pair((1, 2)),
         "read_token": lambda: helpers.read_token("-007.250"),
@@ -194,6 +196,7 @@ def test_references_share_no_kernel(monkeypatch):
     got = {name: call() for name, call in calls.items()}
     assert got["solves"] and helpers.solves(a, got["principal_reference"], b)
     assert got["dependence_oracle"] is not None and got["perturbed"] != b
+    assert got["oracle_scan"].dependent and got["columns_and_rows"] == (cols, [a.row(i) for i in range(a.rows)])
     assert got["read_token"] == (-29, 4)
     assert got["column_shifts"] == TropVector([Fraction(2)] * a.cols)
 

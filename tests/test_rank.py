@@ -13,15 +13,16 @@ from tropsolve import (
     rowrank,
 )
 
-from tropsolve.rank import Dependence, RankReport
 from tropsolve.reduce import reduce_system
 from tropsolve.solver import residuate
 
 from helpers import (
+    columns_and_rows,
     dependence_oracle,
     from_columns,
     identity,
     max_combination,
+    oracle_scan,
     planted_instance,
     planted_low_rank,
     prime_value,
@@ -31,13 +32,6 @@ from helpers import (
     scalar_mul,
     transpose,
 )
-
-
-def reproduces(a: TropMatrix, report: RankReport, dep) -> bool:
-    cols = [a.column(c) for c in sorted(report.independent)]
-    if not cols:
-        return all(e is None for e in a.column(dep.col))
-    return max_combination(cols, list(dep.coefficients)) == a.column(dep.col)
 
 
 def test_colrank_scan_4x5(rank_4x5):
@@ -52,8 +46,7 @@ def test_colrank_scan_4x5(rank_4x5):
         (0, "dependent"),
     )
     assert [d.col for d in report.dependent] == [0, 2, 4]
-    for dep in report.dependent:
-        assert reproduces(rank_4x5, report, dep)
+    assert report == oracle_scan(columns_and_rows(rank_4x5)[0], None, "columns")
 
 
 def test_dependence_subsystem_grid_4x5(rank_4x5):
@@ -77,7 +70,7 @@ def test_colrank_3x3_with_combination(rank_3x3):
     assert report.rank == 2
     dep = next(d for d in report.dependent if d.col == 2)
     assert dep.coefficients == TropVector([2, -2])  # over columns 0 and 1
-    assert reproduces(rank_3x3, report, dep)
+    assert report == oracle_scan(columns_and_rows(rank_3x3)[0], None, "columns")
 
 
 def test_rowrank_3x3_scan_finds_row_dependence(rank_3x3):
@@ -206,11 +199,7 @@ def test_dependence_reconstruction_random():
     for _ in range(150):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(rng, m, n, bottom_p=0.25)
-        report = colrank(a)
-        assert report.rank == len(report.independent)
-        for dep in report.dependent:
-            assert reproduces(a, report, dep)
-        assert {d.col for d in report.dependent} | set(report.independent) == set(range(n))
+        assert colrank(a) == oracle_scan(columns_and_rows(a)[0], None, "columns"), a
 
 
 def _with_scaled_copies(rng: random.Random, a: TropMatrix) -> TropMatrix:
@@ -230,17 +219,11 @@ def test_scan_coefficients_match_oracle_on_final_basis():
     for _ in range(150):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 4), bottom_p=0.25)
         a = transpose(_with_scaled_copies(rng, transpose(_with_scaled_copies(rng, a))))
-        for rank_fn, vecs in (
-            (colrank, [a.column(j) for j in range(a.cols)]),
-            (rowrank, [a.row(i) for i in range(a.rows)]),
-        ):
-            report = rank_fn(a, rng.sample(range(len(vecs)), len(vecs)))
-            basis = sorted(report.independent)
-            for dep in report.dependent:
-                lam = dependence_oracle([vecs[k] for k in basis], vecs[dep.col])
-                assert lam is not None
-                assert dep.coefficients == TropVector(lam)
-                nonempty += any(c is not None for c in dep.coefficients.pairs())
+        for rank_fn, vecs in zip((colrank, rowrank), columns_and_rows(a)):
+            order = rng.sample(range(len(vecs)), len(vecs))
+            report = rank_fn(a, order)
+            assert report == oracle_scan(vecs, order, report.axis), (rank_fn.__name__, a, order)
+            nonempty += sum(any(c is not None for c in dep.coefficients.pairs()) for dep in report.dependent)
     assert nonempty >= 500
 
 
@@ -280,38 +263,6 @@ def _wide_low_rank(rng: random.Random, m: int) -> TropMatrix:
             cols.append(max_combination(picked, [Fraction(rng.randint(-20, 20)) for _ in picked]))
     rng.shuffle(cols)
     return from_columns(cols + [scalar_mul(Fraction(3), gens[-1])])
-
-
-def oracle_scan(vecs: list[TropVector], order: list[int] | None, axis: str) -> RankReport:
-    """The rank scan replayed with `dependence_oracle`, which shares no code with the scan.
-
-    Each target is tested against all its working vectors in index order,
-    and each dependence is the oracle's combination over the final basis.
-    """
-    vecs = [tuple(v) for v in vecs]  # each vector's Fractions built once, not once per test
-    n = len(vecs)
-    surviving = [j for j in range(n) if any(e is not None for e in vecs[j])]
-    trace = [(j, "dependent") for j in range(n) if j not in surviving]
-    independent = []
-    for target in range(n - 1, -1, -1) if order is None else order:
-        if target not in surviving:
-            continue
-        if dependence_oracle([vecs[j] for j in surviving if j != target], vecs[target]) is None:
-            trace.append((target, "independent"))
-            independent.append(target)
-        else:
-            trace.append((target, "dependent"))
-            surviving.remove(target)
-    dependent = []
-    for j in sorted(j for j, verdict in trace if verdict == "dependent"):
-        lam = dependence_oracle([vecs[k] for k in surviving], vecs[j])
-        assert lam is not None
-        dependent.append(Dependence(j, TropVector(lam)))  # over `surviving`, now the basis in index order
-    return RankReport(axis, tuple(independent), tuple(dependent), len(independent), tuple(trace))
-
-
-def columns_and_rows(a: TropMatrix) -> tuple[list[TropVector], list[TropVector]]:
-    return [a.column(j) for j in range(a.cols)], [a.row(i) for i in range(a.rows)]
 
 
 def test_scan_stress_wide_masks_match_oracle_replay():

@@ -25,8 +25,10 @@ from tropsolve.cli import main
 from tropsolve.oracle import satisfies
 
 from helpers import (
+    columns_and_rows,
     identity,
     max_combination,
+    oracle_scan,
     planted_instance,
     planted_low_rank,
     principal_reference,
@@ -41,19 +43,11 @@ from helpers import (
 
 
 def check_reconstruction(a: TropMatrix, sys) -> None:
-    # each coefficient vector is aligned with its basis, an all -inf target's too;
-    # the combinations below cannot see a short one, as a missing term reads -inf
-    assert all(len(coeffs) == len(sys.indep_cols) for _, coeffs in sys.eta)
-    assert all(len(coeffs) == len(sys.indep_rows) for _, coeffs in sys.xi)
-    if not sys.indep_cols:  # the empty combination of an all -inf A
-        assert all(e is None for r in a.row_tuples() for e in r) and not sys.indep_rows
-        return
-    for dep_col, coeffs in sys.eta:
-        combo = max_combination([a.column(c) for c in sys.indep_cols], list(coeffs))
-        assert combo == a.column(dep_col)
-    for dep_row, coeffs in sys.xi:
-        combo = max_combination([a.row(r) for r in sys.indep_rows], list(coeffs))
-        assert combo == a.row(dep_row)
+    """The sorted column and row bases, with eta and xi, against `oracle_scan` of A's columns and rows."""
+    cols, rows = columns_and_rows(a)
+    want = (oracle_scan(cols, None, "columns"), oracle_scan(rows, None, "rows"))
+    got = ((sys.indep_cols, sys.eta), (sys.indep_rows, sys.xi))
+    assert got == tuple((tuple(sorted(w.independent)), w.dependent) for w in want), a
 
 
 def test_reduce_no_reduction_when_everything_independent():
