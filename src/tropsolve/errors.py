@@ -12,9 +12,9 @@ class TropicalError(Exception):
     permutation (`colrank`, `rowrank`), an outcome naming an out-of-range
     column (`degrees_of_freedom`, `minimal_leading_oracle`) or a vector
     that does not solve the reduced system (`expand_solution`);
-    `TypeError` for a float entry, and for a str or bytes-like object given
-    to `TropVector` or `TropMatrix` as the entries or as a row;
-    `IndexError` for an index out of range.
+    `TypeError` for a float entry, and for a str or bytes-like object, a
+    set or a mapping given to `TropVector` or `TropMatrix` as the entries
+    or as a row; `IndexError` for an index out of range.
     """
 
 

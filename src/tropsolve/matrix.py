@@ -10,7 +10,8 @@ share one private constructor from pairs, `_of`, which the parsers, the
 kernels, `row`, `column` and `submatrix` use; the public constructors
 coerce every entry with `as_scalar` and check the shape, and refuse a
 str or bytes-like object given as the entries or as a row, which would
-iterate as characters or ints.
+iterate as characters or ints, and a set or a mapping, which would
+iterate in no fixed order or as its keys.
 Indexing is 0-based throughout the library, and an index out of range
 raises `IndexError`, a negative one too; only rendered reports use
 1-based indices. `row_maxima` is the one max-plus product loop: it
@@ -25,6 +26,7 @@ calls.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
@@ -50,8 +52,13 @@ def _pair(e) -> Pair | None:
 
 
 def _iterable(entries):
-    """`entries` as given; a str or bytes-like object, which iterates as characters or ints, raises `TypeError`."""
-    if isinstance(entries, (str, bytes, bytearray, memoryview)):
+    """`entries` as given; `TypeError` for what iterates as something other than the entries in order.
+
+    A str or bytes-like object iterates as characters or ints, a set in no
+    fixed order, and a mapping (or a dict's key or item view) as its keys
+    or items.
+    """
+    if isinstance(entries, (str, bytes, bytearray, memoryview, Set, Mapping)):
         raise TypeError(f"entries must be an iterable of scalars, not {type(entries).__name__}")
     return entries
 

@@ -47,20 +47,6 @@ from tropsolve import (
 from tropsolve.scalar import format_pairs
 
 
-def trop_add(a: Scalar, b: Scalar) -> Scalar:
-    """Tropical sum: max of the two scalars (-inf is the identity)."""
-    if a is None:
-        return b
-    return a if b is None or b <= a else b
-
-
-def trop_mul(a: Scalar, b: Scalar) -> Scalar:
-    """Tropical product: classical sum (-inf is absorbing)."""
-    if a is None or b is None:
-        return None
-    return a + b
-
-
 def row_max(row: Sequence[Scalar], x: Sequence[Scalar]) -> Scalar:
     """One row of the max-plus product: max_j (a_ij + x_j), -inf when no term is finite."""
     return max((e + xj for e, xj in zip(row, x) if e is not None and xj is not None), default=BOTTOM)
@@ -236,10 +222,14 @@ def identity(n: int) -> TropMatrix:
 
 
 def scalar_mul(lam: Scalar, a):
-    """Tropical scalar multiple of a vector or matrix: lam added to every finite entry."""
+    """Tropical scalar multiple of a vector or matrix: lam added to every finite entry, all -inf when lam is -inf."""
+
+    def times(entries):
+        return [None if lam is None or e is None else lam + e for e in entries]
+
     if isinstance(a, TropVector):
-        return TropVector(trop_mul(lam, e) for e in a)
-    return TropMatrix([trop_mul(lam, e) for e in r] for r in a.row_tuples())
+        return TropVector(times(a))
+    return TropMatrix(times(r) for r in a.row_tuples())
 
 
 def map_equivalent_solution(x: TropVector, alphas, beta) -> TropVector:

@@ -181,6 +181,14 @@ MUTANTS = (
         "    for chunk in chunks[:1]:\n",
         ("tests/test_matrix.py",),
     ),
+    # a set given as the entries is read in its iteration order, and a mapping as its keys
+    Mutant(
+        "constructors-accept-unordered-collections",
+        "src/tropsolve/matrix.py",
+        "memoryview, Set, Mapping)",
+        "memoryview)",
+        ("tests/test_matrix.py",),
+    ),
     # the same reports, by the theorem in reduce.py; only the self-check's scope changes
     Mutant(
         "row-self-check-cut-to-independent-columns",

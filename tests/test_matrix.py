@@ -192,6 +192,25 @@ def test_constructors_refuse_text_given_as_entries():
     assert TropMatrix([["1", 2]]) == TropMatrix([[1, 2]])
 
 
+def test_constructors_refuse_unordered_collections():
+    # a set iterates in no fixed order and a mapping as its keys: unrefused,
+    # the first set was TropVector(-7, 5/2, 100, 1/3) and [{1: 9, 2: 8}] the row (1, 2)
+    for make, entries, kind in (
+        (TropVector, {Fraction(1, 3), Fraction(5, 2), -7, 100}, "set"),
+        (TropVector, frozenset({1, 2}), "frozenset"),
+        (TropVector, {0: 5, 1: 6}, "dict"),
+        (TropVector, {5: 0}.keys(), "dict_keys"),
+        (TropVector, {5: 0}.items(), "dict_items"),
+        (TropMatrix, [{1: 9, 2: 8}], "dict"),
+        (TropMatrix, [[1, 2], {3, 4}], "set"),
+        (TropMatrix, {(1, 2)}, "set"),
+    ):
+        with pytest.raises(TypeError, match=f"^entries must be an iterable of scalars, not {kind}$"):
+            make(entries)
+    # a dict's values keep their order, so they are still entries
+    assert TropVector({0: 5, 1: 6}.values()) == TropVector([5, 6])
+
+
 # the 0x0 system, and 2x0 against an all -inf b and a finite one
 EMPTY_SYSTEMS = {
     "0x0": (TropMatrix([]), TropVector([])),

@@ -26,28 +26,9 @@ from tropsolve import (
 )
 from tropsolve.scalar import MAX_DIGITS, format_pairs, parse_pairs
 
-from helpers import is_reduced_pair, product, read_token, trop_add, trop_mul
+from helpers import is_reduced_pair, product, read_token
 
-finite = st.fractions(min_value=-100, max_value=100, max_denominator=12)
-scalars = st.one_of(st.just(BOTTOM), finite)
-
-
-def test_trop_add_identity_and_max():
-    assert trop_add(BOTTOM, Fraction(3)) == Fraction(3)
-    assert trop_add(Fraction(2), Fraction(5)) == Fraction(5)
-    assert trop_add(Fraction(-117), Fraction(-115)) == Fraction(-115)
-
-
-def test_trop_mul_absorbing_and_sum():
-    assert trop_mul(BOTTOM, Fraction(7)) == BOTTOM
-    assert trop_mul(Fraction(0), Fraction(9)) == Fraction(9)
-    assert trop_mul(Fraction(-49), Fraction(-80)) == Fraction(-129)
-
-
-@given(finite)
-def test_bottom_is_least_element(x):
-    assert trop_add(BOTTOM, x) == x
-    assert trop_add(x, BOTTOM) == x
+scalars = st.one_of(st.just(BOTTOM), st.fractions(min_value=-100, max_value=100, max_denominator=12))
 
 
 def test_floats_refused_at_every_entry_point():
@@ -124,34 +105,6 @@ def test_parsed_and_computed_equal_public_construction(token_rows, data):
     for v in built:
         public = TropVector(list(v))
         assert v == public and hash(v) == hash(public)
-
-
-@given(scalars, scalars)
-def test_add_commutative(a, b):
-    assert trop_add(a, b) == trop_add(b, a)
-
-
-@given(scalars, scalars, scalars)
-def test_add_associative(a, b, c):
-    assert trop_add(trop_add(a, b), c) == trop_add(a, trop_add(b, c))
-
-
-@given(scalars)
-def test_add_idempotent(a):
-    assert trop_add(a, a) == a
-
-
-@given(scalars, scalars, scalars)
-def test_mul_distributes_over_add(a, b, c):
-    left = trop_mul(a, trop_add(b, c))
-    assert left == trop_add(trop_mul(a, b), trop_mul(a, c))
-    right = trop_mul(trop_add(b, c), a)
-    assert right == trop_add(trop_mul(b, a), trop_mul(c, a))
-
-
-@given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
-def test_finite_order_matches_rational_order(p, q):
-    assert (trop_add(p, q) == q) == (p <= q)
 
 
 @given(scalars)
