@@ -194,6 +194,16 @@ def test_dependence_oracle_self_and_miss():
     assert dependence_oracle([e1], TropVector([1, 1])) is None
 
 
+def test_dependence_reconstruction_random():
+    # the default scan order on both axes, of plain random matrices
+    rng = random.Random(41)
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_matrix(rng, m, n, bottom_p=0.25)
+        for report, vecs in zip((colrank(a), rowrank(a)), columns_and_rows(a)):
+            assert report == oracle_scan(vecs, None, report.axis), a
+
+
 def _with_scaled_copies(rng: random.Random, a: TropMatrix) -> TropMatrix:
     """`a` with shifted copies of some of its columns inserted at random places."""
     cols = [a.column(j) for j in range(a.cols)]
@@ -205,17 +215,14 @@ def _with_scaled_copies(rng: random.Random, a: TropMatrix) -> TropMatrix:
 def test_scan_coefficients_match_oracle_on_final_basis():
     # each coefficient is read off the target's own verdict solve against the
     # surviving columns; it must equal the residuated coefficient against the
-    # final independent set alone, under any scan order: the default on even
-    # draws, and a random one on odd draws, whose matrices get shifted copies
-    # of some of their columns and rows
+    # final independent set alone, under any scan order
     rng = random.Random(43)
     nonempty = 0
-    for k in range(300):
-        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5 - k % 2), bottom_p=0.25)
-        if k % 2:
-            a = transpose(_with_scaled_copies(rng, transpose(_with_scaled_copies(rng, a))))
+    for _ in range(150):
+        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 4), bottom_p=0.25)
+        a = transpose(_with_scaled_copies(rng, transpose(_with_scaled_copies(rng, a))))
         for rank_fn, vecs in zip((colrank, rowrank), columns_and_rows(a)):
-            order = rng.sample(range(len(vecs)), len(vecs)) if k % 2 else None
+            order = rng.sample(range(len(vecs)), len(vecs))
             report = rank_fn(a, order)
             assert report == oracle_scan(vecs, order, report.axis), (rank_fn.__name__, a, order)
             nonempty += sum(any(c is not None for c in dep.coefficients.pairs()) for dep in report.dependent)

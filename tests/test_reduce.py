@@ -24,11 +24,10 @@ from tropsolve import reduce as reduction
 from tropsolve.cli import main
 from tropsolve.oracle import satisfies
 
+from campaigns import bases_match, reduction_outcome
 from helpers import (
-    columns_and_rows,
     identity,
     max_combination,
-    oracle_scan,
     planted_instance,
     planted_low_rank,
     product,
@@ -37,15 +36,8 @@ from helpers import (
     rand_matrix,
     residuation,
     solves,
+    with_bottoms,
 )
-
-
-def check_reconstruction(a: TropMatrix, sys) -> None:
-    """The sorted column and row bases, with eta and xi, against `oracle_scan` of A's columns and rows."""
-    cols, rows = columns_and_rows(a)
-    want = (oracle_scan(cols, None, "columns"), oracle_scan(rows, None, "rows"))
-    got = ((sys.indep_cols, sys.eta), (sys.indep_rows, sys.xi))
-    assert got == tuple((tuple(sorted(w.independent)), w.dependent) for w in want), a
 
 
 def test_reduce_no_reduction_when_everything_independent():
@@ -68,7 +60,7 @@ def test_reduce_3x3_with_dependent_column_and_row(rank_3x3):
     assert sys.row_consistency == ((0, True),)
     assert sys.a_bar == TropMatrix([[-5, 0], [4, 1]])
     assert sys.b_bar == TropVector([b[1], b[2]])
-    check_reconstruction(rank_3x3, sys)
+    assert bases_match(rank_3x3, sys)
 
 
 def test_reduce_planted_dependent_row_consistency():
@@ -80,7 +72,7 @@ def test_reduce_planted_dependent_row_consistency():
     sys = reduce_system(a, b)
     assert 3 in {r for r, _ in sys.xi}
     assert sys.consistent()
-    check_reconstruction(a, sys)
+    assert bases_match(a, sys), a
 
 
 def test_inconsistent_row_gates_unsolvability():
@@ -158,6 +150,33 @@ def test_dof_via_reduction_requires_solvable():
     assert reduce_system(a, b).consistent() and not isinstance(solve(a, b), Solvable)
     with pytest.raises(UnsolvableSystemError):
         dof_via_reduction(a, b)
+
+
+def test_full_and_reduced_solvability_coincide_random():
+    rng = random.Random(51)
+    instances = [planted_instance(rng) for _ in range(200)]
+    # then systems whose random scalars have 20-30-digit denominators
+    instances += [planted_instance(rng, max_den=10 ** rng.randint(20, 30)) for _ in range(120)]
+    assert sum(any(e is None for r in a.row_tuples() for e in r) for a, _ in instances[200:]) >= 20
+    # then -inf entries in b, on planted systems and on random ones with -inf shares 0, 0.25, 0.5
+    for _ in range(150):
+        a, b = planted_instance(rng)
+        instances.append((a, with_bottoms(rng, a, b if rng.random() < 0.5 else None)))
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = rand_matrix(rng, m, n, bottom_p=rng.choice((0, 0.25, 0.5)))
+        instances.append((a, with_bottoms(rng, a, rand_finite_vector(rng, m) if rng.random() < 0.5 else None)))
+    # and the empty reduction, against an all -inf b and a finite one
+    instances += [(TropMatrix([[None] * 3] * 2), TropVector([None, None])), (TropMatrix([[None]]), TropVector([0]))]
+    solvable = {True: 0, False: 0}
+    finite_x_with_bottom_b = 0
+    for a, b in instances:
+        full = reduction_outcome(a, b)
+        assert full is not None, (a, b)
+        if isinstance(full, Solvable):
+            solvable[None in b] += 1
+            finite_x_with_bottom_b += None in b and any(e is not None for e in full.x_star)
+    assert solvable[False] >= 100 and solvable[True] >= 100 and finite_x_with_bottom_b >= 40
 
 
 def _cover_on_least_reduced_cover(a: TropMatrix, b: TropVector, full: Solvable, sys) -> TropVector:
@@ -310,7 +329,7 @@ def test_row_scan_on_independent_columns_matches_rowrank():
         basis = sorted(report.independent)
         assert sys.indep_rows == tuple(basis), a
         assert sys.xi == report.dependent, a
-        check_reconstruction(a, sys)
+        assert bases_match(a, sys), a
         cut += len(sys.indep_cols) < a.cols
     assert cut >= 40
 

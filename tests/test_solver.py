@@ -20,8 +20,10 @@ from tropsolve import (
 )
 from tropsolve.oracle import satisfies
 
+from campaigns import equivalence_holds, matches_reference, maximal, q_route
 from helpers import (
     PRIMES,
+    arbitrary_instance,
     column_shifts,
     from_columns,
     is_reduced_pair,
@@ -30,7 +32,10 @@ from helpers import (
     prime_value,
     principal_reference,
     product,
+    rand_finite_vector,
+    rand_matrix,
     residuation,
+    solvable_instance,
     wide_value,
 )
 
@@ -138,7 +143,21 @@ def test_unsatisfiable_after_forcing():
     assert out.witness_rows == (1,)
 
 
-# --- the residuation kernel -------------------------------------------------
+# --- maximality and oracle agreement ----------------------------------------
+
+
+def test_maximality_random():
+    rng = random.Random(21)
+    for _ in range(200):
+        a, x0, b = solvable_instance(rng)
+        assert maximal(a, x0, b), (a, b)
+
+
+def test_solver_matches_residuation_oracle():
+    rng = random.Random(22)
+    for _ in range(200):
+        a, b = arbitrary_instance(rng)
+        assert matches_reference(a, b), (a, b)
 
 
 def test_residuate_returns_its_least_slack_reduced():
@@ -164,6 +183,22 @@ def test_residuate_returns_its_least_slack_reduced():
         assert (None if slack is None else Fraction(*slack), frozenset(solver.mask_rows(mask))) == want
         seen["forced" if slack is None else "finite"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_solve_matches_normalize_column_minima():
+    # the residuation pass against the paper's route through the grid Q,
+    # whose minima and rows q_route reads off the grid itself
+    # (normalize's own minima are solve's x* shifted, so they prove nothing here)
+    rng = random.Random(25)
+    solvable = 0
+    for k in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = rand_matrix(rng, m, n, bottom_p=0.25, regular_rows=True, regular_cols=True)
+        b = product(a, rand_finite_vector(rng, n)) if k % 2 else rand_finite_vector(rng, m)
+        route = q_route(a, b)
+        assert route is not None, (a, b)
+        solvable += isinstance(route[1], Solvable)
+    assert 150 <= solvable < 300
 
 
 # --- equivalence ------------------------------------------------------------
@@ -267,6 +302,25 @@ def test_map_equivalent_uniform_shift_cancels(solvable_4x5):
     )
     shifted_b = TropVector(e + 1 for e in b)
     assert satisfies(shifted_a, mapped, shifted_b)
+
+
+def test_equivalence_invariance_random():
+    # unlike criterion 7, columns may be all -inf: check_equivalence gives them 0
+    rng = random.Random(23)
+    bottom_cols = 0
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_matrix(rng, m, n, bottom_p=0.2)
+        bottom_cols += sum(all(e is None for e in a.column(j)) for j in range(n))
+        assert equivalence_holds(rng, a, rand_finite_vector(rng, m)), a
+    assert bottom_cols >= 10
+
+
+def test_solvable_implies_exact_product_random():
+    rng = random.Random(24)
+    for _ in range(100):
+        a, b = arbitrary_instance(rng, max_dim=5)
+        assert matches_reference(a, b), (a, b)
 
 
 # --- internal self-check ----------------------------------------------------
