@@ -7,7 +7,8 @@ b or A2 (decoded as UTF-8, a leading byte-order mark dropped), passes the
 parsed objects to the handler for its payload and exit code, and builds the
 one `Report`; `main` renders it as text or JSON (`--json`) with identical
 data. Indices in reports are 1-based. Exit codes: 0 = success/solvable,
-1 = unsolvable or negative verdict, 2 = input or usage error.
+1 = unsolvable or negative verdict, 2 = input or usage error, or memory
+running out while the inputs are read or the payload computed.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import re
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import TropicalError, UnsolvableSystemError
+from .errors import SizeBoundError, TropicalError, UnsolvableSystemError
 from .freedom import degrees_of_freedom, minimal_leading_oracle
 from .matrix import TropMatrix, TropVector, parse_matrix, parse_vector
 from .normalize import normalize, normalized_solution
-from .oracle import EXHAUSTIVE_MAX_SIDE, exhaustive_solvable, principal_solution, satisfies
+from .oracle import exhaustive_solvable, principal_solution, satisfies
 from .rank import RankReport, colrank, rowrank
 from .reduce import dof_via_reduction, reduce_system
 from .scalar import format_pair, format_pairs
@@ -98,19 +99,14 @@ def _render_normalize(p: dict) -> list[str]:
     return lines
 
 
-def _solution_strings(outcome: Solvable) -> list[str]:
-    return [
-        "unbounded" if j in outcome.unbounded else t
-        for j, t in enumerate(format_pairs(outcome.x_star.pairs()))
-    ]
-
-
 def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     outcome = solve(a, b)
     solvable = isinstance(outcome, Solvable)
     payload = {
         "status": "solvable" if solvable else "unsolvable",
-        "x_star": _solution_strings(outcome) if solvable else None,
+        "x_star": [
+            "unbounded" if j in outcome.unbounded else t for j, t in enumerate(format_pairs(outcome.x_star.pairs()))
+        ] if solvable else None,
         "y_star": format_pairs(normalized_solution(a, b, outcome.x_star).pairs()) if solvable else None,
         "witness_rows": [] if solvable else _ones(outcome.witness_rows),
         "coverage": [_ones(cols) for cols in outcome.coverage],
@@ -120,11 +116,11 @@ def _cmd_solve(args, a: TropMatrix, b: TropVector) -> tuple[dict, int]:
     if args.check:
         x0 = principal_solution(a, b)
         ok = satisfies(a, x0, b)
-        agree = ok == solvable and x0 == outcome.x_star
-        exh = None
-        if a.rows <= EXHAUSTIVE_MAX_SIDE and a.cols <= EXHAUSTIVE_MAX_SIDE:
+        try:
             exh = exhaustive_solvable(a, b)
-            agree = agree and exh == solvable
+        except SizeBoundError:  # past the oracle's bound: no exhaustive verdict
+            exh = None
+        agree = ok == solvable and x0 == outcome.x_star and exh in (None, solvable)
         payload["check"] = {
             "principal_solution": format_pairs(x0.pairs()),
             "verify": ok,
@@ -203,14 +199,10 @@ def _parse_scan_order(text: str | None, size: int) -> list[int] | None:
         return None
     if not re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
         raise TropicalError(f"scan order must be comma-separated integers, got {text!r}")
-    tokens = [tok.lstrip("0") or "0" for tok in text.split(",")]
-    # leading zeros aside, a token with more digits than `size` is out of range;
-    # tested before int(), which refuses one past Python's 4300-digit limit
-    in_range = all(len(tok) <= len(str(size)) for tok in tokens)
-    order = [int(tok) - 1 for tok in tokens] if in_range else None
-    if order is None or sorted(order) != list(range(size)):
+    tokens = [tok.lstrip("0") for tok in text.split(",")]
+    if sorted(tokens) != sorted(map(str, range(1, size + 1))):
         raise TropicalError(f"scan order must be a permutation of 1..{size}")
-    return order
+    return [int(tok) - 1 for tok in tokens]
 
 
 def _rank_payload(report: RankReport) -> dict:
@@ -406,6 +398,8 @@ def _dispatch(args) -> Report:
     # path with a NUL byte ("embedded null byte" from open)
     except (TropicalError, OSError, ValueError) as exc:
         return Report(args.command, (), {"error": str(exc)}, 2)
+    except MemoryError:  # its own text is empty
+        return Report(args.command, (), {"error": "out of memory"}, 2)
     return Report(args.command, tuple(digest for digest, _ in loaded), payload, exit_code)
 
 

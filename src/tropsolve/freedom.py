@@ -102,9 +102,9 @@ def minimal_leading_oracle(outcome: SolveOutcome) -> tuple[int, tuple[int, ...]]
         raise SizeBoundError(f"exhaustive cover search limited to {EXACT_COVER_MAX_COLS} columns, got {n}")
     sets = list(_cover_sets(outcome, n).values())
     candidates = sorted(set().union(*sets))
-    for size in range(0, len(candidates) + 1):
+    for size in range(len(candidates)):
         for subset in combinations(candidates, size):
             chosen = set(subset)
             if all(rowcov & chosen for rowcov in sets):
                 return size, subset
-    raise AssertionError("unreachable: the full candidate set always covers")
+    return len(candidates), tuple(candidates)  # every covered row holds one of them

@@ -233,10 +233,6 @@ def _data_lines(text: str) -> list[Line]:
     return [(lineno, raw, raw.split()) for lineno, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
 
 
-def _token_memo(lines: list[Line]) -> dict[str, Pair | None]:
-    return parse_pairs(chain.from_iterable(tokens for _, _, tokens in lines))
-
-
 def _entries(lineno: int, raw: str, tokens: list[str], memo: dict) -> tuple:
     """The line's values by lookup; a token missing from `memo` is reported where it first occurs."""
     try:
@@ -259,7 +255,7 @@ def _column(raw: str, token: str) -> int:
 
 def parse_matrix(text: str) -> TropMatrix:
     lines = _data_lines(text)
-    memo = _token_memo(lines)
+    memo = parse_pairs(chain.from_iterable(tokens for _, _, tokens in lines))
     rows = []
     for lineno, raw, tokens in lines:
         row = _entries(lineno, raw, tokens, memo)
@@ -276,7 +272,7 @@ def parse_matrix(text: str) -> TropMatrix:
 
 def parse_vector(text: str) -> TropVector:
     data = _data_lines(text)
-    memo = _token_memo(data)
+    memo = parse_pairs(chain.from_iterable(tokens for _, _, tokens in data))
     lines = [(lineno, _entries(lineno, raw, tokens, memo)) for lineno, raw, tokens in data]
     if not lines:
         raise ParseError("no vector entries found")

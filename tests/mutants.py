@@ -313,12 +313,28 @@ MUTANTS = (
         "if a.rows != a2.rows and a.cols != a2.cols:",
         ("tests/test_cli.py", "tests/test_exhaustive.py"),
     ),
-    # an exhaustive verdict that agrees hides a verifier that does not
+    # an exhaustive verdict that agrees, or none past its bound, hides a verifier that does not
     Mutant(
         "solve-check-exhaustive-overrides-disagreement",
         "src/tropsolve/cli.py",
-        "agree = agree and exh == solvable",
-        "agree = agree or exh == solvable",
+        "and exh in (None, solvable)",
+        "or exh in (None, solvable)",
+        ("tests/test_cli.py",),
+    ),
+    # a zero-padded index no longer spells its number, so a padded permutation is refused
+    Mutant(
+        "scan-order-keeps-leading-zeros",
+        "src/tropsolve/cli.py",
+        'tokens = [tok.lstrip("0") for tok in text.split(",")]',
+        'tokens = text.split(",")',
+        ("tests/test_cli.py",),
+    ),
+    # memory running out during load or compute escapes as a traceback instead of exit 2
+    Mutant(
+        "dispatch-lets-memory-error-escape",
+        "src/tropsolve/cli.py",
+        '    except MemoryError:  # its own text is empty\n        return Report(args.command, (), {"error": "out of memory"}, 2)\n',
+        "",
         ("tests/test_cli.py",),
     ),
     Mutant(

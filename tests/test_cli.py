@@ -378,6 +378,24 @@ def test_reduce_refuses_a_reduction_that_disagrees(data_dir, monkeypatch):
         run(args)
 
 
+@pytest.mark.parametrize("stage", ["parse_matrix", "solve"])
+def test_memory_error_exits_2(data_dir, monkeypatch, capsys, stage):
+    # memory running out while A loads (parse_matrix) or the payload is computed
+    # (solve), simulated by a patch: a MemoryError's own text is empty
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, stage, exhausted)
+    args = ["solve", path(data_dir, "solvable_4x5.mat"), path(data_dir, "solvable_4x5_b.vec")]
+    assert run(args) == cli.Report("solve", (), {"error": "out of memory"}, 2)
+    assert main(args) == 2
+    assert capsys.readouterr().out == "error: out of memory\n"
+    assert main([*args, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "solve", "inputs": [], "payload": {"error": "out of memory"}, "exit_code": 2,
+    }
+
+
 def test_check_equiv(data_dir, tmp_path):
     original = (data_dir / "rank_3x3.mat").read_text()
     a = parse_matrix(original)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from tropsolve import cli
 
-from helpers import grid_text, max_combination, row_max
+from helpers import grid_text, max_combination, mean, row_max
 
 _spec = importlib.util.spec_from_file_location(
     "report_checker", pathlib.Path(__file__).resolve().parents[1] / "bench" / "checker.py"
@@ -44,11 +44,7 @@ class System(checker.System):
 
     @property
     def means(self) -> list[Fraction | None]:
-        out = []
-        for col in zip(*self.a_int):
-            finite = [v for v in col if v is not None]
-            out.append(Fraction(sum(finite), self.d * len(finite)) if finite else None)
-        return out
+        return [mean(col) for col in zip(*self.a)]
 
 
 def _value(rng: random.Random, big: bool) -> Fraction:
